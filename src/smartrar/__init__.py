@@ -43,14 +43,7 @@ from .inference import (
     split_chain_rhat,
 )
 from .policy import PolicySnapshot, QValue, brute_force_value, optimal_policy, q_stage1, q_stage2
-from .simulator import (
-    InterimSchedule,
-    InterimSnapshot,
-    TrialState,
-    generate_patient,
-    run_trial,
-    true_value,
-)
+from .simulator import ENGINE_IMPLEMENTATION, InterimSchedule, InterimSnapshot, run_trial, true_value
 from .sweep import (
     MatrixBundle,
     MatrixPanel,

@@ -54,6 +54,30 @@ def equal_allocation(history: History, actions: tuple[Action, ...] = (0, 1)) -> 
     return AllocationProbs(history=history, probs={a: share for a in actions})
 
 
+def allocation_pair(q0: float, q1: float, c: float, min_prob: float = 0.0) -> tuple[float, float]:
+    """The p ∝ Q^c rule over actions (0, 1) on plain floats, unvalidated.
+
+    Falls back to equal probabilities when ``c = 0`` or the total weight is
+    degenerate, then applies the optional ``min_prob`` floor and
+    re-normalises. Callers guarantee finite non-negative Q-values and a
+    finite non-negative ``c``.
+    """
+    if c == 0.0:
+        p0 = p1 = 0.5
+    else:
+        w0, w1 = q0**c, q1**c
+        total = w0 + w1
+        if total < DEGENERATE_TOTAL:
+            p0 = p1 = 0.5
+        else:
+            p0, p1 = w0 / total, w1 / total
+    if min_prob > 0.0:
+        p0, p1 = max(p0, min_prob), max(p1, min_prob)
+        total = p0 + p1
+        p0, p1 = p0 / total, p1 / total
+    return p0, p1
+
+
 def allocation_probs(
     q: Mapping[Action, object],
     c: float,
@@ -61,40 +85,27 @@ def allocation_probs(
     history: History | None = None,
     min_prob: float = 0.0,
 ) -> AllocationProbs:
-    """Convert Q-values into allocation probabilities.
+    """Convert Q-values for actions 0 and 1 into allocation probabilities.
 
-    ``q`` maps actions to Q-values (either bare floats or objects with a
-    ``value`` attribute). ``min_prob`` imposes an optional floor on every
+    ``q`` maps both actions to Q-values (either bare floats or objects with
+    a ``value`` attribute). ``min_prob`` imposes an optional floor on every
     probability (re-normalised afterwards); the default of 0 reproduces the
     unfloored rule exactly.
     """
     if not (math.isfinite(c) and c >= 0.0):
         raise ValueError(f"exponent c must be a non-negative real, got {c!r}")
-    if history is None:
-        history = History.first_stage()
-    actions = sorted(q)
-    values = {a: float(getattr(q[a], "value", q[a])) for a in actions}
-    for a, v in values.items():
+    if sorted(q) != [0, 1]:
+        raise ValueError(f"Q-values are required for actions 0 and 1, got {sorted(q)!r}")
+    values = [float(getattr(q[a], "value", q[a])) for a in (0, 1)]
+    for a, v in enumerate(values):
         if not math.isfinite(v):
             raise ValueError(f"Q-value for action {a} is not finite: {v!r}")
         if v < 0.0:
             raise ValueError(
                 f"Q-value for action {a} is negative ({v!r}); utility tables must be non-negative"
             )
-
-    if c == 0.0:
-        probs = {a: 1.0 / len(actions) for a in actions}
-    else:
-        weights = {a: v**c for a, v in values.items()}
-        total = sum(weights.values())
-        if total < DEGENERATE_TOTAL:
-            probs = {a: 1.0 / len(actions) for a in actions}
-        else:
-            probs = {a: w / total for a, w in weights.items()}
-
-    if min_prob > 0.0:
-        floored = {a: max(p, min_prob) for a, p in probs.items()}
-        total = sum(floored.values())
-        probs = {a: p / total for a, p in floored.items()}
-
-    return AllocationProbs(history=history, probs=probs)
+    p0, p1 = allocation_pair(values[0], values[1], c, min_prob)
+    return AllocationProbs(
+        history=history if history is not None else History.first_stage(),
+        probs={0: p0, 1: p1},
+    )

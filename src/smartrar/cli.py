@@ -35,11 +35,12 @@ from .core import (
     scenario_grid,
     canonical_designs,
 )
-from .simulator import run_trial
+from .simulator import ENGINE_IMPLEMENTATION, run_trial
 from .sweep import (
     IncompleteGridError,
     SweepConfig,
     SweepError,
+    check_utilities,
     matrix_bundle_from_cells,
     run_sweep,
 )
@@ -72,6 +73,7 @@ class RunManifest:
 
     command: str
     tool_version: str
+    engine_implementation: str
     created_utc: str
     config: tuple[tuple[str, str], ...]
     outputs: tuple[tuple[str, str], ...]  # (filename, sha256)
@@ -79,6 +81,7 @@ class RunManifest:
     def render(self) -> str:
         lines = [
             f"tool_version = {self.tool_version}",
+            f"engine_implementation = {self.engine_implementation}",
             f"command = {self.command}",
             f"created_utc = {self.created_utc}",
             "",
@@ -95,6 +98,7 @@ def write_manifest(out_dir: Path, command: str, config: dict[str, str], files: l
     manifest = RunManifest(
         command=command,
         tool_version=__version__,
+        engine_implementation=ENGINE_IMPLEMENTATION,
         created_utc=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         config=tuple(sorted(config.items())),
         outputs=tuple((f.name, _sha256(f)) for f in files),
@@ -118,20 +122,11 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     return parser
 
 
-def _resolve(flag_value, cfg: configparser.ConfigParser, section: str, key: str, default, convert):
-    """Flag > config file > default."""
+def _resolve(flag_value, cfg, section: str, key: str, default, convert, env_name: str | None = None):
+    """Flag > environment variable ``env_name`` (if given) > config file > default."""
     if flag_value is not None:
         return flag_value
-    if cfg.has_option(section, key):
-        return convert(cfg.get(section, key))
-    return default
-
-
-def _resolve_env(flag_value, env_name: str, cfg, section, key, default, convert):
-    """Flag > environment > config file > default."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(env_name)
+    env = os.environ.get(env_name) if env_name is not None else None
     if env is not None:
         return convert(env)
     if cfg.has_option(section, key):
@@ -193,7 +188,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     engine = _resolve(args.engine, cfg, section, "engine", "conjugate", str)
     patients = _resolve(args.patients, cfg, section, "patients", 2000, int)
     interims = _resolve(args.interims, cfg, section, "interims", 4, int)
-    out = _resolve_env(args.out, ENV_OUT_DIR, cfg, section, "out", None, str)
+    out = _resolve(args.out, cfg, section, "out", None, str, ENV_OUT_DIR)
 
     scenario = Scenario(r0=r0, r1=r1, s0=s0, s1=s1)
     design = DesignConfig(
@@ -292,11 +287,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     replicates = _resolve(args.replicates, cfg, section, "replicates", 10, int)
     base_seed = _resolve(args.base_seed, cfg, section, "base-seed", 0, int)
     engine = _resolve(args.engine, cfg, section, "engine", "conjugate", str)
-    threads = _resolve_env(args.threads, ENV_THREADS, cfg, section, "threads", None, int)
-    out_dir_value = _resolve_env(args.out_dir, ENV_OUT_DIR, cfg, section, "out-dir", None, str)
+    threads = _resolve(args.threads, cfg, section, "threads", None, int, ENV_THREADS)
+    out_dir_value = _resolve(args.out_dir, cfg, section, "out-dir", None, str, ENV_OUT_DIR)
     if out_dir_value is None:
         print("error: --out-dir is required (flag, SMARTRAR_OUT_DIR or config)", file=sys.stderr)
         return 2
+
+    scenarios = _scenarios_from_grid(grid)
+    designs = _designs_from_spec(designs_spec, engine)
+    utilities = _utilities_from_config(cfg)
+    check_utilities(designs, utilities)
 
     out_dir = Path(out_dir_value)
     try:
@@ -308,9 +308,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return 2
 
-    scenarios = _scenarios_from_grid(grid)
-    designs = _designs_from_spec(designs_spec, engine)
-    utilities = _utilities_from_config(cfg)
     sweep_config = SweepConfig(
         scenarios=tuple(scenarios),
         designs=tuple(designs),
@@ -373,7 +370,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     in_path = _resolve(args.in_file, cfg, section, "in", None, str)
     m = _resolve(args.m, cfg, section, "m", None, int)
     fmt = _resolve(args.format, cfg, section, "format", "csv-matrix", str)
-    out_dir_value = _resolve_env(args.out_dir, ENV_OUT_DIR, cfg, section, "out-dir", None, str)
+    out_dir_value = _resolve(args.out_dir, cfg, section, "out-dir", None, str, ENV_OUT_DIR)
     if in_path is None or m is None:
         print("error: --in and --m are required", file=sys.stderr)
         return 2
@@ -479,7 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--replicates", type=int, help="trials per (scenario, design) (default 10)")
     swp.add_argument("--base-seed", type=int, help="seed-lattice base (default 0)")
     swp.add_argument("--engine", choices=("conjugate", "mcmc"), help="posterior engine")
-    swp.add_argument("--threads", type=int, help="worker processes (default: all cores)")
+    swp.add_argument(
+        "--threads", type=int, help="worker processes (default: every CPU this process may use)"
+    )
     swp.add_argument("--out-dir", help="output directory")
     swp.add_argument("--config", help="INI config file; flags override file values")
     swp.set_defaults(func=cmd_sweep)

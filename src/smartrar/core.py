@@ -243,8 +243,7 @@ class UtilityTable:
     @classmethod
     def default(cls) -> "UtilityTable":
         """Unit utility for survival, zero for death, at every realisation."""
-        alive_dead = ((1.0, 0.0), (1.0, 0.0))
-        return cls(stage1_alive=(1.0, 1.0), stage2=(alive_dead, alive_dead))
+        return _DEFAULT_UTILITIES
 
     @classmethod
     def from_entries(cls, entries: Mapping[str, float]) -> "UtilityTable":
@@ -312,11 +311,22 @@ class UtilityTable:
             )
         return u0
 
+    def pooled_stage2(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(survived, died) utilities of the pooled (myopic) stage-2 cell for
+        each stage-two action; raises ``ConfigurationError`` when they
+        depend on the stage-one action."""
+        return self.stage2_outcome_utilities(None, 0), self.stage2_outcome_utilities(None, 1)
+
     def min_entry(self) -> float:
         return min(self.entries().values())
 
     def max_entry(self) -> float:
         return max(self.entries().values())
+
+
+# Shared like the canonical History instances: the table is a frozen value
+# and run_trial needs it once per trial.
+_DEFAULT_UTILITIES = UtilityTable(stage1_alive=(1.0, 1.0), stage2=(((1.0, 0.0), (1.0, 0.0)),) * 2)
 
 
 def utility_lookup(table: UtilityTable, record: PatientRecord) -> float:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,11 +42,13 @@ __all__ = [
     "CoefficientVector",
     "McmcPosterior",
     "PriorSpec",
+    "conjugate_mean",
     "posterior_conjugate",
     "posterior_conjugate_cells",
     "posterior_mcmc",
     "linear_predictor",
     "accumulate",
+    "stage_data",
     "split_chain_rhat",
     "DEFAULT_CHAINS",
     "DEFAULT_WARMUP",
@@ -185,16 +187,20 @@ def linear_predictor(coeffs: CoefficientVector, h: History, a: Action) -> float:
     return float(sum(v * x for v, x in zip(coeffs.values, row)))
 
 
-def posterior_conjugate(counts: CellCounts, prior: PriorSpec) -> PosteriorSummary:
-    """Exact Beta(alpha, beta) posterior mean for one cell.
-
-    Deterministic: mean = (alpha + events) / (alpha + beta + trials). A
-    cell with zero trials returns the prior mean.
-    """
-    mean = (prior.conjugate_alpha + counts.events) / (
-        prior.conjugate_alpha + prior.conjugate_beta + counts.trials
+def conjugate_mean(prior: PriorSpec, events: int, trials: int) -> float:
+    """Beta(alpha, beta) posterior mean of one cell's event probability:
+    (alpha + events) / (alpha + beta + trials), the prior mean at zero trials."""
+    return (prior.conjugate_alpha + events) / (
+        prior.conjugate_alpha + prior.conjugate_beta + trials
     )
-    return PosteriorSummary(mean_event_prob=mean, engine_tag="conjugate")
+
+
+def posterior_conjugate(counts: CellCounts, prior: PriorSpec) -> PosteriorSummary:
+    """Exact Beta(alpha, beta) posterior for one cell (see ``conjugate_mean``)."""
+    return PosteriorSummary(
+        mean_event_prob=conjugate_mean(prior, counts.events, counts.trials),
+        engine_tag="conjugate",
+    )
 
 
 def posterior_conjugate_cells(
@@ -202,6 +208,48 @@ def posterior_conjugate_cells(
 ) -> dict[tuple[History, Action], PosteriorSummary]:
     """Conjugate posteriors for every cell of a stage."""
     return {key: posterior_conjugate(counts, prior) for key, counts in data.cells.items()}
+
+
+def stage_data(
+    events1: Sequence[int],
+    trials1: Sequence[int],
+    events2: Sequence[Sequence[int]],
+    trials2: Sequence[Sequence[int]],
+    myopic_m: int,
+) -> tuple[StageData, StageData]:
+    """StageData for both stages from count arrays.
+
+    ``events1``/``trials1`` are indexed by stage-one action and
+    ``events2``/``trials2`` by (stage-one action, stage-two action); a
+    myopic design pools stage two over the stage-one action.
+    """
+    if myopic_m not in (0, 1):
+        raise ValueError(f"myopic_m must be 0 or 1, got {myopic_m!r}")
+    h1 = History.first_stage()
+    stage1 = StageData(
+        stage=1,
+        cells={
+            (h1, a): CellCounts(events=int(events1[a]), trials=int(trials1[a])) for a in (0, 1)
+        },
+    )
+    if myopic_m:
+        pooled = History.second_stage_pooled()
+        cells2 = {
+            (pooled, a2): CellCounts(
+                events=int(events2[0][a2] + events2[1][a2]),
+                trials=int(trials2[0][a2] + trials2[1][a2]),
+            )
+            for a2 in (0, 1)
+        }
+    else:
+        cells2 = {
+            (History.second_stage(a1), a2): CellCounts(
+                events=int(events2[a1][a2]), trials=int(trials2[a1][a2])
+            )
+            for a1 in (0, 1)
+            for a2 in (0, 1)
+        }
+    return stage1, StageData(stage=2, cells=cells2)
 
 
 def accumulate(
@@ -216,8 +264,6 @@ def accumulate(
     materialised with zero counts so downstream posteriors fall back to the
     prior.
     """
-    if myopic_m not in (0, 1):
-        raise ValueError(f"myopic_m must be 0 or 1, got {myopic_m!r}")
     events1 = [0, 0]
     trials1 = [0, 0]
     events2 = [[0, 0], [0, 0]]  # [a1][a2]
@@ -230,59 +276,22 @@ def accumulate(
             a2 = record.stage2_action
             trials2[a1][a2] += 1
             events2[a1][a2] += record.stage2_outcome
-    h1 = History.first_stage()
-    stage1 = StageData(
-        stage=1,
-        cells={(h1, a): CellCounts(events=events1[a], trials=trials1[a]) for a in (0, 1)},
-    )
-    if myopic_m:
-        pooled = History.second_stage_pooled()
-        cells2 = {
-            (pooled, a2): CellCounts(
-                events=events2[0][a2] + events2[1][a2],
-                trials=trials2[0][a2] + trials2[1][a2],
-            )
-            for a2 in (0, 1)
-        }
-    else:
-        cells2 = {
-            (History.second_stage(a1), a2): CellCounts(
-                events=events2[a1][a2], trials=trials2[a1][a2]
-            )
-            for a1 in (0, 1)
-            for a2 in (0, 1)
-        }
-    return stage1, StageData(stage=2, cells=cells2)
+    return stage_data(events1, trials1, events2, trials2, myopic_m)
 
 
 @dataclass(frozen=True)
 class McmcPosterior:
     """Per-cell posterior summaries from the MCMC engine, plus diagnostics.
 
-    Behaves as a mapping from (history, action) to :class:`PosteriorSummary`.
-    ``rhat`` holds the split-chain potential scale reduction per
-    coefficient; a value above the 1.05 threshold is flagged in
-    ``warnings`` rather than raised.
+    ``cells`` maps (history, action) to :class:`PosteriorSummary`. ``rhat``
+    holds the split-chain potential scale reduction per coefficient; a
+    value above the 1.05 threshold is flagged in ``warnings`` rather than
+    raised.
     """
 
     cells: Mapping[tuple[History, Action], PosteriorSummary]
     rhat: tuple[float, ...]
     warnings: tuple[str, ...] = ()
-
-    def __getitem__(self, key: tuple[History, Action]) -> PosteriorSummary:
-        return self.cells[key]
-
-    def __iter__(self) -> Iterator[tuple[History, Action]]:
-        return iter(self.cells)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def keys(self):
-        return self.cells.keys()
-
-    def items(self):
-        return self.cells.items()
 
 
 def _model_arrays(

@@ -47,6 +47,19 @@ class PolicySnapshot:
     stage1_opt: Action
 
 
+def q2_value(alive: float, dead: float, mean: float) -> float:
+    """Stage-two Q-value from a cell's (survived, died) utilities and its
+    posterior mean death probability."""
+    return alive * (1.0 - mean) + dead * mean
+
+
+def q1_value(uninfected: float, mean: float, continuation: float) -> float:
+    """Stage-one Q-value from the uninfected utility, the posterior mean
+    infection probability and the value carried by the infection branch
+    (the best stage-two Q-value, or 0 under a myopic design)."""
+    return uninfected * (1.0 - mean) + continuation * mean
+
+
 def q_stage2(
     posteriors: Mapping[tuple[History, Action], PosteriorSummary],
     utilities: UtilityTable,
@@ -61,9 +74,8 @@ def q_stage2(
         if history.stage != 2:
             raise ValueError(f"stage-2 posteriors required, got stage-{history.stage} history")
         alive, dead = utilities.stage2_outcome_utilities(history.stage1_action, action)
-        mean = summary.mean_event_prob
         out[(history, action)] = QValue(
-            history=history, action=action, value=alive * (1.0 - mean) + dead * mean
+            history=history, action=action, value=q2_value(alive, dead, summary.mean_event_prob)
         )
     return out
 
@@ -98,11 +110,8 @@ def q_stage1(
         summary = stage1_posteriors.get(action)
         if summary is None:
             raise ValueError(f"missing stage-1 posterior for action {action}")
-        mean = summary.mean_event_prob
-        value = utilities.stage1_utility(action) * (1.0 - mean)
-        if not myopic_m:
-            continuation = _max_stage2(stage2_q, History.second_stage(action))
-            value += continuation * mean
+        continuation = 0.0 if myopic_m else _max_stage2(stage2_q, History.second_stage(action))
+        value = q1_value(utilities.stage1_utility(action), summary.mean_event_prob, continuation)
         out[action] = QValue(history=h1, action=action, value=value)
     return out
 
@@ -162,8 +171,7 @@ def brute_force_value(
             if cell is None:
                 raise ValueError(f"missing stage-2 posterior for history {history}, action {a2}")
             alive, dead = utilities.stage2_outcome_utilities(a1, a2)
-            q2 = alive * (1.0 - cell.mean_event_prob) + dead * cell.mean_event_prob
-            candidate = u_alive * (1.0 - mean1) + q2 * mean1
+            candidate = q1_value(u_alive, mean1, q2_value(alive, dead, cell.mean_event_prob))
             if best is None or candidate > best:
                 best = candidate
         assert best is not None

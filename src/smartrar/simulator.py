@@ -4,46 +4,61 @@ A trial enrols ``max_patients`` in ``num_interims`` equal cohorts. All
 outcomes are observed immediately, so each scheduled analysis sees complete
 data for every prior cohort. The first cohort is always randomised
 equally at both stages; after each adapting analysis the allocation
-probabilities are recomputed from posteriors, Q-values and the
+probabilities are recomputed from posterior means, Q-values and the
 utility-weighting rule, and applied wholesale to the next cohort. The
 final analysis never re-randomises.
 
-Outcome generation follows the two-stage generative model: infection is
-Bernoulli in the stage-one arm's rate, and death among the infected is
-Bernoulli in a rate that depends on the stage-one arm only, never on the
-stage-two action.
+Outcomes are drawn as counts, not patient by patient. Within a cohort the
+allocation probabilities are fixed and patients are independent, so the
+numbers of patients in the ten terminal rows (uninfected under each
+stage-one arm, then survived or died in each (a1, a2) cell, in
+``UTILITY_ROW_KEYS`` order) are Multinomial(n, pi), where pi multiplies the
+allocation probabilities by the scenario's rates: infection depends on the
+stage-one arm, and death among the infected on the stage-one arm only,
+never on the stage-two action. One multinomial draw per cohort gives the
+cohort's utility (counts dot row utilities) and its share of the 2 + 2x2
+sufficient statistics. This is exact in distribution.
 
 Randomness comes from the Philox counter-based generator seeded from the
-design seed; patient outcomes and the MCMC engine draw from independent,
-deterministically derived substreams, so a trial is reproducible
+design seed. Cohort counts, the MCMC engine and patient records draw from
+independent, deterministically derived substreams. The records substream
+is spawned only when records are requested, so asking for them never
+changes the mean utility or the allocation path. A trial is reproducible
 bit-for-bit from (scenario, design) alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .allocation import AllocationProbs, allocation_probs, equal_allocation
+from .allocation import AllocationProbs, allocation_pair
 from .core import (
     Action,
     DesignConfig,
     History,
     PatientRecord,
+    PriorSpec,
     Scenario,
     TrialResult,
     UtilityTable,
     stage2_histories,
 )
-from .inference import (
-    CellCounts,
-    StageData,
-    posterior_conjugate_cells,
-    posterior_mcmc,
+from .inference import conjugate_mean, posterior_mcmc, stage_data
+from .policy import q1_value, q2_value
+
+#: Recorded in output manifests so that outputs of different outcome
+#: samplers can be told apart.
+ENGINE_IMPLEMENTATION = "cohort-multinomial"
+
+# (a1, y1, a2, y2) of each terminal row, in UTILITY_ROW_KEYS order: the two
+# uninfected rows, then the stage-two row (a1, a2, y2) at 2 + 4 a1 + 2 a2 + y2.
+_ROWS = ((0, 0, None, None), (1, 0, None, None)) + tuple(
+    (a1, 1, a2, y2) for a1 in (0, 1) for a2 in (0, 1) for y2 in (0, 1)
 )
-from .policy import q_stage1, q_stage2
 
 
 @dataclass(frozen=True)
@@ -89,16 +104,6 @@ class InterimSnapshot:
     stage2: tuple[AllocationProbs, ...]
 
 
-@dataclass
-class TrialState:
-    """Mutable working state of a running trial."""
-
-    records: list[PatientRecord] = field(default_factory=list)
-    current_alloc_stage1: AllocationProbs | None = None
-    current_alloc_stage2: dict[History, AllocationProbs] = field(default_factory=dict)
-    rng_state: np.random.Generator | None = None
-
-
 def true_value(scenario: Scenario, stage1_action: Action) -> float:
     """Expected participant utility for a stage-one arm under the default
     0/1 utility table: survive-uninfected plus survive-after-infection mass."""
@@ -107,71 +112,87 @@ def true_value(scenario: Scenario, stage1_action: Action) -> float:
     return (1.0 - r) + r * (1.0 - s)
 
 
-def generate_patient(
-    scenario: Scenario,
-    a1: Action,
-    a2_provider: Callable[[History], Action],
-    rng: np.random.Generator,
-    utilities: UtilityTable | None = None,
-) -> PatientRecord:
-    """Draw one patient's outcomes given their stage-one action.
-
-    Infection is Bernoulli(r_a1); on infection the stage-two action is
-    obtained from ``a2_provider`` (called with the patient's dynamic
-    stage-2 history) and death is Bernoulli(s_a1). The realized utility is
-    looked up from the table at the terminal row.
-    """
-    table = utilities if utilities is not None else UtilityTable.default()
-    y1 = int(rng.random() < scenario.infection_prob(a1))
-    if not y1:
-        record = PatientRecord(a1, 0, None, None, table.stage1_utility(a1))
-        return record
-    a2 = a2_provider(History.second_stage(a1))
-    y2 = int(rng.random() < scenario.death_prob(a1))
-    return PatientRecord(a1, 1, a2, y2, table.stage2_utility(a1, a2, y2))
+Pair = tuple[float, float]
 
 
-def _stage_data_from_counts(
-    events1: np.ndarray,
-    trials1: np.ndarray,
-    events2: np.ndarray,
-    trials2: np.ndarray,
-    myopic_m: int,
-) -> tuple[StageData, StageData]:
-    """Assemble StageData from running count arrays.
+def _cohort_probs(scenario: Scenario, p1: Pair, p2: Sequence[Pair]) -> list[float]:
+    """pi over the ten terminal rows: ``p1[a1]`` is P(stage-one arm a1) and
+    ``p2[a1][a2]`` is P(stage-two arm a2 | stage-one arm a1)."""
+    r = (scenario.r0, scenario.r1)
+    s = (scenario.s0, scenario.s1)
+    pi = [p1[0] * (1.0 - r[0]), p1[1] * (1.0 - r[1])]
+    for a1 in (0, 1):
+        infected = p1[a1] * r[a1]
+        for a2 in (0, 1):
+            cell = infected * p2[a1][a2]
+            pi += (cell * (1.0 - s[a1]), cell * s[a1])
+    return pi
 
-    ``events2``/``trials2`` are (a1, a2)-indexed; the myopic design pools
-    them over the stage-one action.
-    """
-    h1 = History.first_stage()
-    stage1 = StageData(
-        stage=1,
-        cells={
-            (h1, a): CellCounts(events=int(events1[a]), trials=int(trials1[a])) for a in (0, 1)
-        },
-    )
+
+def _sufficient_stats(counts: Sequence[int]):
+    """(events1, trials1, events2, trials2) from cumulative row counts;
+    stage two is indexed [a1][a2]."""
+    died = [[counts[3 + 4 * a1 + 2 * a2] for a2 in (0, 1)] for a1 in (0, 1)]
+    treated = [[counts[2 + 4 * a1 + 2 * a2] + died[a1][a2] for a2 in (0, 1)] for a1 in (0, 1)]
+    infected = [treated[a1][0] + treated[a1][1] for a1 in (0, 1)]
+    return infected, [counts[a1] + infected[a1] for a1 in (0, 1)], died, treated
+
+
+def _conjugate_means(counts: Sequence[int], prior: PriorSpec, myopic_m: int):
+    """Stage-one and stage-two [a1][a2] posterior means; a myopic design
+    pools stage two over a1, so both of its rows hold the pooled means."""
+    events1, trials1, events2, trials2 = _sufficient_stats(counts)
     if myopic_m:
-        pooled = History.second_stage_pooled()
-        cells2 = {
-            (pooled, a2): CellCounts(
-                events=int(events2[0, a2] + events2[1, a2]),
-                trials=int(trials2[0, a2] + trials2[1, a2]),
-            )
-            for a2 in (0, 1)
-        }
-    else:
-        cells2 = {
-            (History.second_stage(a1), a2): CellCounts(
-                events=int(events2[a1, a2]), trials=int(trials2[a1, a2])
-            )
-            for a1 in (0, 1)
-            for a2 in (0, 1)
-        }
-    return stage1, StageData(stage=2, cells=cells2)
+        events2 = [[events2[0][a2] + events2[1][a2] for a2 in (0, 1)]] * 2
+        trials2 = [[trials2[0][a2] + trials2[1][a2] for a2 in (0, 1)]] * 2
+    mean1 = [conjugate_mean(prior, events1[a], trials1[a]) for a in (0, 1)]
+    mean2 = [
+        [conjugate_mean(prior, events2[a1][a2], trials2[a1][a2]) for a2 in (0, 1)]
+        for a1 in (0, 1)
+    ]
+    return mean1, mean2
+
+
+def _allocate(
+    mean1: Sequence[float],
+    mean2: Sequence[Sequence[float]],
+    u1: Pair,
+    u2: Sequence[Sequence[Pair]],
+    design: DesignConfig,
+) -> tuple[Pair, tuple[Pair, Pair]]:
+    """Posterior means -> Q2, Q1 -> Q^c allocation for both stages.
+
+    ``u2[a1][a2]`` holds the (survived, died) utilities of each stage-two
+    cell; under a myopic design both ``a1`` rows are the pooled cell.
+    """
+    c, floor = design.adapt_c, design.min_alloc_prob
+    q2 = [[q2_value(*u2[a1][a2], mean2[a1][a2]) for a2 in (0, 1)] for a1 in (0, 1)]
+    q1 = [
+        q1_value(u1[a1], mean1[a1], 0.0 if design.myopic_m else max(q2[a1])) for a1 in (0, 1)
+    ]
+    p1 = allocation_pair(q1[0], q1[1], c, floor)
+    if design.myopic_m:
+        pooled = allocation_pair(q2[0][0], q2[0][1], c, floor)
+        return p1, (pooled, pooled)
+    return p1, (allocation_pair(*q2[0], c, floor), allocation_pair(*q2[1], c, floor))
 
 
 def _spawn_engine_seed(seed_seq: np.random.SeedSequence) -> int:
     return int(seed_seq.generate_state(1, np.uint64)[0])
+
+
+def _patient_records(
+    cohorts: Sequence[np.ndarray], row_utility: Sequence[float], rng: np.random.Generator
+) -> tuple[PatientRecord, ...]:
+    """Patient records in enrolment order: each cohort's row counts expanded
+    to one row per patient and put in a random order (patients within a
+    cohort are exchangeable)."""
+    templates = [PatientRecord(*row, u) for row, u in zip(_ROWS, row_utility)]
+    out: list[PatientRecord] = []
+    for counts in cohorts:
+        rows = rng.permutation(np.repeat(np.arange(len(_ROWS)), counts))
+        out.extend(templates[i] for i in rows.tolist())
+    return tuple(out)
 
 
 def run_trial(
@@ -183,20 +204,25 @@ def run_trial(
 ) -> TrialResult:
     """Simulate one complete trial under the given design.
 
-    Patients are simulated cohort by cohort with vectorised Bernoulli
-    draws (assignment, infection, then treatment assignment and death for
-    the infected, in patient order). After each adapting analysis the
-    posteriors, Q-values and allocation probabilities are recomputed for
-    both stages, honouring the myopic flag for both the stage-one utility
-    and the stage-two history pooling. The computation also runs when
-    ``c = 0``; it then simply reproduces equal allocation.
+    Each cohort is one multinomial draw of terminal-row counts (see the
+    module docstring). After each adapting analysis the posterior means,
+    Q-values and allocation probabilities are recomputed for both stages,
+    honouring the myopic flag for both the stage-one utility and the
+    stage-two history pooling. The computation also runs when ``c = 0``;
+    it then simply reproduces equal allocation.
 
-    Fully deterministic given ``design.seed``; set ``keep_records`` to
-    materialise per-patient records (off by default for sweep throughput).
+    A myopic design needs stage-two utilities that do not depend on the
+    stage-one arm; an ambiguous table raises ``ConfigurationError`` before
+    any draw. Fully deterministic given ``design.seed``; set
+    ``keep_records`` to materialise per-patient records (off by default for
+    sweep throughput), which leaves every other field unchanged.
     """
     table = utilities if utilities is not None else UtilityTable.default()
-    schedule = InterimSchedule.from_design(design)
     m = design.myopic_m
+    u1 = table.stage1_alive
+    u2 = (table.pooled_stage2(),) * 2 if m else table.stage2
+    row_utility = u1 + tuple(u for by_a2 in table.stage2 for pair in by_a2 for u in pair)
+    schedule = InterimSchedule.from_design(design)
 
     root = np.random.SeedSequence(design.seed)
     patient_stream, engine_stream = root.spawn(2)
@@ -205,135 +231,55 @@ def run_trial(
         engine_stream.spawn(schedule.num_analyses) if design.engine == "mcmc" else None
     )
 
-    state = TrialState(rng_state=rng)
-    state.current_alloc_stage1 = equal_allocation(History.first_stage())
-    state.current_alloc_stage2 = {h: equal_allocation(h) for h in stage2_histories(m)}
-
-    # Utility lookup arrays: stage-1 row by a1; stage-2 row by (a1, a2, y2).
-    u_stage1 = np.array(table.stage1_alive, dtype=np.float64)
-    u_stage2 = np.array(table.stage2, dtype=np.float64)
-
-    events1 = np.zeros(2, dtype=np.int64)
-    trials1 = np.zeros(2, dtype=np.int64)
-    events2 = np.zeros((2, 2), dtype=np.int64)
-    trials2 = np.zeros((2, 2), dtype=np.int64)
-
-    total_utility = 0.0
-    snapshots: list[InterimSnapshot] = []
+    p1: Pair = (0.5, 0.5)
+    p2: tuple[Pair, Pair] = ((0.5, 0.5), (0.5, 0.5))
+    counts = [0] * len(_ROWS)
+    cohorts: list[np.ndarray] = []
+    path: list[tuple[int, Pair, tuple[Pair, Pair]]] = []
     warnings: list[str] = []
-    kept: list[tuple[np.ndarray, ...]] = []
 
-    n = schedule.cohort_size
     for analysis in range(1, schedule.num_analyses + 1):
-        p1_treat = state.current_alloc_stage1.prob(1)
-        if m:
-            pooled_prob = state.current_alloc_stage2[History.second_stage_pooled()].prob(1)
-            p2_treat = (pooled_prob, pooled_prob)
-        else:
-            p2_treat = (
-                state.current_alloc_stage2[History.second_stage(0)].prob(1),
-                state.current_alloc_stage2[History.second_stage(1)].prob(1),
-            )
-
-        # Draw order per cohort: assignment, infection (all patients), then
-        # treatment assignment, death (infected patients, in patient order).
-        a1 = (rng.random(n) < p1_treat).astype(np.int8)
-        infect_p = np.where(a1 == 1, scenario.r1, scenario.r0)
-        y1 = (rng.random(n) < infect_p).astype(np.int8)
-        inf_idx = np.nonzero(y1)[0]
-        a1_inf = a1[inf_idx]
-        treat_p = np.where(a1_inf == 1, p2_treat[1], p2_treat[0])
-        a2 = (rng.random(inf_idx.size) < treat_p).astype(np.int8)
-        death_p = np.where(a1_inf == 1, scenario.s1, scenario.s0)
-        y2 = (rng.random(inf_idx.size) < death_p).astype(np.int8)
-
-        cohort_utility = u_stage1[a1]
-        cohort_utility[inf_idx] = u_stage2[a1_inf, a2, y2]
-        total_utility += float(cohort_utility.sum())
-
-        trials1 += np.bincount(a1, minlength=2)
-        events1 += np.bincount(a1_inf, minlength=2)
-        pair = a1_inf.astype(np.int64) * 2 + a2
-        trials2 += np.bincount(pair, minlength=4).reshape(2, 2)
-        events2 += np.bincount(pair[y2 == 1], minlength=4).reshape(2, 2)
-
+        cohort = rng.multinomial(schedule.cohort_size, _cohort_probs(scenario, p1, p2))
+        counts = [k + n for k, n in zip(counts, cohort.tolist())]
         if keep_records:
-            kept.append((a1, y1, inf_idx, a2, y2, cohort_utility))
+            cohorts.append(cohort)
+        if analysis not in schedule.adapt_at:
+            continue
+        if design.engine == "conjugate":
+            mean1, mean2 = _conjugate_means(counts, design.prior_spec, m)
+        else:
+            assert engine_children is not None
+            seed1_seq, seed2_seq = engine_children[analysis - 1].spawn(2)
+            data1, data2 = stage_data(*_sufficient_stats(counts), m)
+            res1 = posterior_mcmc(data1, design.prior_spec, seed=_spawn_engine_seed(seed1_seq))
+            res2 = posterior_mcmc(data2, design.prior_spec, seed=_spawn_engine_seed(seed2_seq))
+            warnings.extend(f"analysis {analysis} stage 1: {w}" for w in res1.warnings)
+            warnings.extend(f"analysis {analysis} stage 2: {w}" for w in res2.warnings)
+            mean1 = [res1.cells[(History.first_stage(), a)].mean_event_prob for a in (0, 1)]
+            h2 = (History.second_stage_pooled(),) * 2 if m else stage2_histories(0)
+            mean2 = [[res2.cells[(h, a2)].mean_event_prob for a2 in (0, 1)] for h in h2]
+        p1, p2 = _allocate(mean1, mean2, u1, u2, design)
+        path.append((analysis, p1, p2))
 
-        if analysis in schedule.adapt_at:
-            stage1_data, stage2_data = _stage_data_from_counts(
-                events1, trials1, events2, trials2, m
-            )
-            if design.engine == "conjugate":
-                post1 = posterior_conjugate_cells(stage1_data, design.prior_spec)
-                post2 = posterior_conjugate_cells(stage2_data, design.prior_spec)
-            else:
-                assert engine_children is not None
-                seed1_seq, seed2_seq = engine_children[analysis - 1].spawn(2)
-                res1 = posterior_mcmc(
-                    stage1_data, design.prior_spec, seed=_spawn_engine_seed(seed1_seq)
-                )
-                res2 = posterior_mcmc(
-                    stage2_data, design.prior_spec, seed=_spawn_engine_seed(seed2_seq)
-                )
-                warnings.extend(f"analysis {analysis} stage 1: {w}" for w in res1.warnings)
-                warnings.extend(f"analysis {analysis} stage 2: {w}" for w in res2.warnings)
-                post1 = dict(res1.cells)
-                post2 = dict(res2.cells)
-
-            stage1_by_action = {a: post1[(History.first_stage(), a)] for a in (0, 1)}
-            s2q = q_stage2(post2, table)
-            s1q = q_stage1(stage1_by_action, s2q, table, m)
-            state.current_alloc_stage1 = allocation_probs(
-                {a: s1q[a].value for a in (0, 1)},
-                design.adapt_c,
-                history=History.first_stage(),
-                min_prob=design.min_alloc_prob,
-            )
-            state.current_alloc_stage2 = {
-                h: allocation_probs(
-                    {a: s2q[(h, a)].value for a in (0, 1)},
-                    design.adapt_c,
-                    history=h,
-                    min_prob=design.min_alloc_prob,
-                )
-                for h in stage2_histories(m)
-            }
-            snapshots.append(
-                InterimSnapshot(
-                    analysis=analysis,
-                    stage1=state.current_alloc_stage1,
-                    stage2=tuple(
-                        state.current_alloc_stage2[h] for h in stage2_histories(m)
-                    ),
-                )
-            )
-
-    records: tuple[PatientRecord, ...] | None = None
+    histories = stage2_histories(m)
+    snapshots = tuple(
+        InterimSnapshot(
+            analysis=analysis,
+            stage1=AllocationProbs(History.first_stage(), {0: q1[0], 1: q1[1]}),
+            stage2=tuple(
+                AllocationProbs(h, {0: q[0], 1: q[1]}) for h, q in zip(histories, q2)
+            ),
+        )
+        for analysis, q1, q2 in path
+    )
+    records = None
     if keep_records:
-        built: list[PatientRecord] = []
-        for a1, y1, inf_idx, a2, y2, cohort_utility in kept:
-            a2_full = np.full(a1.shape[0], -1, dtype=np.int8)
-            y2_full = np.full(a1.shape[0], -1, dtype=np.int8)
-            a2_full[inf_idx] = a2
-            y2_full[inf_idx] = y2
-            for i in range(a1.shape[0]):
-                infected = bool(y1[i])
-                built.append(
-                    PatientRecord(
-                        stage1_action=int(a1[i]),
-                        stage1_outcome=int(y1[i]),
-                        stage2_action=int(a2_full[i]) if infected else None,
-                        stage2_outcome=int(y2_full[i]) if infected else None,
-                        realized_utility=float(cohort_utility[i]),
-                    )
-                )
-        state.records = built
-        records = tuple(built)
-
+        record_rng = np.random.Generator(np.random.Philox(root.spawn(1)[0]))
+        records = _patient_records(cohorts, row_utility, record_rng)
+    total_utility = math.fsum(k * u for k, u in zip(counts, row_utility))
     return TrialResult(
         mean_utility=total_utility / design.max_patients,
-        per_interim_alloc=tuple(snapshots),
+        per_interim_alloc=snapshots,
         seed=design.seed,
         patient_records=records,
         warnings=tuple(warnings),

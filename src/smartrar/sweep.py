@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -28,7 +29,8 @@ from .simulator import run_trial
 
 
 class SweepError(RuntimeError):
-    """A trial inside a sweep failed; the message identifies the triple."""
+    """A trial inside a sweep failed, or a worker process died; the message
+    identifies the triple where one is known."""
 
 
 class IncompleteGridError(ValueError):
@@ -138,6 +140,18 @@ def _run_block(
     return start, out, warnings
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def check_utilities(designs: Iterable[DesignConfig], utilities: UtilityTable | None) -> None:
+    """Raise ``ConfigurationError`` if a myopic design cannot pool the table's
+    stage-two utilities, before any trial runs."""
+    if utilities is not None and any(d.myopic_m for d in designs):
+        utilities.pooled_stage2()
+
+
 def _partition(n: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous (start, stop) blocks covering range(n)."""
     block = max(1, math.ceil(n / (workers * 4)))
@@ -148,11 +162,14 @@ def run_sweep(config: SweepConfig, utilities: UtilityTable | None = None) -> Swe
     """Run the sweep and aggregate per-cell mean utilities.
 
     Per-scenario work items execute concurrently when ``parallelism``
-    exceeds one; the result is identical for any parallelism degree.
+    exceeds one (default: every CPU in the affinity set); the result is
+    identical for any parallelism degree. A utility table that a myopic
+    design cannot pool raises ``ConfigurationError`` before any trial runs.
     """
+    check_utilities(config.designs, utilities)
     n_scenarios = len(config.scenarios)
     n_designs = len(config.designs)
-    workers = config.parallelism if config.parallelism is not None else (os.cpu_count() or 1)
+    workers = config.parallelism if config.parallelism is not None else available_cpus()
     blocks = _partition(n_scenarios, workers)
     tasks = [
         (
@@ -174,6 +191,8 @@ def run_sweep(config: SweepConfig, utilities: UtilityTable | None = None) -> Swe
         executor = ProcessPoolExecutor(max_workers=workers)
         try:
             results = list(executor.map(_run_block, tasks))
+        except BrokenProcessPool as exc:
+            raise SweepError(f"a sweep worker process died: {exc}") from exc
         finally:
             executor.shutdown()
     for start, block, block_warnings in results:

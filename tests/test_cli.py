@@ -2,6 +2,7 @@
 
 import pytest
 
+from smartrar import ENGINE_IMPLEMENTATION
 from smartrar.cli import fmt_real, main
 
 
@@ -13,6 +14,14 @@ def run_cli(*argv: str) -> int:
 def scenario_file(tmp_path):
     path = tmp_path / "scenarios.csv"
     path.write_text("r0,r1,s0,s1\n0.5,0.45,0.05,0.95\n0.1,0.3,0.45,0.5\n")
+    return path
+
+
+@pytest.fixture
+def ambiguous_pooling(tmp_path):
+    """A [utilities] override that a myopic design cannot pool."""
+    path = tmp_path / "ambiguous.ini"
+    path.write_text("[utilities]\nsurvived_a1_1_a2_1 = 0.7\n")
     return path
 
 
@@ -77,6 +86,20 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             run_cli("simulate", "--engine", "nonsense")
         assert exc.value.code == 2
+
+    def test_ambiguous_pooled_utilities_exit_2(self, tmp_path, ambiguous_pooling, capsys):
+        out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--config", str(ambiguous_pooling), "--m", "1", "--c", "1",
+            "--r0", "0.5", "--r1", "0.5", "--out", str(out),
+        ) == 2
+        assert "pooled stage-2 utilities are ambiguous" in capsys.readouterr().err
+        assert not out.exists()
+        # the same table is well defined for a dynamic design
+        assert run_cli(
+            "simulate", "--config", str(ambiguous_pooling), "--m", "0", "--c", "1",
+            "--r0", "0.5", "--r1", "0.5", "--out", str(out),
+        ) == 0
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
@@ -152,6 +175,41 @@ class TestSweep:
 
         digest = hashlib.sha256((out_dir / "sweep_aggregate.csv").read_bytes()).hexdigest()
         assert digest in manifest
+        assert f"engine_implementation = {ENGINE_IMPLEMENTATION}" in manifest
+
+    def test_ambiguous_pooled_utilities_exit_2(
+        self, tmp_path, scenario_file, ambiguous_pooling, capsys
+    ):
+        out_dir = tmp_path / "sweep"
+        assert run_cli(
+            "sweep", "--config", str(ambiguous_pooling), "--grid", str(scenario_file),
+            "--designs", "m1c1", "--replicates", "1", "--threads", "1",
+            "--out-dir", str(out_dir),
+        ) == 2
+        assert "pooled stage-2 utilities are ambiguous" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_worker_crash_exit_1(self, tmp_path, scenario_file, capsys, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        import smartrar.sweep
+
+        class CrashingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def map(self, fn, tasks):
+                raise BrokenProcessPool("worker exited")
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(smartrar.sweep, "ProcessPoolExecutor", CrashingPool)
+        assert run_cli(
+            "sweep", "--grid", str(scenario_file), "--replicates", "1", "--threads", "2",
+            "--out-dir", str(tmp_path / "sweep"),
+        ) == 1
+        assert "worker process died" in capsys.readouterr().err
 
     def test_designs_subset(self, tmp_path, scenario_file):
         out_dir = tmp_path / "sweep"

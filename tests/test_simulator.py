@@ -1,18 +1,23 @@
 """Trial-simulation contracts: generation, scheduling, adaptation, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from smartrar import (
+    ConfigurationError,
     DesignConfig,
     History,
     InterimSchedule,
     Scenario,
     UtilityTable,
-    generate_patient,
     run_trial,
+    trial_seed,
     true_value,
 )
+
+from per_patient_reference import generate_patient, per_patient_trial
 
 
 def rng(seed: int = 0) -> np.random.Generator:
@@ -232,3 +237,115 @@ class TestRunTrial:
         )
         assert conjugate.per_interim_alloc[-1].stage1.prob(0) > 0.5
         assert mcmc.per_interim_alloc[-1].stage1.prob(0) > 0.5
+
+    def test_records_are_a_pure_observer(self):
+        scenario = Scenario(0.6, 0.4, 0.3, 0.7)
+        for m in (0, 1):
+            for c in (0.0, 1.0):
+                design = DesignConfig(myopic_m=m, adapt_c=c, seed=101)
+                plain = run_trial(scenario, design)
+                observed = run_trial(scenario, design, keep_records=True)
+                assert plain.patient_records is None
+                assert observed.mean_utility == plain.mean_utility
+                assert observed.per_interim_alloc == plain.per_interim_alloc
+                total = sum(r.realized_utility for r in observed.patient_records)
+                assert total / design.max_patients == pytest.approx(plain.mean_utility, abs=1e-12)
+
+    def test_ambiguous_pooled_utilities_rejected_before_any_draw(self):
+        # one cohort, so no interim analysis ever reads the pooled cell
+        table = UtilityTable.from_entries({"survived_a1_1_a2_1": 0.7})
+        design = DesignConfig(myopic_m=1, adapt_c=1.0, max_patients=100, num_interims=1)
+        with pytest.raises(ConfigurationError, match="ambiguous"):
+            run_trial(PROSE_SCENARIO, design, utilities=table)
+        assert run_trial(PROSE_SCENARIO, replace(design, myopic_m=0), utilities=table)
+
+
+# A dynamic-only table and one whose stage-two rows pool over a1.
+TABLE_DYNAMIC = UtilityTable.from_entries(
+    {
+        "uninfected_a1_1": 0.8,
+        "survived_a1_0_a2_1": 0.9,
+        "died_a1_0_a2_1": 0.2,
+        "survived_a1_1_a2_0": 0.6,
+    }
+)
+TABLE_POOLED = UtilityTable.from_entries(
+    {
+        "uninfected_a1_0": 0.95,
+        "survived_a1_0_a2_1": 0.9,
+        "survived_a1_1_a2_1": 0.9,
+        "died_a1_0_a2_0": 0.1,
+        "died_a1_1_a2_0": 0.1,
+    }
+)
+
+PARITY_CASES = (
+    (Scenario(0.0, 0.5, 0.3, 0.6), dict(myopic_m=0, adapt_c=1.0), None),
+    (Scenario(1.0, 1.0, 0.2, 0.7), dict(myopic_m=1, adapt_c=1.0), None),
+    (Scenario(1.0, 0.5, 0.05, 0.95), dict(myopic_m=0, adapt_c=0.5), None),
+    (Scenario(0.5, 0.45, 0.05, 0.95), dict(myopic_m=1, adapt_c=1.0, min_alloc_prob=0.1), None),
+    (
+        Scenario(0.3, 0.6, 0.2, 0.7),
+        dict(myopic_m=0, adapt_c=1.0, min_alloc_prob=0.05),
+        TABLE_DYNAMIC,
+    ),
+    (Scenario(0.8, 0.6, 0.9, 0.2), dict(myopic_m=1, adapt_c=0.5), TABLE_POOLED),
+)
+
+PARITY_REPLICATES = 400
+PARITY_Z = 4.0
+
+
+def _mean_and_var_se(x: np.ndarray) -> tuple[float, float, float, float]:
+    """Mean, its SE, sample variance and its SE (from the fourth central moment)."""
+    n = x.size
+    var = float(np.var(x, ddof=1))
+    m4 = float(np.mean((x - x.mean()) ** 4))
+    return float(x.mean()), (var / n) ** 0.5, var, (max(m4 - var**2, 0.0) / n) ** 0.5
+
+
+def _z(a: float, se_a: float, b: float, se_b: float) -> float:
+    se = (se_a**2 + se_b**2) ** 0.5
+    if se == 0.0:
+        return 0.0 if a == b else float("inf")
+    return (a - b) / se
+
+
+class TestCountLevelParity:
+    """Count-level ``run_trial`` against the per-patient reference sampler.
+
+    Per case, 400 trials of each on disjoint lattice seeds; the mean
+    ``mean_utility``, its variance and the mean final stage-one allocation
+    must agree within 4 SE. The cases cover r = 0 and r = 1, c = 0.5,
+    ``min_alloc_prob`` > 0, both myopic flags and two non-default tables.
+    """
+
+    @pytest.mark.parametrize("case", range(len(PARITY_CASES)))
+    def test_distribution_matches_reference(self, case):
+        scenario, overrides, table = PARITY_CASES[case]
+        design = DesignConfig(**overrides)
+        samples = {}
+        for engine, simulate in ((0, run_trial), (1, per_patient_trial)):
+            trials = [
+                simulate(
+                    scenario,
+                    replace(design, seed=trial_seed(7, case, engine, rep)),
+                    utilities=table,
+                )
+                for rep in range(PARITY_REPLICATES)
+            ]
+            samples[engine] = (
+                np.array([t.mean_utility for t in trials]),
+                np.array([t.per_interim_alloc[-1].stage1.prob(1) for t in trials]),
+            )
+        (u_count, p_count), (u_ref, p_ref) = samples[0], samples[1]
+        mean_c, mean_se_c, var_c, var_se_c = _mean_and_var_se(u_count)
+        mean_r, mean_se_r, var_r, var_se_r = _mean_and_var_se(u_ref)
+        _, p_se_c, _, _ = _mean_and_var_se(p_count)
+        _, p_se_r, _, _ = _mean_and_var_se(p_ref)
+        z = {
+            "mean utility": _z(mean_c, mean_se_c, mean_r, mean_se_r),
+            "utility variance": _z(var_c, var_se_c, var_r, var_se_r),
+            "final stage-one P(arm 1)": _z(p_count.mean(), p_se_c, p_ref.mean(), p_se_r),
+        }
+        assert all(abs(v) <= PARITY_Z for v in z.values()), z
