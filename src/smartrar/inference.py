@@ -213,15 +213,15 @@ def posterior_conjugate_cells(
 def stage_data(
     events1: Sequence[int],
     trials1: Sequence[int],
-    events2: Sequence[Sequence[int]],
-    trials2: Sequence[Sequence[int]],
+    events2: Sequence[int],
+    trials2: Sequence[int],
     myopic_m: int,
 ) -> tuple[StageData, StageData]:
     """StageData for both stages from count arrays.
 
-    ``events1``/``trials1`` are indexed by stage-one action and
-    ``events2``/``trials2`` by (stage-one action, stage-two action); a
-    myopic design pools stage two over the stage-one action.
+    ``events1``/``trials1`` are indexed by stage-one action ``a1`` and
+    ``events2``/``trials2`` by ``2 a1 + a2`` over the four stage-two cells;
+    a myopic design pools stage two over the stage-one action.
     """
     if myopic_m not in (0, 1):
         raise ValueError(f"myopic_m must be 0 or 1, got {myopic_m!r}")
@@ -236,15 +236,15 @@ def stage_data(
         pooled = History.second_stage_pooled()
         cells2 = {
             (pooled, a2): CellCounts(
-                events=int(events2[0][a2] + events2[1][a2]),
-                trials=int(trials2[0][a2] + trials2[1][a2]),
+                events=int(events2[a2] + events2[2 + a2]),
+                trials=int(trials2[a2] + trials2[2 + a2]),
             )
             for a2 in (0, 1)
         }
     else:
         cells2 = {
             (History.second_stage(a1), a2): CellCounts(
-                events=int(events2[a1][a2]), trials=int(trials2[a1][a2])
+                events=int(events2[2 * a1 + a2]), trials=int(trials2[2 * a1 + a2])
             )
             for a1 in (0, 1)
             for a2 in (0, 1)
@@ -266,16 +266,16 @@ def accumulate(
     """
     events1 = [0, 0]
     trials1 = [0, 0]
-    events2 = [[0, 0], [0, 0]]  # [a1][a2]
-    trials2 = [[0, 0], [0, 0]]
+    events2 = [0, 0, 0, 0]  # [2 a1 + a2]
+    trials2 = [0, 0, 0, 0]
     for record in records:
         a1 = record.stage1_action
         trials1[a1] += 1
         if record.stage1_outcome == 1:
             events1[a1] += 1
-            a2 = record.stage2_action
-            trials2[a1][a2] += 1
-            events2[a1][a2] += record.stage2_outcome
+            cell = 2 * a1 + record.stage2_action
+            trials2[cell] += 1
+            events2[cell] += record.stage2_outcome
     return stage_data(events1, trials1, events2, trials2, myopic_m)
 
 

@@ -130,51 +130,53 @@ def _cohort_probs(scenario: Scenario, p1: Pair, p2: Sequence[Pair]) -> list[floa
 
 
 def _sufficient_stats(counts: Sequence[int]):
-    """(events1, trials1, events2, trials2) from cumulative row counts;
-    stage two is indexed [a1][a2]."""
-    died = [[counts[3 + 4 * a1 + 2 * a2] for a2 in (0, 1)] for a1 in (0, 1)]
-    treated = [[counts[2 + 4 * a1 + 2 * a2] + died[a1][a2] for a2 in (0, 1)] for a1 in (0, 1)]
-    infected = [treated[a1][0] + treated[a1][1] for a1 in (0, 1)]
-    return infected, [counts[a1] + infected[a1] for a1 in (0, 1)], died, treated
+    """(events1, trials1, events2, trials2) from cumulative row counts.
+
+    Stage two is flat over the cells (a1, a2) at index 2 a1 + a2, whose
+    survived and died rows are counts[2 + 2 j] and counts[3 + 2 j].
+    """
+    died = counts[3::2]
+    treated = [survived + dead for survived, dead in zip(counts[2::2], died)]
+    infected = (treated[0] + treated[1], treated[2] + treated[3])
+    return infected, (counts[0] + infected[0], counts[1] + infected[1]), died, treated
 
 
 def _conjugate_means(counts: Sequence[int], prior: PriorSpec, myopic_m: int):
-    """Stage-one and stage-two [a1][a2] posterior means; a myopic design
-    pools stage two over a1, so both of its rows hold the pooled means."""
+    """Stage-one and flat stage-two posterior means; a myopic design pools
+    stage two over a1, so both a1 halves hold the pooled means."""
     events1, trials1, events2, trials2 = _sufficient_stats(counts)
     if myopic_m:
-        events2 = [[events2[0][a2] + events2[1][a2] for a2 in (0, 1)]] * 2
-        trials2 = [[trials2[0][a2] + trials2[1][a2] for a2 in (0, 1)]] * 2
-    mean1 = [conjugate_mean(prior, events1[a], trials1[a]) for a in (0, 1)]
-    mean2 = [
-        [conjugate_mean(prior, events2[a1][a2], trials2[a1][a2]) for a2 in (0, 1)]
-        for a1 in (0, 1)
-    ]
-    return mean1, mean2
+        events2 = [events2[0] + events2[2], events2[1] + events2[3]] * 2
+        trials2 = [trials2[0] + trials2[2], trials2[1] + trials2[3]] * 2
+    mean1 = [conjugate_mean(prior, e, t) for e, t in zip(events1, trials1)]
+    return mean1, [conjugate_mean(prior, e, t) for e, t in zip(events2, trials2)]
 
 
 def _allocate(
     mean1: Sequence[float],
-    mean2: Sequence[Sequence[float]],
+    mean2: Sequence[float],
     u1: Pair,
-    u2: Sequence[Sequence[Pair]],
+    u2: Sequence[Pair],
     design: DesignConfig,
 ) -> tuple[Pair, tuple[Pair, Pair]]:
     """Posterior means -> Q2, Q1 -> Q^c allocation for both stages.
 
-    ``u2[a1][a2]`` holds the (survived, died) utilities of each stage-two
-    cell; under a myopic design both ``a1`` rows are the pooled cell.
+    Stage two is flat over (a1, a2) at index 2 a1 + a2; ``u2`` holds each
+    cell's (survived, died) utilities. Under a myopic design both a1 halves
+    are the pooled cell.
     """
     c, floor = design.adapt_c, design.min_alloc_prob
-    q2 = [[q2_value(*u2[a1][a2], mean2[a1][a2]) for a2 in (0, 1)] for a1 in (0, 1)]
-    q1 = [
-        q1_value(u1[a1], mean1[a1], 0.0 if design.myopic_m else max(q2[a1])) for a1 in (0, 1)
-    ]
-    p1 = allocation_pair(q1[0], q1[1], c, floor)
-    if design.myopic_m:
-        pooled = allocation_pair(q2[0][0], q2[0][1], c, floor)
-        return p1, (pooled, pooled)
-    return p1, (allocation_pair(*q2[0], c, floor), allocation_pair(*q2[1], c, floor))
+    q2 = [q2_value(alive, dead, mean) for (alive, dead), mean in zip(u2, mean2)]
+    best2 = (0.0, 0.0) if design.myopic_m else (max(q2[0], q2[1]), max(q2[2], q2[3]))
+    q1 = [q1_value(u1[a], mean1[a], best2[a]) for a in (0, 1)]
+    after0 = allocation_pair(q2[0], q2[1], c, floor)
+    after1 = after0 if design.myopic_m else allocation_pair(q2[2], q2[3], c, floor)
+    return allocation_pair(q1[0], q1[1], c, floor), (after0, after1)
+
+
+def _substream(seed: int, index: int) -> np.random.SeedSequence:
+    """Child ``index`` of ``SeedSequence(seed)``, as ``spawn`` would make it."""
+    return np.random.SeedSequence(seed, spawn_key=(index,))
 
 
 def _spawn_engine_seed(seed_seq: np.random.SeedSequence) -> int:
@@ -220,16 +222,16 @@ def run_trial(
     table = utilities if utilities is not None else UtilityTable.default()
     m = design.myopic_m
     u1 = table.stage1_alive
-    u2 = (table.pooled_stage2(),) * 2 if m else table.stage2
-    row_utility = u1 + tuple(u for by_a2 in table.stage2 for pair in by_a2 for u in pair)
+    u2 = table.pooled_stage2() * 2 if m else table.stage2[0] + table.stage2[1]
+    row_utility = u1 + sum(table.stage2[0] + table.stage2[1], ())
     schedule = InterimSchedule.from_design(design)
 
-    root = np.random.SeedSequence(design.seed)
-    patient_stream, engine_stream = root.spawn(2)
-    rng = np.random.Generator(np.random.Philox(patient_stream))
-    engine_children = (
-        engine_stream.spawn(schedule.num_analyses) if design.engine == "mcmc" else None
-    )
+    # Substreams 0 (cohort counts), 1 (MCMC engine) and 2 (patient records)
+    # of the design seed, each made only when it is used.
+    rng = np.random.Generator(np.random.Philox(_substream(design.seed, 0)))
+    engine_children = None
+    if design.engine == "mcmc":
+        engine_children = _substream(design.seed, 1).spawn(schedule.num_analyses)
 
     p1: Pair = (0.5, 0.5)
     p2: tuple[Pair, Pair] = ((0.5, 0.5), (0.5, 0.5))
@@ -257,7 +259,7 @@ def run_trial(
             warnings.extend(f"analysis {analysis} stage 2: {w}" for w in res2.warnings)
             mean1 = [res1.cells[(History.first_stage(), a)].mean_event_prob for a in (0, 1)]
             h2 = (History.second_stage_pooled(),) * 2 if m else stage2_histories(0)
-            mean2 = [[res2.cells[(h, a2)].mean_event_prob for a2 in (0, 1)] for h in h2]
+            mean2 = [res2.cells[(h, a2)].mean_event_prob for h in h2 for a2 in (0, 1)]
         p1, p2 = _allocate(mean1, mean2, u1, u2, design)
         path.append((analysis, p1, p2))
 
@@ -274,7 +276,7 @@ def run_trial(
     )
     records = None
     if keep_records:
-        record_rng = np.random.Generator(np.random.Philox(root.spawn(1)[0]))
+        record_rng = np.random.Generator(np.random.Philox(_substream(design.seed, 2)))
         records = _patient_records(cohorts, row_utility, record_rng)
     total_utility = math.fsum(k * u for k, u in zip(counts, row_utility))
     return TrialResult(

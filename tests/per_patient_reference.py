@@ -113,7 +113,7 @@ def per_patient_trial(
 
         if analysis not in schedule.adapt_at:
             continue
-        data1, data2 = stage_data(events1, trials1, events2, trials2, m)
+        data1, data2 = stage_data(events1, trials1, events2.ravel(), trials2.ravel(), m)
         post1 = posterior_conjugate_cells(data1, design.prior_spec)
         post2 = posterior_conjugate_cells(data2, design.prior_spec)
         s2q = q_stage2(post2, table)
