@@ -2,7 +2,7 @@
 """Run the complete 28224-scenario x 4-design x 10-replicate sweep and emit
 both relative-utility matrix bundles.
 
-Uses the conjugate engine; expect roughly 15-20 core-minutes of work, split
+Uses the conjugate engine; expect roughly 4 core-minutes of work, split
 across all cores by default. Outputs land in --out-dir:
 
     sweep_replicates.csv   per-trial mean utilities

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Quick qualitative check on the reduced grid (400 scenarios, minutes of work).
+"""Quick qualitative check on the reduced grid (400 scenarios, seconds of work).
 
 Runs the four canonical designs, writes the sweep CSVs plus long-format
 relative utilities for both myopic flags, and prints a short summary of

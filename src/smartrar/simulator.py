@@ -22,7 +22,7 @@ sufficient statistics. This is exact in distribution.
 Randomness comes from the Philox counter-based generator seeded from the
 design seed. Cohort counts, the MCMC engine and patient records draw from
 independent, deterministically derived substreams. The records substream
-is spawned only when records are requested, so asking for them never
+is made only when records are requested, so asking for them never
 changes the mean utility or the allocation path. A trial is reproducible
 bit-for-bit from (scenario, design) alone.
 """

@@ -245,15 +245,15 @@ def test_c3_myopic_harm():
     The SE of rel is the delta-method combination of the two rows'
     ``std_err`` (fixed and adaptive trials use disjoint seeds). One
     replicate of rel(m=1) has an SD of about 0.0166, so the expected harm
-    of about 0.0093 is 5 SE at 80 replicates. 400 replicates (about 1.5 s
+    of about 0.0093 is 5 SE at 80 replicates. 400 replicates (about 0.5 s
     on one core of a 2-vCPU VM) make it about 11 SE: the 3-SE bound in (a)
     clears 1 by about 8 SE, and the band in (b), about ±0.0033, excludes
     no harm.
 
     The fluid limit ignores Beta(1, 1) shrinkage and the upward bias of
     the max over noisy stage-two estimates. At 4,000 replicates (base seed
-    53) rel(m=1) is 0.99063 ± 0.00026 against the fluid 0.99071. Under
-    m = 0 the gap is visible: rel(m=0) is 1.0499 ± 0.0003 against 1.0507,
+    53) rel(m=1) is 0.99067 ± 0.00026 against the fluid 0.99071. Under
+    m = 0 the gap is visible: rel(m=0) is 1.0497 ± 0.0003 against 1.0507,
     and the final allocation to arm 1 is 0.372 against 0.370. So only
     m = 1 is held to its fluid value.
     """
