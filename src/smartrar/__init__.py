@@ -9,11 +9,10 @@ designs.
 
 __version__ = "0.1.0"
 
-from .allocation import AllocationProbs, allocation_probs, equal_allocation
+from .allocation import allocation_pair
 from .core import (
     ConfigurationError,
     DesignConfig,
-    History,
     PatientRecord,
     PriorSpec,
     R_GRID,
@@ -25,25 +24,17 @@ from .core import (
     UtilityTable,
     reduced_scenario_grid,
     scenario_grid,
-    stage2_histories,
     canonical_designs,
-    utility_lookup,
 )
 from .inference import (
-    CellCounts,
-    CoefficientVector,
     McmcPosterior,
     PosteriorSummary,
-    StageData,
-    accumulate,
-    linear_predictor,
-    posterior_conjugate,
-    posterior_conjugate_cells,
+    conjugate_mean,
     posterior_mcmc,
     split_chain_rhat,
 )
-from .policy import PolicySnapshot, QValue, brute_force_value, optimal_policy, q_stage1, q_stage2
-from .simulator import ENGINE_IMPLEMENTATION, InterimSchedule, InterimSnapshot, run_trial, true_value
+from .policy import q1_value, q2_value
+from .simulator import ENGINE_IMPLEMENTATION, InterimSnapshot, run_trial, true_value
 from .sweep import (
     MatrixBundle,
     MatrixPanel,

@@ -163,15 +163,13 @@ def _write_allocations_csv(path: Path, result) -> None:
     lines = ["analysis,stage,stage1_action,action,probability"]
     for snapshot in result.per_interim_alloc:
         for action in (0, 1):
-            lines.append(
-                f"{snapshot.analysis},1,,{action},{fmt_real(snapshot.stage1.prob(action))}"
-            )
-        for alloc in snapshot.stage2:
-            a1 = "" if alloc.history.stage1_action is None else str(alloc.history.stage1_action)
+            lines.append(f"{snapshot.analysis},1,,{action},{fmt_real(snapshot.stage1[action])}")
+        # One stage-two pair per stage-one arm, or a single pooled pair.
+        pooled = len(snapshot.stage2) == 1
+        for a1, pair in enumerate(snapshot.stage2):
+            label = "" if pooled else str(a1)
             for action in (0, 1):
-                lines.append(
-                    f"{snapshot.analysis},2,{a1},{action},{fmt_real(alloc.prob(action))}"
-                )
+                lines.append(f"{snapshot.analysis},2,{label},{action},{fmt_real(pair[action])}")
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -297,6 +295,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     designs = _designs_from_spec(designs_spec, engine)
     utilities = _utilities_from_config(cfg)
     check_utilities(designs, utilities)
+    sweep_config = SweepConfig(
+        scenarios=tuple(scenarios),
+        designs=tuple(designs),
+        replicates=replicates,
+        base_seed=base_seed,
+        parallelism=threads,
+    )
 
     out_dir = Path(out_dir_value)
     try:
@@ -308,13 +313,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return 2
 
-    sweep_config = SweepConfig(
-        scenarios=tuple(scenarios),
-        designs=tuple(designs),
-        replicates=replicates,
-        base_seed=base_seed,
-        parallelism=threads,
-    )
     try:
         result = run_sweep(sweep_config, utilities=utilities)
     except SweepError as exc:

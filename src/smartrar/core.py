@@ -31,8 +31,6 @@ if TYPE_CHECKING:
 Action = int
 StageOutcome = int
 
-ACTIONS: tuple[Action, ...] = (0, 1)
-
 #: Stage-one infection-probability grid (21 values, 0 to 1 in steps of 0.05).
 R_GRID: tuple[float, ...] = tuple(i / 100 for i in range(0, 101, 5))
 
@@ -57,68 +55,6 @@ def _check_binary(name: str, value: int) -> None:
 def _check_prob(name: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and 0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
-
-
-@dataclass(frozen=True)
-class History:
-    """Patient history at the point a decision is made.
-
-    Stage one always has the empty history. Stage two histories carry the
-    stage-one action and outcome when the design is dynamic (``myopic=0``)
-    and collapse to a single pooled cell when it is myopic (``myopic=1``).
-    """
-
-    stage: int
-    stage1_action: Action | None = None
-    stage1_outcome: StageOutcome | None = None
-    myopic: int = 0
-
-    def __post_init__(self) -> None:
-        if self.stage not in (1, 2):
-            raise ValueError(f"stage must be 1 or 2, got {self.stage!r}")
-        _check_binary("myopic", self.myopic)
-        if self.stage == 1:
-            if self.stage1_action is not None or self.stage1_outcome is not None:
-                raise ValueError("stage-1 history must be empty")
-        elif self.myopic:
-            if self.stage1_action is not None or self.stage1_outcome is not None:
-                raise ValueError("myopic stage-2 history must be pooled (empty)")
-        else:
-            if self.stage1_action is None or self.stage1_outcome is None:
-                raise ValueError("dynamic stage-2 history requires stage-1 action and outcome")
-            _check_binary("stage1_action", self.stage1_action)
-            _check_binary("stage1_outcome", self.stage1_outcome)
-
-    @classmethod
-    def first_stage(cls) -> "History":
-        return _FIRST_STAGE
-
-    @classmethod
-    def second_stage(cls, stage1_action: Action) -> "History":
-        """Dynamic stage-2 history; only infected patients reach stage 2."""
-        return _SECOND_STAGE[stage1_action]
-
-    @classmethod
-    def second_stage_pooled(cls) -> "History":
-        return _POOLED_STAGE
-
-
-# Canonical instances: History is a frozen value type with only four
-# reachable states, shared to keep hot loops cheap.
-_FIRST_STAGE = History(stage=1)
-_SECOND_STAGE = (
-    History(stage=2, stage1_action=0, stage1_outcome=1, myopic=0),
-    History(stage=2, stage1_action=1, stage1_outcome=1, myopic=0),
-)
-_POOLED_STAGE = History(stage=2, myopic=1)
-
-
-def stage2_histories(myopic_m: int) -> tuple[History, ...]:
-    """All stage-2 history cells reachable under the given myopic flag."""
-    _check_binary("myopic_m", myopic_m)
-    if myopic_m:
-        return (_POOLED_STAGE,)
-    return _SECOND_STAGE
 
 
 @dataclass(frozen=True)
@@ -278,67 +214,21 @@ class UtilityTable:
                 out[f"died_a1_{a1}_a2_{a2}"] = self.stage2[a1][a2][1]
         return out
 
-    def stage1_utility(self, stage1_action: Action) -> float:
-        """Utility of the uninfected stage-1 row."""
-        _check_binary("stage1_action", stage1_action)
-        return self.stage1_alive[stage1_action]
-
-    def stage2_utility(self, stage1_action: Action, stage2_action: Action, outcome: StageOutcome) -> float:
-        _check_binary("stage1_action", stage1_action)
-        _check_binary("stage2_action", stage2_action)
-        _check_binary("outcome", outcome)
-        return self.stage2[stage1_action][stage2_action][outcome]
-
-    def stage2_outcome_utilities(
-        self, stage1_action: Action | None, stage2_action: Action
-    ) -> tuple[float, float]:
-        """(survived, died) utilities for a stage-2 cell.
-
-        ``stage1_action=None`` addresses a pooled (myopic) history cell,
-        which is only well defined when the stage-2 rows do not depend on
-        the stage-one action.
-        """
-        _check_binary("stage2_action", stage2_action)
-        if stage1_action is not None:
-            _check_binary("stage1_action", stage1_action)
-            return self.stage2[stage1_action][stage2_action]
-        u0 = self.stage2[0][stage2_action]
-        u1 = self.stage2[1][stage2_action]
-        if u0 != u1:
-            raise ConfigurationError(
-                "pooled stage-2 utilities are ambiguous: rows "
-                f"survived/died_a1_0_a2_{stage2_action} and _a1_1_a2_{stage2_action} differ"
-            )
-        return u0
-
     def pooled_stage2(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """(survived, died) utilities of the pooled (myopic) stage-2 cell for
         each stage-two action; raises ``ConfigurationError`` when they
         depend on the stage-one action."""
-        return self.stage2_outcome_utilities(None, 0), self.stage2_outcome_utilities(None, 1)
+        for a2 in (0, 1):
+            if self.stage2[0][a2] != self.stage2[1][a2]:
+                raise ConfigurationError(
+                    "pooled stage-2 utilities are ambiguous: rows "
+                    f"survived/died_a1_0_a2_{a2} and _a1_1_a2_{a2} differ"
+                )
+        return self.stage2[0]
 
-    def min_entry(self) -> float:
-        return min(self.entries().values())
 
-    def max_entry(self) -> float:
-        return max(self.entries().values())
-
-
-# Shared like the canonical History instances: the table is a frozen value
-# and run_trial needs it once per trial.
+# Shared: the table is a frozen value and run_trial needs it once per trial.
 _DEFAULT_UTILITIES = UtilityTable(stage1_alive=(1.0, 1.0), stage2=(((1.0, 0.0), (1.0, 0.0)),) * 2)
-
-
-def utility_lookup(table: UtilityTable, record: PatientRecord) -> float:
-    """Utility of a patient's terminal row.
-
-    Uninfected patients resolve to their stage-1 row; infected patients to
-    the (a1, a2, y2) stage-2 row.
-    """
-    if record.stage1_outcome == 0:
-        return table.stage1_utility(record.stage1_action)
-    assert record.stage2_action is not None and record.stage2_outcome is not None
-    return table.stage2_utility(record.stage1_action, record.stage2_action, record.stage2_outcome)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""Posterior inference for per-stage event probabilities.
+"""Posterior inference for per-cell event probabilities.
 
-Two interchangeable engines estimate the event probability of every
-history-action cell:
+A stage's data are flat count arrays: events and trials per cell, indexed
+by the stage-one action ``a1`` at stage one, and by ``2 a1 + a2`` at stage
+two, or by ``a2`` alone when a myopic design pools stage two over ``a1``.
+Two interchangeable engines estimate each cell's event probability:
 
-* ``posterior_conjugate`` — exact Beta-Bernoulli update per cell. Because
-  the stage-wise regressions are saturated (one free parameter per cell),
-  per-cell conjugate inference spans the same model family as the
+* ``conjugate_mean`` — the exact Beta-Bernoulli posterior mean per cell.
+  Because the stage-wise regressions are saturated (one free parameter per
+  cell), per-cell conjugate inference spans the same model family as the
   regression parameterisation at a tiny fraction of the cost. This is the
   default engine for simulation sweeps.
 * ``posterior_mcmc`` — samples the coefficients of the Bernoulli-logistic
@@ -29,26 +31,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Action, History, PatientRecord, PriorSpec
+from .core import PriorSpec
 
 __all__ = [
-    "CellCounts",
-    "StageData",
     "PosteriorSummary",
-    "CoefficientVector",
     "McmcPosterior",
     "PriorSpec",
     "conjugate_mean",
-    "posterior_conjugate",
-    "posterior_conjugate_cells",
     "posterior_mcmc",
-    "linear_predictor",
-    "accumulate",
-    "stage_data",
     "split_chain_rhat",
     "DEFAULT_CHAINS",
     "DEFAULT_WARMUP",
@@ -71,122 +65,6 @@ _PROPOSAL_DF = 7.0
 _PROPOSAL_SCALE = 1.1
 
 
-@dataclass(frozen=True)
-class CellCounts:
-    """Sufficient statistics of one history-action cell: event count and
-    number of patients observed."""
-
-    events: int
-    trials: int
-
-    def __post_init__(self) -> None:
-        if self.trials < 0 or self.events < 0:
-            raise ValueError("counts must be non-negative")
-        if self.events > self.trials:
-            raise ValueError(f"events ({self.events}) exceed trials ({self.trials})")
-
-
-@dataclass(frozen=True)
-class StageData:
-    """All cell counts for one stage under a given history structure."""
-
-    stage: int
-    cells: Mapping[tuple[History, Action], CellCounts]
-
-    def __post_init__(self) -> None:
-        if self.stage not in (1, 2):
-            raise ValueError(f"stage must be 1 or 2, got {self.stage!r}")
-        if not self.cells:
-            raise ValueError("cells must be non-empty")
-        for (history, action), counts in self.cells.items():
-            if history.stage != self.stage:
-                raise ValueError(f"cell history stage {history.stage} != data stage {self.stage}")
-            if action not in (0, 1):
-                raise ValueError(f"action must be 0 or 1, got {action!r}")
-            if not isinstance(counts, CellCounts):
-                raise TypeError("cell values must be CellCounts")
-
-    def total_trials(self) -> int:
-        return sum(c.trials for c in self.cells.values())
-
-
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """Posterior of one cell's event probability.
-
-    The conjugate engine reports the exact posterior mean and no draws; the
-    MCMC engine reports the arithmetic mean of its draws alongside them.
-    """
-
-    mean_event_prob: float
-    engine_tag: str
-    draws: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.engine_tag not in ("conjugate", "mcmc"):
-            raise ValueError(f"engine_tag must be 'conjugate' or 'mcmc', got {self.engine_tag!r}")
-        if not (0.0 < self.mean_event_prob < 1.0):
-            raise ValueError(f"mean_event_prob must lie in (0, 1), got {self.mean_event_prob!r}")
-        if self.engine_tag == "conjugate" and self.draws is not None:
-            raise ValueError("conjugate summaries carry no draws")
-        if self.draws is not None:
-            mean = sum(self.draws) / len(self.draws)
-            if abs(mean - self.mean_event_prob) > 1e-9:
-                raise ValueError("mean_event_prob must equal the arithmetic mean of draws")
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Regression coefficients for one stage.
-
-    Stage 1 has (intercept, stage-one action): length 2. Stage 2 has
-    (intercept, stage-two action, stage-one action, interaction): length 4,
-    or (intercept, stage-two action): length 2 when pooled over histories.
-    """
-
-    stage: int
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.stage not in (1, 2):
-            raise ValueError(f"stage must be 1 or 2, got {self.stage!r}")
-        expected = (2,) if self.stage == 1 else (2, 4)
-        if len(self.values) not in expected:
-            raise ValueError(
-                f"stage {self.stage} coefficient vector must have length in {expected}, "
-                f"got {len(self.values)}"
-            )
-
-
-def _design_row(n_coef: int, stage: int, h: History, a: Action) -> tuple[float, ...]:
-    """Covariate row for one cell, matching the coefficient ordering."""
-    if a not in (0, 1):
-        raise ValueError(f"action must be 0 or 1, got {a!r}")
-    if stage == 1:
-        if h.stage != 1:
-            raise ValueError("stage-1 coefficients require a stage-1 history")
-        return (1.0, float(a))
-    if h.stage != 2:
-        raise ValueError("stage-2 coefficients require a stage-2 history")
-    if n_coef == 4:
-        if h.stage1_action is None:
-            raise ValueError("dynamic stage-2 coefficients require an unpooled history")
-        a1 = float(h.stage1_action)
-        return (1.0, float(a), a1, a1 * float(a))
-    if h.stage1_action is not None:
-        raise ValueError("pooled stage-2 coefficients require a pooled history")
-    return (1.0, float(a))
-
-
-def linear_predictor(coeffs: CoefficientVector, h: History, a: Action) -> float:
-    """Evaluate the stage-appropriate linear predictor at 0/1 covariates.
-
-    The event probability is the inverse logit of this value.
-    """
-    row = _design_row(len(coeffs.values), coeffs.stage, h, a)
-    return float(sum(v * x for v, x in zip(coeffs.values, row)))
-
-
 def conjugate_mean(prior: PriorSpec, events: int, trials: int) -> float:
     """Beta(alpha, beta) posterior mean of one cell's event probability:
     (alpha + events) / (alpha + beta + trials), the prior mean at zero trials."""
@@ -195,124 +73,41 @@ def conjugate_mean(prior: PriorSpec, events: int, trials: int) -> float:
     )
 
 
-def posterior_conjugate(counts: CellCounts, prior: PriorSpec) -> PosteriorSummary:
-    """Exact Beta(alpha, beta) posterior for one cell (see ``conjugate_mean``)."""
-    return PosteriorSummary(
-        mean_event_prob=conjugate_mean(prior, counts.events, counts.trials),
-        engine_tag="conjugate",
-    )
+@dataclass(frozen=True, eq=False)
+class PosteriorSummary:
+    """MCMC posterior of one cell's event probability: the arithmetic mean
+    of its draws, and the draws themselves."""
 
-
-def posterior_conjugate_cells(
-    data: StageData, prior: PriorSpec
-) -> dict[tuple[History, Action], PosteriorSummary]:
-    """Conjugate posteriors for every cell of a stage."""
-    return {key: posterior_conjugate(counts, prior) for key, counts in data.cells.items()}
-
-
-def stage_data(
-    events1: Sequence[int],
-    trials1: Sequence[int],
-    events2: Sequence[int],
-    trials2: Sequence[int],
-    myopic_m: int,
-) -> tuple[StageData, StageData]:
-    """StageData for both stages from count arrays.
-
-    ``events1``/``trials1`` are indexed by stage-one action ``a1`` and
-    ``events2``/``trials2`` by ``2 a1 + a2`` over the four stage-two cells;
-    a myopic design pools stage two over the stage-one action.
-    """
-    if myopic_m not in (0, 1):
-        raise ValueError(f"myopic_m must be 0 or 1, got {myopic_m!r}")
-    h1 = History.first_stage()
-    stage1 = StageData(
-        stage=1,
-        cells={
-            (h1, a): CellCounts(events=int(events1[a]), trials=int(trials1[a])) for a in (0, 1)
-        },
-    )
-    if myopic_m:
-        pooled = History.second_stage_pooled()
-        cells2 = {
-            (pooled, a2): CellCounts(
-                events=int(events2[a2] + events2[2 + a2]),
-                trials=int(trials2[a2] + trials2[2 + a2]),
-            )
-            for a2 in (0, 1)
-        }
-    else:
-        cells2 = {
-            (History.second_stage(a1), a2): CellCounts(
-                events=int(events2[2 * a1 + a2]), trials=int(trials2[2 * a1 + a2])
-            )
-            for a1 in (0, 1)
-            for a2 in (0, 1)
-        }
-    return stage1, StageData(stage=2, cells=cells2)
-
-
-def accumulate(
-    records: Iterable[PatientRecord], myopic_m: int
-) -> tuple[StageData, StageData]:
-    """Tally sufficient statistics from patient records.
-
-    Stage-1 cells count infections per stage-one arm over all records.
-    Stage-2 cells count deaths over infected records only, keyed by
-    (stage-one action, stage-two action) under a dynamic design or pooled
-    by stage-two action alone under a myopic one. Unobserved cells are
-    materialised with zero counts so downstream posteriors fall back to the
-    prior.
-    """
-    events1 = [0, 0]
-    trials1 = [0, 0]
-    events2 = [0, 0, 0, 0]  # [2 a1 + a2]
-    trials2 = [0, 0, 0, 0]
-    for record in records:
-        a1 = record.stage1_action
-        trials1[a1] += 1
-        if record.stage1_outcome == 1:
-            events1[a1] += 1
-            cell = 2 * a1 + record.stage2_action
-            trials2[cell] += 1
-            events2[cell] += record.stage2_outcome
-    return stage_data(events1, trials1, events2, trials2, myopic_m)
+    mean_event_prob: float
+    draws: np.ndarray
 
 
 @dataclass(frozen=True)
 class McmcPosterior:
     """Per-cell posterior summaries from the MCMC engine, plus diagnostics.
 
-    ``cells`` maps (history, action) to :class:`PosteriorSummary`. ``rhat``
-    holds the split-chain potential scale reduction per coefficient; a
-    value above the 1.05 threshold is flagged in ``warnings`` rather than
-    raised.
+    ``cells`` maps each flat cell index to its :class:`PosteriorSummary`.
+    ``rhat`` holds the split-chain potential scale reduction per
+    coefficient; a value above the 1.05 threshold is flagged in
+    ``warnings`` rather than raised.
     """
 
-    cells: Mapping[tuple[History, Action], PosteriorSummary]
+    cells: Mapping[int, PosteriorSummary]
     rhat: tuple[float, ...]
     warnings: tuple[str, ...] = ()
 
 
-def _model_arrays(
-    data: StageData,
-) -> tuple[list[tuple[History, Action]], np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministically ordered cell keys, design matrix and count vectors."""
+def _design_matrix(n_cells: int) -> np.ndarray:
+    """Covariate rows of the logistic model, one per flat cell.
 
-    def sort_key(key: tuple[History, Action]) -> tuple[int, int]:
-        history, action = key
-        a1 = history.stage1_action if history.stage1_action is not None else -1
-        return (a1, action)
-
-    keys = sorted(data.cells, key=sort_key)
-    pooled = any(h.stage == 2 and h.stage1_action is None for h, _ in keys)
-    n_coef = 2 if data.stage == 1 or pooled else 4
-    design = np.array(
-        [_design_row(n_coef, data.stage, h, a) for h, a in keys], dtype=np.float64
-    )
-    events = np.array([data.cells[k].events for k in keys], dtype=np.float64)
-    trials = np.array([data.cells[k].trials for k in keys], dtype=np.float64)
-    return keys, design, events, trials
+    Two cells (stage one by a1, or stage two pooled by a2) give rows
+    (1, a); four (stage two at 2 a1 + a2) give (1, a2, a1, a1 a2).
+    """
+    if n_cells == 2:
+        return np.array([[1.0, 0.0], [1.0, 1.0]])
+    if n_cells == 4:
+        return np.array([[1.0, a2, a1, a1 * a2] for a1 in (0.0, 1.0) for a2 in (0.0, 1.0)])
+    raise ValueError(f"the logistic model has 2 or 4 cells, got {n_cells}")
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -392,7 +187,8 @@ def split_chain_rhat(chain_draws: np.ndarray) -> np.ndarray:
 
 
 def posterior_mcmc(
-    data: StageData,
+    events: Sequence[int],
+    trials: Sequence[int],
     prior: PriorSpec,
     chains: int = DEFAULT_CHAINS,
     warmup: int = DEFAULT_WARMUP,
@@ -401,6 +197,8 @@ def posterior_mcmc(
 ) -> McmcPosterior:
     """Sample per-cell event probabilities from the logistic model posterior.
 
+    ``events`` and ``trials`` are one stage's flat count arrays (see the
+    module docstring); their length, 2 or 4, selects the design matrix.
     Runs ``chains`` independent chains of ``warmup + sampling`` iterations
     each and keeps the sampling phase, yielding ``chains * sampling``
     coefficient draws (4000 under the defaults). Coefficient draws are
@@ -413,7 +211,11 @@ def posterior_mcmc(
         raise ValueError("chains must be >= 1")
     if warmup < 1 or sampling < 1:
         raise ValueError("warmup and sampling must be >= 1")
-    keys, design, events, trials = _model_arrays(data)
+    events = np.asarray(events, dtype=np.float64)
+    trials = np.asarray(trials, dtype=np.float64)
+    if events.shape != trials.shape or np.any(events < 0) or np.any(events > trials):
+        raise ValueError("need matching count arrays with 0 <= events <= trials")
+    design = _design_matrix(events.size)
     mode, cov = _laplace_mode(design, events, trials, prior)
     scale = np.linalg.cholesky(cov * _PROPOSAL_SCALE**2)
     scale_inv = np.linalg.inv(scale)
@@ -454,11 +256,7 @@ def posterior_mcmc(
     eta = all_draws @ design.T
     probs = 1.0 / (1.0 + np.exp(-eta))
     cells = {
-        key: PosteriorSummary(
-            mean_event_prob=float(np.mean(probs[:, j])),
-            engine_tag="mcmc",
-            draws=tuple(probs[:, j].tolist()),
-        )
-        for j, key in enumerate(keys)
+        j: PosteriorSummary(mean_event_prob=float(np.mean(probs[:, j])), draws=probs[:, j])
+        for j in range(events.size)
     }
     return McmcPosterior(cells=cells, rhat=tuple(float(r) for r in rhat), warnings=warnings)

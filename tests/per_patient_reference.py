@@ -2,9 +2,10 @@
 
 ``run_trial`` draws each cohort's terminal-row counts from one multinomial.
 The samplers here draw every patient's outcomes one Bernoulli at a time
-and run each interim analysis through the validated public chain
-(``stage_data`` -> ``posterior_conjugate_cells`` -> ``q_stage2`` /
-``q_stage1`` -> ``allocation_probs``). Both must agree in distribution;
+and run each interim analysis by composing the formula kernels
+(``conjugate_mean`` -> ``q2_value`` / ``q1_value`` -> ``allocation_pair``)
+here, not through the simulator's own glue, so a fault in that glue shows
+as a difference. Both must agree in distribution;
 ``test_simulator.TestCountLevelParity`` compares them.
 """
 
@@ -16,45 +17,41 @@ import numpy as np
 
 from smartrar import (
     DesignConfig,
-    History,
-    InterimSchedule,
     InterimSnapshot,
     PatientRecord,
     Scenario,
     TrialResult,
     UtilityTable,
-    allocation_probs,
-    equal_allocation,
-    posterior_conjugate_cells,
-    q_stage1,
-    q_stage2,
-    stage2_histories,
+    allocation_pair,
+    conjugate_mean,
+    q1_value,
+    q2_value,
 )
 from smartrar.core import Action
-from smartrar.inference import stage_data
 
 
 def generate_patient(
     scenario: Scenario,
     a1: Action,
-    a2_provider: Callable[[History], Action],
+    a2_provider: Callable[[Action], Action],
     rng: np.random.Generator,
     utilities: UtilityTable | None = None,
 ) -> PatientRecord:
     """Draw one patient's outcomes given their stage-one action.
 
     Infection is Bernoulli(r_a1); on infection the stage-two action is
-    obtained from ``a2_provider`` (called with the patient's dynamic
-    stage-2 history) and death is Bernoulli(s_a1). The realized utility is
-    looked up from the table at the terminal row.
+    obtained from ``a2_provider`` (called with the stage-one action, which
+    with the infection is the patient's dynamic stage-2 history) and death
+    is Bernoulli(s_a1). The realized utility is looked up from the table at
+    the terminal row.
     """
     table = utilities if utilities is not None else UtilityTable.default()
     y1 = int(rng.random() < scenario.infection_prob(a1))
     if not y1:
-        return PatientRecord(a1, 0, None, None, table.stage1_utility(a1))
-    a2 = a2_provider(History.second_stage(a1))
+        return PatientRecord(a1, 0, None, None, table.stage1_alive[a1])
+    a2 = a2_provider(a1)
     y2 = int(rng.random() < scenario.death_prob(a1))
-    return PatientRecord(a1, 1, a2, y2, table.stage2_utility(a1, a2, y2))
+    return PatientRecord(a1, 1, a2, y2, table.stage2[a1][a2][y2])
 
 
 def per_patient_trial(
@@ -68,12 +65,12 @@ def per_patient_trial(
     if design.engine != "conjugate":
         raise ValueError("the reference covers the conjugate engine only")
     table = utilities if utilities is not None else UtilityTable.default()
-    schedule = InterimSchedule.from_design(design)
     m = design.myopic_m
+    c, floor, prior = design.adapt_c, design.min_alloc_prob, design.prior_spec
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(design.seed)))
 
-    alloc1 = equal_allocation(History.first_stage())
-    alloc2 = {h: equal_allocation(h) for h in stage2_histories(m)}
+    p1_treat = 0.5
+    p2_treat = (0.5, 0.5)  # P(a2 = 1) for each stage-one arm
     u_stage1 = np.array(table.stage1_alive, dtype=np.float64)
     u_stage2 = np.array(table.stage2, dtype=np.float64)
     events1 = np.zeros(2, dtype=np.int64)
@@ -83,15 +80,11 @@ def per_patient_trial(
     total_utility = 0.0
     snapshots: list[InterimSnapshot] = []
 
-    n = schedule.cohort_size
-    for analysis in range(1, schedule.num_analyses + 1):
-        p1_treat = alloc1.prob(1)
-        if m:
-            pooled = alloc2[History.second_stage_pooled()].prob(1)
-            p2_treat = (pooled, pooled)
-        else:
-            p2_treat = tuple(alloc2[History.second_stage(a)].prob(1) for a in (0, 1))
+    def mean(events, trials) -> float:
+        return conjugate_mean(prior, int(events), int(trials))
 
+    n = design.max_patients // design.num_interims
+    for analysis in range(1, design.num_interims + 1):
         a1 = (rng.random(n) < p1_treat).astype(np.int8)
         y1 = (rng.random(n) < np.where(a1 == 1, scenario.r1, scenario.r0)).astype(np.int8)
         inf_idx = np.nonzero(y1)[0]
@@ -111,35 +104,29 @@ def per_patient_trial(
         trials2 += np.bincount(pair, minlength=4).reshape(2, 2)
         events2 += np.bincount(pair[y2 == 1], minlength=4).reshape(2, 2)
 
-        if analysis not in schedule.adapt_at:
-            continue
-        data1, data2 = stage_data(events1, trials1, events2.ravel(), trials2.ravel(), m)
-        post1 = posterior_conjugate_cells(data1, design.prior_spec)
-        post2 = posterior_conjugate_cells(data2, design.prior_spec)
-        s2q = q_stage2(post2, table)
-        s1q = q_stage1({a: post1[(History.first_stage(), a)] for a in (0, 1)}, s2q, table, m)
-        alloc1 = allocation_probs(
-            {a: s1q[a].value for a in (0, 1)},
-            design.adapt_c,
-            history=History.first_stage(),
-            min_prob=design.min_alloc_prob,
-        )
-        alloc2 = {
-            h: allocation_probs(
-                {a: s2q[(h, a)].value for a in (0, 1)},
-                design.adapt_c,
-                history=h,
-                min_prob=design.min_alloc_prob,
-            )
-            for h in stage2_histories(m)
-        }
-        snapshots.append(
-            InterimSnapshot(
-                analysis=analysis,
-                stage1=alloc1,
-                stage2=tuple(alloc2[h] for h in stage2_histories(m)),
-            )
-        )
+        if analysis == design.num_interims:
+            break
+        mean1 = [mean(events1[a], trials1[a]) for a in (0, 1)]
+        if m:
+            # one pooled stage-two cell per a2; Q1 has no continuation
+            pooled = table.pooled_stage2()
+            q2 = [
+                q2_value(*pooled[a], mean(events2[:, a].sum(), trials2[:, a].sum()))
+                for a in (0, 1)
+            ]
+            stage2 = (allocation_pair(q2[0], q2[1], c, floor),)
+            q1 = [q1_value(table.stage1_alive[a], mean1[a], 0.0) for a in (0, 1)]
+        else:
+            q2 = [
+                [q2_value(*table.stage2[h][a], mean(events2[h, a], trials2[h, a])) for a in (0, 1)]
+                for h in (0, 1)
+            ]
+            stage2 = tuple(allocation_pair(q2[h][0], q2[h][1], c, floor) for h in (0, 1))
+            q1 = [q1_value(table.stage1_alive[a], mean1[a], max(q2[a])) for a in (0, 1)]
+        stage1 = allocation_pair(q1[0], q1[1], c, floor)
+        p1_treat = stage1[1]
+        p2_treat = (stage2[0][1], stage2[-1][1])
+        snapshots.append(InterimSnapshot(analysis=analysis, stage1=stage1, stage2=stage2))
 
     return TrialResult(
         mean_utility=total_utility / design.max_patients,

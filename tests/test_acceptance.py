@@ -22,21 +22,14 @@ import numpy as np
 import pytest
 
 from smartrar import (
-    CellCounts,
     DesignConfig,
-    History,
-    PosteriorSummary,
     PriorSpec,
     Scenario,
-    StageData,
     SweepConfig,
     UtilityTable,
-    allocation_probs,
-    brute_force_value,
-    posterior_conjugate,
+    allocation_pair,
+    conjugate_mean,
     posterior_mcmc,
-    q_stage1,
-    q_stage2,
     reduced_scenario_grid,
     run_sweep,
     run_trial,
@@ -45,6 +38,7 @@ from smartrar import (
     true_value,
 )
 from smartrar.cli import write_sweep_csvs
+from smartrar.simulator import _q_values
 
 BASE_SEED = 53
 
@@ -290,7 +284,7 @@ def test_c3_myopic_harm():
             seed = trial_seed(BASE_SEED, 0, d_idx, rep)
             trial = run_trial(scenario, replace(design, seed=seed))
             assert trial.mean_utility == row.u_bars[rep]
-            probs.append(trial.per_interim_alloc[-1].stage1.prob(1))
+            probs.append(trial.per_interim_alloc[-1].stage1[1])
         final_p1[design.myopic_m] = float(np.mean(probs))
 
     checks = {
@@ -311,69 +305,78 @@ def test_c3_myopic_harm():
     )
 
 
+def enumerated_stage1_values(
+    means1: tuple[float, float], means2: tuple[float, ...], table: UtilityTable
+) -> list[float]:
+    """Best two-stage expected utility of each stage-one arm, by enumeration.
+
+    For each stage-one arm a1, every stage-two rule (give a2 = 0 or a2 = 1
+    to the infected) is one regimen. Its expected utility is written out
+    from the documented model, not taken from the library: uninfected with
+    probability 1 - pi1[a1], else survived or died at stage two with
+    probability pi2[2 a1 + a2]. The value of a1 is its best regimen's.
+    """
+    values = []
+    for a1 in (0, 1):
+        regimens = []
+        for a2 in (0, 1):
+            survived, died = table.stage2[a1][a2]
+            death = means2[2 * a1 + a2]
+            infected = means1[a1]
+            regimens.append(
+                table.stage1_alive[a1] * (1.0 - infected)
+                + infected * ((1.0 - death) * survived + death * died)
+            )
+        values.append(max(regimens))
+    return values
+
+
 def test_c4_backward_induction_oracle_equivalence():
-    """q_stage1(m=0) equals exhaustive regimen enumeration to 1e-12."""
+    """The simulator's stage-one Q-values (m = 0) equal exhaustive regimen
+    enumeration to 1e-12."""
     rng = np.random.default_rng(BASE_SEED)
     row_keys = list(UtilityTable.default().entries())
     worst = 0.0
     for _ in range(1000):
-        means1 = rng.uniform(1e-6, 1 - 1e-6, size=2)
-        means2 = rng.uniform(1e-6, 1 - 1e-6, size=4)
+        means1 = tuple(rng.uniform(1e-6, 1 - 1e-6, size=2).tolist())
+        means2 = tuple(rng.uniform(1e-6, 1 - 1e-6, size=4).tolist())
         table = UtilityTable.from_entries(
             dict(zip(row_keys, rng.uniform(0.0, 5.0, size=10)))
         )
-        posteriors1 = {
-            a: PosteriorSummary(mean_event_prob=float(means1[a]), engine_tag="conjugate")
-            for a in (0, 1)
-        }
-        posteriors2 = {
-            (History.second_stage(a1), a2): PosteriorSummary(
-                mean_event_prob=float(means2[2 * a1 + a2]), engine_tag="conjugate"
-            )
-            for a1 in (0, 1)
-            for a2 in (0, 1)
-        }
-        induction = q_stage1(posteriors1, q_stage2(posteriors2, table), table, myopic_m=0)
-        oracle = brute_force_value(posteriors1, posteriors2, table)
-        worst = max(worst, max(abs(induction[a].value - oracle[a]) for a in (0, 1)))
+        u2 = table.stage2[0] + table.stage2[1]
+        induction, _ = _q_values(means1, means2, table.stage1_alive, u2, myopic_m=0)
+        oracle = enumerated_stage1_values(means1, means2, table)
+        worst = max(worst, max(abs(induction[a] - oracle[a]) for a in (0, 1)))
     report(4, worst <= 1e-12, f"1000 randomised inputs: max |induction - oracle| = {worst:.2e}")
 
 
-def _random_stage_data(rng: np.random.Generator, kind: str) -> StageData:
-    def counts() -> CellCounts:
-        trials = int(rng.integers(200, 2000))
-        return CellCounts(events=int(rng.integers(0, trials + 1)), trials=trials)
-
-    if kind == "stage1":
-        h = History.first_stage()
-        return StageData(stage=1, cells={(h, a): counts() for a in (0, 1)})
-    if kind == "pooled":
-        h = History.second_stage_pooled()
-        return StageData(stage=2, cells={(h, a): counts() for a in (0, 1)})
-    return StageData(
-        stage=2,
-        cells={
-            (History.second_stage(a1), a2): counts() for a1 in (0, 1) for a2 in (0, 1)
-        },
-    )
+def _random_counts(rng: np.random.Generator, n_cells: int) -> tuple[list[int], list[int]]:
+    """Flat (events, trials) arrays with 200 to 2,000 trials per cell."""
+    events, trials = [], []
+    for _ in range(n_cells):
+        trials.append(int(rng.integers(200, 2000)))
+        events.append(int(rng.integers(0, trials[-1] + 1)))
+    return events, trials
 
 
 def test_c5_engine_parity():
     """Conjugate and MCMC engines agree on saturated-cell posterior means."""
     rng = np.random.default_rng(BASE_SEED + 1)
     prior = PriorSpec()
-    kinds = ["stage1"] * 7 + ["dynamic"] * 7 + ["pooled"] * 6
+    # stage one (2 cells by a1), dynamic stage two (4 cells), pooled (2 by a2)
+    n_cells = [2] * 7 + [4] * 7 + [2] * 6
     worst_diff = 0.0
     worst_rhat = 0.0
-    for i, kind in enumerate(kinds):
-        data = _random_stage_data(rng, kind)
+    for n in n_cells:
+        events, trials = _random_counts(rng, n)
         mcmc = posterior_mcmc(
-            data, prior, chains=4, warmup=1000, sampling=1000, seed=int(rng.integers(2**32))
+            events, trials, prior, chains=4, warmup=1000, sampling=1000,
+            seed=int(rng.integers(2**32)),
         )
         worst_rhat = max(worst_rhat, max(mcmc.rhat))
-        for key, cell_counts in data.cells.items():
-            conj = posterior_conjugate(cell_counts, prior).mean_event_prob
-            worst_diff = max(worst_diff, abs(conj - mcmc.cells[key].mean_event_prob))
+        for j in range(n):
+            conj = conjugate_mean(prior, events[j], trials[j])
+            worst_diff = max(worst_diff, abs(conj - mcmc.cells[j].mean_event_prob))
         assert all(len(s.draws) == 4000 for s in mcmc.cells.values())
     report(
         5,
@@ -411,25 +414,22 @@ def test_c7_allocation_rule_properties():
         c = float(rng.uniform(0.0, 3.0))
         lam = float(rng.uniform(0.01, 100.0))
 
-        alloc = allocation_probs({0: q0, 1: q1}, c)
-        if abs(sum(alloc.probs.values()) - 1.0) > 1e-12:
+        alloc = allocation_pair(q0, q1, c)
+        if abs(sum(alloc) - 1.0) > 1e-12:
             failures.append(f"case {i}: sum != 1")
 
-        equal = allocation_probs({0: q0, 1: q1}, 0.0)
-        if equal.probs != {0: 0.5, 1: 0.5}:
+        if allocation_pair(q0, q1, 0.0) != (0.5, 0.5):
             failures.append(f"case {i}: c=0 not equal")
 
-        scaled = allocation_probs({0: lam * q0, 1: lam * q1}, c)
-        if abs(scaled.prob(0) - alloc.prob(0)) > 1e-9:
+        scaled = allocation_pair(lam * q0, lam * q1, c)
+        if abs(scaled[0] - alloc[0]) > 1e-9:
             failures.append(f"case {i}: not scale invariant")
 
-        fallback = allocation_probs({0: 0.0, 1: 0.0}, max(c, 0.5))
-        if fallback.probs != {0: 0.5, 1: 0.5}:
+        if allocation_pair(0.0, 0.0, max(c, 0.5)) != (0.5, 0.5):
             failures.append(f"case {i}: degenerate fallback broken")
 
         q_pos = float(rng.uniform(1e-9, 5.0))
-        stopped = allocation_probs({0: 0.0, 1: q_pos}, 1.0)
-        if stopped.prob(0) != 0.0 or stopped.prob(1) != 1.0:
+        if allocation_pair(0.0, q_pos, 1.0) != (0.0, 1.0):
             failures.append(f"case {i}: dead arm still allocated")
     report(
         7,

@@ -1,83 +1,81 @@
-"""Allocation-rule contracts and properties."""
+"""Allocation-rule contracts and properties of ``allocation_pair``."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smartrar import History, allocation_probs, equal_allocation
-from smartrar.policy import QValue
+from smartrar import ConfigurationError, DesignConfig, UtilityTable, allocation_pair
+from smartrar.allocation import DEGENERATE_TOTAL
 
 qvalues = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 positive_q = st.floats(min_value=1e-6, max_value=100.0, allow_nan=False)
 exponents = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
+floors = st.floats(min_value=1e-6, max_value=0.5, allow_nan=False)
 
 
 def test_zero_exponent_gives_equal_split():
-    alloc = allocation_probs({0: 0.96, 1: 0.64}, c=0.0)
-    assert alloc.probs == {0: 0.5, 1: 0.5}
+    assert allocation_pair(0.96, 0.64, c=0.0) == (0.5, 0.5)
 
 
 def test_proportional_weighting():
-    alloc = allocation_probs({0: 0.96, 1: 0.64}, c=1.0)
-    assert alloc.prob(0) == pytest.approx(0.6, abs=1e-12)
-    assert alloc.prob(1) == pytest.approx(0.4, abs=1e-12)
+    p0, p1 = allocation_pair(0.96, 0.64, c=1.0)
+    assert p0 == pytest.approx(0.6, abs=1e-12)
+    assert p1 == pytest.approx(0.4, abs=1e-12)
 
 
 def test_zero_denominator_falls_back_to_equal():
-    alloc = allocation_probs({0: 0.0, 1: 0.0}, c=1.0)
-    assert alloc.probs == {0: 0.5, 1: 0.5}
+    assert allocation_pair(0.0, 0.0, c=1.0) == (0.5, 0.5)
 
 
 def test_dead_arm_stops_receiving_patients():
-    alloc = allocation_probs({0: 0.0, 1: 0.7}, c=1.0)
-    assert alloc.prob(0) == 0.0
-    assert alloc.prob(1) == 1.0
-
-
-def test_accepts_qvalue_objects():
-    h = History.first_stage()
-    q = {a: QValue(history=h, action=a, value=v) for a, v in ((0, 0.96), (1, 0.64))}
-    alloc = allocation_probs(q, c=1.0)
-    assert alloc.prob(0) == pytest.approx(0.6, abs=1e-12)
+    assert allocation_pair(0.0, 0.7, c=1.0) == (0.0, 1.0)
 
 
 def test_negative_q_rejected():
-    with pytest.raises(ValueError):
-        allocation_probs({0: -0.1, 1: 0.5}, c=1.0)
+    # Q-values are convex combinations of table entries, so a negative one
+    # can only come from a negative entry, which the table rejects.
+    with pytest.raises(ConfigurationError):
+        UtilityTable.from_entries({"survived_a1_0_a2_1": -0.1})
 
 
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
-        allocation_probs({0: 0.5, 1: 0.5}, c=-1.0)
-
-
-def test_equal_allocation_helper():
-    alloc = equal_allocation(History.second_stage(1))
-    assert alloc.probs == {0: 0.5, 1: 0.5}
-    assert alloc.history.stage1_action == 1
+        DesignConfig(myopic_m=0, adapt_c=-1.0)
 
 
 def test_allocation_floor():
-    alloc = allocation_probs({0: 0.0, 1: 0.7}, c=1.0, min_prob=0.05)
-    assert alloc.prob(0) == pytest.approx(0.05 / 1.05)
-    assert sum(alloc.probs.values()) == pytest.approx(1.0, abs=1e-12)
+    p0, p1 = allocation_pair(0.0, 0.7, c=1.0, min_prob=0.05)
+    assert p0 == pytest.approx(0.05 / 1.05)
+    assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
 
 @given(q0=qvalues, q1=qvalues, c=exponents)
 def test_sums_to_one(q0, q1, c):
-    alloc = allocation_probs({0: q0, 1: q1}, c=c)
-    assert abs(sum(alloc.probs.values()) - 1.0) <= 1e-12
+    assert abs(sum(allocation_pair(q0, q1, c)) - 1.0) <= 1e-12
 
 
 @given(q0=positive_q, q1=positive_q, c=exponents, lam=st.floats(min_value=1e-3, max_value=1e3))
 def test_scale_invariance(q0, q1, c, lam):
-    base = allocation_probs({0: q0, 1: q1}, c=c)
-    scaled = allocation_probs({0: lam * q0, 1: lam * q1}, c=c)
-    assert base.prob(0) == pytest.approx(scaled.prob(0), rel=1e-9, abs=1e-12)
+    base = allocation_pair(q0, q1, c)
+    scaled = allocation_pair(lam * q0, lam * q1, c)
+    assert base[0] == pytest.approx(scaled[0], rel=1e-9, abs=1e-12)
 
 
 @given(q0=positive_q, q1=positive_q, c=st.floats(min_value=0.1, max_value=4.0))
 def test_monotone_in_own_q(q0, q1, c):
-    before = allocation_probs({0: q0, 1: q1}, c=c).prob(0)
-    after = allocation_probs({0: q0 * 1.5, 1: q1}, c=c).prob(0)
-    assert after > before
+    before = allocation_pair(q0, q1, c)[0]
+    after = allocation_pair(q0 * 1.5, q1, c)[0]
+    assert after >= before
+    # Strictly, unless the share has rounded to 1 or the weights fall
+    # under the degenerate-total fallback to equal allocation.
+    if before < 1.0 and q0**c + q1**c >= DEGENERATE_TOTAL:
+        assert after > before
+
+
+@given(q0=qvalues, q1=qvalues, c=exponents, floor=floors)
+def test_floor_bounds_both_probabilities(q0, q1, c, floor):
+    # After the floor and re-normalisation each arm keeps at least
+    # f / (1 + f): the worst case raises one arm from 0 to f.
+    p0, p1 = allocation_pair(q0, q1, c, min_prob=floor)
+    assert min(p0, p1) >= floor / (1.0 + floor) - 1e-12
+    assert abs(p0 + p1 - 1.0) <= 1e-12

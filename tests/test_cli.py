@@ -81,6 +81,32 @@ class TestSimulate:
         assert lines[0] == "patient,stage1_action,stage1_outcome,stage2_action,stage2_outcome,utility"
         assert len(lines) == 101
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_allocations_csv_layout(self, tmp_path, m):
+        out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--r0", "0.5", "--r1", "0.45", "--s0", "0.05", "--s1", "0.95",
+            "--m", str(m), "--c", "1", "--seed", "5", "--out", str(out),
+        ) == 0
+        lines = (out / "allocations.csv").read_text().splitlines()
+        assert lines[0] == "analysis,stage,stage1_action,action,probability"
+        groups: dict[tuple[int, int, str], list[tuple[int, float]]] = {}
+        for line in lines[1:]:
+            analysis, stage, a1, action, prob = line.split(",")
+            key = (int(analysis), int(stage), a1)
+            groups.setdefault(key, []).append((int(action), float(prob)))
+        # stage two: one row set per stage-one arm, or one pooled set with
+        # an empty stage1_action under a myopic design
+        stage2_labels = [""] if m else ["0", "1"]
+        assert list(groups) == [
+            key
+            for analysis in (1, 2, 3)
+            for key in [(analysis, 1, "")] + [(analysis, 2, a1) for a1 in stage2_labels]
+        ]
+        for rows in groups.values():
+            assert [action for action, _ in rows] == [0, 1]
+            assert sum(prob for _, prob in rows) == pytest.approx(1.0, abs=1e-12)
+
     def test_invalid_flags_exit_2(self, capsys):
         assert run_cli("simulate", "--r0", "1.5") == 2
         with pytest.raises(SystemExit) as exc:
@@ -230,6 +256,14 @@ class TestSweep:
     def test_missing_out_dir_exit_2(self, scenario_file, capsys, monkeypatch):
         monkeypatch.delenv("SMARTRAR_OUT_DIR", raising=False)
         assert run_cli("sweep", "--grid", str(scenario_file), "--threads", "1") == 2
+
+    @pytest.mark.parametrize(
+        "flag", [("--replicates", "0"), ("--threads", "0"), ("--base-seed", "-1")]
+    )
+    def test_invalid_sweep_config_creates_no_directory(self, tmp_path, flag, capsys):
+        out_dir = tmp_path / "never"
+        assert run_cli("sweep", "--grid", "reduced", *flag, "--out-dir", str(out_dir)) == 2
+        assert not out_dir.exists()
 
     def test_env_var_out_dir(self, tmp_path, scenario_file, monkeypatch):
         out_dir = tmp_path / "from_env"

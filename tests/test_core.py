@@ -1,4 +1,4 @@
-"""Domain-type contracts: grids, histories, records, utility tables."""
+"""Domain-type contracts: grids, stage-two cells, records, utility tables."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from smartrar import (
     ConfigurationError,
     DesignConfig,
-    History,
     PatientRecord,
     PriorSpec,
     R_GRID,
@@ -16,10 +15,10 @@ from smartrar import (
     UtilityTable,
     reduced_scenario_grid,
     scenario_grid,
-    stage2_histories,
     canonical_designs,
-    utility_lookup,
+    run_trial,
 )
+from smartrar.simulator import _sufficient_stats
 
 
 class TestScenarioGrid:
@@ -68,27 +67,14 @@ class TestScenarioGrid:
 
 
 class TestHistory:
-    def test_stage1_is_empty(self):
-        h = History.first_stage()
-        assert h.stage == 1 and h.stage1_action is None and h.stage1_outcome is None
-        with pytest.raises(ValueError):
-            History(stage=1, stage1_action=0)
-
-    def test_stage2_dynamic_requires_fields(self):
-        h = History.second_stage(1)
-        assert (h.stage1_action, h.stage1_outcome, h.myopic) == (1, 1, 0)
-        with pytest.raises(ValueError):
-            History(stage=2, stage1_action=None, stage1_outcome=None, myopic=0)
-
-    def test_stage2_myopic_collapses(self):
-        h = History.second_stage_pooled()
-        assert h.stage1_action is None and h.stage1_outcome is None
-        with pytest.raises(ValueError):
-            History(stage=2, stage1_action=1, stage1_outcome=1, myopic=1)
-
     def test_stage2_histories_by_flag(self):
-        assert len(stage2_histories(0)) == 2
-        assert len(stage2_histories(1)) == 1
+        # one stage-two cell per (a1, a2) under a dynamic design, one per a2
+        # when a myopic design pools over the stage-one arm
+        counts = list(range(10))
+        for m, cells in ((0, 4), (1, 2)):
+            events1, trials1, events2, trials2 = _sufficient_stats(counts, m)
+            assert (len(events1), len(trials1)) == (2, 2)
+            assert (len(events2), len(trials2)) == (cells, cells)
 
 
 class TestPatientRecord:
@@ -105,6 +91,29 @@ class TestPatientRecord:
             PatientRecord(2, 0, None, None, 1.0)
 
 
+# A record's utility is its terminal row's entry: checked on simulated
+# records under a table with ten distinct values.
+DISTINCT = UtilityTable.from_entries(
+    {key: 0.05 * (i + 1) for i, key in enumerate(UtilityTable.default().entries())}
+)
+
+
+def records_by_row() -> dict[str, list[PatientRecord]]:
+    """Simulated records grouped by the name of their terminal row."""
+    design = DesignConfig(myopic_m=0, adapt_c=1.0, max_patients=400, seed=3)
+    scenario = Scenario(0.5, 0.5, 0.5, 0.5)
+    result = run_trial(scenario, design, utilities=DISTINCT, keep_records=True)
+    rows: dict[str, list[PatientRecord]] = {}
+    for r in result.patient_records:
+        if r.stage1_outcome == 0:
+            key = f"uninfected_a1_{r.stage1_action}"
+        else:
+            kind = "died" if r.stage2_outcome else "survived"
+            key = f"{kind}_a1_{r.stage1_action}_a2_{r.stage2_action}"
+        rows.setdefault(key, []).append(r)
+    return rows
+
+
 class TestUtilityTable:
     def test_default_rows(self, default_table):
         entries = default_table.entries()
@@ -112,31 +121,32 @@ class TestUtilityTable:
         assert all(v == 1.0 for k, v in entries.items() if not k.startswith("died"))
         assert all(v == 0.0 for k, v in entries.items() if k.startswith("died"))
 
-    def test_lookup_uninfected(self, default_table):
-        record = PatientRecord(0, 0, None, None, 1.0)
-        assert utility_lookup(default_table, record) == 1.0
+    def _check(self, prefix: str) -> None:
+        entries = DISTINCT.entries()
+        rows = {k: v for k, v in records_by_row().items() if k.startswith(prefix)}
+        assert rows
+        for key, records in rows.items():
+            assert all(r.realized_utility == entries[key] for r in records)
 
-    def test_lookup_died(self, default_table):
-        record = PatientRecord(1, 1, 1, 1, 0.0)
-        assert utility_lookup(default_table, record) == 0.0
+    def test_lookup_uninfected(self):
+        self._check("uninfected")
 
-    def test_lookup_survived_after_infection(self, default_table):
-        record = PatientRecord(1, 1, 0, 0, 1.0)
-        assert utility_lookup(default_table, record) == 1.0
+    def test_lookup_died(self):
+        self._check("died")
 
-    def test_lookup_total_over_generative_rows(self, default_table):
-        # every realisation row reachable from the generative model resolves
-        for a1 in (0, 1):
-            utility_lookup(default_table, PatientRecord(a1, 0, None, None, 1.0))
-            for a2 in (0, 1):
-                for y2 in (0, 1):
-                    utility_lookup(default_table, PatientRecord(a1, 1, a2, y2, 0.0))
+    def test_lookup_survived_after_infection(self):
+        self._check("survived")
+
+    def test_lookup_total_over_generative_rows(self):
+        # every realisation row is reachable and resolves to its entry
+        assert set(records_by_row()) == set(DISTINCT.entries())
+        self._check("")
 
     def test_override_rows(self):
         table = UtilityTable.from_entries({"died_a1_0_a2_0": 0.1, "uninfected_a1_1": 0.8})
-        assert table.stage2_utility(0, 0, 1) == 0.1
-        assert table.stage1_utility(1) == 0.8
-        assert table.stage2_utility(1, 1, 1) == 0.0
+        assert table.stage2[0][0][1] == 0.1
+        assert table.stage1_alive[1] == 0.8
+        assert table.stage2[1][1][1] == 0.0
 
     def test_unknown_row_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -149,11 +159,11 @@ class TestUtilityTable:
             UtilityTable.from_entries({"survived_a1_0_a2_0": math.inf})
 
     def test_pooled_stage2_utilities_require_invariance(self):
-        table = UtilityTable.from_entries({"survived_a1_0_a2_0": 0.9})
-        with pytest.raises(ConfigurationError):
-            table.stage2_outcome_utilities(None, 0)
-        # untouched action column still fine
-        assert table.stage2_outcome_utilities(None, 1) == (1.0, 0.0)
+        with pytest.raises(ConfigurationError, match="a2_0"):
+            UtilityTable.from_entries({"survived_a1_0_a2_0": 0.9}).pooled_stage2()
+        # a change made to both stage-one arms' rows still pools
+        table = UtilityTable.from_entries({"survived_a1_0_a2_0": 0.9, "survived_a1_1_a2_0": 0.9})
+        assert table.pooled_stage2() == ((0.9, 0.0), (1.0, 0.0))
 
 
 class TestDesignConfig:

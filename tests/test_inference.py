@@ -1,125 +1,104 @@
-"""Posterior-engine contracts: conjugate updates, tallying, the MCMC sampler."""
+"""Posterior-engine contracts: conjugate means, count tallies, the MCMC sampler."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smartrar import (
-    CellCounts,
-    CoefficientVector,
-    History,
-    PatientRecord,
-    PosteriorSummary,
-    PriorSpec,
-    StageData,
-    accumulate,
-    linear_predictor,
-    posterior_conjugate,
-    posterior_mcmc,
-    split_chain_rhat,
-)
+from smartrar import PriorSpec, conjugate_mean, posterior_mcmc, split_chain_rhat
+from smartrar.inference import _design_matrix
+from smartrar.simulator import _sufficient_stats
 
 
 class TestCellCounts:
-    def test_events_bounded_by_trials(self):
-        CellCounts(events=3, trials=3)
+    def test_events_bounded_by_trials(self, prior):
+        # cell counts are checked where they enter the MCMC engine
+        posterior_mcmc([3, 0], [3, 0], prior, warmup=10, sampling=10)
         with pytest.raises(ValueError):
-            CellCounts(events=4, trials=3)
+            posterior_mcmc([4, 0], [3, 0], prior)
         with pytest.raises(ValueError):
-            CellCounts(events=-1, trials=3)
+            posterior_mcmc([-1, 0], [3, 0], prior)
 
 
 class TestConjugate:
     def test_prior_mean_with_no_data(self, prior):
-        assert posterior_conjugate(CellCounts(0, 0), prior).mean_event_prob == 0.5
+        assert conjugate_mean(prior, 0, 0) == 0.5
 
     def test_closed_form_mean(self, prior):
-        summary = posterior_conjugate(CellCounts(10, 40), prior)
-        assert summary.mean_event_prob == pytest.approx(11 / 42, abs=1e-15)
-        assert summary.engine_tag == "conjugate"
-        assert summary.draws is None
+        assert conjugate_mean(prior, 10, 40) == pytest.approx(11 / 42, abs=1e-15)
 
     def test_boundary_heavy_data(self, prior):
-        assert posterior_conjugate(CellCounts(40, 40), prior).mean_event_prob == pytest.approx(
-            41 / 42, abs=1e-15
-        )
+        assert conjugate_mean(prior, 40, 40) == pytest.approx(41 / 42, abs=1e-15)
 
     @given(events=st.integers(0, 500), trials=st.integers(0, 500))
     def test_event_monotonicity(self, events, trials):
         trials = max(events, trials)
         prior = PriorSpec()
-        base = posterior_conjugate(CellCounts(events, trials), prior).mean_event_prob
-        with_event = posterior_conjugate(CellCounts(events + 1, trials + 1), prior).mean_event_prob
-        with_nonevent = posterior_conjugate(CellCounts(events, trials + 1), prior).mean_event_prob
-        assert with_event > base
-        assert with_nonevent < base
+        base = conjugate_mean(prior, events, trials)
+        assert conjugate_mean(prior, events + 1, trials + 1) > base
+        assert conjugate_mean(prior, events, trials + 1) < base
 
     def test_custom_prior(self):
         prior = PriorSpec(conjugate_alpha=2.0, conjugate_beta=8.0)
-        assert posterior_conjugate(CellCounts(0, 0), prior).mean_event_prob == pytest.approx(0.2)
+        assert conjugate_mean(prior, 0, 0) == pytest.approx(0.2)
 
 
 class TestLinearPredictor:
+    """The linear predictor is the design matrix times the coefficients."""
+
     def test_stage1_zero_coefficients(self):
-        coeffs = CoefficientVector(stage=1, values=(0.0, 0.0))
-        assert linear_predictor(coeffs, History.first_stage(), 1) == 0.0
+        assert np.all(_design_matrix(2) @ np.zeros(2) == 0.0)
 
     def test_stage2_dynamic_full_interaction(self):
-        coeffs = CoefficientVector(stage=2, values=(-1.0, 0.5, 0.25, -0.75))
-        assert linear_predictor(coeffs, History.second_stage(1), 1) == pytest.approx(-1.0)
+        # cell (a1, a2) = (1, 1) sits at flat index 3
+        eta = _design_matrix(4) @ np.array([-1.0, 0.5, 0.25, -0.75])
+        assert eta[3] == pytest.approx(-1.0)
 
     def test_stage2_myopic_intercept_only(self):
-        coeffs = CoefficientVector(stage=2, values=(-1.0, 0.5))
-        assert linear_predictor(coeffs, History.second_stage_pooled(), 0) == pytest.approx(-1.0)
+        eta = _design_matrix(2) @ np.array([-1.0, 0.5])
+        assert eta[0] == pytest.approx(-1.0)
 
-    def test_shape_mismatch_rejected(self):
-        coeffs = CoefficientVector(stage=2, values=(-1.0, 0.5))
+    def test_shape_mismatch_rejected(self, prior):
         with pytest.raises(ValueError):
-            linear_predictor(coeffs, History.second_stage(1), 0)
-        stage1 = CoefficientVector(stage=1, values=(0.0, 0.0))
+            posterior_mcmc([0, 0, 0], [1, 1, 1], prior)
         with pytest.raises(ValueError):
-            linear_predictor(stage1, History.second_stage(0), 0)
+            posterior_mcmc([0, 0], [1, 1, 1, 1], prior)
 
     def test_vector_length_validated(self):
         with pytest.raises(ValueError):
-            CoefficientVector(stage=1, values=(0.0, 0.0, 0.0))
+            _design_matrix(3)
 
 
-RECORDS = [
-    PatientRecord(0, 1, 1, 0, 1.0),
-    PatientRecord(0, 0, None, None, 1.0),
-    PatientRecord(1, 1, 1, 1, 0.0),
-]
+def _row_counts(records) -> list[int]:
+    """Terminal-row counts in ``UTILITY_ROW_KEYS`` order from (a1, y1, a2, y2)."""
+    counts = [0] * 10
+    for a1, y1, a2, y2 in records:
+        counts[2 + 4 * a1 + 2 * a2 + y2 if y1 else a1] += 1
+    return counts
+
+
+RECORDS = [(0, 1, 1, 0), (0, 0, None, None), (1, 1, 1, 1)]
 
 
 class TestAccumulate:
     def test_empty_records(self):
-        stage1, stage2 = accumulate([], myopic_m=0)
-        assert all(c == CellCounts(0, 0) for c in stage1.cells.values())
-        assert all(c == CellCounts(0, 0) for c in stage2.cells.values())
-        assert len(stage2.cells) == 4
+        for m, cells in ((0, 4), (1, 2)):
+            events1, trials1, events2, trials2 = _sufficient_stats([0] * 10, m)
+            assert list(events1) == list(trials1) == [0, 0]
+            assert list(events2) == list(trials2) == [0] * cells
 
     def test_hand_counted_dynamic(self):
-        stage1, stage2 = accumulate(RECORDS, myopic_m=0)
-        h1 = History.first_stage()
-        assert stage1.cells[(h1, 0)] == CellCounts(events=1, trials=2)
-        assert stage1.cells[(h1, 1)] == CellCounts(events=1, trials=1)
-        assert stage2.cells[(History.second_stage(0), 1)] == CellCounts(events=0, trials=1)
-        assert stage2.cells[(History.second_stage(1), 1)] == CellCounts(events=1, trials=1)
-        assert stage2.cells[(History.second_stage(0), 0)] == CellCounts(0, 0)
+        events1, trials1, events2, trials2 = _sufficient_stats(_row_counts(RECORDS), 0)
+        assert (list(events1), list(trials1)) == ([1, 1], [2, 1])
+        assert (list(events2), list(trials2)) == ([0, 0, 0, 1], [0, 1, 0, 1])
 
     def test_hand_counted_pooled(self):
-        _, stage2 = accumulate(RECORDS, myopic_m=1)
-        pooled = History.second_stage_pooled()
-        assert len(stage2.cells) == 2
-        assert stage2.cells[(pooled, 1)] == CellCounts(events=1, trials=2)
-        assert stage2.cells[(pooled, 0)] == CellCounts(0, 0)
+        _, _, events2, trials2 = _sufficient_stats(_row_counts(RECORDS), 1)
+        assert (list(events2), list(trials2)) == ([0, 1], [0, 2])
 
     def test_stage2_trials_equal_infections(self):
-        stage1, stage2 = accumulate(RECORDS, myopic_m=0)
-        infected = sum(c.events for c in stage1.cells.values())
-        assert stage2.total_trials() == infected
+        events1, _, _, trials2 = _sufficient_stats(_row_counts(RECORDS), 0)
+        assert sum(trials2) == sum(events1)
 
     @given(
         data=st.lists(
@@ -130,79 +109,61 @@ class TestAccumulate:
         )
     )
     def test_pooling_consistency(self, data):
-        records = [
-            PatientRecord(a1, y1, a2 if y1 else None, y2 if y1 else None, 1.0 - (y1 and y2))
-            for a1, y1, a2, y2 in data
-        ]
-        _, dynamic = accumulate(records, myopic_m=0)
-        _, pooled = accumulate(records, myopic_m=1)
-        pooled_h = History.second_stage_pooled()
+        counts = _row_counts(data)
+        _, _, events2, trials2 = _sufficient_stats(counts, 0)
+        _, _, pooled_events, pooled_trials = _sufficient_stats(counts, 1)
         for a2 in (0, 1):
-            total_events = sum(dynamic.cells[(History.second_stage(a1), a2)].events for a1 in (0, 1))
-            total_trials = sum(dynamic.cells[(History.second_stage(a1), a2)].trials for a1 in (0, 1))
-            assert pooled.cells[(pooled_h, a2)] == CellCounts(total_events, total_trials)
-
-
-def _stage1_data(counts0: CellCounts, counts1: CellCounts) -> StageData:
-    h1 = History.first_stage()
-    return StageData(stage=1, cells={(h1, 0): counts0, (h1, 1): counts1})
+            assert pooled_events[a2] == events2[a2] + events2[2 + a2]
+            assert pooled_trials[a2] == trials2[a2] + trials2[2 + a2]
 
 
 class TestMcmc:
     def test_seeded_determinism(self, prior):
-        data = _stage1_data(CellCounts(50, 200), CellCounts(50, 200))
-        a = posterior_mcmc(data, prior, seed=99)
-        b = posterior_mcmc(data, prior, seed=99)
+        a = posterior_mcmc([50, 50], [200, 200], prior, seed=99)
+        b = posterior_mcmc([50, 50], [200, 200], prior, seed=99)
         for key in a.cells:
-            assert a.cells[key].draws == b.cells[key].draws
-        different = posterior_mcmc(data, prior, seed=100)
-        assert any(a.cells[k].draws != different.cells[k].draws for k in a.cells)
+            assert np.array_equal(a.cells[key].draws, b.cells[key].draws)
+        different = posterior_mcmc([50, 50], [200, 200], prior, seed=100)
+        assert any(
+            not np.array_equal(a.cells[k].draws, different.cells[k].draws) for k in a.cells
+        )
 
     def test_draw_count_and_tag(self, prior):
-        data = _stage1_data(CellCounts(5, 20), CellCounts(2, 20))
-        res = posterior_mcmc(data, prior, chains=4, warmup=200, sampling=250, seed=0)
+        res = posterior_mcmc([5, 2], [20, 20], prior, chains=4, warmup=200, sampling=250, seed=0)
+        assert list(res.cells) == [0, 1]
         for summary in res.cells.values():
-            assert summary.engine_tag == "mcmc"
             assert len(summary.draws) == 4 * 250
 
     def test_large_sample_agreement_with_conjugate(self, prior):
-        data = _stage1_data(CellCounts(50, 200), CellCounts(50, 200))
-        res = posterior_mcmc(data, prior, seed=7)
-        oracle = posterior_conjugate(CellCounts(50, 200), prior).mean_event_prob
+        res = posterior_mcmc([50, 50], [200, 200], prior, seed=7)
+        oracle = conjugate_mean(prior, 50, 200)
         for summary in res.cells.values():
             assert abs(summary.mean_event_prob - oracle) < 0.03
             assert abs(summary.mean_event_prob - 0.25) < 0.03
 
     def test_empty_data_returns_prior_pushforward(self, prior):
-        data = _stage1_data(CellCounts(0, 0), CellCounts(0, 0))
-        res = posterior_mcmc(data, prior, seed=3)
+        res = posterior_mcmc([0, 0], [0, 0], prior, seed=3)
         # inverse-logit of Normal(0, 2.5) is symmetric about 0.5
         for summary in res.cells.values():
             assert abs(summary.mean_event_prob - 0.5) < 0.03
 
     def test_rhat_reported_and_small(self, prior):
-        data = _stage1_data(CellCounts(80, 300), CellCounts(40, 300))
-        res = posterior_mcmc(data, prior, seed=11)
+        res = posterior_mcmc([80, 40], [300, 300], prior, seed=11)
         assert len(res.rhat) == 2
         assert max(res.rhat) <= 1.05
         assert res.warnings == ()
 
     def test_dynamic_stage2_model(self, prior):
-        cells = {
-            (History.second_stage(a1), a2): CellCounts(10 + 5 * a1 + 3 * a2, 60)
-            for a1 in (0, 1)
-            for a2 in (0, 1)
-        }
-        res = posterior_mcmc(StageData(stage=2, cells=cells), prior, seed=21)
+        events = [10 + 5 * a1 + 3 * a2 for a1 in (0, 1) for a2 in (0, 1)]
+        res = posterior_mcmc(events, [60] * 4, prior, seed=21)
         assert len(res.rhat) == 4
         assert len(res.cells) == 4
 
     def test_invalid_iteration_counts(self, prior):
-        data = _stage1_data(CellCounts(0, 0), CellCounts(0, 0))
         with pytest.raises(ValueError):
-            posterior_mcmc(data, prior, chains=0)
+            posterior_mcmc([0, 0], [0, 0], prior, chains=0)
         with pytest.raises(ValueError):
-            posterior_mcmc(data, prior, sampling=0)
+            posterior_mcmc([0, 0], [0, 0], prior, sampling=0)
 
 
 class TestSplitChainRhat:
@@ -221,15 +182,13 @@ class TestSplitChainRhat:
 
 
 class TestPosteriorSummary:
-    def test_mean_must_match_draws(self):
-        PosteriorSummary(mean_event_prob=0.5, engine_tag="mcmc", draws=(0.4, 0.6))
-        with pytest.raises(ValueError):
-            PosteriorSummary(mean_event_prob=0.7, engine_tag="mcmc", draws=(0.4, 0.6))
+    def test_mean_must_match_draws(self, prior):
+        res = posterior_mcmc([30, 5, 12, 0], [60, 60, 40, 10], prior, seed=5)
+        for summary in res.cells.values():
+            assert summary.mean_event_prob == pytest.approx(np.mean(summary.draws), abs=1e-12)
 
-    def test_conjugate_has_no_draws(self):
-        with pytest.raises(ValueError):
-            PosteriorSummary(mean_event_prob=0.5, engine_tag="conjugate", draws=(0.5,))
-
-    def test_open_interval(self):
-        with pytest.raises(ValueError):
-            PosteriorSummary(mean_event_prob=0.0, engine_tag="conjugate")
+    def test_open_interval(self, prior):
+        # both engines keep every mean strictly inside (0, 1)
+        assert 0.0 < conjugate_mean(prior, 0, 10_000) < conjugate_mean(prior, 10_000, 10_000) < 1.0
+        res = posterior_mcmc([0, 500], [500, 500], prior, seed=6)
+        assert all(0.0 < s.mean_event_prob < 1.0 for s in res.cells.values())

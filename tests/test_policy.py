@@ -1,140 +1,87 @@
-"""Q-function, backward-induction and oracle-equivalence contracts."""
+"""Q-value kernels, the simulator's means -> Q -> allocation glue, and the
+enumeration oracle that c4 compares them against."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smartrar import (
-    History,
-    PosteriorSummary,
-    UtilityTable,
-    brute_force_value,
-    optimal_policy,
-    q_stage1,
-    q_stage2,
-)
+from smartrar import DesignConfig, UtilityTable, q1_value, q2_value
+from smartrar.simulator import _allocate, _q_values
+
+from test_acceptance import enumerated_stage1_values
 
 probs = st.floats(min_value=1e-6, max_value=1.0 - 1e-6, allow_nan=False)
 utilities = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
 
-
-def conj(mean: float) -> PosteriorSummary:
-    return PosteriorSummary(mean_event_prob=mean, engine_tag="conjugate")
-
-
-def stage1_posteriors(p0: float, p1: float):
-    return {0: conj(p0), 1: conj(p1)}
-
-
-def stage2_posteriors(means: dict[tuple[int, int], float]):
-    return {
-        (History.second_stage(a1), a2): conj(means[(a1, a2)])
-        for a1 in (0, 1)
-        for a2 in (0, 1)
-    }
-
-
-def uniform_stage2(mean: float):
-    return stage2_posteriors({(a1, a2): mean for a1 in (0, 1) for a2 in (0, 1)})
+# Stage-two means at flat index 2 a1 + a2: survival after arm 0 is likely,
+# after arm 1 unlikely.
+SPLIT_DEATH = (0.05, 0.05, 0.95, 0.95)
 
 
 def random_table(draw_values: list[float]) -> UtilityTable:
-    keys = [
-        "uninfected_a1_0",
-        "uninfected_a1_1",
-        "survived_a1_0_a2_0",
-        "died_a1_0_a2_0",
-        "survived_a1_0_a2_1",
-        "died_a1_0_a2_1",
-        "survived_a1_1_a2_0",
-        "died_a1_1_a2_0",
-        "survived_a1_1_a2_1",
-        "died_a1_1_a2_1",
-    ]
+    keys = list(UtilityTable.default().entries())
     return UtilityTable.from_entries(dict(zip(keys, draw_values)))
+
+
+def allocate(mean1, mean2, table: UtilityTable, m: int, c: float = 1.0):
+    """``_allocate`` with the stage-two layout ``run_trial`` uses for flag m."""
+    u2 = table.pooled_stage2() if m else table.stage2[0] + table.stage2[1]
+    if m:
+        mean2 = mean2[:2]
+    return _allocate(mean1, mean2, table.stage1_alive, u2, DesignConfig(myopic_m=m, adapt_c=c))
+
+
+def dynamic_q1(mean1, mean2, table: UtilityTable) -> list[float]:
+    """Stage-one Q-values of a dynamic design, as ``run_trial`` computes them."""
+    u2 = table.stage2[0] + table.stage2[1]
+    return _q_values(mean1, mean2, table.stage1_alive, u2, myopic_m=0)[0]
 
 
 class TestQStage2:
     def test_prior_only_cell(self, default_table):
-        q = q_stage2(uniform_stage2(0.5), default_table)
-        assert all(qv.value == pytest.approx(0.5) for qv in q.values())
+        assert q2_value(*default_table.stage2[0][0], 0.5) == pytest.approx(0.5)
 
     def test_conjugate_mean_cell(self, default_table):
-        q = q_stage2(uniform_stage2(11 / 42), default_table)
-        assert q[(History.second_stage(0), 0)].value == pytest.approx(31 / 42)
+        assert q2_value(*default_table.stage2[0][0], 11 / 42) == pytest.approx(31 / 42)
 
     def test_general_utilities(self):
-        table = UtilityTable.from_entries(
-            {f"survived_a1_{a1}_a2_{a2}": 0.8 for a1 in (0, 1) for a2 in (0, 1)}
-            | {f"died_a1_{a1}_a2_{a2}": 0.1 for a1 in (0, 1) for a2 in (0, 1)}
-        )
-        q = q_stage2(uniform_stage2(0.25), table)
-        assert q[(History.second_stage(1), 1)].value == pytest.approx(0.625)
-
-    def test_rejects_stage1_history(self, default_table):
-        with pytest.raises(ValueError):
-            q_stage2({(History.first_stage(), 0): conj(0.5)}, default_table)
+        assert q2_value(0.8, 0.1, 0.25) == pytest.approx(0.625)
 
 
 class TestQStage1:
-    def test_myopic_drops_continuation(self, default_table):
-        q = q_stage1(stage1_posteriors(0.2, 0.2), {}, default_table, myopic_m=1)
-        assert q[0].value == pytest.approx(0.8)
-        assert q[1].value == pytest.approx(0.8)
+    def test_myopic_drops_continuation(self):
+        assert q1_value(1.0, 0.2, 0.0) == pytest.approx(0.8)
 
-    def test_dynamic_continuation(self, default_table):
-        s2q = q_stage2(uniform_stage2(0.2), default_table)  # Q2 = 0.8 everywhere
-        q = q_stage1(stage1_posteriors(0.2, 0.2), s2q, default_table, myopic_m=0)
-        assert q[0].value == pytest.approx(0.8 + 0.8 * 0.2)
+    def test_dynamic_continuation(self):
+        assert q1_value(1.0, 0.2, q2_value(1.0, 0.0, 0.2)) == pytest.approx(0.8 + 0.8 * 0.2)
 
-    def test_certain_infection_reduces_to_continuation(self, default_table):
-        s2q = q_stage2(uniform_stage2(0.45), default_table)  # Q2 = 0.55
-        q = q_stage1(stage1_posteriors(1.0 - 1e-12, 0.5), s2q, default_table, myopic_m=0)
-        assert q[0].value == pytest.approx(0.55, abs=1e-9)
-
-    def test_missing_stage2_cell_rejected(self, default_table):
-        with pytest.raises(ValueError):
-            q_stage1(stage1_posteriors(0.2, 0.2), {}, default_table, myopic_m=0)
+    def test_certain_infection_reduces_to_continuation(self):
+        continuation = q2_value(1.0, 0.0, 0.45)
+        assert q1_value(1.0, 1.0 - 1e-12, continuation) == pytest.approx(0.55, abs=1e-9)
 
 
 class TestOptimalPolicy:
-    def test_ties_break_toward_control(self, default_table):
-        snap = optimal_policy(
-            stage1_posteriors(0.5, 0.5), uniform_stage2(0.5), default_table, myopic_m=0
-        )
-        assert snap.stage1_opt == 0
-        assert all(a == 0 for a in snap.stage2_opt.values())
-
     def test_dynamic_example(self, default_table):
-        posteriors2 = stage2_posteriors({(0, 0): 0.05, (0, 1): 0.05, (1, 0): 0.95, (1, 1): 0.95})
-        snap = optimal_policy(
-            stage1_posteriors(0.5, 0.45), posteriors2, default_table, myopic_m=0
-        )
-        assert snap.stage1_q[0].value == pytest.approx(0.975)
-        assert snap.stage1_q[1].value == pytest.approx(0.5725)
-        assert snap.stage1_opt == 0
+        # Q1 = (0.975, 0.5725), so stage one leans to arm 0
+        p1, p2 = allocate((0.5, 0.45), SPLIT_DEATH, default_table, m=0)
+        assert p1[0] == pytest.approx(0.975 / (0.975 + 0.5725))
+        assert p2 == ((0.5, 0.5), (0.5, 0.5))
 
     def test_myopic_reversal(self, default_table):
-        posteriors2 = stage2_posteriors({(0, 0): 0.05, (0, 1): 0.05, (1, 0): 0.95, (1, 1): 0.95})
-        snap = optimal_policy(
-            stage1_posteriors(0.5, 0.45), posteriors2, default_table, myopic_m=1
-        )
-        assert snap.stage1_q[0].value == pytest.approx(0.5)
-        assert snap.stage1_q[1].value == pytest.approx(0.55)
-        assert snap.stage1_opt == 1
+        # the myopic Q1 = (0.5, 0.55) leans to arm 1, the more fatal arm
+        p1, p2 = allocate((0.5, 0.45), SPLIT_DEATH, default_table, m=1)
+        assert p1[1] == pytest.approx(0.55 / 1.05)
+        assert len(p2) == 1
 
 
 class TestBruteForceOracle:
     def test_known_values(self, default_table):
-        posteriors2 = stage2_posteriors({(0, 0): 0.05, (0, 1): 0.05, (1, 0): 0.95, (1, 1): 0.95})
-        values = brute_force_value(stage1_posteriors(0.5, 0.45), posteriors2, default_table)
+        values = enumerated_stage1_values((0.5, 0.45), SPLIT_DEATH, default_table)
         assert values[0] == pytest.approx(0.975)
         assert values[1] == pytest.approx(0.5725)
 
     def test_degenerate_no_infection(self, default_table):
-        values = brute_force_value(
-            stage1_posteriors(1e-12, 1e-12), uniform_stage2(0.9), default_table
-        )
+        values = enumerated_stage1_values((1e-12, 1e-12), (0.9,) * 4, default_table)
         assert values[0] == pytest.approx(1.0, abs=1e-9)
 
     @given(
@@ -148,32 +95,21 @@ class TestBruteForceOracle:
     )
     def test_oracle_equivalence(self, p0, p1, m00, m01, m10, m11, table_values):
         table = random_table(table_values)
-        posteriors1 = stage1_posteriors(p0, p1)
-        posteriors2 = stage2_posteriors({(0, 0): m00, (0, 1): m01, (1, 0): m10, (1, 1): m11})
-        s2q = q_stage2(posteriors2, table)
-        induction = q_stage1(posteriors1, s2q, table, myopic_m=0)
-        oracle = brute_force_value(posteriors1, posteriors2, table)
+        mean2 = (m00, m01, m10, m11)
+        induction = dynamic_q1((p0, p1), mean2, table)
+        oracle = enumerated_stage1_values((p0, p1), mean2, table)
         for action in (0, 1):
-            assert abs(induction[action].value - oracle[action]) <= 1e-12
+            assert abs(induction[action] - oracle[action]) <= 1e-12
 
 
 class TestInvariants:
-    @given(p0=probs, p1=probs, mean=probs)
-    def test_linearity_reduction(self, p0, p1, mean):
-        # draws with the same mean leave every Q-value unchanged
-        table = UtilityTable.default()
-        plain = uniform_stage2(mean)
+    @given(mean=probs, table_values=st.lists(utilities, min_size=10, max_size=10))
+    def test_linearity_reduction(self, mean, table_values):
+        # averaging Q2 over draws with a given mean equals Q2 at that mean
+        alive, dead = random_table(table_values).stage2[1][0]
         delta = min(mean, 1.0 - mean) / 2
-        with_draws = {
-            key: PosteriorSummary(
-                mean_event_prob=mean, engine_tag="mcmc", draws=(mean - delta, mean + delta)
-            )
-            for key in plain
-        }
-        q_plain = q_stage2(plain, table)
-        q_draws = q_stage2(with_draws, table)
-        for key in q_plain:
-            assert abs(q_plain[key].value - q_draws[key].value) <= 1e-12
+        over_draws = (q2_value(alive, dead, mean - delta) + q2_value(alive, dead, mean + delta)) / 2
+        assert abs(over_draws - q2_value(alive, dead, mean)) <= 1e-12
 
     @given(
         p0=probs,
@@ -183,19 +119,18 @@ class TestInvariants:
     )
     def test_q_values_within_table_bounds(self, p0, p1, mean, table_values):
         table = random_table(table_values)
-        s2q = q_stage2(uniform_stage2(mean), table)
-        q1 = q_stage1(stage1_posteriors(p0, p1), s2q, table, myopic_m=0)
-        lo, hi = table.min_entry(), table.max_entry()
-        for qv in list(s2q.values()) + list(q1.values()):
-            assert lo - 1e-12 <= qv.value <= hi + 1e-12
+        u2 = table.stage2[0] + table.stage2[1]
+        q1, q2 = _q_values((p0, p1), (mean,) * 4, table.stage1_alive, u2, myopic_m=0)
+        lo, hi = min(table_values), max(table_values)
+        for value in q2 + q1:
+            assert lo - 1e-12 <= value <= hi + 1e-12
 
     @given(p0=probs, p1=probs, m_a=probs, m_b=probs)
     def test_myopic_invariant_to_stage2(self, p0, p1, m_a, m_b):
         table = UtilityTable.default()
-        q_a = q_stage1(stage1_posteriors(p0, p1), q_stage2(uniform_stage2(m_a), table), table, 1)
-        q_b = q_stage1(stage1_posteriors(p0, p1), q_stage2(uniform_stage2(m_b), table), table, 1)
-        for action in (0, 1):
-            assert q_a[action].value == q_b[action].value
+        stage1_a, _ = allocate((p0, p1), (m_a,) * 4, table, m=1)
+        stage1_b, _ = allocate((p0, p1), (m_b,) * 4, table, m=1)
+        assert stage1_a == stage1_b
 
     @given(
         p0=probs,
@@ -205,19 +140,21 @@ class TestInvariants:
         m10=probs,
         m11=probs,
         table_values=st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=10, max_size=10),
-        # powers of two scale exactly in binary floating point, so the
-        # decision-invariance claim holds without tie-rounding caveats
+        # powers of two scale exactly in binary floating point, so with
+        # c in {0, 1} the allocations match exactly, not just to rounding
         lam=st.sampled_from([0.25, 0.5, 2.0, 8.0]),
         m=st.integers(0, 1),
+        c=st.sampled_from([0.0, 1.0]),
     )
     def test_argmax_invariant_under_positive_scaling(
-        self, p0, p1, m00, m01, m10, m11, table_values, lam, m
+        self, p0, p1, m00, m01, m10, m11, table_values, lam, m, c
     ):
-        table = random_table(table_values)
-        scaled = random_table([lam * v for v in table_values])
-        posteriors1 = stage1_posteriors(p0, p1)
-        posteriors2 = stage2_posteriors({(0, 0): m00, (0, 1): m01, (1, 0): m10, (1, 1): m11})
-        snap = optimal_policy(posteriors1, posteriors2, table, m)
-        snap_scaled = optimal_policy(posteriors1, posteriors2, scaled, m)
-        assert snap.stage1_opt == snap_scaled.stage1_opt
-        assert snap.stage2_opt == snap_scaled.stage2_opt
+        # the utility scale has no effect on any allocation, so none on
+        # which arm is favoured
+        mean2 = (m00, m01, m10, m11)
+        values = list(table_values)
+        if m:
+            values[6:10] = values[2:6]  # a table a myopic design can pool
+        table = random_table(values)
+        scaled = random_table([lam * v for v in values])
+        assert allocate((p0, p1), mean2, table, m, c) == allocate((p0, p1), mean2, scaled, m, c)

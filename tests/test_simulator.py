@@ -8,8 +8,6 @@ import pytest
 from smartrar import (
     ConfigurationError,
     DesignConfig,
-    History,
-    InterimSchedule,
     Scenario,
     UtilityTable,
     run_trial,
@@ -60,8 +58,8 @@ class TestGeneratePatient:
     def test_provider_sees_dynamic_history(self):
         scenario = Scenario(1.0, 1.0, 0.5, 0.5)
         seen = []
-        generate_patient(scenario, 1, lambda h: seen.append(h) or 0, rng(3))
-        assert seen == [History.second_stage(1)]
+        generate_patient(scenario, 1, lambda a1: seen.append(a1) or 0, rng(3))
+        assert seen == [1]
 
     def test_empirical_infection_rate(self):
         g = rng(12345)
@@ -88,21 +86,25 @@ class TestGeneratePatient:
 
 
 class TestInterimSchedule:
+    """Equal cohorts, with adaptation after every analysis but the last."""
+
     def test_from_design_defaults(self):
-        schedule = InterimSchedule.from_design(DesignConfig(myopic_m=0, adapt_c=1.0))
-        assert schedule.cohort_size == 500
-        assert schedule.num_analyses == 4
-        assert schedule.adapt_at == frozenset({1, 2, 3})
+        design = DesignConfig(myopic_m=0, adapt_c=1.0, seed=2)
+        result = run_trial(PROSE_SCENARIO, design, keep_records=True)
+        assert [s.analysis for s in result.per_interim_alloc] == [1, 2, 3]
+        assert len(result.patient_records) == 2000
 
     def test_final_analysis_never_adapts(self):
-        with pytest.raises(ValueError):
-            InterimSchedule(cohort_size=500, num_analyses=4, adapt_at=frozenset({4}))
+        for interims in (2, 5):
+            design = DesignConfig(
+                myopic_m=1, adapt_c=1.0, max_patients=500, num_interims=interims, seed=4
+            )
+            snapshots = run_trial(PROSE_SCENARIO, design).per_interim_alloc
+            assert [s.analysis for s in snapshots] == list(range(1, interims))
 
     def test_single_cohort_design(self):
-        schedule = InterimSchedule.from_design(
-            DesignConfig(myopic_m=0, adapt_c=0.0, max_patients=600, num_interims=1)
-        )
-        assert schedule.adapt_at == frozenset()
+        design = DesignConfig(myopic_m=0, adapt_c=0.0, max_patients=600, num_interims=1)
+        assert run_trial(PROSE_SCENARIO, design).per_interim_alloc == ()
 
 
 class TestRunTrial:
@@ -141,9 +143,8 @@ class TestRunTrial:
             result = run_trial(PROSE_SCENARIO, design)
             assert len(result.per_interim_alloc) == 3
             for snapshot in result.per_interim_alloc:
-                assert snapshot.stage1.probs == {0: 0.5, 1: 0.5}
-                for alloc in snapshot.stage2:
-                    assert alloc.probs == {0: 0.5, 1: 0.5}
+                assert snapshot.stage1 == (0.5, 0.5)
+                assert snapshot.stage2 == ((0.5, 0.5),) * (2 - m)
 
     def test_fixed_designs_coincide_at_equal_seed(self):
         # with c = 0 the myopic flag cannot influence outcomes, so the two
@@ -171,38 +172,37 @@ class TestRunTrial:
         scenario = Scenario(0.5, 0.5, 0.05, 0.95)
         design = DesignConfig(myopic_m=0, adapt_c=1.0, seed=3)
         result = run_trial(scenario, design)
-        assert result.per_interim_alloc[-1].stage1.prob(0) > 0.5
+        assert result.per_interim_alloc[-1].stage1[0] > 0.5
 
     def test_adaptive_myopic_blind_to_death_rates(self):
         # equal infection rates: myopic stage-1 allocation stays near 0.5
         scenario = Scenario(0.5, 0.5, 0.05, 0.95)
         design = DesignConfig(myopic_m=1, adapt_c=1.0, seed=3)
         result = run_trial(scenario, design)
-        assert result.per_interim_alloc[-1].stage1.prob(0) == pytest.approx(0.5, abs=0.05)
+        assert result.per_interim_alloc[-1].stage1[0] == pytest.approx(0.5, abs=0.05)
 
     def test_myopic_snapshot_pools_stage2(self):
         design = DesignConfig(myopic_m=1, adapt_c=1.0, seed=9)
         result = run_trial(PROSE_SCENARIO, design)
         for snapshot in result.per_interim_alloc:
             assert len(snapshot.stage2) == 1
-            assert snapshot.stage2[0].history == History.second_stage_pooled()
 
     def test_dynamic_snapshot_has_both_histories(self):
+        # one stage-two pair per stage-one arm, each fit to its own cells
         design = DesignConfig(myopic_m=0, adapt_c=1.0, seed=9)
-        result = run_trial(PROSE_SCENARIO, design)
+        scenario = Scenario(0.5, 0.5, 0.05, 0.95)
+        table = UtilityTable.from_entries({"survived_a1_1_a2_1": 0.5})
+        result = run_trial(scenario, design, utilities=table)
         for snapshot in result.per_interim_alloc:
-            assert [a.history for a in snapshot.stage2] == [
-                History.second_stage(0),
-                History.second_stage(1),
-            ]
+            assert len(snapshot.stage2) == 2
+            assert snapshot.stage2[0] != snapshot.stage2[1]
 
     def test_snapshot_probabilities_sum_to_one(self):
         design = DesignConfig(myopic_m=0, adapt_c=1.0, seed=23)
         result = run_trial(Scenario(0.8, 0.6, 0.9, 0.2), design)
         for snapshot in result.per_interim_alloc:
-            assert abs(sum(snapshot.stage1.probs.values()) - 1.0) <= 1e-12
-            for alloc in snapshot.stage2:
-                assert abs(sum(alloc.probs.values()) - 1.0) <= 1e-12
+            for pair in (snapshot.stage1, *snapshot.stage2):
+                assert abs(sum(pair) - 1.0) <= 1e-12
 
     def test_general_utility_table(self):
         # intermediate utilities flow into realized utility and u_bar
@@ -235,8 +235,8 @@ class TestRunTrial:
                 myopic_m=0, adapt_c=1.0, max_patients=400, num_interims=4, engine="mcmc", seed=3
             ),
         )
-        assert conjugate.per_interim_alloc[-1].stage1.prob(0) > 0.5
-        assert mcmc.per_interim_alloc[-1].stage1.prob(0) > 0.5
+        assert conjugate.per_interim_alloc[-1].stage1[0] > 0.5
+        assert mcmc.per_interim_alloc[-1].stage1[0] > 0.5
 
     def test_records_are_a_pure_observer(self):
         scenario = Scenario(0.6, 0.4, 0.3, 0.7)
@@ -336,7 +336,7 @@ class TestCountLevelParity:
             ]
             samples[engine] = (
                 np.array([t.mean_utility for t in trials]),
-                np.array([t.per_interim_alloc[-1].stage1.prob(1) for t in trials]),
+                np.array([t.per_interim_alloc[-1].stage1[1] for t in trials]),
             )
         (u_count, p_count), (u_ref, p_ref) = samples[0], samples[1]
         mean_c, mean_se_c, var_c, var_se_c = _mean_and_var_se(u_count)
