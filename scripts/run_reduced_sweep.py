@@ -16,16 +16,16 @@ from smartrar import (
     run_sweep,
     canonical_designs,
 )
-from smartrar.cli import write_sweep_csvs, fmt_real
+from smartrar.cli import write_relative_csv, write_sweep_csvs
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="reduced_sweep_output")
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--replicates", type=int, default=10)
     parser.add_argument("--threads", type=int, default=None)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     result = run_sweep(
         SweepConfig(
@@ -41,16 +41,8 @@ def main() -> int:
     write_sweep_csvs(out_dir, result)
 
     for m in (0, 1):
-        rows = [r for r in result.relative if r.myopic_m == m]
-        lines = ["r0,r1,s0,s1,m,rel_u"]
-        lines.extend(
-            f"{fmt_real(r.scenario.r0)},{fmt_real(r.scenario.r1)},"
-            f"{fmt_real(r.scenario.s0)},{fmt_real(r.scenario.s1)},{m},{fmt_real(r.rel_u)}"
-            for r in rows
-        )
-        (out_dir / f"rel_u_m{m}_long.csv").write_text("\n".join(lines) + "\n", newline="\n")
-
-        values = [r.rel_u for r in rows]
+        write_relative_csv(out_dir / f"rel_u_m{m}_long.csv", result.relative, m)
+        values = [rel_u for (_, row_m), rel_u in result.relative.items() if row_m == m]
         label = "dynamic" if m == 0 else "myopic"
         print(
             f"{label} adaptation: min rel = {min(values):.4f}, "

@@ -36,16 +36,11 @@ from .inference import (
 from .policy import q1_value, q2_value
 from .simulator import ENGINE_IMPLEMENTATION, InterimSnapshot, run_trial, true_value
 from .sweep import (
-    MatrixBundle,
-    MatrixPanel,
-    RelativeRow,
     SweepConfig,
     SweepError,
     SweepResult,
     SweepRow,
-    IncompleteGridError,
-    figure_matrix,
-    matrix_bundle_from_cells,
+    relative_utility,
     run_sweep,
     trial_seed,
 )

@@ -6,11 +6,12 @@ and are byte-stable across runs with identical inputs and seeds.
 
 Every command accepts ``--config FILE`` pointing at a flat INI-style file
 whose section matches the command and whose keys mirror the flags
-one-to-one (e.g. ``[sweep]`` with ``base-seed = 7``); explicit flags
-override file values. A ``[utilities]`` section may override any of the
-ten utility-table rows by name. ``--threads`` and ``--out-dir`` can also
-be set through the SMARTRAR_THREADS and SMARTRAR_OUT_DIR environment
-variables (flags win over the environment, which wins over the file).
+one-to-one (e.g. ``[sweep]`` with ``base-seed = 7``; any other key is an
+error); explicit flags override file values. A ``[utilities]`` section
+may override any of the ten utility-table rows by name. ``--threads`` and
+``--out-dir`` can also be set through the SMARTRAR_THREADS and
+SMARTRAR_OUT_DIR environment variables (flags win over the environment,
+which wins over the file).
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import product
 from pathlib import Path
+from typing import Mapping
 
 from . import __version__
 from .core import (
@@ -37,11 +39,10 @@ from .core import (
 )
 from .simulator import ENGINE_IMPLEMENTATION, run_trial
 from .sweep import (
-    IncompleteGridError,
     SweepConfig,
     SweepError,
     check_utilities,
-    matrix_bundle_from_cells,
+    relative_utility,
     run_sweep,
 )
 
@@ -67,44 +68,23 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record for one command invocation."""
-
-    command: str
-    tool_version: str
-    engine_implementation: str
-    created_utc: str
-    config: tuple[tuple[str, str], ...]
-    outputs: tuple[tuple[str, str], ...]  # (filename, sha256)
-
-    def render(self) -> str:
-        lines = [
-            f"tool_version = {self.tool_version}",
-            f"engine_implementation = {self.engine_implementation}",
-            f"command = {self.command}",
-            f"created_utc = {self.created_utc}",
-            "",
-            "[config]",
-        ]
-        lines.extend(f"{key} = {value}" for key, value in self.config)
-        lines.append("")
-        lines.append("[outputs]")
-        lines.extend(f"{name} = sha256:{digest}" for name, digest in self.outputs)
-        return "\n".join(lines) + "\n"
-
-
 def write_manifest(out_dir: Path, command: str, config: dict[str, str], files: list[Path]) -> Path:
-    manifest = RunManifest(
-        command=command,
-        tool_version=__version__,
-        engine_implementation=ENGINE_IMPLEMENTATION,
-        created_utc=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        config=tuple(sorted(config.items())),
-        outputs=tuple((f.name, _sha256(f)) for f in files),
-    )
+    """Reproducibility record for one command invocation: versions, engine,
+    command, config and the sha256 of every output file."""
+    lines = [
+        f"tool_version = {__version__}",
+        f"engine_implementation = {ENGINE_IMPLEMENTATION}",
+        f"command = {command}",
+        f"created_utc = {datetime.now(timezone.utc).strftime('%Y-%m-%dT%H:%M:%SZ')}",
+        "",
+        "[config]",
+    ]
+    lines.extend(f"{key} = {value}" for key, value in sorted(config.items()))
+    lines.append("")
+    lines.append("[outputs]")
+    lines.extend(f"{f.name} = sha256:{_sha256(f)}" for f in files)
     path = out_dir / MANIFEST_FILE
-    path.write_text(manifest.render(), newline="\n")
+    path.write_text("\n".join(lines) + "\n", newline="\n")
     return path
 
 
@@ -113,12 +93,28 @@ def write_manifest(out_dir: Path, command: str, config: dict[str, str], files: l
 # ----------------------------------------------------------------------
 
 
-def _load_config(path: str | None) -> configparser.ConfigParser:
+def _config_keys(parser: argparse.ArgumentParser) -> frozenset[str]:
+    """Keys a command's config section accepts: its long flags without the dashes."""
+    flags = (f for a in parser._actions if a.dest not in ("help", "config") for f in a.option_strings)
+    return frozenset(f[2:] for f in flags if f.startswith("--"))
+
+
+def _load_config(args: argparse.Namespace) -> configparser.ConfigParser:
+    """Read ``--config``; a key in the command's section that names none of
+    its flags is a ``ConfigurationError``."""
     parser = configparser.ConfigParser()
+    path = args.config
     if path is not None:
         read = parser.read(path)
         if not read:
             raise ConfigurationError(f"config file not found or unreadable: {path}")
+        if parser.has_section(args.command):
+            unknown = sorted(set(parser.options(args.command)) - args.config_keys)
+            if unknown:
+                raise ConfigurationError(
+                    f"{path}: unknown key(s) {', '.join(unknown)} in [{args.command}]; "
+                    f"expected any of {', '.join(sorted(args.config_keys))}"
+                )
     return parser
 
 
@@ -174,7 +170,7 @@ def _write_allocations_csv(path: Path, result) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     section = "simulate"
     r0 = _resolve(args.r0, cfg, section, "r0", 0.0, float)
     r1 = _resolve(args.r1, cfg, section, "r1", 0.0, float)
@@ -278,7 +274,7 @@ def write_sweep_csvs(out_dir: Path, result) -> list[Path]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     section = "sweep"
     grid = _resolve(args.grid, cfg, section, "grid", "reduced", str)
     designs_spec = _resolve(args.designs, cfg, section, "designs", "all", str)
@@ -341,29 +337,74 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _read_aggregate(path: Path) -> list[tuple[float, float, float, float, int, float, float]]:
+def _read_aggregate(path: Path, m: int) -> dict[tuple[Scenario, int, float], float]:
+    """(scenario, m, c) -> u_bar_bar for the aggregate rows with myopic flag ``m``."""
     lines = path.read_text().splitlines()
     expected = "r0,r1,s0,s1,m,c,u_bar_bar,std_err"
     if not lines or lines[0] != expected:
         raise ConfigurationError(f"{path} must start with header {expected!r}")
-    rows = []
+    u_bar_bar = {}
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 8:
             raise ConfigurationError(f"{path}:{ln}: expected 8 comma-separated values")
-        r0, r1, s0, s1 = (float(p) for p in parts[:4])
-        rows.append((r0, r1, s0, s1, int(parts[4]), float(parts[5]), float(parts[6])))
-    return rows
+        scenario = Scenario(*(float(p) for p in parts[:4]))
+        row_m, c, u = int(parts[4]), float(parts[5]), float(parts[6])
+        if row_m == m:
+            u_bar_bar[scenario, m, c] = u
+    return u_bar_bar
 
 
-def _matrix_file_name(m: int, s0: float, s1: float) -> str:
-    return f"rel_u_m{m}_s0_{s0}_s1_{s1}.csv"
+def _cell(scenario: Scenario) -> tuple[float, float, float, float]:
+    return (scenario.r0, scenario.r1, scenario.s0, scenario.s1)
+
+
+def write_relative_csv(path: Path, relative: Mapping[tuple[Scenario, int], float], m: int) -> Path:
+    """Long format: one ``r0,r1,s0,s1,m,rel_u`` row per scenario with flag ``m``."""
+    lines = ["r0,r1,s0,s1,m,rel_u"]
+    lines.extend(
+        ",".join(fmt_real(v) for v in _cell(scenario)) + f",{m},{fmt_real(rel_u)}"
+        for (scenario, row_m), rel_u in relative.items()
+        if row_m == m
+    )
+    path.write_text("\n".join(lines) + "\n", newline="\n")
+    return path
+
+
+def _write_relative_matrices(
+    out_dir: Path, relative: Mapping[tuple[Scenario, int], float], m: int
+) -> int:
+    """One ``rel_u_m{m}_s0_{s0}_s1_{s1}.csv`` per (s0, s1) pair, r0 along
+    columns and r1 along rows. The grid is every combination of the r and s
+    values present; a missing cell is reported and gives exit code 1."""
+    cells = {_cell(scenario): rel_u for (scenario, row_m), rel_u in relative.items() if row_m == m}
+    r_values = sorted({cell[0] for cell in cells} | {cell[1] for cell in cells})
+    s_values = sorted({cell[2] for cell in cells} | {cell[3] for cell in cells})
+    grid = product(s_values, s_values, r_values, r_values)
+    missing = [(r0, r1, s0, s1) for s0, s1, r0, r1 in grid if (r0, r1, s0, s1) not in cells]
+    if missing:
+        shown = ", ".join(str(c) for c in missing[:10])
+        suffix = "" if len(missing) <= 10 else f" and {len(missing) - 10} more"
+        print(f"error: {len(missing)} grid cells missing for m={m}: {shown}{suffix}", file=sys.stderr)
+        return 1
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for s0 in s_values:
+        for s1 in s_values:
+            lines = ["r1\\r0," + ",".join(str(r0) for r0 in r_values)]
+            lines.extend(
+                f"{r1}," + ",".join(fmt_real(cells[r0, r1, s0, s1]) for r0 in r_values)
+                for r1 in r_values
+            )
+            path = out_dir / f"rel_u_m{m}_s0_{s0}_s1_{s1}.csv"
+            path.write_text("\n".join(lines) + "\n", newline="\n")
+    print(f"wrote {len(s_values) ** 2} matrix files to {out_dir}")
+    return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     section = "report"
     in_path = _resolve(args.in_file, cfg, section, "in", None, str)
     m = _resolve(args.m, cfg, section, "m", None, int)
@@ -382,62 +423,26 @@ def cmd_report(args: argparse.Namespace) -> int:
         print("error: --out-dir is required (flag, SMARTRAR_OUT_DIR or config)", file=sys.stderr)
         return 2
 
-    rows = _read_aggregate(Path(in_path))
-    by_cell: dict[tuple[float, float, float, float], dict[float, float]] = {}
-    for r0, r1, s0, s1, row_m, c, u_bar_bar in rows:
-        if row_m != m:
-            continue
-        by_cell.setdefault((r0, r1, s0, s1), {})[c] = u_bar_bar
-
-    gaps = [cell for cell, values in sorted(by_cell.items()) if not {0.0, 1.0} <= set(values)]
-    if not by_cell:
+    u_bar_bar = _read_aggregate(Path(in_path), m)
+    if not u_bar_bar:
         print(f"error: input contains no rows for m={m}", file=sys.stderr)
         return 1
+    relative = relative_utility(u_bar_bar)
+    gaps = sorted({s for s, _, _ in u_bar_bar if (s, m) not in relative}, key=_cell)
     if gaps:
-        for cell in gaps[:20]:
-            missing_c = sorted({0.0, 1.0} - set(by_cell[cell]))
-            print(f"error: missing c={missing_c} rows for scenario {cell}", file=sys.stderr)
+        for scenario in gaps[:20]:
+            missing_c = [c for c in (0.0, 1.0) if (scenario, m, c) not in u_bar_bar]
+            print(f"error: missing c={missing_c} rows for scenario {_cell(scenario)}", file=sys.stderr)
         if len(gaps) > 20:
             print(f"error: ... and {len(gaps) - 20} more incomplete scenarios", file=sys.stderr)
         return 1
 
-    rel_cells = {}
-    for cell, values in by_cell.items():
-        fixed = values[0.0]
-        rel_cells[cell] = values[1.0] / fixed if fixed != 0.0 else float("nan")
-
-    r_values = sorted({cell[0] for cell in rel_cells} | {cell[1] for cell in rel_cells})
-    s_values = sorted({cell[2] for cell in rel_cells} | {cell[3] for cell in rel_cells})
-    try:
-        bundle = matrix_bundle_from_cells(rel_cells, m, r_values, s_values)
-    except IncompleteGridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
     out_dir = Path(out_dir_value)
+    if fmt == "csv-matrix":
+        return _write_relative_matrices(out_dir, relative, m)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "long-csv":
-        lines = ["r0,r1,s0,s1,m,rel_u"]
-        for s0 in bundle.s_values:
-            for s1 in bundle.s_values:
-                for r0 in bundle.r_values:
-                    for r1 in bundle.r_values:
-                        lines.append(
-                            f"{fmt_real(r0)},{fmt_real(r1)},{fmt_real(s0)},{fmt_real(s1)},"
-                            f"{m},{fmt_real(rel_cells[(r0, r1, s0, s1)])}"
-                        )
-        path = out_dir / f"rel_u_m{m}_long.csv"
-        path.write_text("\n".join(lines) + "\n", newline="\n")
-        print(f"wrote {path}")
-    else:
-        for panel in bundle.panels:
-            lines = ["r1\\r0," + ",".join(str(r0) for r0 in bundle.r_values)]
-            for i, r1 in enumerate(bundle.r_values):
-                cells = ",".join(fmt_real(v) for v in panel.values[i])
-                lines.append(f"{r1},{cells}")
-            path = out_dir / _matrix_file_name(m, panel.s0, panel.s1)
-            path.write_text("\n".join(lines) + "\n", newline="\n")
-        print(f"wrote {len(bundle.panels)} matrix files to {out_dir}")
+    path = write_relative_csv(out_dir / f"rel_u_m{m}_long.csv", relative, m)
+    print(f"wrote {path}")
     return 0
 
 
@@ -466,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--interims", type=int, help="number of scheduled analyses (default 4)")
     sim.add_argument("--out", help="output directory for patients.csv and allocations.csv")
     sim.add_argument("--config", help="INI config file; flags override file values")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_simulate, config_keys=_config_keys(sim))
 
     swp = sub.add_parser("sweep", help="run a scenario-grid sweep across designs")
     swp.add_argument("--grid", help="'full', 'reduced' or a scenario CSV path (default reduced)")
@@ -479,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     swp.add_argument("--out-dir", help="output directory")
     swp.add_argument("--config", help="INI config file; flags override file values")
-    swp.set_defaults(func=cmd_sweep)
+    swp.set_defaults(func=cmd_sweep, config_keys=_config_keys(swp))
 
     rep = sub.add_parser("report", help="emit relative-utility matrices from a sweep aggregate")
     rep.add_argument("--in", dest="in_file", help="sweep aggregate CSV")
@@ -487,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--format", choices=("csv-matrix", "long-csv"), help="output format")
     rep.add_argument("--out-dir", help="output directory")
     rep.add_argument("--config", help="INI config file; flags override file values")
-    rep.set_defaults(func=cmd_report)
+    rep.set_defaults(func=cmd_report, config_keys=_config_keys(rep))
 
     return parser
 

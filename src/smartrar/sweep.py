@@ -14,13 +14,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .core import (
-    R_GRID,
-    S_GRID,
     DesignConfig,
     Scenario,
     UtilityTable,
@@ -31,14 +29,6 @@ from .simulator import run_trial
 class SweepError(RuntimeError):
     """A trial inside a sweep failed, or a worker process died; the message
     identifies the triple where one is known."""
-
-
-class IncompleteGridError(ValueError):
-    """A matrix layout was requested over a grid with missing cells."""
-
-    def __init__(self, message: str, missing: list[tuple[float, float, float, float]]):
-        super().__init__(message)
-        self.missing = missing
 
 
 @dataclass(frozen=True)
@@ -77,24 +67,10 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class RelativeRow:
-    """Adaptive-over-fixed mean-utility ratio for one (scenario, m) pair.
-
-    ``degenerate`` flags a zero fixed-design denominator; the ratio is then
-    NaN rather than the row being dropped.
-    """
-
-    scenario: Scenario
-    myopic_m: int
-    rel_u: float
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
 class SweepResult:
     config: SweepConfig
     rows: tuple[SweepRow, ...]
-    relative: tuple[RelativeRow, ...]
+    relative: dict[tuple[Scenario, int], float]  # (scenario, m) -> rel_u
     warnings: tuple[str, ...] = ()
 
 
@@ -219,122 +195,25 @@ def run_sweep(config: SweepConfig, utilities: UtilityTable | None = None) -> Swe
                 )
             )
 
-    relative = _relative_rows(config, rows)
+    relative = relative_utility({(r.scenario, r.myopic_m, r.adapt_c): r.u_bar_bar for r in rows})
     return SweepResult(
-        config=config, rows=tuple(rows), relative=tuple(relative), warnings=tuple(warnings)
+        config=config, rows=tuple(rows), relative=relative, warnings=tuple(warnings)
     )
 
 
-def _relative_rows(config: SweepConfig, rows: Sequence[SweepRow]) -> list[RelativeRow]:
-    by_cell = {(r.scenario, r.myopic_m, r.adapt_c): r for r in rows}
-    out: list[RelativeRow] = []
-    for scenario in config.scenarios:
-        for m in (0, 1):
-            fixed = by_cell.get((scenario, m, 0.0))
-            adaptive = by_cell.get((scenario, m, 1.0))
-            if fixed is None or adaptive is None:
-                continue
-            if fixed.u_bar_bar == 0.0:
-                out.append(
-                    RelativeRow(scenario=scenario, myopic_m=m, rel_u=float("nan"), degenerate=True)
-                )
-            else:
-                out.append(
-                    RelativeRow(
-                        scenario=scenario,
-                        myopic_m=m,
-                        rel_u=adaptive.u_bar_bar / fixed.u_bar_bar,
-                    )
-                )
+def relative_utility(
+    u_bar_bar: Mapping[tuple[Scenario, int, float], float],
+) -> dict[tuple[Scenario, int], float]:
+    """Adaptive (c = 1) over fixed (c = 0) mean utility per (scenario, m).
+
+    ``u_bar_bar`` maps (scenario, m, c) to a mean utility. Every (scenario,
+    m) with both designs present appears, in input order; a zero
+    fixed-design utility gives NaN rather than dropping the pair.
+    """
+    out: dict[tuple[Scenario, int], float] = {}
+    for scenario, m, _ in u_bar_bar:
+        fixed = u_bar_bar.get((scenario, m, 0.0))
+        adaptive = u_bar_bar.get((scenario, m, 1.0))
+        if fixed is not None and adaptive is not None:
+            out[scenario, m] = adaptive / fixed if fixed != 0.0 else math.nan
     return out
-
-
-@dataclass(frozen=True)
-class MatrixPanel:
-    """One (s0, s1) panel: relative utilities over the (r0, r1) plane.
-
-    ``values[i][j]`` is the cell at the i-th r1 value (ascending) and the
-    j-th r0 value (ascending): r0 runs along columns, r1 along rows.
-    """
-
-    s0: float
-    s1: float
-    values: tuple[tuple[float, ...], ...]
-
-
-@dataclass(frozen=True)
-class MatrixBundle:
-    """All panels for one myopic flag, ordered s0-major then s1."""
-
-    myopic_m: int
-    r_values: tuple[float, ...]
-    s_values: tuple[float, ...]
-    panels: tuple[MatrixPanel, ...]
-
-
-def matrix_bundle_from_cells(
-    cells: dict[tuple[float, float, float, float], float],
-    m: int,
-    r_values: Sequence[float],
-    s_values: Sequence[float],
-) -> MatrixBundle:
-    """Arrange (r0, r1, s0, s1) -> relative-utility cells into panels.
-
-    Every cell of the requested grid must be present, otherwise the
-    missing cells are reported.
-    """
-    if m not in (0, 1):
-        raise ValueError(f"m must be 0 or 1, got {m!r}")
-    r_vals = tuple(r_values)
-    s_vals = tuple(s_values)
-    missing = [
-        (r0, r1, s0, s1)
-        for s0 in s_vals
-        for s1 in s_vals
-        for r0 in r_vals
-        for r1 in r_vals
-        if (r0, r1, s0, s1) not in cells
-    ]
-    if missing:
-        shown = ", ".join(str(c) for c in missing[:10])
-        suffix = "" if len(missing) <= 10 else f" and {len(missing) - 10} more"
-        raise IncompleteGridError(
-            f"{len(missing)} grid cells missing for m={m}: {shown}{suffix}", missing
-        )
-    panels = tuple(
-        MatrixPanel(
-            s0=s0,
-            s1=s1,
-            values=tuple(
-                tuple(cells[(r0, r1, s0, s1)] for r0 in r_vals) for r1 in r_vals
-            ),
-        )
-        for s0 in s_vals
-        for s1 in s_vals
-    )
-    return MatrixBundle(myopic_m=m, r_values=r_vals, s_values=s_vals, panels=panels)
-
-
-def figure_matrix(
-    result: SweepResult,
-    m: int,
-    r_values: Sequence[float] | None = None,
-    s_values: Sequence[float] | None = None,
-) -> MatrixBundle:
-    """Panel-matrix layout of a sweep's relative utilities.
-
-    Defaults to the full grids (64 panels of 21 x 21, one panel per
-    (s0, s1) pair ordered s0-major, r0 along columns and r1 along rows);
-    pass reduced value sets for reduced layouts.
-    """
-    cells = {
-        (row.scenario.r0, row.scenario.r1, row.scenario.s0, row.scenario.s1): row.rel_u
-        for row in result.relative
-        if row.myopic_m == m
-    }
-    return matrix_bundle_from_cells(
-        cells,
-        m,
-        r_values if r_values is not None else R_GRID,
-        s_values if s_values is not None else S_GRID,
-    )

@@ -1,9 +1,14 @@
 """Command-line contracts: flags, config files, CSV stability, exit codes."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from smartrar import ENGINE_IMPLEMENTATION
-from smartrar.cli import fmt_real, main
+from smartrar import ENGINE_IMPLEMENTATION, Scenario, SweepConfig, canonical_designs, run_sweep
+from smartrar.cli import fmt_real, main, write_relative_csv
+
+REDUCED_SWEEP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_reduced_sweep.py"
 
 
 def run_cli(*argv: str) -> int:
@@ -35,6 +40,39 @@ def grid_file(tmp_path):
     path = tmp_path / "grid.csv"
     path.write_text("\n".join(rows) + "\n")
     return path
+
+
+@pytest.mark.parametrize(
+    "section, argv, bad, good",
+    [
+        ("simulate", ["--out", "{out}"], "patient = 200", "patients = 200"),
+        (
+            "sweep",
+            ["--grid", "{grid}", "--replicates", "1", "--threads", "1", "--out-dir", "{out}"],
+            "base_seed = 5",
+            "base-seed = 5",
+        ),
+        ("report", ["--m", "0", "--format", "long-csv", "--out-dir", "{out}"], "input = {agg}",
+         "in = {agg}"),
+    ],
+    ids=["simulate", "sweep", "report"],
+)
+def test_unknown_config_key_exit_2(tmp_path, scenario_file, capsys, section, argv, bad, good):
+    aggregate = tmp_path / "agg.csv"
+    aggregate.write_text("r0,r1,s0,s1,m,c,u_bar_bar,std_err\n0.1,0.2,0.3,0.4,0,0,0.5,0\n"
+                         "0.1,0.2,0.3,0.4,0,1,0.6,0\n")
+    out_dir = tmp_path / "out"
+    paths = dict(out=out_dir, grid=scenario_file, agg=aggregate)
+    argv = [a.format(**paths) for a in argv]
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{section}]\n{bad.format(**paths)}\n")
+    assert run_cli(section, "--config", str(config), *argv) == 2
+    assert bad.split()[0] in capsys.readouterr().err
+    assert not out_dir.exists()
+    # the key spelled as the command's flag is accepted
+    config.write_text(f"[{section}]\n{good.format(**paths)}\n")
+    assert run_cli(section, "--config", str(config), *argv) == 0
+    assert out_dir.exists()
 
 
 def test_fmt_real_round_trips():
@@ -357,14 +395,54 @@ class TestReport:
     def test_report_round_trip_matches_sweep(self, tmp_path, grid_file):
         aggregate = self._sweep(tmp_path, grid_file)
         out_dir = tmp_path / "report"
-        run_cli("report", "--in", str(aggregate), "--m", "0",
-                "--format", "long-csv", "--out-dir", str(out_dir))
-        # recompute the ratios from the aggregate file
-        rows = {}
-        for line in aggregate.read_text().splitlines()[1:]:
-            r0, r1, s0, s1, m, c, ubb, _ = line.split(",")
-            rows[(r0, r1, s0, s1, m, c)] = float(ubb)
-        for line in (out_dir / "rel_u_m0_long.csv").read_text().splitlines()[1:]:
-            r0, r1, s0, s1, m, rel = line.split(",")
-            expected = rows[(r0, r1, s0, s1, "0", "1")] / rows[(r0, r1, s0, s1, "0", "0")]
-            assert float(rel) == pytest.approx(expected, rel=1e-15)
+        assert run_cli("report", "--in", str(aggregate), "--m", "0",
+                       "--format", "long-csv", "--out-dir", str(out_dir)) == 0
+        # the same sweep in-process, through the same writer
+        result = run_sweep(
+            SweepConfig(
+                scenarios=tuple(Scenario(r0, r1, 0.4, 0.4) for r0 in (0.2, 0.8) for r1 in (0.2, 0.8)),
+                designs=canonical_designs(),
+                replicates=2,
+                base_seed=3,
+                parallelism=1,
+            )
+        )
+        expected = write_relative_csv(tmp_path / "expected.csv", result.relative, 0)
+        assert (out_dir / "rel_u_m0_long.csv").read_bytes() == expected.read_bytes()
+
+    def test_long_format_accepts_any_scenario_set(self, tmp_path, scenario_file, capsys):
+        # two scenarios that share no (s0, s1) pair: no r0 x r1 x s0 x s1 grid
+        aggregate = self._sweep(tmp_path, scenario_file)
+        out_dir = tmp_path / "report"
+        assert run_cli("report", "--in", str(aggregate), "--m", "0",
+                       "--format", "long-csv", "--out-dir", str(out_dir)) == 0
+        lines = (out_dir / "rel_u_m0_long.csv").read_text().splitlines()
+        assert [[float(v) for v in line.split(",")[:4]] for line in lines[1:]] == [
+            [0.5, 0.45, 0.05, 0.95],
+            [0.1, 0.3, 0.45, 0.5],
+        ]
+        # the matrix layout still needs the complete grid
+        assert run_cli("report", "--in", str(aggregate), "--m", "0",
+                       "--format", "csv-matrix", "--out-dir", str(tmp_path / "matrix")) == 1
+        assert "grid cells missing for m=0" in capsys.readouterr().err
+
+    def test_out_of_range_probability_exit_2(self, tmp_path, capsys):
+        aggregate = tmp_path / "agg.csv"
+        aggregate.write_text("r0,r1,s0,s1,m,c,u_bar_bar,std_err\n1.5,0.2,0.3,0.4,0,0,0.5,0\n")
+        assert run_cli("report", "--in", str(aggregate), "--m", "0",
+                       "--out-dir", str(tmp_path / "r")) == 2
+        assert "r0 must be a probability" in capsys.readouterr().err
+
+
+def test_reduced_sweep_script_matches_report(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("run_reduced_sweep", REDUCED_SWEEP_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out_dir = tmp_path / "script"
+    assert script.main(["--out-dir", str(out_dir), "--replicates", "1", "--threads", "1"]) == 0
+    for m in (0, 1):
+        report_dir = tmp_path / f"report_m{m}"
+        assert run_cli("report", "--in", str(out_dir / "sweep_aggregate.csv"), "--m", str(m),
+                       "--format", "long-csv", "--out-dir", str(report_dir)) == 0
+        name = f"rel_u_m{m}_long.csv"
+        assert (out_dir / name).read_bytes() == (report_dir / name).read_bytes()

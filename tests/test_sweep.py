@@ -1,20 +1,22 @@
-"""Sweep orchestration: seed lattice, parallel determinism, matrix layout."""
+"""Sweep orchestration: seed lattice, parallel determinism, relative
+utilities and their matrix report."""
 
 import math
 
 import pytest
 
 from smartrar import (
+    R_GRID,
+    S_GRID,
     DesignConfig,
-    IncompleteGridError,
     Scenario,
     SweepConfig,
-    figure_matrix,
-    matrix_bundle_from_cells,
+    relative_utility,
     run_sweep,
     canonical_designs,
     trial_seed,
 )
+from smartrar.cli import fmt_real, main, write_sweep_csvs
 
 SCENARIOS = (
     Scenario(0.5, 0.45, 0.05, 0.95),
@@ -71,28 +73,23 @@ class TestRunSweep:
 
     def test_relative_rows(self):
         result = run_sweep(small_config())
-        rel = {(r.scenario, r.myopic_m): r for r in result.relative}
-        assert len(rel) == len(SCENARIOS) * 2
+        assert list(result.relative) == [(s, m) for s in SCENARIOS for m in (0, 1)]
         by_cell = {(r.scenario, r.myopic_m, r.adapt_c): r.u_bar_bar for r in result.rows}
-        for (scenario, m), row in rel.items():
-            expected = by_cell[(scenario, m, 1.0)] / by_cell[(scenario, m, 0.0)]
-            assert row.rel_u == pytest.approx(expected, rel=1e-12)
-            assert not row.degenerate
+        for (scenario, m), rel_u in result.relative.items():
+            assert rel_u == by_cell[(scenario, m, 1.0)] / by_cell[(scenario, m, 0.0)]
 
     def test_no_infection_scenario_is_exactly_neutral(self):
         result = run_sweep(small_config())
-        for row in result.relative:
-            if row.scenario.r0 == 0.0 and row.scenario.r1 == 0.0:
-                assert row.rel_u == 1.0
+        for (scenario, _), rel_u in result.relative.items():
+            if scenario.r0 == 0.0 and scenario.r1 == 0.0:
+                assert rel_u == 1.0
 
     def test_degenerate_denominator_flagged(self):
         # everyone infected, everyone dies: fixed-design utility is zero
         config = small_config(scenarios=(Scenario(1.0, 1.0, 1.0, 1.0),), replicates=2)
         result = run_sweep(config)
         assert len(result.relative) == 2
-        for row in result.relative:
-            assert row.degenerate
-            assert math.isnan(row.rel_u)
+        assert all(math.isnan(rel_u) for rel_u in result.relative.values())
 
     def test_replicate_std_err(self):
         result = run_sweep(small_config(replicates=1))
@@ -101,11 +98,57 @@ class TestRunSweep:
     def test_subset_of_designs_skips_relative(self):
         config = small_config(designs=(DesignConfig(myopic_m=0, adapt_c=1.0, max_patients=400),))
         result = run_sweep(config)
-        assert result.relative == ()
+        assert result.relative == {}
+
+
+class TestRelativeUtility:
+    def test_pairs_in_input_order(self):
+        a, b = SCENARIOS[:2]
+        u_bar_bar = {
+            (b, 1, 1.0): 0.6,
+            (a, 0, 0.0): 0.5,
+            (b, 1, 0.0): 0.3,
+            (a, 0, 1.0): 0.25,
+            (a, 1, 0.0): 0.4,  # no adaptive partner: dropped
+        }
+        assert relative_utility(u_bar_bar) == {(b, 1): 0.6 / 0.3, (a, 0): 0.25 / 0.5}
+        assert list(relative_utility(u_bar_bar)) == [(b, 1), (a, 0)]
+
+    def test_zero_fixed_utility_is_nan(self):
+        rel = relative_utility({(SCENARIOS[0], 0, 0.0): 0.0, (SCENARIOS[0], 0, 1.0): 0.5})
+        assert math.isnan(rel[SCENARIOS[0], 0])
+
+
+def write_aggregate(path, cells, m=0):
+    """Aggregate CSV whose ratios for flag ``m`` are exactly ``cells``:
+    fixed utility 1, adaptive utility the cell value."""
+    lines = ["r0,r1,s0,s1,m,c,u_bar_bar,std_err"]
+    for cell, value in cells.items():
+        prefix = ",".join(fmt_real(v) for v in cell) + f",{m}"
+        lines.append(f"{prefix},0,1,0")
+        lines.append(f"{prefix},1,{fmt_real(value)},0")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def matrix_report(aggregate, out_dir, m=0):
+    return main([
+        "report", "--in", str(aggregate), "--m", str(m),
+        "--format", "csv-matrix", "--out-dir", str(out_dir),
+    ])
+
+
+def read_matrix(path):
+    """Header r0 values and {r1: row values} of one matrix file."""
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    return header[1:], {row[0]: [float(v) for v in row[1:]] for row in rows}
 
 
 class TestFigureMatrix:
-    def test_layout_from_synthetic_cells(self):
+    """The ``report --format csv-matrix`` layout: one file per (s0, s1)
+    pair, r0 along columns, r1 along rows."""
+
+    def test_layout_from_synthetic_cells(self, tmp_path):
         r_values = (0.0, 0.5, 1.0)
         s_values = (0.1, 0.9)
         cells = {
@@ -115,49 +158,55 @@ class TestFigureMatrix:
             for s0 in s_values
             for s1 in s_values
         }
-        bundle = matrix_bundle_from_cells(cells, m=0, r_values=r_values, s_values=s_values)
-        assert len(bundle.panels) == 4
-        # panels ordered s0-major
-        assert [(p.s0, p.s1) for p in bundle.panels] == [
-            (0.1, 0.1),
-            (0.1, 0.9),
-            (0.9, 0.1),
-            (0.9, 0.9),
-        ]
-        panel = bundle.panels[1]  # s0=0.1, s1=0.9
+        out_dir = tmp_path / "report"
+        assert matrix_report(write_aggregate(tmp_path / "agg.csv", cells), out_dir) == 0
+        assert {p.name for p in out_dir.iterdir()} == {
+            f"rel_u_m0_s0_{s0}_s1_{s1}.csv" for s0 in s_values for s1 in s_values
+        }
+        columns, rows = read_matrix(out_dir / "rel_u_m0_s0_0.1_s1_0.9.csv")
+        assert columns == ["0.0", "0.5", "1.0"]
+        assert list(rows) == ["0.0", "0.5", "1.0"]
         # rows indexed by r1, columns by r0
-        assert panel.values[0][2] == 1.0 + 0.0 + 10.0 + 900.0
-        assert panel.values[2][0] == 0.0 + 10.0 + 10.0 + 900.0
+        assert rows["0.0"][2] == 1.0 + 0.0 + 10.0 + 900.0
+        assert rows["1.0"][0] == 0.0 + 10.0 + 10.0 + 900.0
 
-    def test_missing_cells_reported(self):
-        cells = {(0.0, 0.0, 0.1, 0.1): 1.0}
-        with pytest.raises(IncompleteGridError) as err:
-            matrix_bundle_from_cells(cells, m=0, r_values=(0.0, 1.0), s_values=(0.1,))
-        assert (1.0, 0.0, 0.1, 0.1) in err.value.missing
-        assert len(err.value.missing) == 3
+    def test_missing_cells_reported(self, tmp_path, capsys):
+        out_dir = tmp_path / "report"
+        aggregate = write_aggregate(tmp_path / "agg.csv", {(0.0, 1.0, 0.1, 0.1): 1.0})
+        assert matrix_report(aggregate, out_dir) == 1
+        err = capsys.readouterr().err
+        assert "3 grid cells missing for m=0: " in err
+        assert "(1.0, 0.0, 0.1, 0.1)" in err
+        assert not out_dir.exists()
 
-    def test_figure_matrix_from_sweep_result(self):
+    def test_figure_matrix_from_sweep_result(self, tmp_path):
         r_values = (0.2, 0.7)
-        s_values = (0.3,)
         scenarios = tuple(
             Scenario(r0, r1, 0.3, 0.3) for r0 in r_values for r1 in r_values
         )
         result = run_sweep(
             small_config(scenarios=scenarios, replicates=1)
         )
-        bundle = figure_matrix(result, m=1, r_values=r_values, s_values=s_values)
-        assert len(bundle.panels) == 1
-        assert len(bundle.panels[0].values) == 2
-        assert len(bundle.panels[0].values[0]) == 2
+        write_sweep_csvs(tmp_path, result)
+        out_dir = tmp_path / "report"
+        assert matrix_report(tmp_path / "sweep_aggregate.csv", out_dir, m=1) == 0
+        assert [p.name for p in out_dir.iterdir()] == ["rel_u_m1_s0_0.3_s1_0.3.csv"]
+        columns, rows = read_matrix(out_dir / "rel_u_m1_s0_0.3_s1_0.3.csv")
+        assert columns == ["0.2", "0.7"]
+        for r1 in r_values:
+            assert rows[str(r1)] == [
+                result.relative[Scenario(r0, r1, 0.3, 0.3), 1] for r0 in r_values
+            ]
 
-    def test_full_grid_default_errors_on_reduced_input(self):
-        result = run_sweep(small_config(replicates=1))
-        with pytest.raises(IncompleteGridError):
-            figure_matrix(result, m=0)
+    def test_matrix_report_errors_on_scattered_scenarios(self, tmp_path, capsys):
+        # 3 scenarios span 5 r values and 5 s values: 622 of 625 cells missing
+        write_sweep_csvs(tmp_path, run_sweep(small_config(replicates=1)))
+        out_dir = tmp_path / "report"
+        assert matrix_report(tmp_path / "sweep_aggregate.csv", out_dir) == 1
+        assert "622 grid cells missing for m=0" in capsys.readouterr().err
+        assert not out_dir.exists()
 
-    def test_full_grid_panel_shape(self):
-        from smartrar import R_GRID, S_GRID
-
+    def test_full_grid_panel_shape(self, tmp_path):
         cells = {
             (r0, r1, s0, s1): 1.0
             for s0 in S_GRID
@@ -165,8 +214,12 @@ class TestFigureMatrix:
             for r0 in R_GRID
             for r1 in R_GRID
         }
-        bundle = matrix_bundle_from_cells(cells, m=0, r_values=R_GRID, s_values=S_GRID)
-        assert len(bundle.panels) == 64
-        for panel in bundle.panels:
-            assert len(panel.values) == 21
-            assert all(len(row) == 21 for row in panel.values)
+        out_dir = tmp_path / "report"
+        assert matrix_report(write_aggregate(tmp_path / "agg.csv", cells), out_dir) == 0
+        files = sorted(out_dir.iterdir())
+        assert len(files) == 64
+        for path in files:
+            columns, rows = read_matrix(path)
+            assert len(columns) == 21
+            assert len(rows) == 21
+            assert all(len(row) == 21 for row in rows.values())
