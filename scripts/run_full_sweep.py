@@ -2,8 +2,9 @@
 """Run the complete 28224-scenario x 4-design x 10-replicate sweep and emit
 both relative-utility matrix bundles.
 
-Uses the conjugate engine; expect roughly 4 core-minutes of work, split
-across all cores by default. Outputs land in --out-dir:
+Uses the conjugate engine and every CPU by default. Measured on a 2-vCPU
+VM: about 20 s with --threads 1 and 14 s with both CPUs, matrix reports
+included; peak memory about 530 MB. Outputs land in --out-dir:
 
     sweep_replicates.csv   per-trial mean utilities
     sweep_aggregate.csv    per-(scenario, design) mean and standard error
@@ -44,7 +45,7 @@ def main() -> int:
     code = cli_main(sweep_args)
     if code != 0:
         return code
-    print(f"sweep finished in {(time.perf_counter() - t0) / 60:.1f} min")
+    print(f"sweep finished in {time.perf_counter() - t0:.1f} s")
 
     aggregate = out_dir / "sweep_aggregate.csv"
     for m in (0, 1):

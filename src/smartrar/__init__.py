@@ -34,7 +34,15 @@ from .inference import (
     split_chain_rhat,
 )
 from .policy import q1_value, q2_value
-from .simulator import ENGINE_IMPLEMENTATION, InterimSnapshot, run_trial, true_value
+from .simulator import (
+    ENGINE_IMPLEMENTATION,
+    InterimSnapshot,
+    Stream,
+    fixed_design_value,
+    run_block,
+    run_trial,
+    true_value,
+)
 from .sweep import (
     SweepConfig,
     SweepError,
@@ -42,5 +50,5 @@ from .sweep import (
     SweepRow,
     relative_utility,
     run_sweep,
-    trial_seed,
+    scenario_stream,
 )

@@ -14,30 +14,32 @@ and ``DesignConfig`` guarantee this and ``c >= 0`` at the boundary.
 
 from __future__ import annotations
 
+import numpy as np
+
 #: Below this total weight the normalisation is considered degenerate and
 #: allocation falls back to equal probabilities.
 DEGENERATE_TOTAL = 1e-12
 
 
-def allocation_pair(q0: float, q1: float, c: float, min_prob: float = 0.0) -> tuple[float, float]:
-    """The p ∝ Q^c rule over actions (0, 1) on plain floats, unvalidated.
+def allocation_pair(q0, q1, c, min_prob=0.0):
+    """The p ∝ Q^c rule over actions (0, 1), unvalidated.
 
-    Falls back to equal probabilities when ``c = 0`` or the total weight is
+    Arguments are floats or arrays that broadcast against each other; the
+    result is a pair of floats or of arrays of the broadcast shape. Falls
+    back to equal probabilities when ``c = 0`` or the total weight is
     degenerate, then applies the optional ``min_prob`` floor and
     re-normalises. Callers guarantee finite non-negative Q-values and a
     finite non-negative ``c``.
     """
-    if c == 0.0:
-        p0 = p1 = 0.5
-    else:
-        w0, w1 = q0**c, q1**c
-        total = w0 + w1
-        if total < DEGENERATE_TOTAL:
-            p0 = p1 = 0.5
-        else:
-            p0, p1 = w0 / total, w1 / total
-    if min_prob > 0.0:
-        p0, p1 = max(p0, min_prob), max(p1, min_prob)
-        total = p0 + p1
-        p0, p1 = p0 / total, p1 / total
-    return p0, p1
+    c = np.asarray(c, dtype=np.float64)
+    w0, w1 = np.power(q0, c), np.power(q1, c)
+    total = w0 + w1
+    equal = (c == 0.0) | (total < DEGENERATE_TOTAL)
+    safe = np.where(equal, 1.0, total)
+    p0, p1 = np.where(equal, 0.5, w0 / safe), np.where(equal, 0.5, w1 / safe)
+    floored = np.asarray(min_prob) > 0.0
+    f0, f1 = np.maximum(p0, min_prob), np.maximum(p1, min_prob)
+    total = f0 + f1
+    p0, p1 = np.where(floored, f0 / total, p0), np.where(floored, f1 / total, p1)
+    # [()] turns 0-d results back into scalars and leaves arrays as they are.
+    return p0[()], p1[()]

@@ -27,6 +27,8 @@ from itertools import product
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 from . import __version__
 from .core import (
     ConfigurationError,
@@ -74,6 +76,8 @@ def write_manifest(out_dir: Path, command: str, config: dict[str, str], files: l
     lines = [
         f"tool_version = {__version__}",
         f"engine_implementation = {ENGINE_IMPLEMENTATION}",
+        f"numpy_version = {np.__version__}",
+        "python_version = {}.{}.{}".format(*sys.version_info[:3]),
         f"command = {command}",
         f"created_utc = {datetime.now(timezone.utc).strftime('%Y-%m-%dT%H:%M:%SZ')}",
         "",
@@ -325,6 +329,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "base_seed": str(base_seed),
         "engine": engine,
         "threads": "auto" if threads is None else str(threads),
+        "workers": str(result.workers),
         "scenarios": str(len(scenarios)),
     }
     write_manifest(out_dir, "sweep", config_snapshot, files)
@@ -477,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--grid", help="'full', 'reduced' or a scenario CSV path (default reduced)")
     swp.add_argument("--designs", help="'all' or comma list like m0c0,m0c1 (default all)")
     swp.add_argument("--replicates", type=int, help="trials per (scenario, design) (default 10)")
-    swp.add_argument("--base-seed", type=int, help="seed-lattice base (default 0)")
+    swp.add_argument("--base-seed", type=int, help="base seed of the per-scenario streams (default 0)")
     swp.add_argument("--engine", choices=("conjugate", "mcmc"), help="posterior engine")
     swp.add_argument(
         "--threads", type=int, help="worker processes (default: every CPU this process may use)"

@@ -19,12 +19,12 @@ never on the stage-two action. One multinomial draw per cohort gives the
 cohort's utility (counts dot row utilities) and its share of the 2 + 2x2
 sufficient statistics. This is exact in distribution.
 
-Randomness comes from the Philox counter-based generator seeded from the
-design seed. Cohort counts, the MCMC engine and patient records draw from
-independent, deterministically derived substreams. The records substream
-is made only when records are requested, so asking for them never
-changes the mean utility or the allocation path. A trial is reproducible
-bit-for-bit from (scenario, design) alone.
+Trials run in blocks (``run_block``): one cohort loop over arrays with a
+leading trial axis, each cohort one multinomial call per Philox stream.
+``run_trial`` is a block of one trial, reproducible bit-for-bit from
+(scenario, design): substream 0 of the design seed draws the counts, 1 the
+MCMC engine and 2 the patient records, made only when they are requested
+so that asking for them never changes the mean utility or allocation path.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .core import (
     Action,
     DesignConfig,
     PatientRecord,
+    PriorSpec,
     Scenario,
     TrialResult,
     UtilityTable,
@@ -49,7 +50,7 @@ from .policy import q1_value, q2_value
 
 #: Recorded in output manifests so that outputs of different outcome
 #: samplers can be told apart.
-ENGINE_IMPLEMENTATION = "cohort-multinomial"
+ENGINE_IMPLEMENTATION = "block-multinomial"
 
 # (a1, y1, a2, y2) of each terminal row, in UTILITY_ROW_KEYS order: the two
 # uninfected rows, then the stage-two row (a1, a2, y2) at 2 + 4 a1 + 2 a2 + y2.
@@ -75,6 +76,35 @@ class InterimSnapshot:
     stage2: tuple[Pair, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class Stream:
+    """Trials of one scenario that draw their cohort counts from ``rng``:
+    ``replicates`` rows per design, in order. Under the MCMC engine
+    ``engine_seeds`` holds each row's engine seed sequence."""
+
+    scenario: Scenario
+    designs: tuple[DesignConfig, ...]
+    replicates: int
+    rng: np.random.Generator
+    utilities: UtilityTable
+    engine_seeds: tuple[np.random.SeedSequence, ...] = ()
+
+
+@dataclass(frozen=True, eq=False)
+class Block:
+    """Per-trial results of ``run_block``, rows in stream order: after
+    adapting analysis k + 1, ``stage1[t, k]`` is (P(a1 = 0), P(a1 = 1)) and
+    ``stage2[t, k, a1]`` the stage-two pair for arm a1 (pooled: the same
+    pair twice); ``cohorts[t, k]`` holds cohort k + 1's row counts;
+    ``warnings`` holds (row, message) pairs."""
+
+    mean_utility: np.ndarray
+    stage1: np.ndarray
+    stage2: np.ndarray
+    cohorts: np.ndarray
+    warnings: tuple[tuple[int, str], ...]
+
+
 def true_value(scenario: Scenario, stage1_action: Action) -> float:
     """Expected participant utility for a stage-one arm under the default
     0/1 utility table: survive-uninfected plus survive-after-infection mass."""
@@ -83,66 +113,81 @@ def true_value(scenario: Scenario, stage1_action: Action) -> float:
     return (1.0 - r) + r * (1.0 - s)
 
 
-def _cohort_probs(scenario: Scenario, p1: Pair, p2: Sequence[Pair]) -> list[float]:
-    """pi over the ten terminal rows from the allocation in force (laid out
-    as in ``InterimSnapshot``): ``p1[a1]`` is P(stage-one arm a1) and ``p2``
-    gives P(stage-two arm a2) per stage-one arm, or pooled."""
-    r = (scenario.r0, scenario.r1)
-    s = (scenario.s0, scenario.s1)
-    pi = [p1[0] * (1.0 - r[0]), p1[1] * (1.0 - r[1])]
-    for a1 in (0, 1):
-        infected = p1[a1] * r[a1]
-        after = p2[a1] if len(p2) == 2 else p2[0]
-        for a2 in (0, 1):
-            cell = infected * after[a2]
-            pi += (cell * (1.0 - s[a1]), cell * s[a1])
+def _rates(scenario: Scenario) -> tuple[float, float, float, float]:
+    return (scenario.r0, scenario.r1, scenario.s0, scenario.s1)
+
+
+def _cohort_probs(r: np.ndarray, s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """pi (trials, 10) over the terminal rows from each trial's rates ``r``
+    and ``s`` (trials, 2) by a1 and the allocation in force: ``p1[t, a1]``
+    is P(stage-one arm a1) and ``p2[t, a1, a2]`` P(stage-two arm a2 | a1)."""
+    infected = (p1 * r)[:, :, None] * p2
+    pi = np.empty((len(p1), len(_ROWS)))
+    pi[:, :2] = p1 * (1.0 - r)
+    pi[:, 2::2] = (infected * (1.0 - s)[:, :, None]).reshape(-1, 4)
+    pi[:, 3::2] = (infected * s[:, :, None]).reshape(-1, 4)
     return pi
 
 
-def _sufficient_stats(counts: Sequence[int], myopic_m: int):
-    """(events1, trials1, events2, trials2) from cumulative row counts.
+def fixed_design_value(scenario: Scenario, table: UtilityTable | None = None) -> float:
+    """Expected per-patient utility under equal allocation at both stages
+    (any c = 0 design): the terminal-row probabilities at (1/2, 1/2) dotted
+    with the row utilities."""
+    table = table if table is not None else UtilityTable.default()
+    rates, half = np.array([_rates(scenario)]), np.full((1, 2, 2), 0.5)
+    pi = _cohort_probs(rates[:, :2], rates[:, 2:], half[:, 0], half)
+    return float(pi[0] @ list(table.entries().values()))
+
+
+def _sufficient_stats(counts: np.ndarray, myopic_m):
+    """(events1, trials1, events2, trials2) per trial from cumulative row
+    counts (trials, 10).
 
     Stage one is indexed by a1. Stage two is flat over the cells (a1, a2)
-    at index 2 a1 + a2, whose survived and died rows are counts[2 + 2 j]
-    and counts[3 + 2 j]; a myopic design pools it over a1, indexed by a2.
+    at index 2 a1 + a2, whose survived and died rows are counts[:, 2 + 2 j]
+    and counts[:, 3 + 2 j]. In a myopic trial (``myopic_m`` broadcasts
+    over the trials) both a1 cells of an a2 hold its counts pooled over a1.
     """
-    died = counts[3::2]
-    treated = [survived + dead for survived, dead in zip(counts[2::2], died)]
-    infected = (treated[0] + treated[1], treated[2] + treated[3])
-    trials1 = (counts[0] + infected[0], counts[1] + infected[1])
-    if myopic_m:
-        died = [died[0] + died[2], died[1] + died[3]]
-        treated = [treated[0] + treated[2], treated[1] + treated[3]]
+    died = counts[:, 3::2]
+    treated = counts[:, 2::2] + died
+    infected = treated[:, 0::2] + treated[:, 1::2]
+    trials1 = counts[:, :2] + infected
+    pooled = np.asarray(myopic_m, dtype=bool)[..., None]
+    died = np.where(pooled, np.tile(died[:, :2] + died[:, 2:], 2), died)
+    treated = np.where(pooled, np.tile(treated[:, :2] + treated[:, 2:], 2), treated)
     return infected, trials1, died, treated
 
 
-def _q_values(
-    mean1: Sequence[float], mean2: Sequence[float], u1: Pair, u2: Sequence[Pair], myopic_m: int
-) -> tuple[list[float], list[float]]:
-    """Posterior means -> (Q1 per a1, Q2 per stage-two cell).
+def _q_values(mean1: np.ndarray, mean2: np.ndarray, utility: np.ndarray, myopic_m):
+    """Posterior means -> (Q1 (trials, 2) by a1, Q2 (trials, 4) by cell).
 
-    ``mean2`` and ``u2`` (each cell's (survived, died) utilities) follow
-    the stage-two layout of ``_sufficient_stats``: four cells, or two
-    pooled ones under a myopic design, whose Q1 has no continuation.
+    ``mean2`` follows the stage-two layout of ``_sufficient_stats`` and
+    ``utility`` (trials or 1, 10) holds the row utilities. A myopic trial's
+    Q1 has no continuation.
     """
-    q2 = [q2_value(alive, dead, mean) for (alive, dead), mean in zip(u2, mean2)]
-    best2 = (0.0, 0.0) if myopic_m else (max(q2[0], q2[1]), max(q2[2], q2[3]))
-    return [q1_value(u1[a], mean1[a], best2[a]) for a in (0, 1)], q2
+    q2 = q2_value(utility[:, 2::2], utility[:, 3::2], mean2)
+    best2 = np.maximum(q2[:, 0::2], q2[:, 1::2])
+    continuation = np.where(np.asarray(myopic_m, dtype=bool)[..., None], 0.0, best2)
+    return q1_value(utility[:, :2], mean1, continuation), q2
 
 
-def _allocate(
-    mean1: Sequence[float],
-    mean2: Sequence[float],
-    u1: Pair,
-    u2: Sequence[Pair],
-    design: DesignConfig,
-) -> tuple[Pair, tuple[Pair, ...]]:
-    """Posterior means -> Q-values -> Q^c allocation for both stages, laid
-    out as in ``InterimSnapshot``."""
-    c, floor = design.adapt_c, design.min_alloc_prob
-    q1, q2 = _q_values(mean1, mean2, u1, u2, design.myopic_m)
-    p2 = tuple(allocation_pair(q2[j], q2[j + 1], c, floor) for j in range(0, len(q2), 2))
-    return allocation_pair(q1[0], q1[1], c, floor), p2
+def _allocate(mean1, mean2, utility, myopic_m, adapt_c, min_prob):
+    """Posterior means -> Q-values -> Q^c allocation for both stages:
+    (p1 (trials, 2), p2 (trials, 2, 2)) laid out as in ``Block``. The
+    design constants are floats or per-trial arrays."""
+    q1, q2 = _q_values(mean1, mean2, utility, myopic_m)
+    c, floor = np.asarray(adapt_c), np.asarray(min_prob)
+    p2 = allocation_pair(q2[:, 0::2], q2[:, 1::2], c[..., None], floor[..., None])
+    return np.stack(allocation_pair(q1[:, 0], q1[:, 1], c, floor), -1), np.stack(p2, -1)
+
+
+def block_schedule(designs: Sequence[DesignConfig]) -> tuple[int, int, PriorSpec, str]:
+    """(max_patients, num_interims, prior_spec, engine), which all designs
+    of a block must share; raises ``ValueError`` otherwise."""
+    schedules = {(d.max_patients, d.num_interims, d.prior_spec, d.engine) for d in designs}
+    if len(schedules) != 1:
+        raise ValueError("designs must share max_patients, num_interims, prior_spec and engine")
+    return schedules.pop()
 
 
 def _substream(seed: int, index: int) -> np.random.SeedSequence:
@@ -150,8 +195,78 @@ def _substream(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(index,))
 
 
-def _spawn_engine_seed(seed_seq: np.random.SeedSequence) -> int:
-    return int(seed_seq.generate_state(1, np.uint64)[0])
+def _mcmc_means(stats, myopic, prior, children, analysis, warnings):
+    """``posterior_mcmc`` means trial by trial, laid out as the conjugate
+    means are (a pooled stage two is fitted on its two cells); warnings are
+    appended to ``warnings`` as (trial, message)."""
+    events1, trials1, events2, trials2 = stats
+    mean1, mean2 = np.empty(trials1.shape), np.empty(trials2.shape)
+    for t, roots in enumerate(children):
+        cells = 2 if myopic[t] else 4
+        pair = roots[analysis - 1].spawn(2)
+        seed1, seed2 = (int(s.generate_state(1, np.uint64)[0]) for s in pair)
+        res1 = posterior_mcmc(events1[t], trials1[t], prior, seed=seed1)
+        res2 = posterior_mcmc(events2[t, :cells], trials2[t, :cells], prior, seed=seed2)
+        for stage, res in enumerate((res1, res2), start=1):
+            warnings.extend((t, f"analysis {analysis} stage {stage}: {w}") for w in res.warnings)
+        mean1[t] = [cell.mean_event_prob for cell in res1.cells.values()]
+        mean2[t] = np.tile([cell.mean_event_prob for cell in res2.cells.values()], 4 // cells)
+    return mean1, mean2
+
+
+def run_block(streams: Sequence[Stream]) -> Block:
+    """Simulate every trial of ``streams`` through one cohort loop.
+
+    After each adapting analysis the posterior means, Q-values and
+    allocations of both stages are recomputed for every trial, honouring
+    the myopic flag in the stage-one utility and the stage-two pooling
+    (``c = 0`` reproduces equal allocation). All designs share one
+    schedule (``block_schedule``); a myopic design with an ambiguous
+    pooled table raises ``ConfigurationError`` before any draw.
+    """
+    designs = [d for st in streams for d in st.designs]
+    max_patients, num_interims, prior, engine = block_schedule(designs)
+    for st in streams:
+        if any(d.myopic_m for d in st.designs):
+            st.utilities.pooled_stage2()
+    sizes = [len(st.designs) * st.replicates for st in streams]
+    stops, n = np.cumsum(sizes).tolist(), sum(sizes)
+    rates = np.repeat([_rates(st.scenario) for st in streams], sizes, axis=0)
+    # Row utilities in UTILITY_ROW_KEYS order, the order of ``entries()``.
+    utility = np.repeat([list(st.utilities.entries().values()) for st in streams], sizes, axis=0)
+    myopic, adapt_c, min_prob = np.repeat(
+        [(d.myopic_m, d.adapt_c, d.min_alloc_prob) for d in designs],
+        [st.replicates for st in streams for _ in st.designs],
+        axis=0,
+    ).T
+    children = [seq.spawn(num_interims) for st in streams for seq in st.engine_seeds]
+    if engine == "mcmc" and len(children) != n:
+        raise ValueError("the MCMC engine needs one engine seed per trial")
+
+    warnings: list[tuple[int, str]] = []
+    p1, p2 = np.full((n, 2), 0.5), np.full((n, 2, 2), 0.5)
+    stage1, stage2 = np.empty((n, num_interims - 1, 2)), np.empty((n, num_interims - 1, 2, 2))
+    cohorts = np.empty((n, num_interims, len(_ROWS)), dtype=np.int64)
+    for k in range(num_interims):
+        pi = _cohort_probs(rates[:, :2], rates[:, 2:], p1, p2)
+        for st, size, stop in zip(streams, sizes, stops):
+            cohorts[stop - size : stop, k] = st.rng.multinomial(
+                max_patients // num_interims, pi[stop - size : stop]
+            )
+        # Allocation adapts after every analysis but the last.
+        if k == num_interims - 1:
+            break
+        stats = _sufficient_stats(cohorts[:, : k + 1].sum(axis=1), myopic)
+        if engine == "conjugate":
+            means = conjugate_mean(prior, *stats[:2]), conjugate_mean(prior, *stats[2:])
+        else:
+            means = _mcmc_means(stats, myopic, prior, children, k + 1, warnings)
+        p1, p2 = _allocate(*means, utility, myopic, adapt_c, min_prob)
+        stage1[:, k], stage2[:, k] = p1, p2
+
+    totals = map(math.fsum, (cohorts.sum(axis=1) * utility).tolist())
+    mean_utility = np.fromiter(totals, float, n) / max_patients
+    return Block(mean_utility, stage1, stage2, cohorts, tuple(warnings))
 
 
 def _patient_records(
@@ -175,76 +290,33 @@ def run_trial(
     utilities: UtilityTable | None = None,
     keep_records: bool = False,
 ) -> TrialResult:
-    """Simulate one complete trial under the given design.
+    """Simulate one complete trial under the given design: a block of one.
 
-    Each cohort is one multinomial draw of terminal-row counts (see the
-    module docstring). After each adapting analysis the posterior means,
-    Q-values and allocation probabilities are recomputed for both stages,
-    honouring the myopic flag for both the stage-one utility and the
-    stage-two history pooling. The computation also runs when ``c = 0``;
-    it then simply reproduces equal allocation.
-
-    A myopic design needs stage-two utilities that do not depend on the
-    stage-one arm; an ambiguous table raises ``ConfigurationError`` before
-    any draw. Fully deterministic given ``design.seed``; set
-    ``keep_records`` to materialise per-patient records (off by default for
-    sweep throughput), which leaves every other field unchanged.
+    Fully deterministic given ``design.seed``, whose substream 0 draws the
+    cohort counts. A myopic design with an ambiguous pooled table raises
+    ``ConfigurationError`` before any draw. Set ``keep_records`` to
+    materialise per-patient records, which leaves every other field
+    unchanged.
     """
     table = utilities if utilities is not None else UtilityTable.default()
-    m = design.myopic_m
-    u1 = table.stage1_alive
-    u2 = table.pooled_stage2() if m else table.stage2[0] + table.stage2[1]
-    row_utility = u1 + sum(table.stage2[0] + table.stage2[1], ())
-    cohort_size = design.max_patients // design.num_interims
-    prior = design.prior_spec
-
     # Substreams 0 (cohort counts), 1 (MCMC engine) and 2 (patient records)
     # of the design seed, each made only when it is used.
     rng = np.random.Generator(np.random.Philox(_substream(design.seed, 0)))
-    engine_children = None
-    if design.engine == "mcmc":
-        engine_children = _substream(design.seed, 1).spawn(design.num_interims)
-
-    p1: Pair = (0.5, 0.5)
-    p2: tuple[Pair, ...] = ((0.5, 0.5),) if m else ((0.5, 0.5), (0.5, 0.5))
-    counts = [0] * len(_ROWS)
-    cohorts: list[np.ndarray] = []
-    snapshots: list[InterimSnapshot] = []
-    warnings: list[str] = []
-
-    # Allocation adapts after every analysis but the last.
-    for analysis in range(1, design.num_interims + 1):
-        cohort = rng.multinomial(cohort_size, _cohort_probs(scenario, p1, p2))
-        counts = [k + n for k, n in zip(counts, cohort.tolist())]
-        if keep_records:
-            cohorts.append(cohort)
-        if analysis == design.num_interims:
-            break
-        events1, trials1, events2, trials2 = _sufficient_stats(counts, m)
-        if design.engine == "conjugate":
-            mean1 = [conjugate_mean(prior, e, t) for e, t in zip(events1, trials1)]
-            mean2 = [conjugate_mean(prior, e, t) for e, t in zip(events2, trials2)]
-        else:
-            assert engine_children is not None
-            seed1_seq, seed2_seq = engine_children[analysis - 1].spawn(2)
-            res1 = posterior_mcmc(events1, trials1, prior, seed=_spawn_engine_seed(seed1_seq))
-            res2 = posterior_mcmc(events2, trials2, prior, seed=_spawn_engine_seed(seed2_seq))
-            warnings.extend(f"analysis {analysis} stage 1: {w}" for w in res1.warnings)
-            warnings.extend(f"analysis {analysis} stage 2: {w}" for w in res2.warnings)
-            mean1 = [cell.mean_event_prob for cell in res1.cells.values()]
-            mean2 = [cell.mean_event_prob for cell in res2.cells.values()]
-        p1, p2 = _allocate(mean1, mean2, u1, u2, design)
-        snapshots.append(InterimSnapshot(analysis, p1, p2))
-
+    engine_seeds = (_substream(design.seed, 1),) if design.engine == "mcmc" else ()
+    block = run_block([Stream(scenario, (design,), 1, rng, table, engine_seeds)])
+    pairs = 1 if design.myopic_m else 2
+    snapshots = tuple(
+        InterimSnapshot(k + 1, tuple(p1), tuple(map(tuple, p2[:pairs])))
+        for k, (p1, p2) in enumerate(zip(block.stage1[0].tolist(), block.stage2[0].tolist()))
+    )
     records = None
     if keep_records:
         record_rng = np.random.Generator(np.random.Philox(_substream(design.seed, 2)))
-        records = _patient_records(cohorts, row_utility, record_rng)
-    total_utility = math.fsum(k * u for k, u in zip(counts, row_utility))
+        records = _patient_records(block.cohorts[0], table.entries().values(), record_rng)
     return TrialResult(
-        mean_utility=total_utility / design.max_patients,
-        per_interim_alloc=tuple(snapshots),
+        mean_utility=float(block.mean_utility[0]),
+        per_interim_alloc=snapshots,
         seed=design.seed,
         patient_records=records,
-        warnings=tuple(warnings),
+        warnings=tuple(message for _, message in block.warnings),
     )

@@ -1,10 +1,10 @@
 """Scenario-grid sweeps over trial designs, with deterministic parallelism.
 
-Every (scenario, design, replicate) triple maps to a trial seed through a
-pure function of the base seed and the three indices, so results are
-identical whatever the degree of parallelism or execution order. Work is
-partitioned by scenario; each work item is independent and owns its RNG
-substreams; aggregation is a deterministic reduction into index order.
+Each scenario owns one random stream (``scenario_stream``), so its results
+are a pure function of the base seed and its index, identical whatever the
+block it runs in, the degree of parallelism or the execution order. Work
+items are blocks of consecutive scenarios, each simulated as one batch;
+aggregation is a deterministic reduction into index order.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -23,12 +23,16 @@ from .core import (
     Scenario,
     UtilityTable,
 )
-from .simulator import run_trial
+from .simulator import Stream, block_schedule, run_block
+
+#: Scenarios per work item. It sets the batch size only: every scenario
+#: draws from its own stream, so results do not depend on it.
+BLOCK_SCENARIOS = 16
 
 
 class SweepError(RuntimeError):
-    """A trial inside a sweep failed, or a worker process died; the message
-    identifies the triple where one is known."""
+    """A block of trials inside a sweep failed, or a worker process died;
+    the message names the block's scenario indices where they are known."""
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,7 @@ class SweepConfig:
             raise ValueError("base_seed must be non-negative")
         if self.parallelism is not None and self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        block_schedule(self.designs)
 
 
 @dataclass(frozen=True)
@@ -71,13 +76,27 @@ class SweepResult:
     config: SweepConfig
     rows: tuple[SweepRow, ...]
     relative: dict[tuple[Scenario, int], float]  # (scenario, m) -> rel_u
+    workers: int
     warnings: tuple[str, ...] = ()
 
 
-def trial_seed(base_seed: int, scenario_index: int, design_index: int, replicate: int) -> int:
-    """Trial seed as a pure function of the seed lattice coordinates."""
-    seq = np.random.SeedSequence((base_seed, scenario_index, design_index, replicate))
-    return int(seq.generate_state(1, np.uint64)[0])
+def scenario_stream(
+    base_seed: int,
+    index: int,
+    scenario: Scenario,
+    designs: tuple[DesignConfig, ...],
+    replicates: int,
+    utilities: UtilityTable,
+) -> Stream:
+    """The trials of scenario ``index``: one Philox generator keyed by
+    ``SeedSequence((base_seed, index))`` draws the cohorts of all designs x
+    replicates, in (design, replicate) row order. Under the MCMC engine row
+    j's engine seed is child j of that sequence."""
+    seq = np.random.SeedSequence((base_seed, index))
+    mcmc = designs[0].engine == "mcmc"
+    engine_seeds = tuple(seq.spawn(len(designs) * replicates)) if mcmc else ()
+    rng = np.random.Generator(np.random.Philox(seq))
+    return Stream(scenario, designs, replicates, rng, utilities, engine_seeds)
 
 
 def _run_block(
@@ -90,30 +109,29 @@ def _run_block(
         UtilityTable | None,
     ],
 ) -> tuple[int, np.ndarray, list[str]]:
-    """Run all trials for a contiguous block of scenario indices."""
+    """Run all trials for a contiguous block of scenario indices as one batch."""
     start, scenarios, designs, replicates, base_seed, utilities = args
-    out = np.empty((len(scenarios), len(designs), replicates), dtype=np.float64)
-    warnings: list[str] = []
-    for offset, scenario in enumerate(scenarios):
-        s_idx = start + offset
-        for d_idx, design in enumerate(designs):
-            for rep in range(replicates):
-                seed = trial_seed(base_seed, s_idx, d_idx, rep)
-                try:
-                    result = run_trial(scenario, replace(design, seed=seed), utilities=utilities)
-                except Exception as exc:
-                    raise SweepError(
-                        f"trial failed for scenario index {s_idx} "
-                        f"({scenario}), design (m={design.myopic_m}, c={design.adapt_c}), "
-                        f"replicate {rep}: {exc}"
-                    ) from exc
-                out[offset, d_idx, rep] = result.mean_utility
-                warnings.extend(
-                    f"scenario {s_idx} design (m={design.myopic_m}, c={design.adapt_c}) "
-                    f"replicate {rep}: {w}"
-                    for w in result.warnings
-                )
-    return start, out, warnings
+    table = utilities if utilities is not None else UtilityTable.default()
+    streams = [
+        scenario_stream(base_seed, start + offset, scenario, designs, replicates, table)
+        for offset, scenario in enumerate(scenarios)
+    ]
+    try:
+        block = run_block(streams)
+    except Exception as exc:
+        raise SweepError(
+            f"trial failed in scenario indices {start} to {start + len(scenarios) - 1}: {exc}"
+        ) from exc
+    shape = (len(scenarios), len(designs), replicates)
+    warnings = []
+    for row, message in block.warnings:
+        offset, d_idx, rep = np.unravel_index(row, shape)
+        design = designs[d_idx]
+        warnings.append(
+            f"scenario {start + offset} design (m={design.myopic_m}, c={design.adapt_c}) "
+            f"replicate {rep}: {message}"
+        )
+    return start, block.mean_utility.reshape(shape), warnings
 
 
 def available_cpus() -> int:
@@ -128,25 +146,20 @@ def check_utilities(designs: Iterable[DesignConfig], utilities: UtilityTable | N
         utilities.pooled_stage2()
 
 
-def _partition(n: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous (start, stop) blocks covering range(n)."""
-    block = max(1, math.ceil(n / (workers * 4)))
-    return [(i, min(i + block, n)) for i in range(0, n, block)]
-
-
 def run_sweep(config: SweepConfig, utilities: UtilityTable | None = None) -> SweepResult:
     """Run the sweep and aggregate per-cell mean utilities.
 
-    Per-scenario work items execute concurrently when ``parallelism``
-    exceeds one (default: every CPU in the affinity set); the result is
-    identical for any parallelism degree. A utility table that a myopic
-    design cannot pool raises ``ConfigurationError`` before any trial runs.
+    Blocks of scenarios execute concurrently when ``parallelism`` exceeds
+    one (default: every CPU in the affinity set); the result is identical
+    for any parallelism degree. A utility table that a myopic design
+    cannot pool raises ``ConfigurationError`` before any trial runs.
     """
     check_utilities(config.designs, utilities)
     n_scenarios = len(config.scenarios)
     n_designs = len(config.designs)
     workers = config.parallelism if config.parallelism is not None else available_cpus()
-    blocks = _partition(n_scenarios, workers)
+    step = BLOCK_SCENARIOS
+    blocks = [(start, min(start + step, n_scenarios)) for start in range(0, n_scenarios, step)]
     tasks = [
         (
             start,
@@ -175,30 +188,28 @@ def run_sweep(config: SweepConfig, utilities: UtilityTable | None = None) -> Swe
         utility_matrix[start : start + block.shape[0]] = block
         warnings.extend(block_warnings)
 
-    rows: list[SweepRow] = []
-    for s_idx, scenario in enumerate(config.scenarios):
-        for d_idx, design in enumerate(config.designs):
-            u_bars = utility_matrix[s_idx, d_idx]
-            std_err = (
-                float(np.std(u_bars, ddof=1) / math.sqrt(config.replicates))
-                if config.replicates > 1
-                else 0.0
-            )
-            rows.append(
-                SweepRow(
-                    scenario=scenario,
-                    myopic_m=design.myopic_m,
-                    adapt_c=design.adapt_c,
-                    u_bar_bar=float(np.mean(u_bars)),
-                    u_bars=tuple(float(u) for u in u_bars),
-                    std_err=std_err,
-                )
-            )
+    u_bar_bar = utility_matrix.mean(axis=2)
+    std_err = (
+        utility_matrix.std(axis=2, ddof=1) / math.sqrt(config.replicates)
+        if config.replicates > 1
+        else np.zeros_like(u_bar_bar)
+    )
+    u_bars = utility_matrix.tolist()
+    rows = [
+        SweepRow(
+            scenario=scenario,
+            myopic_m=design.myopic_m,
+            adapt_c=design.adapt_c,
+            u_bar_bar=float(u_bar_bar[s_idx, d_idx]),
+            u_bars=tuple(u_bars[s_idx][d_idx]),
+            std_err=float(std_err[s_idx, d_idx]),
+        )
+        for s_idx, scenario in enumerate(config.scenarios)
+        for d_idx, design in enumerate(config.designs)
+    ]
 
     relative = relative_utility({(r.scenario, r.myopic_m, r.adapt_c): r.u_bar_bar for r in rows})
-    return SweepResult(
-        config=config, rows=tuple(rows), relative=relative, warnings=tuple(warnings)
-    )
+    return SweepResult(config, tuple(rows), relative, workers, tuple(warnings))
 
 
 def relative_utility(

@@ -9,9 +9,10 @@ BASE_SEED pins the whole suite, so every run is deterministic. The Monte
 Carlo checks state their bounds in standard errors rather than as raw
 tolerances on a ratio, so they hold for any correct random stream, not
 only for this seed: c1 compares null-scenario rows against their exact
-binomial spread, c2 puts its floor 4 SE below each rel(m=0), and c3 runs
+binomial spread, c2 puts its floor 4 SE below each rel(m=0), c3 runs
 its one scenario at 400 replicates against a fluid-limit value computed in
-the test.
+the test, and c10 compares every fixed-design row with its exact binomial
+distribution.
 """
 
 import math
@@ -29,12 +30,14 @@ from smartrar import (
     UtilityTable,
     allocation_pair,
     conjugate_mean,
+    fixed_design_value,
     posterior_mcmc,
     reduced_scenario_grid,
+    run_block,
     run_sweep,
     run_trial,
     canonical_designs,
-    trial_seed,
+    scenario_stream,
     true_value,
 )
 from smartrar.cli import write_sweep_csvs
@@ -92,7 +95,7 @@ def reduced_sweep(tmp_path_factory):
 def _delta_se(rel: float, adaptive, fixed) -> float:
     """Delta-method SE of rel = adaptive / fixed from the rows' ``std_err``.
 
-    Fixed and adaptive trials use disjoint seeds, so the two relative
+    Fixed and adaptive trials use disjoint draws, so the two relative
     errors combine in quadrature.
     """
     return rel * math.hypot(adaptive.std_err / adaptive.u_bar_bar, fixed.std_err / fixed.u_bar_bar)
@@ -108,7 +111,7 @@ def test_c1_null_effect_neutrality(reduced_sweep):
     Bernoulli(p) with p = 1 - r s, whatever arm they are allocated to, so
     each design's ``u_bar_bar`` is exactly Binomial(N, p) / N with N =
     replicates x patients = 20,000, and the fixed and adaptive rows are
-    independent (disjoint seeds). The check is therefore exact rather than
+    independent (disjoint draws). The check is therefore exact rather than
     a tolerance on rel: |u_adaptive - u_fixed| <= 4.5 sd with sd =
     sqrt(2 p (1 - p) / N) for each (scenario, m), and exact equality where
     p = 1 (r = 0). That leaves 16 scenarios x 2 flags = 32 z-tests; at
@@ -237,7 +240,7 @@ def test_c3_myopic_harm():
         0.5 under m = 1 and below 0.5 under m = 0.
 
     The SE of rel is the delta-method combination of the two rows'
-    ``std_err`` (fixed and adaptive trials use disjoint seeds). One
+    ``std_err`` (fixed and adaptive trials use disjoint draws). One
     replicate of rel(m=1) has an SD of about 0.0166, so the expected harm
     of about 0.0093 is 5 SE at 80 replicates. 400 replicates (about 0.5 s
     on one core of a 2-vCPU VM) make it about 11 SE: the 3-SE bound in (a)
@@ -272,20 +275,17 @@ def test_c3_myopic_harm():
     fluid = {d.adapt_c: _fluid_limit(scenario, d, table) for d in designs if d.myopic_m}
     expected = fluid[1.0] / fluid[0.0]
 
-    # Re-run the adaptive cells at the sweep's own lattice coordinates to
-    # read their allocation paths.
+    # Re-run the scenario's stream at the sweep's own coordinates (base
+    # seed, scenario index 0) through the block function to read the
+    # allocation paths.
+    block = run_block([scenario_stream(BASE_SEED, 0, scenario, designs, C3_REPLICATES, table)])
+    u_bars = block.mean_utility.reshape(len(designs), C3_REPLICATES)
+    final_stage1 = block.stage1[:, -1, 1].reshape(len(designs), C3_REPLICATES)
     final_p1 = {}
     for d_idx, design in enumerate(designs):
-        if design.adapt_c == 0.0:
-            continue
-        row = rows[(design.myopic_m, design.adapt_c)]
-        probs = []
-        for rep in range(C3_REPLICATES):
-            seed = trial_seed(BASE_SEED, 0, d_idx, rep)
-            trial = run_trial(scenario, replace(design, seed=seed))
-            assert trial.mean_utility == row.u_bars[rep]
-            probs.append(trial.per_interim_alloc[-1].stage1[1])
-        final_p1[design.myopic_m] = float(np.mean(probs))
+        assert u_bars[d_idx].tolist() == list(rows[(design.myopic_m, design.adapt_c)].u_bars)
+        if design.adapt_c == 1.0:
+            final_p1[design.myopic_m] = float(np.mean(final_stage1[d_idx]))
 
     checks = {
         "a": rel[1] + 3.0 * se < 1.0,
@@ -343,8 +343,9 @@ def test_c4_backward_induction_oracle_equivalence():
         table = UtilityTable.from_entries(
             dict(zip(row_keys, rng.uniform(0.0, 5.0, size=10)))
         )
-        u2 = table.stage2[0] + table.stage2[1]
-        induction, _ = _q_values(means1, means2, table.stage1_alive, u2, myopic_m=0)
+        utility = np.array([list(table.entries().values())])
+        induction, _ = _q_values(np.array([means1]), np.array([means2]), utility, myopic_m=0)
+        induction = induction[0]
         oracle = enumerated_stage1_values(means1, means2, table)
         worst = max(worst, max(abs(induction[a] - oracle[a]) for a in (0, 1)))
     report(4, worst <= 1e-12, f"1000 randomised inputs: max |induction - oracle| = {worst:.2e}")
@@ -392,10 +393,11 @@ def test_c6_fixed_design_calibration():
     expected = 0.5 * (true_value(scenario, 0) + true_value(scenario, 1))
     assert expected == pytest.approx(0.9025)
     design = DesignConfig(myopic_m=0, adapt_c=0.0)
-    utilities = [
-        run_trial(scenario, replace(design, seed=trial_seed(BASE_SEED, 0, 0, rep))).mean_utility
+    seeds = [
+        int(np.random.SeedSequence((BASE_SEED, 0, 0, rep)).generate_state(1, np.uint64)[0])
         for rep in range(100)
     ]
+    utilities = [run_trial(scenario, replace(design, seed=seed)).mean_utility for seed in seeds]
     u_bar_bar = float(np.mean(utilities))
     report(
         6,
@@ -465,4 +467,53 @@ def test_c9_full_grid_feasibility(reduced_sweep):
         f"{per_trial * 1000:.3f} ms/trial serial -> full grid "
         f"({FULL_GRID_TRIALS} trials) estimated {full_seconds / 60:.1f} min single-core "
         "(budget 30 min multi-threaded)",
+    )
+
+
+C10_Z_LIMIT = 5.0
+
+
+def test_c10_fixed_design_exact(reduced_sweep):
+    """Every fixed-design row matches its exact binomial distribution.
+
+    With c = 0 the allocation stays at (1/2, 1/2) at both stages, so under
+    the default table each patient's utility is an independent Bernoulli(p)
+    with p = ``fixed_design_value`` (the terminal-row probabilities at
+    (1/2, 1/2) that the sampler draws from, dotted with the row
+    utilities), and a c = 0 row's ``u_bar_bar`` is Binomial(N, p) / N with
+    N = replicates x patients = 20,000. Two checks:
+
+    (a) p equals the mean of the two arms' ``true_value`` (per-arm survival
+        1 - r s, computed without the terminal-row probabilities) to 1e-15
+        for every scenario, so a fault in those probabilities shows here;
+    (b) each of the 400 scenarios x 2 flags = 800 rows is z-tested at
+        |z| <= 5.0; at P(|z| > 5) = 5.7e-7 each, the family-wise
+        false-alarm rate is at most about 4.6e-4 (Bonferroni, normal
+        approximation). Where p is 0 or 1 the row must equal p exactly.
+    """
+    result = reduced_sweep["result"]
+    n = result.config.replicates * result.config.designs[0].max_patients
+    fixed_rows = [row for row in result.rows if row.adapt_c == 0.0]
+    assert len(fixed_rows) == 800
+    worst_z = 0.0
+    failures = []
+    for row in fixed_rows:
+        p = fixed_design_value(row.scenario)
+        mixture = 0.5 * (true_value(row.scenario, 0) + true_value(row.scenario, 1))
+        if abs(p - mixture) > 1e-15:
+            failures.append(f"{row.scenario}: fixed-design value {p!r} != {mixture!r}")
+        if p in (0.0, 1.0):
+            if row.u_bar_bar != p:
+                failures.append(f"{row.scenario} m={row.myopic_m}: {row.u_bar_bar!r} != {p}")
+            continue
+        z = (row.u_bar_bar - p) / math.sqrt(p * (1.0 - p) / n)
+        worst_z = max(worst_z, abs(z))
+        if abs(z) > C10_Z_LIMIT:
+            failures.append(f"{row.scenario} m={row.myopic_m}: z = {z:.2f}")
+    report(
+        10,
+        not failures,
+        f"800 fixed-design rows: p = arm mixture to 1e-15, max |u_bar_bar - p| / sd = "
+        f"{worst_z:.2f} (limit {C10_Z_LIMIT}; exact where p is 0 or 1)"
+        + (f"; failed: {'; '.join(failures[:5])}" if failures else ""),
     )

@@ -1,8 +1,11 @@
 """Command-line contracts: flags, config files, CSV stability, exit codes."""
 
 import importlib.util
+import platform
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from smartrar import ENGINE_IMPLEMENTATION, Scenario, SweepConfig, canonical_designs, run_sweep
@@ -240,6 +243,45 @@ class TestSweep:
         digest = hashlib.sha256((out_dir / "sweep_aggregate.csv").read_bytes()).hexdigest()
         assert digest in manifest
         assert f"engine_implementation = {ENGINE_IMPLEMENTATION}" in manifest
+        assert f"numpy_version = {np.__version__}" in manifest
+        assert f"python_version = {platform.python_version()}" in manifest
+        assert "threads = 1\nworkers = 1\n" in manifest
+
+    def test_mcmc_sweep(self, tmp_path, scenario_file, capsys, monkeypatch):
+        # 2 scenarios x all designs x 1 replicate; every posterior_mcmc call
+        # reports a warning naming its cell count, which must come out
+        # prefixed with the trial's sweep coordinates. One scenario per
+        # block, so that two threads run two work items in a pool.
+        import smartrar.simulator
+        import smartrar.sweep
+
+        monkeypatch.setattr(smartrar.sweep, "BLOCK_SCENARIOS", 1)
+
+        real = smartrar.simulator.posterior_mcmc
+
+        def flagged(events, trials, prior, **kwargs):
+            result = real(events, trials, prior, **kwargs)
+            return replace(result, warnings=result.warnings + (f"{len(events)} cells",))
+
+        monkeypatch.setattr(smartrar.simulator, "posterior_mcmc", flagged)
+        written = {}
+        for threads in ("1", "2"):
+            out_dir = tmp_path / threads
+            capsys.readouterr()
+            assert run_cli(
+                "sweep", "--grid", str(scenario_file), "--engine", "mcmc", "--replicates", "1",
+                "--base-seed", "4", "--threads", threads, "--out-dir", str(out_dir),
+            ) == 0
+            if threads == "1":
+                err = capsys.readouterr().err.splitlines()
+            written[threads] = [
+                (out_dir / name).read_bytes() for name in ("sweep_replicates.csv", "sweep_aggregate.csv")
+            ]
+        assert written["1"] == written["2"]
+        assert len(err) == 2 * 4 * 3 * 2
+        assert "warning: scenario 0 design (m=0, c=0.0) replicate 0: analysis 1 stage 1: 2 cells" in err
+        assert "warning: scenario 1 design (m=0, c=1.0) replicate 0: analysis 3 stage 2: 4 cells" in err
+        assert "warning: scenario 1 design (m=1, c=1.0) replicate 0: analysis 2 stage 2: 2 cells" in err
 
     def test_ambiguous_pooled_utilities_exit_2(
         self, tmp_path, scenario_file, ambiguous_pooling, capsys
@@ -269,6 +311,8 @@ class TestSweep:
                 pass
 
         monkeypatch.setattr(smartrar.sweep, "ProcessPoolExecutor", CrashingPool)
+        # one scenario per block, so the two scenarios make two work items
+        monkeypatch.setattr(smartrar.sweep, "BLOCK_SCENARIOS", 1)
         assert run_cli(
             "sweep", "--grid", str(scenario_file), "--replicates", "1", "--threads", "2",
             "--out-dir", str(tmp_path / "sweep"),

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from smartrar import (
@@ -69,12 +70,14 @@ class TestScenarioGrid:
 class TestHistory:
     def test_stage2_histories_by_flag(self):
         # one stage-two cell per (a1, a2) under a dynamic design, one per a2
-        # when a myopic design pools over the stage-one arm
-        counts = list(range(10))
+        # when a myopic design pools over the stage-one arm (held in both
+        # a1 cells of that a2)
+        counts = np.arange(10)[None, :]
         for m, cells in ((0, 4), (1, 2)):
             events1, trials1, events2, trials2 = _sufficient_stats(counts, m)
-            assert (len(events1), len(trials1)) == (2, 2)
-            assert (len(events2), len(trials2)) == (cells, cells)
+            assert events1.shape == trials1.shape == (1, 2)
+            assert events2.shape == trials2.shape == (1, 4)
+            assert len({tuple(events2[0, 2 * a1 : 2 * a1 + 2]) for a1 in (0, 1)}) == cells // 2
 
 
 class TestPatientRecord:

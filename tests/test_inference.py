@@ -69,11 +69,11 @@ class TestLinearPredictor:
             _design_matrix(3)
 
 
-def _row_counts(records) -> list[int]:
-    """Terminal-row counts in ``UTILITY_ROW_KEYS`` order from (a1, y1, a2, y2)."""
-    counts = [0] * 10
+def _row_counts(records) -> np.ndarray:
+    """Terminal-row counts (1, 10) in ``UTILITY_ROW_KEYS`` order from (a1, y1, a2, y2)."""
+    counts = np.zeros((1, 10), dtype=np.int64)
     for a1, y1, a2, y2 in records:
-        counts[2 + 4 * a1 + 2 * a2 + y2 if y1 else a1] += 1
+        counts[0, 2 + 4 * a1 + 2 * a2 + y2 if y1 else a1] += 1
     return counts
 
 
@@ -82,23 +82,30 @@ RECORDS = [(0, 1, 1, 0), (0, 0, None, None), (1, 1, 1, 1)]
 
 class TestAccumulate:
     def test_empty_records(self):
-        for m, cells in ((0, 4), (1, 2)):
-            events1, trials1, events2, trials2 = _sufficient_stats([0] * 10, m)
-            assert list(events1) == list(trials1) == [0, 0]
-            assert list(events2) == list(trials2) == [0] * cells
+        for m in (0, 1):
+            events1, trials1, events2, trials2 = _sufficient_stats(_row_counts([]), m)
+            assert events1.tolist() == trials1.tolist() == [[0, 0]]
+            assert events2.tolist() == trials2.tolist() == [[0] * 4]
 
     def test_hand_counted_dynamic(self):
         events1, trials1, events2, trials2 = _sufficient_stats(_row_counts(RECORDS), 0)
-        assert (list(events1), list(trials1)) == ([1, 1], [2, 1])
-        assert (list(events2), list(trials2)) == ([0, 0, 0, 1], [0, 1, 0, 1])
+        assert (events1.tolist(), trials1.tolist()) == ([[1, 1]], [[2, 1]])
+        assert (events2.tolist(), trials2.tolist()) == ([[0, 0, 0, 1]], [[0, 1, 0, 1]])
 
     def test_hand_counted_pooled(self):
+        # pooled by a2, held in both a1 cells
         _, _, events2, trials2 = _sufficient_stats(_row_counts(RECORDS), 1)
-        assert (list(events2), list(trials2)) == ([0, 1], [0, 2])
+        assert (events2.tolist(), trials2.tolist()) == ([[0, 1, 0, 1]], [[0, 2, 0, 2]])
+
+    def test_flag_per_trial(self):
+        counts = np.concatenate([_row_counts(RECORDS)] * 2)
+        _, _, events2, trials2 = _sufficient_stats(counts, np.array([0, 1]))
+        assert events2.tolist() == [[0, 0, 0, 1], [0, 1, 0, 1]]
+        assert trials2.tolist() == [[0, 1, 0, 1], [0, 2, 0, 2]]
 
     def test_stage2_trials_equal_infections(self):
         events1, _, _, trials2 = _sufficient_stats(_row_counts(RECORDS), 0)
-        assert sum(trials2) == sum(events1)
+        assert trials2.sum() == events1.sum()
 
     @given(
         data=st.lists(
@@ -112,9 +119,10 @@ class TestAccumulate:
         counts = _row_counts(data)
         _, _, events2, trials2 = _sufficient_stats(counts, 0)
         _, _, pooled_events, pooled_trials = _sufficient_stats(counts, 1)
-        for a2 in (0, 1):
-            assert pooled_events[a2] == events2[a2] + events2[2 + a2]
-            assert pooled_trials[a2] == trials2[a2] + trials2[2 + a2]
+        for a1 in (0, 1):
+            for a2 in (0, 1):
+                assert pooled_events[0, 2 * a1 + a2] == events2[0, a2] + events2[0, 2 + a2]
+                assert pooled_trials[0, 2 * a1 + a2] == trials2[0, a2] + trials2[0, 2 + a2]
 
 
 class TestMcmc:

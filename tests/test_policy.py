@@ -1,11 +1,12 @@
 """Q-value kernels, the simulator's means -> Q -> allocation glue, and the
 enumeration oracle that c4 compares them against."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smartrar import DesignConfig, UtilityTable, q1_value, q2_value
+from smartrar import UtilityTable, q1_value, q2_value
 from smartrar.simulator import _allocate, _q_values
 
 from test_acceptance import enumerated_stage1_values
@@ -23,18 +24,25 @@ def random_table(draw_values: list[float]) -> UtilityTable:
     return UtilityTable.from_entries(dict(zip(keys, draw_values)))
 
 
+def row_utility(table: UtilityTable) -> np.ndarray:
+    """One trial's row utilities, in the layout ``run_block`` uses."""
+    return np.array([list(table.entries().values())])
+
+
 def allocate(mean1, mean2, table: UtilityTable, m: int, c: float = 1.0):
-    """``_allocate`` with the stage-two layout ``run_trial`` uses for flag m."""
-    u2 = table.pooled_stage2() if m else table.stage2[0] + table.stage2[1]
+    """``_allocate`` for one trial with flag m: the stage-one pair and the
+    stage-two pairs as ``run_trial`` reports them (one per a1, or the
+    pooled pair once). A myopic trial's pooled means are the first two
+    stage-two means, held in both a1 cells as ``_sufficient_stats`` does."""
     if m:
-        mean2 = mean2[:2]
-    return _allocate(mean1, mean2, table.stage1_alive, u2, DesignConfig(myopic_m=m, adapt_c=c))
+        mean2 = mean2[:2] * 2
+    p1, p2 = _allocate(np.array([mean1]), np.array([mean2]), row_utility(table), m, c, 0.0)
+    return tuple(p1[0].tolist()), tuple(map(tuple, p2[0].tolist()[: 2 - m]))
 
 
 def dynamic_q1(mean1, mean2, table: UtilityTable) -> list[float]:
-    """Stage-one Q-values of a dynamic design, as ``run_trial`` computes them."""
-    u2 = table.stage2[0] + table.stage2[1]
-    return _q_values(mean1, mean2, table.stage1_alive, u2, myopic_m=0)[0]
+    """Stage-one Q-values of a dynamic design, as ``run_block`` computes them."""
+    return _q_values(np.array([mean1]), np.array([mean2]), row_utility(table), myopic_m=0)[0][0]
 
 
 class TestQStage2:
@@ -119,10 +127,9 @@ class TestInvariants:
     )
     def test_q_values_within_table_bounds(self, p0, p1, mean, table_values):
         table = random_table(table_values)
-        u2 = table.stage2[0] + table.stage2[1]
-        q1, q2 = _q_values((p0, p1), (mean,) * 4, table.stage1_alive, u2, myopic_m=0)
+        q1, q2 = _q_values(np.array([(p0, p1)]), np.full((1, 4), mean), row_utility(table), 0)
         lo, hi = min(table_values), max(table_values)
-        for value in q2 + q1:
+        for value in np.concatenate([q2[0], q1[0]]):
             assert lo - 1e-12 <= value <= hi + 1e-12
 
     @given(p0=probs, p1=probs, m_a=probs, m_b=probs)

@@ -1,5 +1,6 @@
 """Trial-simulation contracts: generation, scheduling, adaptation, determinism."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,10 @@ from smartrar import (
     ConfigurationError,
     DesignConfig,
     Scenario,
+    Stream,
     UtilityTable,
+    run_block,
     run_trial,
-    trial_seed,
     true_value,
 )
 
@@ -311,41 +313,87 @@ def _z(a: float, se_a: float, b: float, se_b: float) -> float:
     return (a - b) / se
 
 
-class TestCountLevelParity:
-    """Count-level ``run_trial`` against the per-patient reference sampler.
+def _lattice_seed(*coordinates: int) -> int:
+    return int(np.random.SeedSequence(coordinates).generate_state(1, np.uint64)[0])
 
-    Per case, 400 trials of each on disjoint lattice seeds; the mean
+
+@functools.lru_cache(maxsize=None)
+def _reference_samples(case: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean utility and final stage-one P(arm 1) of 400 per-patient
+    reference trials of one parity case."""
+    scenario, overrides, table = PARITY_CASES[case]
+    design = DesignConfig(**overrides)
+    trials = [
+        per_patient_trial(
+            scenario, replace(design, seed=_lattice_seed(7, case, 1, rep)), utilities=table
+        )
+        for rep in range(PARITY_REPLICATES)
+    ]
+    return (
+        np.array([t.mean_utility for t in trials]),
+        np.array([t.per_interim_alloc[-1].stage1[1] for t in trials]),
+    )
+
+
+def _parity_z(u_count, p_count, u_ref, p_ref) -> dict[str, float]:
+    """z of the mean utility, its variance and the mean final stage-one
+    allocation, count-level against reference."""
+    mean_c, mean_se_c, var_c, var_se_c = _mean_and_var_se(u_count)
+    mean_r, mean_se_r, var_r, var_se_r = _mean_and_var_se(u_ref)
+    _, p_se_c, _, _ = _mean_and_var_se(p_count)
+    _, p_se_r, _, _ = _mean_and_var_se(p_ref)
+    return {
+        "mean utility": _z(mean_c, mean_se_c, mean_r, mean_se_r),
+        "utility variance": _z(var_c, var_se_c, var_r, var_se_r),
+        "final stage-one P(arm 1)": _z(p_count.mean(), p_se_c, p_ref.mean(), p_se_r),
+    }
+
+
+class TestCountLevelParity:
+    """Count-level trials against the per-patient reference sampler.
+
+    Per case, 400 trials of each on disjoint seeds; the mean
     ``mean_utility``, its variance and the mean final stage-one allocation
     must agree within 4 SE. The cases cover r = 0 and r = 1, c = 0.5,
     ``min_alloc_prob`` > 0, both myopic flags and two non-default tables.
+    Two subjects: ``run_trial`` one trial at a time, and one mixed
+    ``run_block`` holding all six cases.
     """
 
     @pytest.mark.parametrize("case", range(len(PARITY_CASES)))
     def test_distribution_matches_reference(self, case):
         scenario, overrides, table = PARITY_CASES[case]
         design = DesignConfig(**overrides)
-        samples = {}
-        for engine, simulate in ((0, run_trial), (1, per_patient_trial)):
-            trials = [
-                simulate(
-                    scenario,
-                    replace(design, seed=trial_seed(7, case, engine, rep)),
-                    utilities=table,
-                )
-                for rep in range(PARITY_REPLICATES)
-            ]
-            samples[engine] = (
-                np.array([t.mean_utility for t in trials]),
-                np.array([t.per_interim_alloc[-1].stage1[1] for t in trials]),
+        trials = [
+            run_trial(
+                scenario, replace(design, seed=_lattice_seed(7, case, 0, rep)), utilities=table
             )
-        (u_count, p_count), (u_ref, p_ref) = samples[0], samples[1]
-        mean_c, mean_se_c, var_c, var_se_c = _mean_and_var_se(u_count)
-        mean_r, mean_se_r, var_r, var_se_r = _mean_and_var_se(u_ref)
-        _, p_se_c, _, _ = _mean_and_var_se(p_count)
-        _, p_se_r, _, _ = _mean_and_var_se(p_ref)
-        z = {
-            "mean utility": _z(mean_c, mean_se_c, mean_r, mean_se_r),
-            "utility variance": _z(var_c, var_se_c, var_r, var_se_r),
-            "final stage-one P(arm 1)": _z(p_count.mean(), p_se_c, p_ref.mean(), p_se_r),
-        }
+            for rep in range(PARITY_REPLICATES)
+        ]
+        z = _parity_z(
+            np.array([t.mean_utility for t in trials]),
+            np.array([t.per_interim_alloc[-1].stage1[1] for t in trials]),
+            *_reference_samples(case),
+        )
         assert all(abs(v) <= PARITY_Z for v in z.values()), z
+
+    def test_mixed_block_matches_reference(self):
+        streams = [
+            Stream(
+                scenario,
+                (DesignConfig(**overrides),),
+                PARITY_REPLICATES,
+                np.random.Generator(np.random.Philox(np.random.SeedSequence((7, case, 2)))),
+                table if table is not None else UtilityTable.default(),
+            )
+            for case, (scenario, overrides, table) in enumerate(PARITY_CASES)
+        ]
+        block = run_block(streams)
+        utilities = block.mean_utility.reshape(len(PARITY_CASES), PARITY_REPLICATES)
+        final_p1 = block.stage1[:, -1, 1].reshape(len(PARITY_CASES), PARITY_REPLICATES)
+        failed = {}
+        for case in range(len(PARITY_CASES)):
+            z = _parity_z(utilities[case], final_p1[case], *_reference_samples(case))
+            if any(abs(v) > PARITY_Z for v in z.values()):
+                failed[case] = z
+        assert not failed, failed

@@ -1,5 +1,5 @@
-"""Sweep orchestration: seed lattice, parallel determinism, relative
-utilities and their matrix report."""
+"""Sweep orchestration: per-scenario streams, parallel determinism,
+relative utilities and their matrix report."""
 
 import math
 
@@ -11,12 +11,15 @@ from smartrar import (
     DesignConfig,
     Scenario,
     SweepConfig,
+    UtilityTable,
     relative_utility,
+    run_block,
     run_sweep,
     canonical_designs,
-    trial_seed,
+    scenario_stream,
 )
 from smartrar.cli import fmt_real, main, write_sweep_csvs
+from smartrar.sweep import BLOCK_SCENARIOS
 
 SCENARIOS = (
     Scenario(0.5, 0.45, 0.05, 0.95),
@@ -37,15 +40,37 @@ def small_config(**overrides) -> SweepConfig:
     return SweepConfig(**defaults)
 
 
-class TestTrialSeed:
-    def test_pure_function(self):
-        assert trial_seed(7, 3, 1, 9) == trial_seed(7, 3, 1, 9)
+class TestSeedContract:
+    """A scenario's results depend on (base seed, scenario index) only."""
 
-    def test_distinct_coordinates_distinct_seeds(self):
-        seeds = {
-            trial_seed(0, s, d, r) for s in range(4) for d in range(4) for r in range(4)
-        }
-        assert len(seeds) == 64
+    # More scenarios than one block holds, the first one twice.
+    BLOCKED = (SCENARIOS[0],) * 2 + tuple(
+        Scenario(x, 1.0 - x, 0.1 + 0.8 * x, 0.9 - 0.8 * x)
+        for x in (i / (BLOCK_SCENARIOS + 2) for i in range(1, BLOCK_SCENARIOS + 2))
+    )
+
+    def test_block_composition_invariance(self):
+        config = small_config(scenarios=self.BLOCKED)
+        in_blocks = run_sweep(config)
+        three_workers = run_sweep(small_config(scenarios=self.BLOCKED, parallelism=3))
+        assert three_workers.rows == in_blocks.rows
+        n_designs = len(config.designs)
+        for index, scenario in enumerate(self.BLOCKED):
+            stream = scenario_stream(
+                config.base_seed, index, scenario, config.designs, config.replicates,
+                UtilityTable.default(),
+            )  # fmt: skip
+            alone = run_block([stream]).mean_utility.reshape(n_designs, config.replicates)
+            rows = in_blocks.rows[index * n_designs : (index + 1) * n_designs]
+            assert [row.u_bars for row in rows] == [tuple(u) for u in alone.tolist()]
+
+    def test_distinct_indices_draw_distinct_streams(self):
+        rows = run_sweep(small_config(scenarios=self.BLOCKED)).rows
+        n_designs = len(canonical_designs())
+        # the same scenario at indices 0 and 1
+        assert [r.u_bars for r in rows[:n_designs]] != [
+            r.u_bars for r in rows[n_designs : 2 * n_designs]
+        ]
 
 
 class TestRunSweep:
@@ -94,6 +119,14 @@ class TestRunSweep:
     def test_replicate_std_err(self):
         result = run_sweep(small_config(replicates=1))
         assert all(row.std_err == 0.0 for row in result.rows)
+
+    def test_designs_must_share_schedule(self):
+        designs = (
+            DesignConfig(myopic_m=0, adapt_c=1.0, max_patients=400),
+            DesignConfig(myopic_m=0, adapt_c=0.0, max_patients=800),
+        )
+        with pytest.raises(ValueError, match="must share"):
+            small_config(designs=designs)
 
     def test_subset_of_designs_skips_relative(self):
         config = small_config(designs=(DesignConfig(myopic_m=0, adapt_c=1.0, max_patients=400),))
