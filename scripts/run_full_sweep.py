@@ -4,7 +4,9 @@ both relative-utility matrix bundles.
 
 Uses the conjugate engine and every CPU by default. Measured on a 2-vCPU
 VM: about 20 s with --threads 1 and 14 s with both CPUs, matrix reports
-included; peak memory about 530 MB. Outputs land in --out-dir:
+included; peak RSS of this process about 74 MB with --threads 1 (the
+sweep's arrays, with each CSV line formatted as it is written). Outputs
+land in --out-dir:
 
     sweep_replicates.csv   per-trial mean utilities
     sweep_aggregate.csv    per-(scenario, design) mean and standard error
@@ -13,11 +15,18 @@ included; peak memory about 530 MB. Outputs land in --out-dir:
 """
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
 
 from smartrar.cli import main as cli_main
+
+
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far (``ru_maxrss`` is in
+    KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main() -> int:
@@ -45,7 +54,7 @@ def main() -> int:
     code = cli_main(sweep_args)
     if code != 0:
         return code
-    print(f"sweep finished in {time.perf_counter() - t0:.1f} s")
+    print(f"sweep finished in {time.perf_counter() - t0:.1f} s, peak RSS {peak_rss_mb():.0f} MB")
 
     aggregate = out_dir / "sweep_aggregate.csv"
     for m in (0, 1):
@@ -58,6 +67,7 @@ def main() -> int:
         ])
         if code != 0:
             return code
+    print(f"reports finished, peak RSS {peak_rss_mb():.0f} MB")
     return 0
 
 

@@ -40,15 +40,14 @@ def main(argv: list[str] | None = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_sweep_csvs(out_dir, result)
 
-    for m in (0, 1):
-        write_relative_csv(out_dir / f"rel_u_m{m}_long.csv", result.relative, m)
-        values = [rel_u for (_, row_m), rel_u in result.relative.items() if row_m == m]
+    for m, rel_u in result.relative.items():
+        write_relative_csv(out_dir / f"rel_u_m{m}_long.csv", result.config.cells, rel_u, m)
         label = "dynamic" if m == 0 else "myopic"
         print(
-            f"{label} adaptation: min rel = {min(values):.4f}, "
-            f"max rel = {max(values):.4f}, "
-            f"scenarios below 0.99: {sum(v < 0.99 for v in values)}, "
-            f"above 1.01: {sum(v > 1.01 for v in values)}"
+            f"{label} adaptation: min rel = {rel_u.min():.4f}, "
+            f"max rel = {rel_u.max():.4f}, "
+            f"scenarios below 0.99: {(rel_u < 0.99).sum()}, "
+            f"above 1.01: {(rel_u > 1.01).sum()}"
         )
     print(f"wrote CSVs to {out_dir}")
     return 0

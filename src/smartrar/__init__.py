@@ -47,7 +47,6 @@ from .sweep import (
     SweepConfig,
     SweepError,
     SweepResult,
-    SweepRow,
     relative_utility,
     run_sweep,
     scenario_stream,

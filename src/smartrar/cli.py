@@ -19,13 +19,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import math
 import os
 import sys
+from array import array
 from datetime import datetime, timezone
-from itertools import product
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .simulator import ENGINE_IMPLEMENTATION, run_trial
 from .sweep import (
     SweepConfig,
     SweepError,
+    SweepResult,
     check_utilities,
     relative_utility,
     run_sweep,
@@ -54,19 +54,71 @@ ENV_OUT_DIR = "SMARTRAR_OUT_DIR"
 REPLICATES_CSV = "sweep_replicates.csv"
 AGGREGATE_CSV = "sweep_aggregate.csv"
 MANIFEST_FILE = "manifest.txt"
+AGGREGATE_HEADER = "r0,r1,s0,s1,m,c,u_bar_bar,std_err"
 
 
 def fmt_real(x: float) -> str:
     """17-significant-digit decimal form; guarantees exact float round trips."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".17g")
+    return format(float(x), ".17g")
+
+
+def _cell_text(r0: float, r1: float, s0: float, s1: float) -> str:
+    return f"{r0:.17g},{r1:.17g},{s0:.17g},{s1:.17g}"
+
+
+def _write_csv(path: Path, header: str, lines: Iterable[str]) -> Path:
+    """Write ``header`` and then the newline-terminated ``lines`` as they come."""
+    with open(path, "w", newline="\n") as f:
+        f.write(header + "\n")
+        f.writelines(lines)
+    return path
+
+
+def _read_table(path: Path, header: str, types: tuple[type, ...], key: int) -> np.ndarray:
+    """One row per non-blank line after ``header``: its first ``len(types)``
+    fields, each converted by its type. Raises ``ConfigurationError`` on
+    another header, a line with another field count, an r0, r1, s0 or s1
+    (the first four fields) outside [0, 1], or a line whose first ``key``
+    fields repeat an earlier line's."""
+    names = header.split(",")
+    numbers, values = [], array("d")
+    with open(path) as f:
+        if f.readline().strip() != header:
+            raise ConfigurationError(f"{path} must start with header {header!r}")
+        for ln, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) != len(names):
+                raise ConfigurationError(f"{path}:{ln}: expected {len(names)} comma-separated values")
+            numbers.append(ln)
+            values.extend([convert(part) for convert, part in zip(types, parts)])
+    table = np.array(values).reshape(-1, len(types))
+    outside = np.argwhere(~((table[:, :4] >= 0.0) & (table[:, :4] <= 1.0)))
+    if len(outside):
+        row, col = outside[0]
+        raise ConfigurationError(
+            f"{path}:{numbers[row]}: {names[col]} must be a probability in [0, 1], "
+            f"got {table[row, col].item()!r}"
+        )
+    # A stable sort puts lines with equal keys next to each other, in file order.
+    order = np.lexsort(table[:, :key].T)
+    keys = table[order, :key]
+    repeats = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
+    if len(repeats):
+        first, again = order[repeats[0]], order[repeats[0] + 1]
+        raise ConfigurationError(
+            f"{path}:{numbers[again]}: repeats the ({', '.join(names[:key])}) "
+            f"of line {numbers[first]}"
+        )
+    return table
 
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
-    digest.update(path.read_bytes())
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -147,30 +199,30 @@ def _utilities_from_config(cfg: configparser.ConfigParser) -> UtilityTable | Non
 
 
 def _write_patients_csv(path: Path, result) -> None:
-    lines = ["patient,stage1_action,stage1_outcome,stage2_action,stage2_outcome,utility"]
     assert result.patient_records is not None
+    lines = []
     for i, record in enumerate(result.patient_records):
         a2 = "" if record.stage2_action is None else str(record.stage2_action)
         y2 = "" if record.stage2_outcome is None else str(record.stage2_outcome)
         lines.append(
             f"{i},{record.stage1_action},{record.stage1_outcome},{a2},{y2},"
-            f"{fmt_real(record.realized_utility)}"
+            f"{fmt_real(record.realized_utility)}\n"
         )
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_csv(path, "patient,stage1_action,stage1_outcome,stage2_action,stage2_outcome,utility", lines)
 
 
 def _write_allocations_csv(path: Path, result) -> None:
-    lines = ["analysis,stage,stage1_action,action,probability"]
+    lines = []
     for snapshot in result.per_interim_alloc:
         for action in (0, 1):
-            lines.append(f"{snapshot.analysis},1,,{action},{fmt_real(snapshot.stage1[action])}")
+            lines.append(f"{snapshot.analysis},1,,{action},{fmt_real(snapshot.stage1[action])}\n")
         # One stage-two pair per stage-one arm, or a single pooled pair.
         pooled = len(snapshot.stage2) == 1
         for a1, pair in enumerate(snapshot.stage2):
             label = "" if pooled else str(a1)
             for action in (0, 1):
-                lines.append(f"{snapshot.analysis},2,{label},{action},{fmt_real(pair[action])}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+                lines.append(f"{snapshot.analysis},2,{label},{action},{fmt_real(pair[action])}\n")
+    _write_csv(path, "analysis,stage,stage1_action,action,probability", lines)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -224,20 +276,10 @@ def _scenarios_from_grid(grid: str) -> list[Scenario]:
     path = Path(grid)
     if not path.exists():
         raise ConfigurationError(f"--grid must be 'full', 'reduced' or a scenario CSV; {grid!r} not found")
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != "r0,r1,s0,s1":
-        raise ConfigurationError(f"scenario file {grid} must start with header 'r0,r1,s0,s1'")
-    scenarios = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ConfigurationError(f"{grid}:{ln}: expected 4 comma-separated values")
-        scenarios.append(Scenario(*(float(p) for p in parts)))
-    if not scenarios:
+    table = _read_table(path, "r0,r1,s0,s1", (float,) * 4, key=4)
+    if not len(table):
         raise ConfigurationError(f"scenario file {grid} contains no scenarios")
-    return scenarios
+    return [Scenario(*cell) for cell in table.tolist()]
 
 
 def _designs_from_spec(spec: str, engine: str) -> list[DesignConfig]:
@@ -258,23 +300,29 @@ def _designs_from_spec(spec: str, engine: str) -> list[DesignConfig]:
     return chosen
 
 
-def write_sweep_csvs(out_dir: Path, result) -> list[Path]:
-    replicate_lines = ["r0,r1,s0,s1,m,c,replicate,u_bar"]
-    aggregate_lines = ["r0,r1,s0,s1,m,c,u_bar_bar,std_err"]
-    for row in result.rows:
-        prefix = (
-            f"{fmt_real(row.scenario.r0)},{fmt_real(row.scenario.r1)},"
-            f"{fmt_real(row.scenario.s0)},{fmt_real(row.scenario.s1)},"
-            f"{row.myopic_m},{fmt_real(row.adapt_c)}"
-        )
-        for rep, u_bar in enumerate(row.u_bars):
-            replicate_lines.append(f"{prefix},{rep},{fmt_real(u_bar)}")
-        aggregate_lines.append(f"{prefix},{fmt_real(row.u_bar_bar)},{fmt_real(row.std_err)}")
-    rep_path = out_dir / REPLICATES_CSV
-    agg_path = out_dir / AGGREGATE_CSV
-    rep_path.write_text("\n".join(replicate_lines) + "\n", newline="\n")
-    agg_path.write_text("\n".join(aggregate_lines) + "\n", newline="\n")
-    return [rep_path, agg_path]
+def write_sweep_csvs(out_dir: Path, result: SweepResult) -> list[Path]:
+    """Stream the replicate and aggregate CSVs from the result's arrays: one
+    line per (scenario, design, replicate) and per (scenario, design)."""
+    designs = [f"{d.myopic_m},{d.adapt_c:.17g}" for d in result.config.designs]
+
+    def rows(*arrays: np.ndarray) -> Iterable[tuple]:
+        # One scenario at a time: (r0,r1,s0,s1,m,c prefix, its values) per design.
+        for cell, *values in zip(result.config.cells.tolist(), *arrays):
+            prefixes = [f"{_cell_text(*cell)},{design}" for design in designs]
+            yield from zip(prefixes, *(v.tolist() for v in values))
+
+    replicate_lines = (
+        f"{prefix},{rep},{u:.17g}\n"
+        for prefix, u_bars in rows(result.utility)
+        for rep, u in enumerate(u_bars)
+    )
+    aggregate_lines = (
+        f"{prefix},{u:.17g},{se:.17g}\n" for prefix, u, se in rows(result.u_bar_bar, result.std_err)
+    )
+    return [
+        _write_csv(out_dir / REPLICATES_CSV, "r0,r1,s0,s1,m,c,replicate,u_bar", replicate_lines),
+        _write_csv(out_dir / AGGREGATE_CSV, AGGREGATE_HEADER, aggregate_lines),
+    ]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -333,7 +381,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "scenarios": str(len(scenarios)),
     }
     write_manifest(out_dir, "sweep", config_snapshot, files)
-    print(f"wrote {len(result.rows)} aggregated rows to {out_dir / AGGREGATE_CSV}")
+    print(f"wrote {result.u_bar_bar.size} aggregated rows to {out_dir / AGGREGATE_CSV}")
     return 0
 
 
@@ -342,69 +390,42 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _read_aggregate(path: Path, m: int) -> dict[tuple[Scenario, int, float], float]:
-    """(scenario, m, c) -> u_bar_bar for the aggregate rows with myopic flag ``m``."""
-    lines = path.read_text().splitlines()
-    expected = "r0,r1,s0,s1,m,c,u_bar_bar,std_err"
-    if not lines or lines[0] != expected:
-        raise ConfigurationError(f"{path} must start with header {expected!r}")
-    u_bar_bar = {}
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ConfigurationError(f"{path}:{ln}: expected 8 comma-separated values")
-        scenario = Scenario(*(float(p) for p in parts[:4]))
-        row_m, c, u = int(parts[4]), float(parts[5]), float(parts[6])
-        if row_m == m:
-            u_bar_bar[scenario, m, c] = u
-    return u_bar_bar
-
-
-def _cell(scenario: Scenario) -> tuple[float, float, float, float]:
-    return (scenario.r0, scenario.r1, scenario.s0, scenario.s1)
-
-
-def write_relative_csv(path: Path, relative: Mapping[tuple[Scenario, int], float], m: int) -> Path:
-    """Long format: one ``r0,r1,s0,s1,m,rel_u`` row per scenario with flag ``m``."""
-    lines = ["r0,r1,s0,s1,m,rel_u"]
-    lines.extend(
-        ",".join(fmt_real(v) for v in _cell(scenario)) + f",{m},{fmt_real(rel_u)}"
-        for (scenario, row_m), rel_u in relative.items()
-        if row_m == m
+def write_relative_csv(path: Path, cells: np.ndarray, rel_u: np.ndarray, m: int) -> Path:
+    """Long format: one ``r0,r1,s0,s1,m,rel_u`` row per scenario, whose
+    (r0, r1, s0, s1) is the matching row of ``cells``."""
+    lines = (
+        f"{_cell_text(*cell)},{m},{rel:.17g}\n" for cell, rel in zip(cells.tolist(), rel_u.tolist())
     )
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return path
+    return _write_csv(path, "r0,r1,s0,s1,m,rel_u", lines)
 
 
-def _write_relative_matrices(
-    out_dir: Path, relative: Mapping[tuple[Scenario, int], float], m: int
-) -> int:
+def _write_relative_matrices(out_dir: Path, cells: np.ndarray, rel_u: np.ndarray, m: int) -> int:
     """One ``rel_u_m{m}_s0_{s0}_s1_{s1}.csv`` per (s0, s1) pair, r0 along
     columns and r1 along rows. The grid is every combination of the r and s
     values present; a missing cell is reported and gives exit code 1."""
-    cells = {_cell(scenario): rel_u for (scenario, row_m), rel_u in relative.items() if row_m == m}
-    r_values = sorted({cell[0] for cell in cells} | {cell[1] for cell in cells})
-    s_values = sorted({cell[2] for cell in cells} | {cell[3] for cell in cells})
-    grid = product(s_values, s_values, r_values, r_values)
-    missing = [(r0, r1, s0, s1) for s0, s1, r0, r1 in grid if (r0, r1, s0, s1) not in cells]
+    r_values, r_at = np.unique(cells[:, :2], return_inverse=True)
+    s_values, s_at = np.unique(cells[:, 2:], return_inverse=True)
+    at = (*s_at.reshape(-1, 2).T, *r_at.reshape(-1, 2).T)
+    panels = np.full((len(s_values),) * 2 + (len(r_values),) * 2, np.nan)  # [s0, s1, r0, r1]
+    filled = np.zeros(panels.shape, dtype=bool)
+    panels[at], filled[at] = rel_u, True
+    r, s = r_values.tolist(), s_values.tolist()
+    missing = [(r[i_r0], r[i_r1], s[i_s0], s[i_s1]) for i_s0, i_s1, i_r0, i_r1 in np.argwhere(~filled)]
     if missing:
         shown = ", ".join(str(c) for c in missing[:10])
         suffix = "" if len(missing) <= 10 else f" and {len(missing) - 10} more"
         print(f"error: {len(missing)} grid cells missing for m={m}: {shown}{suffix}", file=sys.stderr)
         return 1
     out_dir.mkdir(parents=True, exist_ok=True)
-    for s0 in s_values:
-        for s1 in s_values:
-            lines = ["r1\\r0," + ",".join(str(r0) for r0 in r_values)]
-            lines.extend(
-                f"{r1}," + ",".join(fmt_real(cells[r0, r1, s0, s1]) for r0 in r_values)
-                for r1 in r_values
+    header = "r1\\r0," + ",".join(str(r0) for r0 in r)
+    for i_s0, s0 in enumerate(s):
+        for i_s1, s1 in enumerate(s):
+            lines = (
+                f"{r1}," + ",".join(f"{rel:.17g}" for rel in row) + "\n"
+                for r1, row in zip(r, panels[i_s0, i_s1].T.tolist())
             )
-            path = out_dir / f"rel_u_m{m}_s0_{s0}_s1_{s1}.csv"
-            path.write_text("\n".join(lines) + "\n", newline="\n")
-    print(f"wrote {len(s_values) ** 2} matrix files to {out_dir}")
+            _write_csv(out_dir / f"rel_u_m{m}_s0_{s0}_s1_{s1}.csv", header, lines)
+    print(f"wrote {len(s) ** 2} matrix files to {out_dir}")
     return 0
 
 
@@ -428,25 +449,36 @@ def cmd_report(args: argparse.Namespace) -> int:
         print("error: --out-dir is required (flag, SMARTRAR_OUT_DIR or config)", file=sys.stderr)
         return 2
 
-    u_bar_bar = _read_aggregate(Path(in_path), m)
-    if not u_bar_bar:
+    table = _read_table(Path(in_path), AGGREGATE_HEADER, (float,) * 4 + (int, float, float), key=6)
+    rows = table[table[:, 4] == m]
+    if not len(rows):
         print(f"error: input contains no rows for m={m}", file=sys.stderr)
         return 1
-    relative = relative_utility(u_bar_bar)
-    gaps = sorted({s for s, _, _ in u_bar_bar if (s, m) not in relative}, key=_cell)
+    # One scenario per distinct cell, sorted by cell; c = 0 and c = 1 columns.
+    cells, first, scenario = np.unique(rows[:, :4], axis=0, return_index=True, return_inverse=True)
+    u_bar_bar = np.full((len(cells), 2), np.nan)
+    present = np.zeros(u_bar_bar.shape, dtype=bool)
+    for d, c in enumerate((0.0, 1.0)):
+        with_c = rows[:, 5] == c
+        at = (scenario.ravel()[with_c], d)
+        u_bar_bar[at], present[at] = rows[with_c, 6], True
+    gaps = np.flatnonzero(~present.all(axis=1)).tolist()
+    for k in gaps[:20]:
+        missing_c = [c for c, found in zip((0.0, 1.0), present[k]) if not found]
+        print(f"error: missing c={missing_c} rows for scenario {tuple(cells[k].tolist())}", file=sys.stderr)
+    if len(gaps) > 20:
+        print(f"error: ... and {len(gaps) - 20} more incomplete scenarios", file=sys.stderr)
     if gaps:
-        for scenario in gaps[:20]:
-            missing_c = [c for c in (0.0, 1.0) if (scenario, m, c) not in u_bar_bar]
-            print(f"error: missing c={missing_c} rows for scenario {_cell(scenario)}", file=sys.stderr)
-        if len(gaps) > 20:
-            print(f"error: ... and {len(gaps) - 20} more incomplete scenarios", file=sys.stderr)
         return 1
+    in_file_order = np.argsort(first)
+    cells = cells[in_file_order]
+    rel_u = relative_utility(u_bar_bar[in_file_order], [(m, 0.0), (m, 1.0)])[m]
 
     out_dir = Path(out_dir_value)
     if fmt == "csv-matrix":
-        return _write_relative_matrices(out_dir, relative, m)
+        return _write_relative_matrices(out_dir, cells, rel_u, m)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = write_relative_csv(out_dir / f"rel_u_m{m}_long.csv", relative, m)
+    path = write_relative_csv(out_dir / f"rel_u_m{m}_long.csv", cells, rel_u, m)
     print(f"wrote {path}")
     return 0
 

@@ -13,8 +13,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,26 +58,30 @@ class SweepConfig:
             raise ValueError("parallelism must be >= 1")
         block_schedule(self.designs)
 
-
-@dataclass(frozen=True)
-class SweepRow:
-    """Aggregated utilities for one (scenario, design) cell."""
-
-    scenario: Scenario
-    myopic_m: int
-    adapt_c: float
-    u_bar_bar: float
-    u_bars: tuple[float, ...]
-    std_err: float
+    @property
+    def cells(self) -> np.ndarray:
+        """(r0, r1, s0, s1) of each scenario, shape (scenarios, 4)."""
+        return np.array([(s.r0, s.r1, s.s0, s.s1) for s in self.scenarios], dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's mean utilities by position: ``utility[s, d, r]`` is
+    replicate r of design ``config.designs[d]`` on ``config.scenarios[s]``;
+    ``u_bar_bar`` and ``std_err`` are its mean and standard error over r."""
+
     config: SweepConfig
-    rows: tuple[SweepRow, ...]
-    relative: dict[tuple[Scenario, int], float]  # (scenario, m) -> rel_u
+    utility: np.ndarray
+    u_bar_bar: np.ndarray
+    std_err: np.ndarray
     workers: int
     warnings: tuple[str, ...] = ()
+
+    @property
+    def relative(self) -> dict[int, np.ndarray]:
+        """``relative_utility`` of the sweep: m -> one ratio per scenario."""
+        designs = [(d.myopic_m, d.adapt_c) for d in self.config.designs]
+        return relative_utility(self.u_bar_bar, designs)
 
 
 def scenario_stream(
@@ -99,30 +103,23 @@ def scenario_stream(
     return Stream(scenario, designs, replicates, rng, utilities, engine_seeds)
 
 
-def _run_block(
-    args: tuple[
-        int,
-        tuple[Scenario, ...],
-        tuple[DesignConfig, ...],
-        int,
-        int,
-        UtilityTable | None,
-    ],
-) -> tuple[int, np.ndarray, list[str]]:
-    """Run all trials for a contiguous block of scenario indices as one batch."""
-    start, scenarios, designs, replicates, base_seed, utilities = args
+def _run_block(args: tuple[int, SweepConfig, UtilityTable | None]) -> tuple[np.ndarray, list[str]]:
+    """Utility (scenarios, designs, replicates) and warnings of the trials of
+    ``config.scenarios``, sweep indices ``start`` on, run as one batch."""
+    start, config, utilities = args
     table = utilities if utilities is not None else UtilityTable.default()
+    designs, replicates = config.designs, config.replicates
     streams = [
-        scenario_stream(base_seed, start + offset, scenario, designs, replicates, table)
-        for offset, scenario in enumerate(scenarios)
+        scenario_stream(config.base_seed, start + offset, scenario, designs, replicates, table)
+        for offset, scenario in enumerate(config.scenarios)
     ]
     try:
         block = run_block(streams)
     except Exception as exc:
         raise SweepError(
-            f"trial failed in scenario indices {start} to {start + len(scenarios) - 1}: {exc}"
+            f"trial failed in scenario indices {start} to {start + len(streams) - 1}: {exc}"
         ) from exc
-    shape = (len(scenarios), len(designs), replicates)
+    shape = (len(streams), len(designs), replicates)
     warnings = []
     for row, message in block.warnings:
         offset, d_idx, rep = np.unravel_index(row, shape)
@@ -131,7 +128,7 @@ def _run_block(
             f"scenario {start + offset} design (m={design.myopic_m}, c={design.adapt_c}) "
             f"replicate {rep}: {message}"
         )
-    return start, block.mean_utility.reshape(shape), warnings
+    return block.mean_utility.reshape(shape), warnings
 
 
 def available_cpus() -> int:
@@ -155,27 +152,14 @@ def run_sweep(config: SweepConfig, utilities: UtilityTable | None = None) -> Swe
     cannot pool raises ``ConfigurationError`` before any trial runs.
     """
     check_utilities(config.designs, utilities)
-    n_scenarios = len(config.scenarios)
-    n_designs = len(config.designs)
     workers = config.parallelism if config.parallelism is not None else available_cpus()
     step = BLOCK_SCENARIOS
-    blocks = [(start, min(start + step, n_scenarios)) for start in range(0, n_scenarios, step)]
     tasks = [
-        (
-            start,
-            config.scenarios[start:stop],
-            config.designs,
-            config.replicates,
-            config.base_seed,
-            utilities,
-        )
-        for start, stop in blocks
+        (start, replace(config, scenarios=config.scenarios[start : start + step]), utilities)
+        for start in range(0, len(config.scenarios), step)
     ]
-
-    utility_matrix = np.empty((n_scenarios, n_designs, config.replicates), dtype=np.float64)
-    warnings: list[str] = []
     if workers <= 1 or len(tasks) == 1:
-        results: Iterable[tuple[int, np.ndarray, list[str]]] = map(_run_block, tasks)
+        results = list(map(_run_block, tasks))
     else:
         executor = ProcessPoolExecutor(max_workers=workers)
         try:
@@ -184,47 +168,31 @@ def run_sweep(config: SweepConfig, utilities: UtilityTable | None = None) -> Swe
             raise SweepError(f"a sweep worker process died: {exc}") from exc
         finally:
             executor.shutdown()
-    for start, block, block_warnings in results:
-        utility_matrix[start : start + block.shape[0]] = block
-        warnings.extend(block_warnings)
-
-    u_bar_bar = utility_matrix.mean(axis=2)
+    utility = np.concatenate([block for block, _ in results])
+    warnings = tuple(warning for _, block_warnings in results for warning in block_warnings)
+    u_bar_bar = utility.mean(axis=2)
     std_err = (
-        utility_matrix.std(axis=2, ddof=1) / math.sqrt(config.replicates)
+        utility.std(axis=2, ddof=1) / math.sqrt(config.replicates)
         if config.replicates > 1
         else np.zeros_like(u_bar_bar)
     )
-    u_bars = utility_matrix.tolist()
-    rows = [
-        SweepRow(
-            scenario=scenario,
-            myopic_m=design.myopic_m,
-            adapt_c=design.adapt_c,
-            u_bar_bar=float(u_bar_bar[s_idx, d_idx]),
-            u_bars=tuple(u_bars[s_idx][d_idx]),
-            std_err=float(std_err[s_idx, d_idx]),
-        )
-        for s_idx, scenario in enumerate(config.scenarios)
-        for d_idx, design in enumerate(config.designs)
-    ]
-
-    relative = relative_utility({(r.scenario, r.myopic_m, r.adapt_c): r.u_bar_bar for r in rows})
-    return SweepResult(config, tuple(rows), relative, workers, tuple(warnings))
+    return SweepResult(config, utility, u_bar_bar, std_err, workers, warnings)
 
 
 def relative_utility(
-    u_bar_bar: Mapping[tuple[Scenario, int, float], float],
-) -> dict[tuple[Scenario, int], float]:
-    """Adaptive (c = 1) over fixed (c = 0) mean utility per (scenario, m).
+    u_bar_bar: np.ndarray, designs: Sequence[tuple[int, float]]
+) -> dict[int, np.ndarray]:
+    """Adaptive (c = 1) over fixed (c = 0) mean utility per scenario, for each m.
 
-    ``u_bar_bar`` maps (scenario, m, c) to a mean utility. Every (scenario,
-    m) with both designs present appears, in input order; a zero
-    fixed-design utility gives NaN rather than dropping the pair.
+    ``u_bar_bar[s, d]`` is the mean utility of scenario s under the design
+    whose (m, c) is ``designs[d]``. Every m with both a c = 0 and a c = 1
+    design appears, in the order of its c = 1 design; a zero fixed-design
+    utility gives NaN.
     """
-    out: dict[tuple[Scenario, int], float] = {}
-    for scenario, m, _ in u_bar_bar:
-        fixed = u_bar_bar.get((scenario, m, 0.0))
-        adaptive = u_bar_bar.get((scenario, m, 1.0))
-        if fixed is not None and adaptive is not None:
-            out[scenario, m] = adaptive / fixed if fixed != 0.0 else math.nan
+    column = {(m, c): d for d, (m, c) in enumerate(designs)}
+    out = {}
+    for m, c in designs:
+        if c == 1.0 and (m, 0.0) in column:
+            fixed, adaptive = u_bar_bar[:, column[m, 0.0]], u_bar_bar[:, column[m, 1.0]]
+            out[m] = np.divide(adaptive, fixed, out=np.full(len(fixed), np.nan), where=fixed != 0.0)
     return out

@@ -92,13 +92,23 @@ def reduced_sweep(tmp_path_factory):
     }
 
 
-def _delta_se(rel: float, adaptive, fixed) -> float:
-    """Delta-method SE of rel = adaptive / fixed from the rows' ``std_err``.
+def _column(result, m: int, c: float) -> int:
+    """Design axis index of (m, c) in ``result``."""
+    return [(d.myopic_m, d.adapt_c) for d in result.config.designs].index((m, c))
+
+
+def _delta_se(result, m: int) -> np.ndarray:
+    """Delta-method SE of each scenario's rel(m) = adaptive / fixed from the
+    designs' ``std_err``.
 
     Fixed and adaptive trials use disjoint draws, so the two relative
     errors combine in quadrature.
     """
-    return rel * math.hypot(adaptive.std_err / adaptive.u_bar_bar, fixed.std_err / fixed.u_bar_bar)
+    fixed, adaptive = _column(result, m, 0.0), _column(result, m, 1.0)
+    u, se = result.u_bar_bar, result.std_err
+    return result.relative[m] * np.hypot(
+        se[:, adaptive] / u[:, adaptive], se[:, fixed] / u[:, fixed]
+    )
 
 
 C1_Z_LIMIT = 4.5
@@ -119,19 +129,22 @@ def test_c1_null_effect_neutrality(reduced_sweep):
     about 2.2e-4 (Bonferroni, normal approximation).
     """
     result = reduced_sweep["result"]
-    rows = {(r.scenario, r.myopic_m, r.adapt_c): r for r in result.rows}
+    u_bar_bar = result.u_bar_bar.tolist()
     n = result.config.replicates * result.config.designs[0].max_patients
     null_scenarios = [
-        sc for sc in reduced_scenario_grid() if sc.r0 == sc.r1 and sc.s0 == sc.s1
+        (index, sc)
+        for index, sc in enumerate(result.config.scenarios)
+        if sc.r0 == sc.r1 and sc.s0 == sc.s1
     ]
     assert len(null_scenarios) == 20
     worst_z = 0.0
     failures = []
-    for sc in null_scenarios:
+    for index, sc in null_scenarios:
         p = 1.0 - sc.r0 * sc.s0
         sd = math.sqrt(2.0 * p * (1.0 - p) / n)
         for m in (0, 1):
-            diff = rows[(sc, m, 1.0)].u_bar_bar - rows[(sc, m, 0.0)].u_bar_bar
+            cells = u_bar_bar[index]
+            diff = cells[_column(result, m, 1.0)] - cells[_column(result, m, 0.0)]
             if sd == 0.0:
                 if diff != 0.0:
                     failures.append(f"{sc} m={m}: diff {diff!r} with p = 1")
@@ -158,20 +171,18 @@ def test_c2_dynamic_dominance(reduced_sweep):
     about Monte Carlo noise as much as about the design.
     """
     result = reduced_sweep["result"]
-    rows = {(r.scenario, r.myopic_m, r.adapt_c): r for r in result.rows}
-    rel_m0 = {scenario: rel_u for (scenario, m), rel_u in result.relative.items() if m == 0}
+    rel_m0 = result.relative[0].tolist()
     assert len(rel_m0) == 400
-    assert not any(math.isnan(rel_u) for rel_u in result.relative.values())
+    assert not any(np.isnan(rel_u).any() for rel_u in result.relative.values())
     failures = []
     worst_z = math.inf
-    for scenario, rel_u in rel_m0.items():
-        se = _delta_se(rel_u, rows[(scenario, 0, 1.0)], rows[(scenario, 0, 0.0)])
+    for scenario, rel_u, se in zip(result.config.scenarios, rel_m0, _delta_se(result, 0).tolist()):
         if rel_u + 4.0 * se < 0.98:
             failures.append(f"{scenario}: rel = {rel_u:.4f} +/- {se:.4f}")
         if se > 0.0:
             worst_z = min(worst_z, (rel_u - 0.98) / se)
-    lo = min(rel_m0.values())
-    hi = max(rel_m0.values())
+    lo = min(rel_m0)
+    hi = max(rel_m0)
     report(
         2,
         not failures and hi > 1.05,
@@ -267,10 +278,8 @@ def test_c3_myopic_harm():
             parallelism=1,
         )
     )
-    rel = {m: rel_u for (_, m), rel_u in result.relative.items()}
-    rows = {(r.myopic_m, r.adapt_c): r for r in result.rows}
-    fixed, adaptive = rows[(1, 0.0)], rows[(1, 1.0)]
-    se = _delta_se(rel[1], adaptive, fixed)
+    rel = {m: float(rel_u[0]) for m, rel_u in result.relative.items()}
+    se = float(_delta_se(result, 1)[0])
     table = UtilityTable.default()
     fluid = {d.adapt_c: _fluid_limit(scenario, d, table) for d in designs if d.myopic_m}
     expected = fluid[1.0] / fluid[0.0]
@@ -283,7 +292,7 @@ def test_c3_myopic_harm():
     final_stage1 = block.stage1[:, -1, 1].reshape(len(designs), C3_REPLICATES)
     final_p1 = {}
     for d_idx, design in enumerate(designs):
-        assert u_bars[d_idx].tolist() == list(rows[(design.myopic_m, design.adapt_c)].u_bars)
+        assert u_bars[d_idx].tolist() == result.utility[0, d_idx].tolist()
         if design.adapt_c == 1.0:
             final_p1[design.myopic_m] = float(np.mean(final_stage1[d_idx]))
 
@@ -493,23 +502,28 @@ def test_c10_fixed_design_exact(reduced_sweep):
     """
     result = reduced_sweep["result"]
     n = result.config.replicates * result.config.designs[0].max_patients
-    fixed_rows = [row for row in result.rows if row.adapt_c == 0.0]
+    fixed_rows = [
+        (scenario, design.myopic_m, u_bar_bar[d_idx])
+        for scenario, u_bar_bar in zip(result.config.scenarios, result.u_bar_bar.tolist())
+        for d_idx, design in enumerate(result.config.designs)
+        if design.adapt_c == 0.0
+    ]
     assert len(fixed_rows) == 800
     worst_z = 0.0
     failures = []
-    for row in fixed_rows:
-        p = fixed_design_value(row.scenario)
-        mixture = 0.5 * (true_value(row.scenario, 0) + true_value(row.scenario, 1))
+    for scenario, m, u_bar_bar in fixed_rows:
+        p = fixed_design_value(scenario)
+        mixture = 0.5 * (true_value(scenario, 0) + true_value(scenario, 1))
         if abs(p - mixture) > 1e-15:
-            failures.append(f"{row.scenario}: fixed-design value {p!r} != {mixture!r}")
+            failures.append(f"{scenario}: fixed-design value {p!r} != {mixture!r}")
         if p in (0.0, 1.0):
-            if row.u_bar_bar != p:
-                failures.append(f"{row.scenario} m={row.myopic_m}: {row.u_bar_bar!r} != {p}")
+            if u_bar_bar != p:
+                failures.append(f"{scenario} m={m}: {u_bar_bar!r} != {p}")
             continue
-        z = (row.u_bar_bar - p) / math.sqrt(p * (1.0 - p) / n)
+        z = (u_bar_bar - p) / math.sqrt(p * (1.0 - p) / n)
         worst_z = max(worst_z, abs(z))
         if abs(z) > C10_Z_LIMIT:
-            failures.append(f"{row.scenario} m={row.myopic_m}: z = {z:.2f}")
+            failures.append(f"{scenario} m={m}: z = {z:.2f}")
     report(
         10,
         not failures,

@@ -1,5 +1,6 @@
 """Command-line contracts: flags, config files, CSV stability, exit codes."""
 
+import hashlib
 import importlib.util
 import platform
 from dataclasses import replace
@@ -238,8 +239,6 @@ class TestSweep:
         manifest = (out_dir / "manifest.txt").read_text()
         assert "command = sweep" in manifest
         assert "sweep_aggregate.csv = sha256:" in manifest
-        import hashlib
-
         digest = hashlib.sha256((out_dir / "sweep_aggregate.csv").read_bytes()).hexdigest()
         assert digest in manifest
         assert f"engine_implementation = {ENGINE_IMPLEMENTATION}" in manifest
@@ -362,6 +361,17 @@ class TestSweep:
         assert run_cli("sweep", "--grid", str(bad), "--threads", "1",
                        "--out-dir", str(tmp_path / "o")) == 2
 
+    def test_repeated_scenario_exit_2(self, tmp_path, capsys):
+        # a repeated scenario would run twice, on two streams, and a
+        # report keyed by scenario would keep only one of its results
+        grid = tmp_path / "twice.csv"
+        grid.write_text("r0,r1,s0,s1\n0.5,0.45,0.05,0.95\n0.1,0.3,0.45,0.5\n0.5,0.45,0.05,0.95\n")
+        out_dir = tmp_path / "o"
+        assert run_cli("sweep", "--grid", str(grid), "--replicates", "3", "--threads", "1",
+                       "--out-dir", str(out_dir)) == 2
+        assert f"{grid}:4: repeats the (r0, r1, s0, s1) of line 2" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_reduced_grid_row_counts(self, tmp_path):
         out_dir = tmp_path / "reduced"
         assert run_cli(
@@ -451,7 +461,9 @@ class TestReport:
                 parallelism=1,
             )
         )
-        expected = write_relative_csv(tmp_path / "expected.csv", result.relative, 0)
+        expected = write_relative_csv(
+            tmp_path / "expected.csv", result.config.cells, result.relative[0], 0
+        )
         assert (out_dir / "rel_u_m0_long.csv").read_bytes() == expected.read_bytes()
 
     def test_long_format_accepts_any_scenario_set(self, tmp_path, scenario_file, capsys):
@@ -476,6 +488,45 @@ class TestReport:
         assert run_cli("report", "--in", str(aggregate), "--m", "0",
                        "--out-dir", str(tmp_path / "r")) == 2
         assert "r0 must be a probability" in capsys.readouterr().err
+
+    def test_repeated_row_exit_2(self, tmp_path, grid_file, capsys):
+        aggregate = self._sweep(tmp_path, grid_file)
+        lines = aggregate.read_text().splitlines()
+        # the second scenario's m = 0, c = 1 row again, with another value
+        repeated = ",".join(lines[6].split(",")[:6] + ["0.5", "0"])
+        twice = tmp_path / "twice.csv"
+        twice.write_text("\n".join(lines + [repeated]) + "\n")
+        out_dir = tmp_path / "r"
+        assert run_cli("report", "--in", str(twice), "--m", "0",
+                       "--format", "long-csv", "--out-dir", str(out_dir)) == 2
+        assert f"{twice}:{len(lines) + 1}: repeats the (r0, r1, s0, s1, m, c) of line 7" in (
+            capsys.readouterr().err
+        )
+        assert not out_dir.exists()
+
+
+# SHA-256 of the reduced-grid outputs at base seed 0 (10 replicates, one
+# worker). They depend on numpy's multinomial sampler, so a numpy release
+# that changes it moves them.
+PINNED_SHA256 = {
+    "sweep_replicates.csv": "3f54c19ab89752c1cc99a53f13048c3940b63f2122dc8e95d8674570e03fe588",
+    "sweep_aggregate.csv": "64abbaad7f77fb8f4490e9e6918e4df5606fc4ecf070a334532146dd2c5d3786",
+    "rel_u_m0_long.csv": "eb86cc7fbb80ade67c071c4ca72790443b6e258d8371c91558d1ef57624c933b",
+    "rel_u_m1_long.csv": "69f8bb209cef1de48c67cc7ce20fdf486c720f375de26cd0646f4c9552b41860",
+}
+
+
+def test_reduced_grid_outputs_are_pinned(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--grid", "reduced", "--base-seed", "0", "--threads", "1",
+                   "--out-dir", str(out_dir)) == 0
+    for m in (0, 1):
+        assert run_cli("report", "--in", str(out_dir / "sweep_aggregate.csv"), "--m", str(m),
+                       "--format", "long-csv", "--out-dir", str(out_dir)) == 0
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in PINNED_SHA256
+    }
+    assert digests == PINNED_SHA256
 
 
 def test_reduced_sweep_script_matches_report(tmp_path, capsys):

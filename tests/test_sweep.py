@@ -3,6 +3,7 @@ relative utilities and their matrix report."""
 
 import math
 
+import numpy as np
 import pytest
 
 from smartrar import (
@@ -53,7 +54,8 @@ class TestSeedContract:
         config = small_config(scenarios=self.BLOCKED)
         in_blocks = run_sweep(config)
         three_workers = run_sweep(small_config(scenarios=self.BLOCKED, parallelism=3))
-        assert three_workers.rows == in_blocks.rows
+        for name in ("utility", "u_bar_bar", "std_err"):
+            assert np.array_equal(getattr(three_workers, name), getattr(in_blocks, name))
         n_designs = len(config.designs)
         for index, scenario in enumerate(self.BLOCKED):
             stream = scenario_stream(
@@ -61,64 +63,67 @@ class TestSeedContract:
                 UtilityTable.default(),
             )  # fmt: skip
             alone = run_block([stream]).mean_utility.reshape(n_designs, config.replicates)
-            rows = in_blocks.rows[index * n_designs : (index + 1) * n_designs]
-            assert [row.u_bars for row in rows] == [tuple(u) for u in alone.tolist()]
+            assert in_blocks.utility[index].tolist() == alone.tolist()
 
     def test_distinct_indices_draw_distinct_streams(self):
-        rows = run_sweep(small_config(scenarios=self.BLOCKED)).rows
-        n_designs = len(canonical_designs())
-        # the same scenario at indices 0 and 1
-        assert [r.u_bars for r in rows[:n_designs]] != [
-            r.u_bars for r in rows[n_designs : 2 * n_designs]
-        ]
+        result = run_sweep(small_config(scenarios=self.BLOCKED))
+        # the same scenario at indices 0 and 1 keeps one result per index
+        assert result.utility[0].tolist() != result.utility[1].tolist()
+        for rel_u in result.relative.values():
+            assert rel_u.shape == (len(self.BLOCKED),)
+            assert rel_u[0] != rel_u[1]
 
 
 class TestRunSweep:
     def test_row_shape_and_order(self):
         result = run_sweep(small_config())
-        assert len(result.rows) == len(SCENARIOS) * 4
-        # scenario-major, design-minor ordering
-        assert result.rows[0].scenario == SCENARIOS[0]
-        assert [((r.myopic_m, r.adapt_c)) for r in result.rows[:4]] == [
+        # scenario, design, replicate axes in the config's order
+        assert result.utility.shape == (len(SCENARIOS), 4, 3)
+        assert result.u_bar_bar.shape == result.std_err.shape == (len(SCENARIOS), 4)
+        assert result.config.scenarios == SCENARIOS
+        assert [(d.myopic_m, d.adapt_c) for d in result.config.designs] == [
             (0, 0.0),
             (0, 1.0),
             (1, 0.0),
             (1, 1.0),
         ]
-        for row in result.rows:
-            assert len(row.u_bars) == 3
-            assert 0.0 <= row.u_bar_bar <= 1.0
-            assert math.isfinite(row.std_err)
+        assert np.array_equal(result.u_bar_bar, result.utility.mean(axis=2))
+        assert np.all((0.0 <= result.u_bar_bar) & (result.u_bar_bar <= 1.0))
+        assert np.all(np.isfinite(result.std_err))
 
     def test_parallelism_degree_does_not_change_results(self):
         serial = run_sweep(small_config(parallelism=1))
         parallel = run_sweep(small_config(parallelism=2))
-        assert serial.rows == parallel.rows
-        assert serial.relative == parallel.relative
+        assert np.array_equal(serial.utility, parallel.utility)
+        assert serial.relative.keys() == parallel.relative.keys()
+        for m, rel_u in serial.relative.items():
+            assert np.array_equal(rel_u, parallel.relative[m])
 
     def test_relative_rows(self):
         result = run_sweep(small_config())
-        assert list(result.relative) == [(s, m) for s in SCENARIOS for m in (0, 1)]
-        by_cell = {(r.scenario, r.myopic_m, r.adapt_c): r.u_bar_bar for r in result.rows}
-        for (scenario, m), rel_u in result.relative.items():
-            assert rel_u == by_cell[(scenario, m, 1.0)] / by_cell[(scenario, m, 0.0)]
+        assert list(result.relative) == [0, 1]
+        for m, rel_u in result.relative.items():
+            # canonical design columns: (m, c=0) at 2m, (m, c=1) at 2m + 1
+            fixed, adaptive = result.u_bar_bar[:, 2 * m], result.u_bar_bar[:, 2 * m + 1]
+            assert rel_u.tolist() == [a / f for a, f in zip(adaptive.tolist(), fixed.tolist())]
 
     def test_no_infection_scenario_is_exactly_neutral(self):
         result = run_sweep(small_config())
-        for (scenario, _), rel_u in result.relative.items():
-            if scenario.r0 == 0.0 and scenario.r1 == 0.0:
-                assert rel_u == 1.0
+        for rel_u in result.relative.values():
+            for scenario, rel in zip(SCENARIOS, rel_u):
+                if scenario.r0 == 0.0 and scenario.r1 == 0.0:
+                    assert rel == 1.0
 
     def test_degenerate_denominator_flagged(self):
         # everyone infected, everyone dies: fixed-design utility is zero
         config = small_config(scenarios=(Scenario(1.0, 1.0, 1.0, 1.0),), replicates=2)
         result = run_sweep(config)
         assert len(result.relative) == 2
-        assert all(math.isnan(rel_u) for rel_u in result.relative.values())
+        assert all(math.isnan(rel) for rel_u in result.relative.values() for rel in rel_u)
 
     def test_replicate_std_err(self):
         result = run_sweep(small_config(replicates=1))
-        assert all(row.std_err == 0.0 for row in result.rows)
+        assert np.all(result.std_err == 0.0)
 
     def test_designs_must_share_schedule(self):
         designs = (
@@ -136,20 +141,17 @@ class TestRunSweep:
 
 class TestRelativeUtility:
     def test_pairs_in_input_order(self):
-        a, b = SCENARIOS[:2]
-        u_bar_bar = {
-            (b, 1, 1.0): 0.6,
-            (a, 0, 0.0): 0.5,
-            (b, 1, 0.0): 0.3,
-            (a, 0, 1.0): 0.25,
-            (a, 1, 0.0): 0.4,  # no adaptive partner: dropped
-        }
-        assert relative_utility(u_bar_bar) == {(b, 1): 0.6 / 0.3, (a, 0): 0.25 / 0.5}
-        assert list(relative_utility(u_bar_bar)) == [(b, 1), (a, 0)]
+        designs = [(1, 1.0), (0, 0.0), (1, 0.0), (0, 1.0), (2, 0.0)]  # m = 2: no adaptive partner
+        u_bar_bar = np.array([[0.6, 0.5, 0.3, 0.25, 0.4], [0.9, 0.8, 0.7, 0.6, 0.5]])
+        rel = relative_utility(u_bar_bar, designs)
+        assert list(rel) == [1, 0]
+        assert rel[1].tolist() == [0.6 / 0.3, 0.9 / 0.7]
+        assert rel[0].tolist() == [0.25 / 0.5, 0.6 / 0.8]
 
     def test_zero_fixed_utility_is_nan(self):
-        rel = relative_utility({(SCENARIOS[0], 0, 0.0): 0.0, (SCENARIOS[0], 0, 1.0): 0.5})
-        assert math.isnan(rel[SCENARIOS[0], 0])
+        rel = relative_utility(np.array([[0.0, 0.5], [0.5, 0.5]]), [(0, 0.0), (0, 1.0)])
+        assert math.isnan(rel[0][0])
+        assert rel[0][1] == 1.0
 
 
 def write_aggregate(path, cells, m=0):
@@ -226,9 +228,10 @@ class TestFigureMatrix:
         assert [p.name for p in out_dir.iterdir()] == ["rel_u_m1_s0_0.3_s1_0.3.csv"]
         columns, rows = read_matrix(out_dir / "rel_u_m1_s0_0.3_s1_0.3.csv")
         assert columns == ["0.2", "0.7"]
+        rel_u = result.relative[1].tolist()
         for r1 in r_values:
             assert rows[str(r1)] == [
-                result.relative[Scenario(r0, r1, 0.3, 0.3), 1] for r0 in r_values
+                rel_u[scenarios.index(Scenario(r0, r1, 0.3, 0.3))] for r0 in r_values
             ]
 
     def test_matrix_report_errors_on_scattered_scenarios(self, tmp_path, capsys):
