@@ -4,14 +4,16 @@ All CSV output uses a fixed column order, a dot decimal separator and
 reals serialised with 17 significant digits, so files round-trip exactly
 and are byte-stable across runs with identical inputs and seeds.
 
-Every command accepts ``--config FILE`` pointing at a flat INI-style file
-whose section matches the command and whose keys mirror the flags
-one-to-one (e.g. ``[sweep]`` with ``base-seed = 7``; any other key is an
-error); explicit flags override file values. A ``[utilities]`` section
-may override any of the ten utility-table rows by name. ``--threads`` and
-``--out-dir`` can also be set through the SMARTRAR_THREADS and
-SMARTRAR_OUT_DIR environment variables (flags win over the environment,
-which wins over the file).
+Each flag's default, type and choices are stated once, in
+``build_parser``. Every command accepts ``--config FILE`` pointing at a
+flat INI-style file whose section matches the command and whose keys are
+its long flags without the dashes (e.g. ``[sweep]`` with ``base-seed =
+7``; any other key is an error). A ``[utilities]`` section may override
+any of the ten utility-table rows by name. SMARTRAR_THREADS sets
+``--threads`` and SMARTRAR_OUT_DIR sets ``--out`` and ``--out-dir``. File
+and environment values become the flags' defaults, converted and checked
+as the flags are, so a flag wins over the environment, which wins over the
+file, which wins over the built-in default.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    ENGINES,
     ConfigurationError,
     DesignConfig,
     Scenario,
@@ -48,8 +51,8 @@ from .sweep import (
     run_sweep,
 )
 
-ENV_THREADS = "SMARTRAR_THREADS"
-ENV_OUT_DIR = "SMARTRAR_OUT_DIR"
+# The environment variable that sets each long flag's default.
+ENV_VARS = {"threads": "SMARTRAR_THREADS", "out": "SMARTRAR_OUT_DIR", "out-dir": "SMARTRAR_OUT_DIR"}
 
 REPLICATES_CSV = "sweep_replicates.csv"
 AGGREGATE_CSV = "sweep_aggregate.csv"
@@ -145,55 +148,6 @@ def write_manifest(out_dir: Path, command: str, config: dict[str, str], files: l
 
 
 # ----------------------------------------------------------------------
-# Config file handling
-# ----------------------------------------------------------------------
-
-
-def _config_keys(parser: argparse.ArgumentParser) -> frozenset[str]:
-    """Keys a command's config section accepts: its long flags without the dashes."""
-    flags = (f for a in parser._actions if a.dest not in ("help", "config") for f in a.option_strings)
-    return frozenset(f[2:] for f in flags if f.startswith("--"))
-
-
-def _load_config(args: argparse.Namespace) -> configparser.ConfigParser:
-    """Read ``--config``; a key in the command's section that names none of
-    its flags is a ``ConfigurationError``."""
-    parser = configparser.ConfigParser()
-    path = args.config
-    if path is not None:
-        read = parser.read(path)
-        if not read:
-            raise ConfigurationError(f"config file not found or unreadable: {path}")
-        if parser.has_section(args.command):
-            unknown = sorted(set(parser.options(args.command)) - args.config_keys)
-            if unknown:
-                raise ConfigurationError(
-                    f"{path}: unknown key(s) {', '.join(unknown)} in [{args.command}]; "
-                    f"expected any of {', '.join(sorted(args.config_keys))}"
-                )
-    return parser
-
-
-def _resolve(flag_value, cfg, section: str, key: str, default, convert, env_name: str | None = None):
-    """Flag > environment variable ``env_name`` (if given) > config file > default."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(env_name) if env_name is not None else None
-    if env is not None:
-        return convert(env)
-    if cfg.has_option(section, key):
-        return convert(cfg.get(section, key))
-    return default
-
-
-def _utilities_from_config(cfg: configparser.ConfigParser) -> UtilityTable | None:
-    if not cfg.has_section("utilities"):
-        return None
-    entries = {key: float(value) for key, value in cfg.items("utilities")}
-    return UtilityTable.from_entries(entries)
-
-
-# ----------------------------------------------------------------------
 # simulate
 # ----------------------------------------------------------------------
 
@@ -226,36 +180,21 @@ def _write_allocations_csv(path: Path, result) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    section = "simulate"
-    r0 = _resolve(args.r0, cfg, section, "r0", 0.0, float)
-    r1 = _resolve(args.r1, cfg, section, "r1", 0.0, float)
-    s0 = _resolve(args.s0, cfg, section, "s0", 0.05, float)
-    s1 = _resolve(args.s1, cfg, section, "s1", 0.05, float)
-    m = _resolve(args.m, cfg, section, "m", 0, int)
-    c = _resolve(args.c, cfg, section, "c", 0.0, float)
-    seed = _resolve(args.seed, cfg, section, "seed", 0, int)
-    engine = _resolve(args.engine, cfg, section, "engine", "conjugate", str)
-    patients = _resolve(args.patients, cfg, section, "patients", 2000, int)
-    interims = _resolve(args.interims, cfg, section, "interims", 4, int)
-    out = _resolve(args.out, cfg, section, "out", None, str, ENV_OUT_DIR)
-
-    scenario = Scenario(r0=r0, r1=r1, s0=s0, s1=s1)
+    scenario = Scenario(r0=args.r0, r1=args.r1, s0=args.s0, s1=args.s1)
     design = DesignConfig(
-        myopic_m=m,
-        adapt_c=c,
-        max_patients=patients,
-        num_interims=interims,
-        engine=engine,
-        seed=seed,
+        myopic_m=args.m,
+        adapt_c=args.c,
+        max_patients=args.patients,
+        num_interims=args.interims,
+        engine=args.engine,
+        seed=args.seed,
     )
-    utilities = _utilities_from_config(cfg)
-    result = run_trial(scenario, design, utilities=utilities, keep_records=True)
+    result = run_trial(scenario, design, utilities=args.utilities, keep_records=True)
 
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if out is not None:
-        out_dir = Path(out)
+    if args.out is not None:
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_patients_csv(out_dir / "patients.csv", result)
         _write_allocations_csv(out_dir / "allocations.csv", result)
@@ -288,7 +227,7 @@ def _designs_from_spec(spec: str, engine: str) -> list[DesignConfig]:
     }
     if spec == "all":
         return list(all_designs.values())
-    chosen = []
+    chosen = {}
     for token in spec.split(","):
         token = token.strip()
         if token not in all_designs:
@@ -296,8 +235,10 @@ def _designs_from_spec(spec: str, engine: str) -> list[DesignConfig]:
                 f"unknown design {token!r}; expected 'all' or a comma list of "
                 f"{sorted(all_designs)}"
             )
-        chosen.append(all_designs[token])
-    return chosen
+        if token in chosen:
+            raise ConfigurationError(f"design {token!r} is listed twice in {spec!r}")
+        chosen[token] = all_designs[token]
+    return list(chosen.values())
 
 
 def write_sweep_csvs(out_dir: Path, result: SweepResult) -> list[Path]:
@@ -326,32 +267,22 @@ def write_sweep_csvs(out_dir: Path, result: SweepResult) -> list[Path]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    section = "sweep"
-    grid = _resolve(args.grid, cfg, section, "grid", "reduced", str)
-    designs_spec = _resolve(args.designs, cfg, section, "designs", "all", str)
-    replicates = _resolve(args.replicates, cfg, section, "replicates", 10, int)
-    base_seed = _resolve(args.base_seed, cfg, section, "base-seed", 0, int)
-    engine = _resolve(args.engine, cfg, section, "engine", "conjugate", str)
-    threads = _resolve(args.threads, cfg, section, "threads", None, int, ENV_THREADS)
-    out_dir_value = _resolve(args.out_dir, cfg, section, "out-dir", None, str, ENV_OUT_DIR)
-    if out_dir_value is None:
+    if args.out_dir is None:
         print("error: --out-dir is required (flag, SMARTRAR_OUT_DIR or config)", file=sys.stderr)
         return 2
 
-    scenarios = _scenarios_from_grid(grid)
-    designs = _designs_from_spec(designs_spec, engine)
-    utilities = _utilities_from_config(cfg)
-    check_utilities(designs, utilities)
+    scenarios = _scenarios_from_grid(args.grid)
+    designs = _designs_from_spec(args.designs, args.engine)
+    check_utilities(designs, args.utilities)
     sweep_config = SweepConfig(
         scenarios=tuple(scenarios),
         designs=tuple(designs),
-        replicates=replicates,
-        base_seed=base_seed,
-        parallelism=threads,
+        replicates=args.replicates,
+        base_seed=args.base_seed,
+        parallelism=args.threads,
     )
 
-    out_dir = Path(out_dir_value)
+    out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         probe = out_dir / ".write_probe"
@@ -362,7 +293,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        result = run_sweep(sweep_config, utilities=utilities)
+        result = run_sweep(sweep_config, utilities=args.utilities)
     except SweepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -371,12 +302,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     files = write_sweep_csvs(out_dir, result)
     config_snapshot = {
-        "grid": grid,
-        "designs": designs_spec,
-        "replicates": str(replicates),
-        "base_seed": str(base_seed),
-        "engine": engine,
-        "threads": "auto" if threads is None else str(threads),
+        "grid": args.grid,
+        "designs": args.designs,
+        "replicates": str(args.replicates),
+        "base_seed": str(args.base_seed),
+        "engine": args.engine,
+        "threads": "auto" if args.threads is None else str(args.threads),
         "workers": str(result.workers),
         "scenarios": str(len(scenarios)),
     }
@@ -430,26 +361,15 @@ def _write_relative_matrices(out_dir: Path, cells: np.ndarray, rel_u: np.ndarray
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    section = "report"
-    in_path = _resolve(args.in_file, cfg, section, "in", None, str)
-    m = _resolve(args.m, cfg, section, "m", None, int)
-    fmt = _resolve(args.format, cfg, section, "format", "csv-matrix", str)
-    out_dir_value = _resolve(args.out_dir, cfg, section, "out-dir", None, str, ENV_OUT_DIR)
-    if in_path is None or m is None:
+    m = args.m
+    if args.in_file is None or m is None:
         print("error: --in and --m are required", file=sys.stderr)
         return 2
-    if m not in (0, 1):
-        print(f"error: --m must be 0 or 1, got {m}", file=sys.stderr)
-        return 2
-    if fmt not in ("csv-matrix", "long-csv"):
-        print(f"error: --format must be csv-matrix or long-csv, got {fmt!r}", file=sys.stderr)
-        return 2
-    if out_dir_value is None:
+    if args.out_dir is None:
         print("error: --out-dir is required (flag, SMARTRAR_OUT_DIR or config)", file=sys.stderr)
         return 2
 
-    table = _read_table(Path(in_path), AGGREGATE_HEADER, (float,) * 4 + (int, float, float), key=6)
+    table = _read_table(Path(args.in_file), AGGREGATE_HEADER, (float,) * 4 + (int, float, float), key=6)
     rows = table[table[:, 4] == m]
     if not len(rows):
         print(f"error: input contains no rows for m={m}", file=sys.stderr)
@@ -474,8 +394,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     cells = cells[in_file_order]
     rel_u = relative_utility(u_bar_bar[in_file_order], [(m, 0.0), (m, 1.0)])[m]
 
-    out_dir = Path(out_dir_value)
-    if fmt == "csv-matrix":
+    out_dir = Path(args.out_dir)
+    if args.format == "csv-matrix":
         return _write_relative_matrices(out_dir, cells, rel_u, m)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = write_relative_csv(out_dir / f"rel_u_m{m}_long.csv", cells, rel_u, m)
@@ -484,8 +404,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# parser
+# parser, config file and environment
 # ----------------------------------------------------------------------
+
+
+def _add_flag(parser: argparse.ArgumentParser, flag: str, default, help: str, **kwargs) -> None:
+    """A flag whose help text ends with its default."""
+    parser.add_argument(flag, default=default, help=f"{help} (default %(default)s)", **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,50 +419,98 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-stage adaptive trial simulator: single trials, grid sweeps, matrix reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    engine = dict(flag="--engine", default="conjugate", help="posterior engine", choices=ENGINES)
 
     sim = sub.add_parser("simulate", help="run one trial and emit patient and allocation CSVs")
-    sim.add_argument("--r0", type=float, help="infection probability, stage-1 placebo arm")
-    sim.add_argument("--r1", type=float, help="infection probability, stage-1 prophylaxis arm")
-    sim.add_argument("--s0", type=float, help="death probability after stage-1 placebo")
-    sim.add_argument("--s1", type=float, help="death probability after stage-1 prophylaxis")
-    sim.add_argument("--m", type=int, choices=(0, 1), help="myopic flag (default 0)")
-    sim.add_argument("--c", type=float, help="adaptation exponent (default 0)")
-    sim.add_argument("--seed", type=int, help="trial seed (default 0)")
-    sim.add_argument("--engine", choices=("conjugate", "mcmc"), help="posterior engine")
-    sim.add_argument("--patients", type=int, help="maximum sample size (default 2000)")
-    sim.add_argument("--interims", type=int, help="number of scheduled analyses (default 4)")
+    _add_flag(sim, "--r0", 0.0, "infection probability, stage-1 placebo arm", type=float)
+    _add_flag(sim, "--r1", 0.0, "infection probability, stage-1 prophylaxis arm", type=float)
+    _add_flag(sim, "--s0", 0.05, "death probability after stage-1 placebo", type=float)
+    _add_flag(sim, "--s1", 0.05, "death probability after stage-1 prophylaxis", type=float)
+    _add_flag(sim, "--m", 0, "myopic flag", type=int, choices=(0, 1))
+    _add_flag(sim, "--c", 0.0, "adaptation exponent", type=float)
+    _add_flag(sim, "--seed", 0, "trial seed", type=int)
+    _add_flag(sim, **engine)
+    _add_flag(sim, "--patients", 2000, "maximum sample size", type=int)
+    _add_flag(sim, "--interims", 4, "number of scheduled analyses", type=int)
     sim.add_argument("--out", help="output directory for patients.csv and allocations.csv")
-    sim.add_argument("--config", help="INI config file; flags override file values")
-    sim.set_defaults(func=cmd_simulate, config_keys=_config_keys(sim))
+    sim.set_defaults(func=cmd_simulate)
 
     swp = sub.add_parser("sweep", help="run a scenario-grid sweep across designs")
-    swp.add_argument("--grid", help="'full', 'reduced' or a scenario CSV path (default reduced)")
-    swp.add_argument("--designs", help="'all' or comma list like m0c0,m0c1 (default all)")
-    swp.add_argument("--replicates", type=int, help="trials per (scenario, design) (default 10)")
-    swp.add_argument("--base-seed", type=int, help="base seed of the per-scenario streams (default 0)")
-    swp.add_argument("--engine", choices=("conjugate", "mcmc"), help="posterior engine")
-    swp.add_argument(
-        "--threads", type=int, help="worker processes (default: every CPU this process may use)"
-    )
+    _add_flag(swp, "--grid", "reduced", "'full', 'reduced' or a scenario CSV path")
+    _add_flag(swp, "--designs", "all", "'all' or comma list like m0c0,m0c1")
+    _add_flag(swp, "--replicates", 10, "trials per (scenario, design)", type=int)
+    _add_flag(swp, "--base-seed", 0, "base seed of the per-scenario streams", type=int)
+    _add_flag(swp, **engine)
+    swp.add_argument("--threads", type=int, help="worker processes (default: every CPU this process may use)")
     swp.add_argument("--out-dir", help="output directory")
-    swp.add_argument("--config", help="INI config file; flags override file values")
-    swp.set_defaults(func=cmd_sweep, config_keys=_config_keys(swp))
+    swp.set_defaults(func=cmd_sweep)
 
     rep = sub.add_parser("report", help="emit relative-utility matrices from a sweep aggregate")
     rep.add_argument("--in", dest="in_file", help="sweep aggregate CSV")
     rep.add_argument("--m", type=int, choices=(0, 1), help="myopic flag to report")
-    rep.add_argument("--format", choices=("csv-matrix", "long-csv"), help="output format")
+    _add_flag(rep, "--format", "csv-matrix", "output format", choices=("csv-matrix", "long-csv"))
     rep.add_argument("--out-dir", help="output directory")
-    rep.add_argument("--config", help="INI config file; flags override file values")
-    rep.set_defaults(func=cmd_report, config_keys=_config_keys(rep))
+    rep.set_defaults(func=cmd_report)
 
+    for command in (sim, swp, rep):
+        command.add_argument("--config", help="INI config file; flags and the environment override its values")
+        command.set_defaults(utilities=None)
     return parser
+
+
+def _flag_value(action: argparse.Action, where: str, text: str):
+    """``text`` converted by the flag's ``type`` and checked against its
+    ``choices``, as argparse would take it from the command line."""
+    try:
+        value = text if action.type is None else action.type(text)
+    except ValueError:
+        raise ConfigurationError(f"{where}: invalid {action.type.__name__} value {text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(str(choice) for choice in action.choices)
+        raise ConfigurationError(f"{where}: invalid choice {value!r} (choose from {choices})")
+    return value
+
+
+def _configured_defaults(command: argparse.ArgumentParser, name: str, path: str | None) -> dict:
+    """The defaults that the ``[name]`` section of the config file at
+    ``path`` and then the environment, which wins, give the command's flags,
+    keyed by dest, plus ``utilities`` from a ``[utilities]`` section. A key
+    that names none of the command's long flags, or a value its flag would
+    reject, is a ``ConfigurationError``."""
+    flags = {o[2:]: a for a in command._actions for o in a.option_strings if o.startswith("--")}
+    del flags["help"], flags["config"]
+    cfg = configparser.ConfigParser()
+    if path is not None and not cfg.read(path):
+        raise ConfigurationError(f"config file not found or unreadable: {path}")
+    given = {}  # long flag -> (where the value comes from, its text)
+    if cfg.has_section(name):
+        unknown = sorted(set(cfg.options(name)) - set(flags))
+        if unknown:
+            raise ConfigurationError(
+                f"{path}: unknown key(s) {', '.join(unknown)} in [{name}]; "
+                f"expected any of {', '.join(sorted(flags))}"
+            )
+        given = {key: (f"{path} [{name}] {key}", text) for key, text in cfg.items(name)}
+    given.update(
+        (key, (env, os.environ[env])) for key, env in ENV_VARS.items() if key in flags and env in os.environ
+    )
+    defaults = {flags[key].dest: _flag_value(flags[key], where, text) for key, (where, text) in given.items()}
+    if cfg.has_section("utilities"):
+        defaults["utilities"] = UtilityTable.from_entries(
+            {key: float(value) for key, value in cfg.items("utilities")}
+        )
+    return defaults
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
     try:
+        # File and environment values become the command's defaults, so
+        # parsing again lets only the flags given override them.
+        command.set_defaults(**_configured_defaults(command, args.command, args.config))
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

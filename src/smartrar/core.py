@@ -111,9 +111,9 @@ class Scenario:
         return self.s1 if stage1_action else self.s0
 
 
-def scenario_grid() -> list[Scenario]:
-    """Full scenario grid in row-major order: s0 outermost, then s1, then
-    r0, then r1 innermost. 21^2 x 8^2 = 28224 scenarios.
+def _grid(r_values: tuple[float, ...], s_values: tuple[float, ...]) -> list[Scenario]:
+    """Every (r0, r1, s0, s1) from the value lists in row-major order: s0
+    outermost, then s1, then r0, then r1 innermost.
 
     The ordering is fixed so CSV output is diff-stable across runs and
     matches the panel layout of the relative-utility matrices (one panel
@@ -121,22 +121,21 @@ def scenario_grid() -> list[Scenario]:
     """
     return [
         Scenario(r0=r0, r1=r1, s0=s0, s1=s1)
-        for s0 in S_GRID
-        for s1 in S_GRID
-        for r0 in R_GRID
-        for r1 in R_GRID
+        for s0 in s_values
+        for s1 in s_values
+        for r0 in r_values
+        for r1 in r_values
     ]
+
+
+def scenario_grid() -> list[Scenario]:
+    """Full scenario grid: 21^2 x 8^2 = 28224 scenarios."""
+    return _grid(R_GRID, S_GRID)
 
 
 def reduced_scenario_grid() -> list[Scenario]:
     """Reduced grid (5^2 x 4^2 = 400 scenarios), same nesting order."""
-    return [
-        Scenario(r0=r0, r1=r1, s0=s0, s1=s1)
-        for s0 in S_GRID_REDUCED
-        for s1 in S_GRID_REDUCED
-        for r0 in R_GRID_REDUCED
-        for r1 in R_GRID_REDUCED
-    ]
+    return _grid(R_GRID_REDUCED, S_GRID_REDUCED)
 
 
 # The ten realisation rows: two stage-1 rows (uninfected) and eight stage-2

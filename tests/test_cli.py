@@ -1,5 +1,6 @@
 """Command-line contracts: flags, config files, CSV stability, exit codes."""
 
+import argparse
 import hashlib
 import importlib.util
 import platform
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from smartrar import ENGINE_IMPLEMENTATION, Scenario, SweepConfig, canonical_designs, run_sweep
-from smartrar.cli import fmt_real, main, write_relative_csv
+from smartrar.cli import build_parser, fmt_real, main, write_relative_csv
 
 REDUCED_SWEEP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_reduced_sweep.py"
 
@@ -77,6 +78,68 @@ def test_unknown_config_key_exit_2(tmp_path, scenario_file, capsys, section, arg
     config.write_text(f"[{section}]\n{good.format(**paths)}\n")
     assert run_cli(section, "--config", str(config), *argv) == 0
     assert out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, env, flags, threads",
+    [
+        ("sweep", "", {}, [], "auto"),
+        ("sweep", "threads = 3", {}, [], "3"),
+        ("sweep", "threads = 3", {"SMARTRAR_THREADS": "2"}, [], "2"),
+        ("sweep", "threads = 3", {"SMARTRAR_THREADS": "2"}, ["--threads", "1"], "1"),
+        # a value its flag would reject fails, even where a flag shadows it
+        ("report", "m = 3", {}, ["--m", "0"], None),
+        ("report", "format = pdf", {}, [], None),
+        ("simulate", "engine = foo", {}, [], None),
+        ("sweep", "", {"SMARTRAR_THREADS": "abc"}, [], None),
+    ],
+    ids=["default", "file", "environment", "flag",
+         "file-m", "file-format", "file-engine", "env-threads"],
+)
+def test_file_and_environment_values(
+    tmp_path, scenario_file, capsys, monkeypatch, command, config, env, flags, threads
+):
+    """Flag > environment > file > default for ``threads``; a file or
+    environment value is checked like a flag, so a bad one exits 2 before
+    any output directory is made."""
+    for name in ("SMARTRAR_THREADS", "SMARTRAR_OUT_DIR"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    aggregate = tmp_path / "agg.csv"
+    aggregate.write_text("r0,r1,s0,s1,m,c,u_bar_bar,std_err\n0.1,0.2,0.3,0.4,0,0,0.5,0\n"
+                         "0.1,0.2,0.3,0.4,0,1,0.6,0\n")
+    out_dir = tmp_path / "out"
+    argv = {
+        "simulate": ["--out", str(out_dir)],
+        "sweep": ["--grid", str(scenario_file), "--replicates", "1", "--out-dir", str(out_dir)],
+        "report": ["--in", str(aggregate), "--m", "0", "--out-dir", str(out_dir)],
+    }[command]
+    path = tmp_path / "run.ini"
+    path.write_text(f"[{command}]\n{config}\n")
+    code = run_cli(command, "--config", str(path), *argv, *flags)
+    if threads is None:
+        assert code == 2
+        assert "invalid" in capsys.readouterr().err
+        assert not out_dir.exists()
+    else:
+        assert code == 0
+        assert f"\nthreads = {threads}\n" in (out_dir / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "report"])
+def test_help_shows_each_default(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    defaults = [
+        a.default for a in commands[command]._actions if a.default not in (None, argparse.SUPPRESS)
+    ]
+    assert defaults
+    for default in defaults:
+        assert f"(default {default})" in shown
 
 
 def test_fmt_real_round_trips():
@@ -333,6 +396,17 @@ class TestSweep:
             "--threads", "1", "--out-dir", str(tmp_path / "x"),
         ) == 2
         assert "unknown design" in capsys.readouterr().err
+
+    def test_repeated_design_exit_2(self, tmp_path, scenario_file, capsys):
+        # the design would run twice, and the relative utilities would keep
+        # only one of its columns
+        out_dir = tmp_path / "sweep"
+        assert run_cli(
+            "sweep", "--grid", str(scenario_file), "--designs", "m0c0,m0c1,m0c1",
+            "--replicates", "1", "--threads", "1", "--out-dir", str(out_dir),
+        ) == 2
+        assert "design 'm0c1' is listed twice" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_out_dir_exit_2(self, scenario_file, capsys, monkeypatch):
         monkeypatch.delenv("SMARTRAR_OUT_DIR", raising=False)
