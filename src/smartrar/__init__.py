@@ -26,13 +26,7 @@ from .core import (
     scenario_grid,
     canonical_designs,
 )
-from .inference import (
-    McmcPosterior,
-    PosteriorSummary,
-    conjugate_mean,
-    posterior_mcmc,
-    split_chain_rhat,
-)
+from .inference import conjugate_mean, logistic_mean
 from .policy import q1_value, q2_value
 from .simulator import (
     ENGINE_IMPLEMENTATION,

@@ -65,6 +65,29 @@ def fmt_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _converted(where: str, convert: type, text: str):
+    """``convert(text)``; a ``ConfigurationError`` that names ``where`` if
+    ``convert`` rejects it."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigurationError(f"{where}: invalid {convert.__name__} value {text!r}") from None
+
+
+def _writable_dir(path: str) -> Path:
+    """The directory at ``path``, made if missing; ``ConfigurationError``
+    if it cannot be made or written to."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        probe = out_dir / ".write_probe"
+        probe.write_text("")
+        probe.unlink()
+    except OSError as exc:
+        raise ConfigurationError(f"output directory not writable: {exc}") from None
+    return out_dir
+
+
 def _cell_text(r0: float, r1: float, s0: float, s1: float) -> str:
     return f"{r0:.17g},{r1:.17g},{s0:.17g},{s1:.17g}"
 
@@ -79,23 +102,33 @@ def _write_csv(path: Path, header: str, lines: Iterable[str]) -> Path:
 
 def _read_table(path: Path, header: str, types: tuple[type, ...], key: int) -> np.ndarray:
     """One row per non-blank line after ``header``: its first ``len(types)``
-    fields, each converted by its type. Raises ``ConfigurationError`` on
-    another header, a line with another field count, an r0, r1, s0 or s1
-    (the first four fields) outside [0, 1], or a line whose first ``key``
-    fields repeat an earlier line's."""
+    fields, each converted by its type. Raises ``ConfigurationError`` if the
+    file cannot be read, or on another header, a line with another field
+    count, a field its type rejects, an r0, r1, s0 or s1 (the first four
+    fields) outside [0, 1], or a line whose first ``key`` fields repeat an
+    earlier line's."""
     names = header.split(",")
     numbers, values = [], array("d")
-    with open(path) as f:
+    try:
+        f = open(path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from None
+    with f:
         if f.readline().strip() != header:
             raise ConfigurationError(f"{path} must start with header {header!r}")
         for ln, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            parts = line.split(",")
+            parts = line.strip().split(",")
             if len(parts) != len(names):
                 raise ConfigurationError(f"{path}:{ln}: expected {len(names)} comma-separated values")
             numbers.append(ln)
-            values.extend([convert(part) for convert, part in zip(types, parts)])
+            try:
+                values.extend([convert(part) for convert, part in zip(types, parts)])
+            except ValueError:
+                # Convert again, field by field, to name the one rejected.
+                for name, convert, part in zip(names, types, parts):
+                    _converted(f"{path}:{ln}: {name}", convert, part)
     table = np.array(values).reshape(-1, len(types))
     outside = np.argwhere(~((table[:, :4] >= 0.0) & (table[:, :4] <= 1.0)))
     if len(outside):
@@ -189,13 +222,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         engine=args.engine,
         seed=args.seed,
     )
+    check_utilities((design,), args.utilities)
+    out_dir = None if args.out is None else _writable_dir(args.out)
     result = run_trial(scenario, design, utilities=args.utilities, keep_records=True)
-
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         _write_patients_csv(out_dir / "patients.csv", result)
         _write_allocations_csv(out_dir / "allocations.csv", result)
     print(f"u_bar={fmt_real(result.mean_utility)}")
@@ -282,24 +312,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         parallelism=args.threads,
     )
 
-    out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        print(f"error: output directory not writable: {exc}", file=sys.stderr)
-        return 2
-
+    out_dir = _writable_dir(args.out_dir)
     try:
         result = run_sweep(sweep_config, utilities=args.utilities)
     except SweepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     files = write_sweep_csvs(out_dir, result)
     config_snapshot = {
         "grid": args.grid,
@@ -419,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-stage adaptive trial simulator: single trials, grid sweeps, matrix reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    engine = dict(flag="--engine", default="conjugate", help="posterior engine", choices=ENGINES)
+    engine_help = "posterior engine: conjugate (Beta per cell) or mcmc (logistic model by quadrature)"
+    engine = dict(flag="--engine", default="conjugate", help=engine_help, choices=ENGINES)
 
     sim = sub.add_parser("simulate", help="run one trial and emit patient and allocation CSVs")
     _add_flag(sim, "--r0", 0.0, "infection probability, stage-1 placebo arm", type=float)
@@ -461,10 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _flag_value(action: argparse.Action, where: str, text: str):
     """``text`` converted by the flag's ``type`` and checked against its
     ``choices``, as argparse would take it from the command line."""
-    try:
-        value = text if action.type is None else action.type(text)
-    except ValueError:
-        raise ConfigurationError(f"{where}: invalid {action.type.__name__} value {text!r}") from None
+    value = text if action.type is None else _converted(where, action.type, text)
     if action.choices is not None and value not in action.choices:
         choices = ", ".join(str(choice) for choice in action.choices)
         raise ConfigurationError(f"{where}: invalid choice {value!r} (choose from {choices})")
@@ -497,7 +514,7 @@ def _configured_defaults(command: argparse.ArgumentParser, name: str, path: str 
     defaults = {flags[key].dest: _flag_value(flags[key], where, text) for key, (where, text) in given.items()}
     if cfg.has_section("utilities"):
         defaults["utilities"] = UtilityTable.from_entries(
-            {key: float(value) for key, value in cfg.items("utilities")}
+            {key: _converted(f"{path} [utilities] {key}", float, text) for key, text in cfg.items("utilities")}
         )
     return defaults
 

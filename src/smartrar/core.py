@@ -235,9 +235,10 @@ class PriorSpec:
     """Prior hyperparameters for both posterior engines.
 
     The conjugate engine places an independent Beta(alpha, beta) prior on
-    each history-action cell; the MCMC engine places independent
-    Normal(mean, sd) priors on every regression coefficient. Defaults are
-    weakly informative: Beta(1, 1) and Normal(0, 2.5).
+    each history-action cell; the logistic engine (``engine = "mcmc"``)
+    places independent Normal(mean, sd) priors on every regression
+    coefficient. Defaults are weakly informative: Beta(1, 1) and
+    Normal(0, 2.5).
     """
 
     conjugate_alpha: float = 1.0
@@ -333,4 +334,3 @@ class TrialResult:
     per_interim_alloc: tuple["InterimSnapshot", ...]
     seed: int
     patient_records: tuple[PatientRecord, ...] | None = None
-    warnings: tuple[str, ...] = ()

@@ -3,66 +3,51 @@
 A stage's data are flat count arrays: events and trials per cell, indexed
 by the stage-one action ``a1`` at stage one, and by ``2 a1 + a2`` at stage
 two, or by ``a2`` alone when a myopic design pools stage two over ``a1``.
-Two interchangeable engines estimate each cell's event probability:
+Two interchangeable engines give each cell's posterior mean event
+probability, for a whole block of trials at once:
 
 * ``conjugate_mean`` — the exact Beta-Bernoulli posterior mean per cell.
   Because the stage-wise regressions are saturated (one free parameter per
   cell), per-cell conjugate inference spans the same model family as the
   regression parameterisation at a tiny fraction of the cost. This is the
-  default engine for simulation sweeps.
-* ``posterior_mcmc`` — samples the coefficients of the Bernoulli-logistic
+  default engine (``--engine conjugate``).
+* ``logistic_mean`` — the posterior means under the Bernoulli-logistic
   regression (stage 1: intercept + stage-one action; stage 2: intercept +
   stage-two action + stage-one action + interaction; pooled stage 2:
-  intercept + stage-two action) under independent normal priors, then maps
-  coefficient draws through the linear predictor and inverse logit to
-  per-cell probability draws.
+  intercept + stage-two action) with independent normal priors on the
+  coefficients (``--engine mcmc``, a name kept from the sampler this
+  replaced).
 
-The MCMC sampler is an independence Metropolis-Hastings chain whose
-proposal is a multivariate Student-t centred on the posterior mode with the
-Laplace covariance. The log posterior is strictly concave (bounded 0/1
-covariates, proper normal priors), so the mode is found by a short Newton
-iteration and the heavy-tailed proposal dominates the target, giving high
-acceptance rates and fast mixing. Only the stationary distribution, draw
-counts, seeded determinism and the split-chain R-hat diagnostic are
-contractual; proposal tuning is internal.
+The log posterior of the logistic model is strictly concave (bounded 0/1
+covariates, proper normal priors), so a short Newton iteration finds its
+mode and the inverse negative Hessian there, the Laplace covariance. The
+posterior means are then integrated by a product Gauss-Hermite rule with
+seven nodes per coefficient, centred on the mode and scaled by the Laplace
+covariance (adaptive Gauss-Hermite quadrature: Naylor and Smith, Applied
+Statistics 1982; Liu and Pierce, Biometrika 1994). The result is
+deterministic: there are no chains, seeds or convergence diagnostics.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import lru_cache
 
 import numpy as np
 
 from .core import PriorSpec
 
-__all__ = [
-    "PosteriorSummary",
-    "McmcPosterior",
-    "PriorSpec",
-    "conjugate_mean",
-    "posterior_mcmc",
-    "split_chain_rhat",
-    "DEFAULT_CHAINS",
-    "DEFAULT_WARMUP",
-    "DEFAULT_SAMPLING",
-    "RHAT_THRESHOLD",
-]
+__all__ = ["PriorSpec", "conjugate_mean", "logistic_mean"]
 
-DEFAULT_CHAINS = 4
-DEFAULT_WARMUP = 1000
-DEFAULT_SAMPLING = 1000
+#: Gauss-Hermite nodes per coefficient.
+_NODES = 7
 
-#: Split-chain potential-scale-reduction threshold above which a
-#: convergence warning is attached to the result.
-RHAT_THRESHOLD = 1.05
+# A row's Newton iteration stops once every gradient entry is below this.
+_GRADIENT_TOL = 1e-10
+_MAX_NEWTON_STEPS = 100
 
-# Proposal shape for the independence sampler: Student-t degrees of freedom
-# and a linear inflation of the Laplace scale. The t tails must dominate
-# the Gaussian-bounded posterior tails for uniform ergodicity.
-_PROPOSAL_DF = 7.0
-_PROPOSAL_SCALE = 1.1
+# Rows integrated per pass: a few at a time keep the (rows, cells, nodes)
+# arrays small (7 ** 4 nodes per row in the four-cell model).
+_ROWS_PER_PASS = 8
 
 
 def conjugate_mean(prior: PriorSpec, events: int, trials: int) -> float:
@@ -71,30 +56,6 @@ def conjugate_mean(prior: PriorSpec, events: int, trials: int) -> float:
     return (prior.conjugate_alpha + events) / (
         prior.conjugate_alpha + prior.conjugate_beta + trials
     )
-
-
-@dataclass(frozen=True, eq=False)
-class PosteriorSummary:
-    """MCMC posterior of one cell's event probability: the arithmetic mean
-    of its draws, and the draws themselves."""
-
-    mean_event_prob: float
-    draws: np.ndarray
-
-
-@dataclass(frozen=True)
-class McmcPosterior:
-    """Per-cell posterior summaries from the MCMC engine, plus diagnostics.
-
-    ``cells`` maps each flat cell index to its :class:`PosteriorSummary`.
-    ``rhat`` holds the split-chain potential scale reduction per
-    coefficient; a value above the 1.05 threshold is flagged in
-    ``warnings`` rather than raised.
-    """
-
-    cells: Mapping[int, PosteriorSummary]
-    rhat: tuple[float, ...]
-    warnings: tuple[str, ...] = ()
 
 
 def _design_matrix(n_cells: int) -> np.ndarray:
@@ -110,153 +71,82 @@ def _design_matrix(n_cells: int) -> np.ndarray:
     raise ValueError(f"the logistic model has 2 or 4 cells, got {n_cells}")
 
 
-def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    # Numerically stable log(1 / (1 + exp(-x))).
-    return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
+@lru_cache(maxsize=None)
+def _product_rule(dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard-normal nodes (dims, 7 ** dims) of the product Gauss-Hermite
+    rule, and each node's log weight over the standard normal density there,
+    up to a constant."""
+    from numpy.polynomial.hermite import hermgauss
+
+    x, w = hermgauss(_NODES)
+    at = np.indices((_NODES,) * dims).reshape(dims, -1)
+    return np.sqrt(2.0) * x[at], (np.log(w) + x * x)[at].sum(axis=0)
 
 
-def _log_posterior(
-    betas: np.ndarray, design: np.ndarray, events: np.ndarray, trials: np.ndarray, prior: PriorSpec
-) -> np.ndarray:
-    """Unnormalised log posterior for a batch of coefficient vectors."""
-    eta = betas @ design.T
-    loglik = events * _log_sigmoid(eta) + (trials - events) * _log_sigmoid(-eta)
-    z = (betas - prior.coefficient_prior_mean) / prior.coefficient_prior_sd
-    logprior = -0.5 * np.sum(z * z, axis=-1)
-    return np.sum(loglik, axis=-1) + logprior
+def _linear_predictor(design: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """eta (rows, cells, n) from coefficients beta (rows, p, n), one
+    coefficient at a time."""
+    return sum(design[:, k, None] * beta[:, None, k] for k in range(design.shape[1]))
 
 
-def _laplace_mode(
-    design: np.ndarray, events: np.ndarray, trials: np.ndarray, prior: PriorSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mode and inverse negative Hessian via Newton iteration.
+def _newton_terms(design, events, trials, prior, beta):
+    """Gradient (rows, p) and negative Hessian (rows, p, p) of the log
+    posterior at the coefficients ``beta`` (rows, p)."""
+    mu = 1.0 / (1.0 + np.exp(-_linear_predictor(design, beta[..., None])[..., 0]))
+    grad = ((events - trials * mu)[..., None] * design).sum(axis=1)
+    grad -= (beta - prior.coefficient_prior_mean) / prior.coefficient_prior_sd**2
+    weight = trials * mu * (1.0 - mu)
+    neg_hess = (weight[..., None, None] * design[:, :, None] * design[:, None, :]).sum(axis=1)
+    return grad, neg_hess + np.eye(design.shape[1]) / prior.coefficient_prior_sd**2
 
-    The objective is strictly concave, so this converges from any start.
-    """
-    p = design.shape[1]
-    prec = np.eye(p) / prior.coefficient_prior_sd**2
-    beta = np.full(p, prior.coefficient_prior_mean, dtype=np.float64)
-    neg_hess = prec
-    for _ in range(100):
-        eta = design @ beta
-        mu = 1.0 / (1.0 + np.exp(-eta))
-        grad = design.T @ (events - trials * mu) - prec @ (beta - prior.coefficient_prior_mean)
-        weight = trials * mu * (1.0 - mu)
-        neg_hess = design.T @ (design * weight[:, None]) + prec
-        step = np.linalg.solve(neg_hess, grad)
-        beta = beta + step
-        if np.max(np.abs(grad)) < 1e-10:
+
+def _posterior_mode(design, events, trials, prior):
+    """Posterior mode (rows, p) and the negative Hessian there, by Newton
+    iteration from the prior mean. Each row stops on its own gradient and is
+    then frozen, so that its mode does not depend on the other rows."""
+    beta = np.full((len(events), design.shape[1]), float(prior.coefficient_prior_mean))
+    active = np.arange(len(events))
+    for _ in range(_MAX_NEWTON_STEPS):
+        grad, neg_hess = _newton_terms(design, events[active], trials[active], prior, beta[active])
+        beta[active] += np.linalg.solve(neg_hess, grad[..., None])[..., 0]
+        active = active[np.abs(grad).max(axis=1) >= _GRADIENT_TOL]
+        if not active.size:
             break
-    return beta, np.linalg.inv(neg_hess)
+    return beta, _newton_terms(design, events, trials, prior, beta)[1]
 
 
-def _mvt_logpdf(x: np.ndarray, loc: np.ndarray, scale_inv: np.ndarray, logdet: float, df: float) -> np.ndarray:
-    p = loc.shape[0]
-    z = (x - loc) @ scale_inv.T
-    quad = np.sum(z * z, axis=-1)
-    const = (
-        math.lgamma((df + p) / 2.0)
-        - math.lgamma(df / 2.0)
-        - 0.5 * p * math.log(df * math.pi)
-        - logdet
-    )
-    return const - 0.5 * (df + p) * np.log1p(quad / df)
+def _node_means(design, events, trials, prior, mode, scale):
+    """Posterior means (rows, cells) by the product rule about ``mode``
+    (rows, p), scaled by the Laplace covariance's Cholesky factor ``scale``."""
+    z, log_weight = _product_rule(design.shape[1])
+    # The coefficients (rows, p, nodes) and the linear predictor at every node.
+    beta = mode[..., None] + sum(scale[:, :, k, None] * z[k] for k in range(len(z)))
+    eta = _linear_predictor(design, beta)
+    # log sigmoid(eta); exp(-|eta|) cannot overflow.
+    log_prob = np.minimum(eta, 0.0) - np.log1p(np.exp(-np.abs(eta)))
+    log_lik = (trials[..., None] * log_prob - (trials - events)[..., None] * eta).sum(axis=1)
+    z_prior = (beta - prior.coefficient_prior_mean) / prior.coefficient_prior_sd
+    log_post = log_weight + log_lik - 0.5 * (z_prior * z_prior).sum(axis=1)
+    weight = np.exp(log_post - log_post.max(axis=-1, keepdims=True))
+    return (weight[:, None] * np.exp(log_prob)).sum(axis=-1) / weight.sum(axis=-1)[:, None]
 
 
-def split_chain_rhat(chain_draws: np.ndarray) -> np.ndarray:
-    """Split-chain potential scale reduction per coefficient.
+def logistic_mean(prior: PriorSpec, events: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """Posterior mean event probability per cell under the logistic model.
 
-    ``chain_draws`` has shape (chains, samples, coefficients); each chain
-    is split in half, giving 2 x chains sequences.
+    ``events`` and ``trials`` are (rows, cells) count arrays, one row per
+    trial; 2 or 4 cells select the design matrix. Each row is integrated
+    by the product rule about its own posterior mode, and every sum runs
+    over an explicit axis, so a row's means do not depend on the other
+    rows of the batch. With no data and a zero coefficient prior mean,
+    every mean is 1/2.
     """
-    n_chains, n_samples, n_coef = chain_draws.shape
-    half = n_samples // 2
-    if half < 2:
-        raise ValueError("need at least 4 samples per chain for split-chain R-hat")
-    seqs = np.concatenate([chain_draws[:, :half, :], chain_draws[:, half : 2 * half, :]], axis=0)
-    within = np.mean(np.var(seqs, axis=1, ddof=1), axis=0)
-    between_over_n = np.var(np.mean(seqs, axis=1), axis=0, ddof=1)
-    rhat = np.empty(n_coef)
-    for j in range(n_coef):
-        if within[j] <= 0.0:
-            rhat[j] = 1.0 if between_over_n[j] <= 0.0 else np.inf
-        else:
-            var_plus = (half - 1) / half * within[j] + between_over_n[j]
-            rhat[j] = math.sqrt(var_plus / within[j])
-    return rhat
-
-
-def posterior_mcmc(
-    events: Sequence[int],
-    trials: Sequence[int],
-    prior: PriorSpec,
-    chains: int = DEFAULT_CHAINS,
-    warmup: int = DEFAULT_WARMUP,
-    sampling: int = DEFAULT_SAMPLING,
-    seed: int = 0,
-) -> McmcPosterior:
-    """Sample per-cell event probabilities from the logistic model posterior.
-
-    ``events`` and ``trials`` are one stage's flat count arrays (see the
-    module docstring); their length, 2 or 4, selects the design matrix.
-    Runs ``chains`` independent chains of ``warmup + sampling`` iterations
-    each and keeps the sampling phase, yielding ``chains * sampling``
-    coefficient draws (4000 under the defaults). Coefficient draws are
-    mapped through the linear predictor and inverse logit to per-cell
-    probability draws. Deterministic given the seed: each chain owns an
-    independent, deterministically derived RNG stream, so results do not
-    depend on chain scheduling.
-    """
-    if chains < 1:
-        raise ValueError("chains must be >= 1")
-    if warmup < 1 or sampling < 1:
-        raise ValueError("warmup and sampling must be >= 1")
-    events = np.asarray(events, dtype=np.float64)
-    trials = np.asarray(trials, dtype=np.float64)
-    if events.shape != trials.shape or np.any(events < 0) or np.any(events > trials):
-        raise ValueError("need matching count arrays with 0 <= events <= trials")
-    design = _design_matrix(events.size)
-    mode, cov = _laplace_mode(design, events, trials, prior)
-    scale = np.linalg.cholesky(cov * _PROPOSAL_SCALE**2)
-    scale_inv = np.linalg.inv(scale)
-    logdet = float(np.sum(np.log(np.diag(scale))))
-    n_total = warmup + sampling
-    n_coef = design.shape[1]
-
-    chain_states = np.empty((chains, sampling, n_coef), dtype=np.float64)
-    streams = np.random.SeedSequence(seed).spawn(chains)
-    for ci, stream in enumerate(streams):
-        rng = np.random.Generator(np.random.Philox(stream))
-        z = rng.standard_normal((n_total, n_coef))
-        w = rng.chisquare(_PROPOSAL_DF, n_total)
-        proposals = mode + (z @ scale.T) * np.sqrt(_PROPOSAL_DF / w)[:, None]
-        log_target = _log_posterior(proposals, design, events, trials, prior)
-        if not np.all(np.isfinite(log_target)):
-            raise RuntimeError("non-finite log posterior density encountered")
-        log_weight = log_target - _mvt_logpdf(proposals, mode, scale_inv, logdet, _PROPOSAL_DF)
-        log_u = np.log(rng.random(n_total))
-        # Independence Metropolis-Hastings scan over precomputed proposals.
-        indices = np.empty(n_total, dtype=np.int64)
-        state = 0
-        indices[0] = 0
-        weights = log_weight.tolist()
-        for i in range(1, n_total):
-            if log_u[i] < weights[i] - weights[state]:
-                state = i
-            indices[i] = state
-        chain_states[ci] = proposals[indices[warmup:]]
-
-    rhat = split_chain_rhat(chain_states)
-    warnings: tuple[str, ...] = ()
-    if np.any(rhat > RHAT_THRESHOLD):
-        bad = ", ".join(f"beta[{j}]={rhat[j]:.4f}" for j in np.nonzero(rhat > RHAT_THRESHOLD)[0])
-        warnings = (f"split-chain R-hat above {RHAT_THRESHOLD}: {bad}",)
-
-    all_draws = chain_states.reshape(chains * sampling, n_coef)
-    eta = all_draws @ design.T
-    probs = 1.0 / (1.0 + np.exp(-eta))
-    cells = {
-        j: PosteriorSummary(mean_event_prob=float(np.mean(probs[:, j])), draws=probs[:, j])
-        for j in range(events.size)
-    }
-    return McmcPosterior(cells=cells, rhat=tuple(float(r) for r in rhat), warnings=warnings)
+    events, trials = np.asarray(events, dtype=np.float64), np.asarray(trials, dtype=np.float64)
+    design = _design_matrix(events.shape[-1])
+    mode, neg_hess = _posterior_mode(design, events, trials, prior)
+    scale = np.linalg.cholesky(np.linalg.inv(neg_hess))
+    means = np.empty(events.shape)
+    for at in range(0, len(events), _ROWS_PER_PASS):
+        rows = slice(at, at + _ROWS_PER_PASS)
+        means[rows] = _node_means(design, events[rows], trials[rows], prior, mode[rows], scale[rows])
+    return means

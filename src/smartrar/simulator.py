@@ -21,10 +21,12 @@ sufficient statistics. This is exact in distribution.
 
 Trials run in blocks (``run_block``): one cohort loop over arrays with a
 leading trial axis, each cohort one multinomial call per Philox stream.
-``run_trial`` is a block of one trial, reproducible bit-for-bit from
-(scenario, design): substream 0 of the design seed draws the counts, 1 the
-MCMC engine and 2 the patient records, made only when they are requested
-so that asking for them never changes the mean utility or allocation path.
+Both posterior engines are deterministic functions of the counts, so the
+counts are the only random draws of a trial. ``run_trial`` is a block of
+one trial, reproducible bit-for-bit from (scenario, design): substream 0
+of the design seed draws the counts and substream 2 the patient records,
+made only when they are requested so that asking for them never changes
+the mean utility or allocation path.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .core import (
     TrialResult,
     UtilityTable,
 )
-from .inference import conjugate_mean, posterior_mcmc
+from .inference import conjugate_mean, logistic_mean
 from .policy import q1_value, q2_value
 
 #: Recorded in output manifests so that outputs of different outcome
@@ -79,15 +81,13 @@ class InterimSnapshot:
 @dataclass(frozen=True, eq=False)
 class Stream:
     """Trials of one scenario that draw their cohort counts from ``rng``:
-    ``replicates`` rows per design, in order. Under the MCMC engine
-    ``engine_seeds`` holds each row's engine seed sequence."""
+    ``replicates`` rows per design, in order."""
 
     scenario: Scenario
     designs: tuple[DesignConfig, ...]
     replicates: int
     rng: np.random.Generator
     utilities: UtilityTable
-    engine_seeds: tuple[np.random.SeedSequence, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,14 +95,12 @@ class Block:
     """Per-trial results of ``run_block``, rows in stream order: after
     adapting analysis k + 1, ``stage1[t, k]`` is (P(a1 = 0), P(a1 = 1)) and
     ``stage2[t, k, a1]`` the stage-two pair for arm a1 (pooled: the same
-    pair twice); ``cohorts[t, k]`` holds cohort k + 1's row counts;
-    ``warnings`` holds (row, message) pairs."""
+    pair twice); ``cohorts[t, k]`` holds cohort k + 1's row counts."""
 
     mean_utility: np.ndarray
     stage1: np.ndarray
     stage2: np.ndarray
     cohorts: np.ndarray
-    warnings: tuple[tuple[int, str], ...]
 
 
 def true_value(scenario: Scenario, stage1_action: Action) -> float:
@@ -195,23 +193,18 @@ def _substream(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(index,))
 
 
-def _mcmc_means(stats, myopic, prior, children, analysis, warnings):
-    """``posterior_mcmc`` means trial by trial, laid out as the conjugate
-    means are (a pooled stage two is fitted on its two cells); warnings are
-    appended to ``warnings`` as (trial, message)."""
+def _posterior_means(engine: str, prior: PriorSpec, stats, myopic: np.ndarray):
+    """Posterior means (mean1 (trials, 2), mean2 (trials, 4)) from the
+    sufficient statistics, laid out as they are. The logistic model fits a
+    myopic trial's pooled stage two on its two cells."""
     events1, trials1, events2, trials2 = stats
-    mean1, mean2 = np.empty(trials1.shape), np.empty(trials2.shape)
-    for t, roots in enumerate(children):
-        cells = 2 if myopic[t] else 4
-        pair = roots[analysis - 1].spawn(2)
-        seed1, seed2 = (int(s.generate_state(1, np.uint64)[0]) for s in pair)
-        res1 = posterior_mcmc(events1[t], trials1[t], prior, seed=seed1)
-        res2 = posterior_mcmc(events2[t, :cells], trials2[t, :cells], prior, seed=seed2)
-        for stage, res in enumerate((res1, res2), start=1):
-            warnings.extend((t, f"analysis {analysis} stage {stage}: {w}") for w in res.warnings)
-        mean1[t] = [cell.mean_event_prob for cell in res1.cells.values()]
-        mean2[t] = np.tile([cell.mean_event_prob for cell in res2.cells.values()], 4 // cells)
-    return mean1, mean2
+    if engine == "conjugate":
+        return conjugate_mean(prior, events1, trials1), conjugate_mean(prior, events2, trials2)
+    pooled = myopic.astype(bool)
+    mean2 = np.empty(trials2.shape)
+    mean2[~pooled] = logistic_mean(prior, events2[~pooled], trials2[~pooled])
+    mean2[pooled] = np.tile(logistic_mean(prior, events2[pooled, :2], trials2[pooled, :2]), 2)
+    return logistic_mean(prior, events1, trials1), mean2
 
 
 def run_block(streams: Sequence[Stream]) -> Block:
@@ -239,11 +232,6 @@ def run_block(streams: Sequence[Stream]) -> Block:
         [st.replicates for st in streams for _ in st.designs],
         axis=0,
     ).T
-    children = [seq.spawn(num_interims) for st in streams for seq in st.engine_seeds]
-    if engine == "mcmc" and len(children) != n:
-        raise ValueError("the MCMC engine needs one engine seed per trial")
-
-    warnings: list[tuple[int, str]] = []
     p1, p2 = np.full((n, 2), 0.5), np.full((n, 2, 2), 0.5)
     stage1, stage2 = np.empty((n, num_interims - 1, 2)), np.empty((n, num_interims - 1, 2, 2))
     cohorts = np.empty((n, num_interims, len(_ROWS)), dtype=np.int64)
@@ -257,16 +245,13 @@ def run_block(streams: Sequence[Stream]) -> Block:
         if k == num_interims - 1:
             break
         stats = _sufficient_stats(cohorts[:, : k + 1].sum(axis=1), myopic)
-        if engine == "conjugate":
-            means = conjugate_mean(prior, *stats[:2]), conjugate_mean(prior, *stats[2:])
-        else:
-            means = _mcmc_means(stats, myopic, prior, children, k + 1, warnings)
+        means = _posterior_means(engine, prior, stats, myopic)
         p1, p2 = _allocate(*means, utility, myopic, adapt_c, min_prob)
         stage1[:, k], stage2[:, k] = p1, p2
 
     totals = map(math.fsum, (cohorts.sum(axis=1) * utility).tolist())
     mean_utility = np.fromiter(totals, float, n) / max_patients
-    return Block(mean_utility, stage1, stage2, cohorts, tuple(warnings))
+    return Block(mean_utility, stage1, stage2, cohorts)
 
 
 def _patient_records(
@@ -299,11 +284,11 @@ def run_trial(
     unchanged.
     """
     table = utilities if utilities is not None else UtilityTable.default()
-    # Substreams 0 (cohort counts), 1 (MCMC engine) and 2 (patient records)
-    # of the design seed, each made only when it is used.
+    # Substreams 0 (cohort counts) and 2 (patient records) of the design
+    # seed, each made only when it is used. Substream 1 is unused; records
+    # stay on 2 so that their bytes match earlier versions' output.
     rng = np.random.Generator(np.random.Philox(_substream(design.seed, 0)))
-    engine_seeds = (_substream(design.seed, 1),) if design.engine == "mcmc" else ()
-    block = run_block([Stream(scenario, (design,), 1, rng, table, engine_seeds)])
+    block = run_block([Stream(scenario, (design,), 1, rng, table)])
     pairs = 1 if design.myopic_m else 2
     snapshots = tuple(
         InterimSnapshot(k + 1, tuple(p1), tuple(map(tuple, p2[:pairs])))
@@ -318,5 +303,4 @@ def run_trial(
         per_interim_alloc=snapshots,
         seed=design.seed,
         patient_records=records,
-        warnings=tuple(message for _, message in block.warnings),
     )

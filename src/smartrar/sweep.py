@@ -75,7 +75,6 @@ class SweepResult:
     u_bar_bar: np.ndarray
     std_err: np.ndarray
     workers: int
-    warnings: tuple[str, ...] = ()
 
     @property
     def relative(self) -> dict[int, np.ndarray]:
@@ -94,17 +93,13 @@ def scenario_stream(
 ) -> Stream:
     """The trials of scenario ``index``: one Philox generator keyed by
     ``SeedSequence((base_seed, index))`` draws the cohorts of all designs x
-    replicates, in (design, replicate) row order. Under the MCMC engine row
-    j's engine seed is child j of that sequence."""
-    seq = np.random.SeedSequence((base_seed, index))
-    mcmc = designs[0].engine == "mcmc"
-    engine_seeds = tuple(seq.spawn(len(designs) * replicates)) if mcmc else ()
-    rng = np.random.Generator(np.random.Philox(seq))
-    return Stream(scenario, designs, replicates, rng, utilities, engine_seeds)
+    replicates, in (design, replicate) row order."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((base_seed, index))))
+    return Stream(scenario, designs, replicates, rng, utilities)
 
 
-def _run_block(args: tuple[int, SweepConfig, UtilityTable | None]) -> tuple[np.ndarray, list[str]]:
-    """Utility (scenarios, designs, replicates) and warnings of the trials of
+def _run_block(args: tuple[int, SweepConfig, UtilityTable | None]) -> np.ndarray:
+    """Utility (scenarios, designs, replicates) of the trials of
     ``config.scenarios``, sweep indices ``start`` on, run as one batch."""
     start, config, utilities = args
     table = utilities if utilities is not None else UtilityTable.default()
@@ -119,16 +114,7 @@ def _run_block(args: tuple[int, SweepConfig, UtilityTable | None]) -> tuple[np.n
         raise SweepError(
             f"trial failed in scenario indices {start} to {start + len(streams) - 1}: {exc}"
         ) from exc
-    shape = (len(streams), len(designs), replicates)
-    warnings = []
-    for row, message in block.warnings:
-        offset, d_idx, rep = np.unravel_index(row, shape)
-        design = designs[d_idx]
-        warnings.append(
-            f"scenario {start + offset} design (m={design.myopic_m}, c={design.adapt_c}) "
-            f"replicate {rep}: {message}"
-        )
-    return block.mean_utility.reshape(shape), warnings
+    return block.mean_utility.reshape(len(streams), len(designs), replicates)
 
 
 def available_cpus() -> int:
@@ -168,15 +154,14 @@ def run_sweep(config: SweepConfig, utilities: UtilityTable | None = None) -> Swe
             raise SweepError(f"a sweep worker process died: {exc}") from exc
         finally:
             executor.shutdown()
-    utility = np.concatenate([block for block, _ in results])
-    warnings = tuple(warning for _, block_warnings in results for warning in block_warnings)
+    utility = np.concatenate(results)
     u_bar_bar = utility.mean(axis=2)
     std_err = (
         utility.std(axis=2, ddof=1) / math.sqrt(config.replicates)
         if config.replicates > 1
         else np.zeros_like(u_bar_bar)
     )
-    return SweepResult(config, utility, u_bar_bar, std_err, workers, warnings)
+    return SweepResult(config, utility, u_bar_bar, std_err, workers)
 
 
 def relative_utility(

@@ -31,7 +31,7 @@ from smartrar import (
     allocation_pair,
     conjugate_mean,
     fixed_design_value,
-    posterior_mcmc,
+    logistic_mean,
     reduced_scenario_grid,
     run_block,
     run_sweep,
@@ -40,6 +40,7 @@ from smartrar import (
     scenario_stream,
     true_value,
 )
+from mcmc_reference import posterior_mcmc
 from smartrar.cli import write_sweep_csvs
 from smartrar.simulator import _q_values
 
@@ -369,30 +370,71 @@ def _random_counts(rng: np.random.Generator, n_cells: int) -> tuple[list[int], l
     return events, trials
 
 
-def test_c5_engine_parity():
-    """Conjugate and MCMC engines agree on saturated-cell posterior means."""
+def _c5_datasets() -> list[tuple[list[int], list[int], int]]:
+    """c5's 20 (events, trials, MCMC seed) datasets: stage one (2 cells by
+    a1), dynamic stage two (4 cells) and pooled stage two (2 by a2)."""
     rng = np.random.default_rng(BASE_SEED + 1)
-    prior = PriorSpec()
-    # stage one (2 cells by a1), dynamic stage two (4 cells), pooled (2 by a2)
-    n_cells = [2] * 7 + [4] * 7 + [2] * 6
-    worst_diff = 0.0
-    worst_rhat = 0.0
-    for n in n_cells:
+    datasets = []
+    for n in [2] * 7 + [4] * 7 + [2] * 6:
         events, trials = _random_counts(rng, n)
-        mcmc = posterior_mcmc(
-            events, trials, prior, chains=4, warmup=1000, sampling=1000,
-            seed=int(rng.integers(2**32)),
-        )
+        datasets.append((events, trials, int(rng.integers(2**32))))
+    return datasets
+
+
+def test_c5_engine_parity():
+    """The conjugate means agree with the logistic model's, both from the
+    MCMC reference sampler and from ``logistic_mean``."""
+    prior = PriorSpec()
+    worst_diff = worst_quad = 0.0
+    worst_rhat = 0.0
+    for events, trials, seed in _c5_datasets():
+        n = len(events)
+        mcmc = posterior_mcmc(events, trials, prior, chains=4, warmup=1000, sampling=1000, seed=seed)
+        quad = logistic_mean(prior, np.array([events]), np.array([trials]))[0]
         worst_rhat = max(worst_rhat, max(mcmc.rhat))
         for j in range(n):
             conj = conjugate_mean(prior, events[j], trials[j])
             worst_diff = max(worst_diff, abs(conj - mcmc.cells[j].mean_event_prob))
+            worst_quad = max(worst_quad, abs(conj - quad[j]))
         assert all(len(s.draws) == 4000 for s in mcmc.cells.values())
     report(
         5,
-        worst_diff < 0.03 and worst_rhat <= 1.05,
-        f"20 datasets, >=200 trials/cell: max |conjugate - mcmc| = {worst_diff:.4f} "
-        f"(tolerance 0.03), max R-hat = {worst_rhat:.4f} (ceiling 1.05)",
+        worst_diff < 0.03 and worst_rhat <= 1.05 and worst_quad < 0.03,
+        f"20 datasets, >=200 trials/cell: max |conjugate - mcmc| = {worst_diff:.4f}, "
+        f"max |conjugate - logistic_mean| = {worst_quad:.4f} (tolerance 0.03), "
+        f"max R-hat = {worst_rhat:.4f} (ceiling 1.05)",
+    )
+
+
+# Small and degenerate data beside c5's: every cell empty, a cell whose
+# every trial is an event, and an empty cell next to cells with data.
+EDGE_DATASETS = [
+    ([0, 0], [0, 0]),
+    ([0, 0, 0, 0], [0, 0, 0, 0]),
+    ([500, 3], [500, 40]),
+    ([12, 0, 7, 40], [30, 0, 25, 40]),
+    ([0, 9], [0, 20]),
+]
+
+
+def test_logistic_mean_matches_mcmc_reference():
+    """``logistic_mean`` is within 4 SE + 1e-3 of the MCMC reference's
+    mean over 8 seeds, cell by cell, on c5's datasets and the edge cases."""
+    prior = PriorSpec()
+    datasets = [(e, t) for e, t, _ in _c5_datasets()] + EDGE_DATASETS
+    worst = -np.inf
+    for events, trials in datasets:
+        quad = logistic_mean(prior, np.array([events]), np.array([trials]))[0]
+        ref = np.array([
+            [c.mean_event_prob for c in posterior_mcmc(events, trials, prior, seed=s).cells.values()]
+            for s in range(BASE_SEED, BASE_SEED + 8)
+        ])  # fmt: skip
+        se = ref.std(axis=0, ddof=1) / math.sqrt(len(ref))
+        worst = max(worst, float(np.max(np.abs(quad - ref.mean(axis=0)) - 4 * se)))
+    report(
+        5,
+        worst <= 1e-3,
+        f"{len(datasets)} datasets: max |logistic_mean - mcmc| - 4 SE = {worst:.2e} (ceiling 1e-3)",
     )
 
 

@@ -4,7 +4,6 @@ import argparse
 import hashlib
 import importlib.util
 import platform
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +91,10 @@ def test_unknown_config_key_exit_2(tmp_path, scenario_file, capsys, section, arg
         ("report", "format = pdf", {}, [], None),
         ("simulate", "engine = foo", {}, [], None),
         ("sweep", "", {"SMARTRAR_THREADS": "abc"}, [], None),
+        ("simulate", "[utilities]\ndied_a1_0_a2_0 = abc", {}, [], None),
     ],
     ids=["default", "file", "environment", "flag",
-         "file-m", "file-format", "file-engine", "env-threads"],
+         "file-m", "file-format", "file-engine", "env-threads", "file-utilities"],
 )
 def test_file_and_environment_values(
     tmp_path, scenario_file, capsys, monkeypatch, command, config, env, flags, threads
@@ -120,11 +120,29 @@ def test_file_and_environment_values(
     code = run_cli(command, "--config", str(path), *argv, *flags)
     if threads is None:
         assert code == 2
-        assert "invalid" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid" in err
+        if "utilities" in config:
+            assert f"{path} [utilities] died_a1_0_a2_0: invalid float value 'abc'" in err
         assert not out_dir.exists()
     else:
         assert code == 0
         assert f"\nthreads = {threads}\n" in (out_dir / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("case", ["report-missing", "report-directory", "sweep-directory"])
+def test_unreadable_input_exit_2(tmp_path, capsys, case):
+    """An input path that cannot be read is a configuration error naming
+    the path, found before any output directory is made."""
+    argv = {
+        "report-missing": ["report", "--in", str(tmp_path / "missing.csv"), "--m", "0"],
+        "report-directory": ["report", "--in", str(tmp_path), "--m", "0"],
+        "sweep-directory": ["sweep", "--grid", str(tmp_path), "--threads", "1"],
+    }[case]
+    out_dir = tmp_path / "out"
+    assert run_cli(*argv, "--out-dir", str(out_dir)) == 2
+    assert f"error: cannot read {argv[2]}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "report"])
@@ -211,6 +229,15 @@ class TestSimulate:
         for rows in groups.values():
             assert [action for action, _ in rows] == [0, 1]
             assert sum(prob for _, prob in rows) == pytest.approx(1.0, abs=1e-12)
+
+    def test_out_is_a_file_exit_2_before_the_trial(self, tmp_path, capsys, monkeypatch):
+        import smartrar.cli
+
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.setattr(smartrar.cli, "run_trial", lambda *args, **kwargs: pytest.fail("trial ran"))
+        assert run_cli("simulate", "--out", str(taken)) == 2
+        assert "error: output directory not writable" in capsys.readouterr().err
 
     def test_invalid_flags_exit_2(self, capsys):
         assert run_cli("simulate", "--r0", "1.5") == 2
@@ -309,41 +336,24 @@ class TestSweep:
         assert f"python_version = {platform.python_version()}" in manifest
         assert "threads = 1\nworkers = 1\n" in manifest
 
-    def test_mcmc_sweep(self, tmp_path, scenario_file, capsys, monkeypatch):
-        # 2 scenarios x all designs x 1 replicate; every posterior_mcmc call
-        # reports a warning naming its cell count, which must come out
-        # prefixed with the trial's sweep coordinates. One scenario per
-        # block, so that two threads run two work items in a pool.
-        import smartrar.simulator
+    def test_mcmc_sweep(self, tmp_path, scenario_file, monkeypatch):
+        # 2 scenarios x all designs x 1 replicate under the logistic engine.
+        # One scenario per block, so that two threads run two work items in
+        # a pool.
         import smartrar.sweep
 
         monkeypatch.setattr(smartrar.sweep, "BLOCK_SCENARIOS", 1)
-
-        real = smartrar.simulator.posterior_mcmc
-
-        def flagged(events, trials, prior, **kwargs):
-            result = real(events, trials, prior, **kwargs)
-            return replace(result, warnings=result.warnings + (f"{len(events)} cells",))
-
-        monkeypatch.setattr(smartrar.simulator, "posterior_mcmc", flagged)
         written = {}
         for threads in ("1", "2"):
             out_dir = tmp_path / threads
-            capsys.readouterr()
             assert run_cli(
                 "sweep", "--grid", str(scenario_file), "--engine", "mcmc", "--replicates", "1",
                 "--base-seed", "4", "--threads", threads, "--out-dir", str(out_dir),
             ) == 0
-            if threads == "1":
-                err = capsys.readouterr().err.splitlines()
             written[threads] = [
                 (out_dir / name).read_bytes() for name in ("sweep_replicates.csv", "sweep_aggregate.csv")
             ]
         assert written["1"] == written["2"]
-        assert len(err) == 2 * 4 * 3 * 2
-        assert "warning: scenario 0 design (m=0, c=0.0) replicate 0: analysis 1 stage 1: 2 cells" in err
-        assert "warning: scenario 1 design (m=0, c=1.0) replicate 0: analysis 3 stage 2: 4 cells" in err
-        assert "warning: scenario 1 design (m=1, c=1.0) replicate 0: analysis 2 stage 2: 2 cells" in err
 
     def test_ambiguous_pooled_utilities_exit_2(
         self, tmp_path, scenario_file, ambiguous_pooling, capsys
@@ -431,9 +441,14 @@ class TestSweep:
 
     def test_bad_scenario_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("nope\n")
-        assert run_cli("sweep", "--grid", str(bad), "--threads", "1",
-                       "--out-dir", str(tmp_path / "o")) == 2
+        for text, message in [
+            ("nope\n", "must start with header"),
+            ("r0,r1,s0,s1\n0.5,0.45,0.05,0.95\n0.1,abc,0.45,0.5\n", f"{bad}:3: r1: invalid float value 'abc'"),
+        ]:
+            bad.write_text(text)
+            assert run_cli("sweep", "--grid", str(bad), "--threads", "1",
+                           "--out-dir", str(tmp_path / "o")) == 2
+            assert message in capsys.readouterr().err
 
     def test_repeated_scenario_exit_2(self, tmp_path, capsys):
         # a repeated scenario would run twice, on two streams, and a
@@ -558,10 +573,14 @@ class TestReport:
 
     def test_out_of_range_probability_exit_2(self, tmp_path, capsys):
         aggregate = tmp_path / "agg.csv"
-        aggregate.write_text("r0,r1,s0,s1,m,c,u_bar_bar,std_err\n1.5,0.2,0.3,0.4,0,0,0.5,0\n")
-        assert run_cli("report", "--in", str(aggregate), "--m", "0",
-                       "--out-dir", str(tmp_path / "r")) == 2
-        assert "r0 must be a probability" in capsys.readouterr().err
+        for row, message in [
+            ("1.5,0.2,0.3,0.4,0,0,0.5,0", "r0 must be a probability"),
+            ("0.1,0.2,0.3,0.4,0,zero,0.5,0", f"{aggregate}:2: c: invalid float value 'zero'"),
+        ]:
+            aggregate.write_text(f"r0,r1,s0,s1,m,c,u_bar_bar,std_err\n{row}\n")
+            assert run_cli("report", "--in", str(aggregate), "--m", "0",
+                           "--out-dir", str(tmp_path / "r")) == 2
+            assert message in capsys.readouterr().err
 
     def test_repeated_row_exit_2(self, tmp_path, grid_file, capsys):
         aggregate = self._sweep(tmp_path, grid_file)

@@ -1,18 +1,20 @@
-"""Posterior-engine contracts: conjugate means, count tallies, the MCMC sampler."""
+"""Posterior-engine contracts: conjugate means, count tallies, the logistic
+engine, and the MCMC reference sampler that it is checked against."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smartrar import PriorSpec, conjugate_mean, posterior_mcmc, split_chain_rhat
+from mcmc_reference import posterior_mcmc, split_chain_rhat
+from smartrar import PriorSpec, conjugate_mean, logistic_mean
 from smartrar.inference import _design_matrix
 from smartrar.simulator import _sufficient_stats
 
 
 class TestCellCounts:
     def test_events_bounded_by_trials(self, prior):
-        # cell counts are checked where they enter the MCMC engine
+        # cell counts are checked where they enter the MCMC reference
         posterior_mcmc([3, 0], [3, 0], prior, warmup=10, sampling=10)
         with pytest.raises(ValueError):
             posterior_mcmc([4, 0], [3, 0], prior)
@@ -67,6 +69,8 @@ class TestLinearPredictor:
     def test_vector_length_validated(self):
         with pytest.raises(ValueError):
             _design_matrix(3)
+        with pytest.raises(ValueError):
+            logistic_mean(PriorSpec(), np.zeros((1, 3)), np.ones((1, 3)))
 
 
 def _row_counts(records) -> np.ndarray:
@@ -200,3 +204,28 @@ class TestPosteriorSummary:
         assert 0.0 < conjugate_mean(prior, 0, 10_000) < conjugate_mean(prior, 10_000, 10_000) < 1.0
         res = posterior_mcmc([0, 500], [500, 500], prior, seed=6)
         assert all(0.0 < s.mean_event_prob < 1.0 for s in res.cells.values())
+
+
+class TestLogisticMean:
+    @pytest.mark.parametrize("cells", [2, 4])
+    def test_empty_data_is_one_half(self, prior, cells):
+        # the product rule is symmetric about the prior mean 0
+        means = logistic_mean(prior, np.zeros((3, cells)), np.zeros((3, cells)))
+        assert np.all(np.abs(means - 0.5) <= 1e-12)
+
+    @pytest.mark.parametrize("cells", [2, 4])
+    def test_rows_do_not_depend_on_their_batch(self, prior, cells):
+        rng = np.random.default_rng(5)
+        trials = rng.integers(0, 600, size=(40, cells))
+        trials[:5] = 0
+        events = rng.integers(0, trials + 1)
+        events[5:10] = trials[5:10]
+        together = logistic_mean(prior, events, trials)
+        for start, stop in ((0, 1), (3, 17), (39, 40)):
+            alone = logistic_mean(prior, events[start:stop], trials[start:stop])
+            assert np.array_equal(alone, together[start:stop])
+
+    def test_open_interval_and_ordering(self, prior):
+        means = logistic_mean(prior, np.array([[0, 500], [50, 50]]), np.array([[500, 500], [200, 200]]))
+        assert np.all((0.0 < means) & (means < 1.0))
+        assert means[0, 0] < means[1, 0] < means[0, 1]

@@ -2,6 +2,7 @@
 relative utilities and their matrix report."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,14 +51,18 @@ class TestSeedContract:
         for x in (i / (BLOCK_SCENARIOS + 2) for i in range(1, BLOCK_SCENARIOS + 2))
     )
 
-    def test_block_composition_invariance(self):
-        config = small_config(scenarios=self.BLOCKED)
+    @pytest.mark.parametrize("engine", ["conjugate", "mcmc"])
+    def test_block_composition_invariance(self, engine):
+        # The logistic engine is slower: a short scenario list at 1 replicate.
+        scenarios, replicates = (self.BLOCKED, 3) if engine == "conjugate" else (SCENARIOS, 1)
+        designs = canonical_designs(max_patients=400, num_interims=4, engine=engine)
+        config = small_config(scenarios=scenarios, designs=designs, replicates=replicates)
         in_blocks = run_sweep(config)
-        three_workers = run_sweep(small_config(scenarios=self.BLOCKED, parallelism=3))
+        three_workers = run_sweep(replace(config, parallelism=3))
         for name in ("utility", "u_bar_bar", "std_err"):
             assert np.array_equal(getattr(three_workers, name), getattr(in_blocks, name))
         n_designs = len(config.designs)
-        for index, scenario in enumerate(self.BLOCKED):
+        for index, scenario in enumerate(config.scenarios):
             stream = scenario_stream(
                 config.base_seed, index, scenario, config.designs, config.replicates,
                 UtilityTable.default(),
