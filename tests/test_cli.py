@@ -622,6 +622,82 @@ def test_reduced_grid_outputs_are_pinned(tmp_path, capsys):
     assert digests == PINNED_SHA256
 
 
+# SHA-256 of the `simulate` outputs (patients.csv, allocations.csv and
+# stdout) in one scenario at seed 7, per engine and (m, c), and per engine
+# with a [utilities] override. They depend on numpy's multinomial and
+# permutation samplers, so a numpy release that changes either moves them.
+SIMULATE_ARGS = ("--r0", "0.5", "--r1", "0.45", "--s0", "0.05", "--s1", "0.95", "--seed", "7")
+SIMULATE_UTILITIES = "[utilities]\nuninfected_a1_1 = 0.8\ndied_a1_0_a2_0 = 0.1\nsurvived_a1_1_a2_1 = 0.7\n"
+PINNED_SIMULATE_SHA256 = {
+    "conjugate-m0-c0": (
+        "6411364a511ce266c306f70aaf0027285439afed165ce25fcce0714c538f7e8e",
+        "0d4b41d3728a9d84323bf14820514545003422b95a0f2c559eaa551dd624398a",
+        "c404bdc35faec94edc7905a1a6a977a03bfa8878877e72f2ad3572449bd25132",
+    ),
+    "conjugate-m0-c1": (
+        "645ea725d8b17e831e5222e65398ba440c5d4f52f3d05137f6c05e19cf97362d",
+        "bb2a9b9d8f6b6b59597f1a2feb3edf75091dce1d11f18f224c2995a28a4ff021",
+        "31526b1de4d1d29df441812d2026e810abf5213a19c0fffad618d8a1058c598a",
+    ),
+    "conjugate-m1-c0": (
+        "6411364a511ce266c306f70aaf0027285439afed165ce25fcce0714c538f7e8e",
+        "3dc611d3fc4c1219455960cd77b1e2aea28f5e9e6292e6165dbc6d12c55e154b",
+        "c404bdc35faec94edc7905a1a6a977a03bfa8878877e72f2ad3572449bd25132",
+    ),
+    "conjugate-m1-c1": (
+        "b96ca51667b655ff4133c418267b472f9dde54a88537d73b7deccf1c9a0abd39",
+        "29308bf3c6fc240baf580c61c1c2f4e4f02a29893fa5c5dbe07745e0adc84027",
+        "8038a50370fc40d20a2170af6db194303d2c5c331bbc270081f55e1f7c4e84a1",
+    ),
+    "mcmc-m0-c0": (
+        "6411364a511ce266c306f70aaf0027285439afed165ce25fcce0714c538f7e8e",
+        "0d4b41d3728a9d84323bf14820514545003422b95a0f2c559eaa551dd624398a",
+        "c404bdc35faec94edc7905a1a6a977a03bfa8878877e72f2ad3572449bd25132",
+    ),
+    "mcmc-m0-c1": (
+        "3cb0102881749443249c02ad28b79cb93837333c10daaa0d0a0a666a4e58dd3d",
+        "e237c858be279794edaff2f386c38749cd2f1fb611f9dda4f7599db608f231ad",
+        "6f85ec2373fcb32c66fb245916159daec9785a9eb627aa9d67171fc69ee92de2",
+    ),
+    "mcmc-m1-c0": (
+        "6411364a511ce266c306f70aaf0027285439afed165ce25fcce0714c538f7e8e",
+        "3dc611d3fc4c1219455960cd77b1e2aea28f5e9e6292e6165dbc6d12c55e154b",
+        "c404bdc35faec94edc7905a1a6a977a03bfa8878877e72f2ad3572449bd25132",
+    ),
+    "mcmc-m1-c1": (
+        "b96ca51667b655ff4133c418267b472f9dde54a88537d73b7deccf1c9a0abd39",
+        "01ffa44af49639f7759ba3af194461f77280dd11243b8a6a9958b52a739d7544",
+        "8038a50370fc40d20a2170af6db194303d2c5c331bbc270081f55e1f7c4e84a1",
+    ),
+    "conjugate-utilities": (
+        "180c70339afa699ae35e912283f13dc2bbf8ad27a98273339efac01ad5eab954",
+        "9b024556cb0aa0ebec4dbdca5b6e31bacfd915909d9ac6f83464fb05ea822779",
+        "efbc3d6ad22f5cd1a764075305ec7a3a726fe6bae8b809d4629d1aecb4af9c58",
+    ),
+    "mcmc-utilities": (
+        "29eac74e5becc281889ddaaeffb0976c66fa611222c02026282804feb048caa4",
+        "1ac91d1fabf617c460cd9d4aa792b16ed7c5a729fe94a381ed114b44df123f2e",
+        "efbc3d6ad22f5cd1a764075305ec7a3a726fe6bae8b809d4629d1aecb4af9c58",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_SIMULATE_SHA256))
+def test_simulate_outputs_are_pinned(tmp_path, capsys, case):
+    engine, design = case.split("-", 1)
+    m, c = ("0", "1") if design == "utilities" else (design[1], design[4])
+    argv = ["simulate", *SIMULATE_ARGS, "--engine", engine, "--m", m, "--c", c]
+    if design == "utilities":
+        config = tmp_path / "utilities.ini"
+        config.write_text(SIMULATE_UTILITIES)
+        argv += ["--config", str(config)]
+    out_dir = tmp_path / "sim"
+    assert run_cli(*argv, "--out", str(out_dir)) == 0
+    outputs = [(out_dir / name).read_bytes() for name in ("patients.csv", "allocations.csv")]
+    outputs.append(capsys.readouterr().out.encode())
+    assert tuple(hashlib.sha256(data).hexdigest() for data in outputs) == PINNED_SIMULATE_SHA256[case]
+
+
 def test_reduced_sweep_script_matches_report(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("run_reduced_sweep", REDUCED_SWEEP_SCRIPT)
     script = importlib.util.module_from_spec(spec)
