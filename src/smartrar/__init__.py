@@ -13,14 +13,12 @@ from .allocation import allocation_pair
 from .core import (
     ConfigurationError,
     DesignConfig,
-    PatientRecord,
     PriorSpec,
     R_GRID,
     R_GRID_REDUCED,
     S_GRID,
     S_GRID_REDUCED,
     Scenario,
-    TrialResult,
     UtilityTable,
     reduced_scenario_grid,
     scenario_grid,
@@ -30,8 +28,8 @@ from .inference import conjugate_mean, logistic_mean
 from .policy import q1_value, q2_value
 from .simulator import (
     ENGINE_IMPLEMENTATION,
-    InterimSnapshot,
     Stream,
+    TrialResult,
     fixed_design_value,
     run_block,
     run_trial,

@@ -41,7 +41,8 @@ from .core import (
     scenario_grid,
     canonical_designs,
 )
-from .simulator import ENGINE_IMPLEMENTATION, run_trial
+from .inference import POSTERIOR_IMPLEMENTATION
+from .simulator import ENGINE_IMPLEMENTATION, TERMINAL_ROWS, TrialResult, run_trial
 from .sweep import (
     SweepConfig,
     SweepError,
@@ -74,7 +75,7 @@ def _converted(where: str, convert: type, text: str):
         raise ConfigurationError(f"{where}: invalid {convert.__name__} value {text!r}") from None
 
 
-def _writable_dir(path: str) -> Path:
+def _writable_dir(path: str | Path) -> Path:
     """The directory at ``path``, made if missing; ``ConfigurationError``
     if it cannot be made or written to."""
     out_dir = Path(path)
@@ -159,11 +160,13 @@ def _sha256(path: Path) -> str:
 
 
 def write_manifest(out_dir: Path, command: str, config: dict[str, str], files: list[Path]) -> Path:
-    """Reproducibility record for one command invocation: versions, engine,
+    """Reproducibility record for one command invocation: versions, the
+    outcome sampler and the posterior engine named by ``config["engine"]``,
     command, config and the sha256 of every output file."""
     lines = [
         f"tool_version = {__version__}",
         f"engine_implementation = {ENGINE_IMPLEMENTATION}",
+        f"posterior_implementation = {POSTERIOR_IMPLEMENTATION[config['engine']]}",
         f"numpy_version = {np.__version__}",
         "python_version = {}.{}.{}".format(*sys.version_info[:3]),
         f"command = {command}",
@@ -185,31 +188,26 @@ def write_manifest(out_dir: Path, command: str, config: dict[str, str], files: l
 # ----------------------------------------------------------------------
 
 
-def _write_patients_csv(path: Path, result) -> None:
-    assert result.patient_records is not None
-    lines = []
-    for i, record in enumerate(result.patient_records):
-        a2 = "" if record.stage2_action is None else str(record.stage2_action)
-        y2 = "" if record.stage2_outcome is None else str(record.stage2_outcome)
-        lines.append(
-            f"{i},{record.stage1_action},{record.stage1_outcome},{a2},{y2},"
-            f"{fmt_real(record.realized_utility)}\n"
-        )
-    _write_csv(path, "patient,stage1_action,stage1_outcome,stage2_action,stage2_outcome,utility", lines)
+def _write_patients_csv(path: Path, patient_rows: np.ndarray, table: UtilityTable) -> Path:
+    """One line per patient: the ten terminal rows are formatted once, as
+    ``a1,y1,a2,y2,utility`` with empty stage-two fields when uninfected."""
+    text = [
+        ",".join("" if v is None else str(v) for v in row) + f",{fmt_real(u)}\n"
+        for row, u in zip(TERMINAL_ROWS, table.entries().values())
+    ]
+    lines = (f"{i},{text[row]}" for i, row in enumerate(patient_rows.tolist()))
+    return _write_csv(path, "patient,stage1_action,stage1_outcome,stage2_action,stage2_outcome,utility", lines)
 
 
-def _write_allocations_csv(path: Path, result) -> None:
+def _write_allocations_csv(path: Path, result: TrialResult, pooled: bool) -> Path:
+    """Per adapting analysis, the stage-one pair, then the stage-two pair
+    of each stage-one arm, or the pooled pair once with an empty arm."""
+    arms = [""] if pooled else ["0", "1"]
     lines = []
-    for snapshot in result.per_interim_alloc:
-        for action in (0, 1):
-            lines.append(f"{snapshot.analysis},1,,{action},{fmt_real(snapshot.stage1[action])}\n")
-        # One stage-two pair per stage-one arm, or a single pooled pair.
-        pooled = len(snapshot.stage2) == 1
-        for a1, pair in enumerate(snapshot.stage2):
-            label = "" if pooled else str(a1)
-            for action in (0, 1):
-                lines.append(f"{snapshot.analysis},2,{label},{action},{fmt_real(pair[action])}\n")
-    _write_csv(path, "analysis,stage,stage1_action,action,probability", lines)
+    for k, (p1, p2) in enumerate(zip(result.stage1.tolist(), result.stage2.tolist()), start=1):
+        for stage, arm, pair in [(1, "", p1)] + [(2, arm, pair) for arm, pair in zip(arms, p2)]:
+            lines += [f"{k},{stage},{arm},{action},{fmt_real(p)}\n" for action, p in enumerate(pair)]
+    return _write_csv(path, "analysis,stage,stage1_action,action,probability", lines)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -222,12 +220,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         engine=args.engine,
         seed=args.seed,
     )
-    check_utilities((design,), args.utilities)
+    table = args.utilities if args.utilities is not None else UtilityTable.default()
+    check_utilities((design,), table)
     out_dir = None if args.out is None else _writable_dir(args.out)
-    result = run_trial(scenario, design, utilities=args.utilities, keep_records=True)
+    result = run_trial(scenario, design, utilities=table, keep_records=out_dir is not None)
     if out_dir is not None:
-        _write_patients_csv(out_dir / "patients.csv", result)
-        _write_allocations_csv(out_dir / "allocations.csv", result)
+        files = [
+            _write_patients_csv(out_dir / "patients.csv", result.patient_rows, table),
+            _write_allocations_csv(out_dir / "allocations.csv", result, pooled=bool(args.m)),
+        ]
+        config_snapshot = {
+            key: str(getattr(args, key))
+            for key in ("r0", "r1", "s0", "s1", "m", "c", "seed", "engine", "patients", "interims")
+        }
+        write_manifest(out_dir, "simulate", config_snapshot, files)
     print(f"u_bar={fmt_real(result.mean_utility)}")
     return 0
 
@@ -366,7 +372,7 @@ def _write_relative_matrices(out_dir: Path, cells: np.ndarray, rel_u: np.ndarray
         suffix = "" if len(missing) <= 10 else f" and {len(missing) - 10} more"
         print(f"error: {len(missing)} grid cells missing for m={m}: {shown}{suffix}", file=sys.stderr)
         return 1
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _writable_dir(out_dir)
     header = "r1\\r0," + ",".join(str(r0) for r0 in r)
     for i_s0, s0 in enumerate(s):
         for i_s1, s1 in enumerate(s):
@@ -416,7 +422,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     if args.format == "csv-matrix":
         return _write_relative_matrices(out_dir, cells, rel_u, m)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _writable_dir(out_dir)
     path = write_relative_csv(out_dir / f"rel_u_m{m}_long.csv", cells, rel_u, m)
     print(f"wrote {path}")
     return 0
@@ -452,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flag(sim, **engine)
     _add_flag(sim, "--patients", 2000, "maximum sample size", type=int)
     _add_flag(sim, "--interims", 4, "number of scheduled analyses", type=int)
-    sim.add_argument("--out", help="output directory for patients.csv and allocations.csv")
+    sim.add_argument("--out", help="output directory for patients.csv, allocations.csv and manifest.txt")
     sim.set_defaults(func=cmd_simulate)
 
     swp = sub.add_parser("sweep", help="run a scenario-grid sweep across designs")

@@ -21,15 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
-
-if TYPE_CHECKING:
-    from .simulator import InterimSnapshot
+from typing import Mapping
 
 # Binary action / outcome codes. Stage 1: action 1 = prophylaxis, outcome
 # 1 = infection. Stage 2: action 1 = treatment, outcome 1 = death.
 Action = int
-StageOutcome = int
 
 #: Stage-one infection-probability grid (21 values, 0 to 1 in steps of 0.05).
 R_GRID: tuple[float, ...] = tuple(i / 100 for i in range(0, 101, 5))
@@ -55,35 +51,6 @@ def _check_binary(name: str, value: int) -> None:
 def _check_prob(name: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and 0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
-
-
-@dataclass(frozen=True)
-class PatientRecord:
-    """One participant's complete path through the trial."""
-
-    stage1_action: Action
-    stage1_outcome: StageOutcome
-    stage2_action: Action | None
-    stage2_outcome: StageOutcome | None
-    realized_utility: float
-
-    def __post_init__(self) -> None:
-        _check_binary("stage1_action", self.stage1_action)
-        _check_binary("stage1_outcome", self.stage1_outcome)
-        if self.stage1_outcome == 1:
-            if self.stage2_action is None or self.stage2_outcome is None:
-                raise ValueError("infected patients must carry stage-2 action and outcome")
-            _check_binary("stage2_action", self.stage2_action)
-            _check_binary("stage2_outcome", self.stage2_outcome)
-        else:
-            if self.stage2_action is not None or self.stage2_outcome is not None:
-                raise ValueError("uninfected patients must not carry stage-2 fields")
-        if not (math.isfinite(self.realized_utility) and self.realized_utility >= 0.0):
-            raise ValueError(f"realized_utility must be finite and >= 0, got {self.realized_utility!r}")
-
-    @property
-    def infected(self) -> bool:
-        return self.stage1_outcome == 1
 
 
 @dataclass(frozen=True)
@@ -319,18 +286,3 @@ def canonical_designs(
         for c in (0, 1)
     )
 
-
-@dataclass(frozen=True)
-class TrialResult:
-    """Outcome of one simulated trial.
-
-    ``mean_utility`` is the empirical mean realized utility over all
-    enrolled patients. ``per_interim_alloc`` holds one allocation snapshot
-    per adapting analysis. ``patient_records`` is populated only when the
-    caller asks for patient-level output.
-    """
-
-    mean_utility: float
-    per_interim_alloc: tuple["InterimSnapshot", ...]
-    seed: int
-    patient_records: tuple[PatientRecord, ...] | None = None

@@ -41,6 +41,9 @@ __all__ = ["PriorSpec", "conjugate_mean", "logistic_mean"]
 #: Gauss-Hermite nodes per coefficient.
 _NODES = 7
 
+#: Recorded in output manifests: how each engine computes posterior means.
+POSTERIOR_IMPLEMENTATION = {"conjugate": "beta-conjugate", "mcmc": f"logistic-gauss-hermite-k{_NODES}"}
+
 # A row's Newton iteration stops once every gradient entry is below this.
 _GRADIENT_TOL = 1e-10
 _MAX_NEWTON_STEPS = 100

@@ -23,8 +23,9 @@ Trials run in blocks (``run_block``): one cohort loop over arrays with a
 leading trial axis, each cohort one multinomial call per Philox stream.
 Both posterior engines are deterministic functions of the counts, so the
 counts are the only random draws of a trial. ``run_trial`` is a block of
-one trial, reproducible bit-for-bit from (scenario, design): substream 0
-of the design seed draws the counts and substream 2 the patient records,
+one trial, reproducible bit-for-bit from (scenario, design), and returns
+its row of the block as arrays: substream 0 of the design seed draws the
+counts and substream 2 orders each cohort's patients by terminal row,
 made only when they are requested so that asking for them never changes
 the mean utility or allocation path.
 """
@@ -41,10 +42,8 @@ from .allocation import allocation_pair
 from .core import (
     Action,
     DesignConfig,
-    PatientRecord,
     PriorSpec,
     Scenario,
-    TrialResult,
     UtilityTable,
 )
 from .inference import conjugate_mean, logistic_mean
@@ -54,28 +53,11 @@ from .policy import q1_value, q2_value
 #: samplers can be told apart.
 ENGINE_IMPLEMENTATION = "block-multinomial"
 
-# (a1, y1, a2, y2) of each terminal row, in UTILITY_ROW_KEYS order: the two
-# uninfected rows, then the stage-two row (a1, a2, y2) at 2 + 4 a1 + 2 a2 + y2.
-_ROWS = ((0, 0, None, None), (1, 0, None, None)) + tuple(
+#: (a1, y1, a2, y2) of each terminal row, in UTILITY_ROW_KEYS order: the two
+#: uninfected rows, then the stage-two row (a1, a2, y2) at 2 + 4 a1 + 2 a2 + y2.
+TERMINAL_ROWS = ((0, 0, None, None), (1, 0, None, None)) + tuple(
     (a1, 1, a2, y2) for a1 in (0, 1) for a2 in (0, 1) for y2 in (0, 1)
 )
-
-
-Pair = tuple[float, float]
-
-
-@dataclass(frozen=True)
-class InterimSnapshot:
-    """Allocation probabilities in force after one adapting analysis.
-
-    ``stage1`` is (P(a1 = 0), P(a1 = 1)); ``stage2`` holds one
-    (P(a2 = 0), P(a2 = 1)) pair per stage-one arm, or one pooled pair under
-    a myopic design.
-    """
-
-    analysis: int
-    stage1: Pair
-    stage2: tuple[Pair, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +85,24 @@ class Block:
     cohorts: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class TrialResult:
+    """One trial of ``run_trial``: its row of ``Block``.
+
+    ``mean_utility`` is the mean realised utility over all enrolled
+    patients; ``stage1`` (analyses, 2) and ``stage2`` (analyses, 2, 2) are
+    the allocations after each adapting analysis, laid out as in ``Block``.
+    ``patient_rows`` holds each patient's terminal-row index (into
+    ``TERMINAL_ROWS`` and ``UTILITY_ROW_KEYS``) in enrolment order, and is
+    filled only when the caller asks for patient-level output.
+    """
+
+    mean_utility: float
+    stage1: np.ndarray
+    stage2: np.ndarray
+    patient_rows: np.ndarray | None = None
+
+
 def true_value(scenario: Scenario, stage1_action: Action) -> float:
     """Expected participant utility for a stage-one arm under the default
     0/1 utility table: survive-uninfected plus survive-after-infection mass."""
@@ -120,7 +120,7 @@ def _cohort_probs(r: np.ndarray, s: np.ndarray, p1: np.ndarray, p2: np.ndarray) 
     and ``s`` (trials, 2) by a1 and the allocation in force: ``p1[t, a1]``
     is P(stage-one arm a1) and ``p2[t, a1, a2]`` P(stage-two arm a2 | a1)."""
     infected = (p1 * r)[:, :, None] * p2
-    pi = np.empty((len(p1), len(_ROWS)))
+    pi = np.empty((len(p1), len(TERMINAL_ROWS)))
     pi[:, :2] = p1 * (1.0 - r)
     pi[:, 2::2] = (infected * (1.0 - s)[:, :, None]).reshape(-1, 4)
     pi[:, 3::2] = (infected * s[:, :, None]).reshape(-1, 4)
@@ -234,7 +234,7 @@ def run_block(streams: Sequence[Stream]) -> Block:
     ).T
     p1, p2 = np.full((n, 2), 0.5), np.full((n, 2, 2), 0.5)
     stage1, stage2 = np.empty((n, num_interims - 1, 2)), np.empty((n, num_interims - 1, 2, 2))
-    cohorts = np.empty((n, num_interims, len(_ROWS)), dtype=np.int64)
+    cohorts = np.empty((n, num_interims, len(TERMINAL_ROWS)), dtype=np.int64)
     for k in range(num_interims):
         pi = _cohort_probs(rates[:, :2], rates[:, 2:], p1, p2)
         for st, size, stop in zip(streams, sizes, stops):
@@ -254,20 +254,6 @@ def run_block(streams: Sequence[Stream]) -> Block:
     return Block(mean_utility, stage1, stage2, cohorts)
 
 
-def _patient_records(
-    cohorts: Sequence[np.ndarray], row_utility: Sequence[float], rng: np.random.Generator
-) -> tuple[PatientRecord, ...]:
-    """Patient records in enrolment order: each cohort's row counts expanded
-    to one row per patient and put in a random order (patients within a
-    cohort are exchangeable)."""
-    templates = [PatientRecord(*row, u) for row, u in zip(_ROWS, row_utility)]
-    out: list[PatientRecord] = []
-    for counts in cohorts:
-        rows = rng.permutation(np.repeat(np.arange(len(_ROWS)), counts))
-        out.extend(templates[i] for i in rows.tolist())
-    return tuple(out)
-
-
 def run_trial(
     scenario: Scenario,
     design: DesignConfig,
@@ -279,28 +265,20 @@ def run_trial(
 
     Fully deterministic given ``design.seed``, whose substream 0 draws the
     cohort counts. A myopic design with an ambiguous pooled table raises
-    ``ConfigurationError`` before any draw. Set ``keep_records`` to
-    materialise per-patient records, which leaves every other field
-    unchanged.
+    ``ConfigurationError`` before any draw. Set ``keep_records`` to fill
+    ``patient_rows``, which leaves every other field unchanged.
     """
     table = utilities if utilities is not None else UtilityTable.default()
-    # Substreams 0 (cohort counts) and 2 (patient records) of the design
-    # seed, each made only when it is used. Substream 1 is unused; records
+    # Substreams 0 (cohort counts) and 2 (patient order) of the design
+    # seed, each made only when it is used. Substream 1 is unused; patients
     # stay on 2 so that their bytes match earlier versions' output.
     rng = np.random.Generator(np.random.Philox(_substream(design.seed, 0)))
     block = run_block([Stream(scenario, (design,), 1, rng, table)])
-    pairs = 1 if design.myopic_m else 2
-    snapshots = tuple(
-        InterimSnapshot(k + 1, tuple(p1), tuple(map(tuple, p2[:pairs])))
-        for k, (p1, p2) in enumerate(zip(block.stage1[0].tolist(), block.stage2[0].tolist()))
-    )
-    records = None
+    rows = None
     if keep_records:
-        record_rng = np.random.Generator(np.random.Philox(_substream(design.seed, 2)))
-        records = _patient_records(block.cohorts[0], table.entries().values(), record_rng)
-    return TrialResult(
-        mean_utility=float(block.mean_utility[0]),
-        per_interim_alloc=snapshots,
-        seed=design.seed,
-        patient_records=records,
-    )
+        # Each cohort's row counts, one entry per patient, in a random order
+        # (patients within a cohort are exchangeable).
+        order = np.random.Generator(np.random.Philox(_substream(design.seed, 2)))
+        every_row = np.arange(len(TERMINAL_ROWS))
+        rows = np.concatenate([order.permutation(np.repeat(every_row, n)) for n in block.cohorts[0]])
+    return TrialResult(float(block.mean_utility[0]), block.stage1[0], block.stage2[0], rows)

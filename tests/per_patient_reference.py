@@ -17,8 +17,6 @@ import numpy as np
 
 from smartrar import (
     DesignConfig,
-    InterimSnapshot,
-    PatientRecord,
     Scenario,
     TrialResult,
     UtilityTable,
@@ -36,8 +34,9 @@ def generate_patient(
     a2_provider: Callable[[Action], Action],
     rng: np.random.Generator,
     utilities: UtilityTable | None = None,
-) -> PatientRecord:
-    """Draw one patient's outcomes given their stage-one action.
+) -> tuple[Action, int, Action | None, int | None, float]:
+    """Draw one patient's (a1, y1, a2, y2, utility) given their stage-one
+    action; a2 and y2 are None for an uninfected patient.
 
     Infection is Bernoulli(r_a1); on infection the stage-two action is
     obtained from ``a2_provider`` (called with the stage-one action, which
@@ -48,10 +47,10 @@ def generate_patient(
     table = utilities if utilities is not None else UtilityTable.default()
     y1 = int(rng.random() < scenario.infection_prob(a1))
     if not y1:
-        return PatientRecord(a1, 0, None, None, table.stage1_alive[a1])
+        return a1, 0, None, None, table.stage1_alive[a1]
     a2 = a2_provider(a1)
     y2 = int(rng.random() < scenario.death_prob(a1))
-    return PatientRecord(a1, 1, a2, y2, table.stage2[a1][a2][y2])
+    return a1, 1, a2, y2, table.stage2[a1][a2][y2]
 
 
 def per_patient_trial(
@@ -78,7 +77,8 @@ def per_patient_trial(
     events2 = np.zeros((2, 2), dtype=np.int64)
     trials2 = np.zeros((2, 2), dtype=np.int64)
     total_utility = 0.0
-    snapshots: list[InterimSnapshot] = []
+    stage1s: list[tuple[float, float]] = []
+    stage2s: list[tuple[tuple[float, float], ...]] = []
 
     def mean(events, trials) -> float:
         return conjugate_mean(prior, int(events), int(trials))
@@ -114,7 +114,7 @@ def per_patient_trial(
                 q2_value(*pooled[a], mean(events2[:, a].sum(), trials2[:, a].sum()))
                 for a in (0, 1)
             ]
-            stage2 = (allocation_pair(q2[0], q2[1], c, floor),)
+            stage2 = (allocation_pair(q2[0], q2[1], c, floor),) * 2
             q1 = [q1_value(table.stage1_alive[a], mean1[a], 0.0) for a in (0, 1)]
         else:
             q2 = [
@@ -125,11 +125,13 @@ def per_patient_trial(
             q1 = [q1_value(table.stage1_alive[a], mean1[a], max(q2[a])) for a in (0, 1)]
         stage1 = allocation_pair(q1[0], q1[1], c, floor)
         p1_treat = stage1[1]
-        p2_treat = (stage2[0][1], stage2[-1][1])
-        snapshots.append(InterimSnapshot(analysis=analysis, stage1=stage1, stage2=stage2))
+        p2_treat = (stage2[0][1], stage2[1][1])
+        stage1s.append(stage1)
+        stage2s.append(stage2)
 
+    # Laid out as run_trial's result: a myopic trial's pooled pair twice.
     return TrialResult(
-        mean_utility=total_utility / design.max_patients,
-        per_interim_alloc=tuple(snapshots),
-        seed=design.seed,
+        total_utility / design.max_patients,
+        np.array(stage1s).reshape(-1, 2),
+        np.array(stage2s).reshape(-1, 2, 2),
     )

@@ -11,6 +11,8 @@ import pytest
 
 from smartrar import ENGINE_IMPLEMENTATION, Scenario, SweepConfig, canonical_designs, run_sweep
 from smartrar.cli import build_parser, fmt_real, main, write_relative_csv
+from smartrar.core import ENGINES
+from smartrar.inference import POSTERIOR_IMPLEMENTATION
 
 REDUCED_SWEEP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_reduced_sweep.py"
 
@@ -196,6 +198,26 @@ class TestSimulate:
         summaries = {line for line in capsys.readouterr().out.splitlines() if line}
         assert len(summaries) == 1
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_manifest_lists_digests(self, tmp_path, capsys, engine):
+        out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--r0", "0.5", "--r1", "0.45", "--s0", "0.05", "--s1", "0.95",
+            "--m", "1", "--c", "1", "--seed", "3", "--engine", engine,
+            "--patients", "200", "--interims", "2", "--out", str(out),
+        ) == 0
+        manifest = (out / "manifest.txt").read_text()
+        assert "command = simulate" in manifest
+        for name in ("patients.csv", "allocations.csv"):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert f"\n{name} = sha256:{digest}\n" in manifest
+        for key, value in [("r0", "0.5"), ("r1", "0.45"), ("s0", "0.05"), ("s1", "0.95"), ("m", "1"),
+                           ("c", "1.0"), ("seed", "3"), ("engine", engine), ("patients", "200"),
+                           ("interims", "2")]:
+            assert f"\n{key} = {value}\n" in manifest
+        assert f"\nposterior_implementation = {POSTERIOR_IMPLEMENTATION[engine]}\n" in manifest
+        assert sorted(p.name for p in out.iterdir()) == ["allocations.csv", "manifest.txt", "patients.csv"]
+
     def test_patient_csv_shape(self, tmp_path):
         out = tmp_path / "sim"
         run_cli("simulate", "--r0", "0.5", "--r1", "0.5", "--patients", "100",
@@ -335,6 +357,17 @@ class TestSweep:
         assert f"numpy_version = {np.__version__}" in manifest
         assert f"python_version = {platform.python_version()}" in manifest
         assert "threads = 1\nworkers = 1\n" in manifest
+        # the posterior engine is named, so the logistic engine's outputs
+        # can be told from those of the sampler it replaced
+        assert "\nposterior_implementation = beta-conjugate\n" in manifest
+        out_dir = tmp_path / "sweep_logistic"
+        assert run_cli(
+            "sweep", "--grid", str(scenario_file), "--designs", "m0c1", "--replicates", "1",
+            "--engine", "mcmc", "--threads", "1", "--out-dir", str(out_dir),
+        ) == 0
+        manifest = (out_dir / "manifest.txt").read_text()
+        assert "\nposterior_implementation = logistic-gauss-hermite-k7\n" in manifest
+        assert "\nengine = mcmc\n" in manifest
 
     def test_mcmc_sweep(self, tmp_path, scenario_file, monkeypatch):
         # 2 scenarios x all designs x 1 replicate under the logistic engine.
@@ -582,6 +615,20 @@ class TestReport:
                            "--out-dir", str(tmp_path / "r")) == 2
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["csv-matrix", "long-csv"])
+    def test_out_dir_is_a_file_exit_2(self, tmp_path, capsys, fmt):
+        aggregate = tmp_path / "agg.csv"
+        aggregate.write_text("r0,r1,s0,s1,m,c,u_bar_bar,std_err\n0.2,0.2,0.4,0.4,0,0,0.5,0\n"
+                             "0.2,0.2,0.4,0.4,0,1,0.6,0\n")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli("report", "--in", str(aggregate), "--m", "0", "--format", fmt,
+                       "--out-dir", str(taken)) == 2
+        assert "error: output directory not writable" in capsys.readouterr().err
+        # the same input is well formed for either format
+        assert run_cli("report", "--in", str(aggregate), "--m", "0", "--format", fmt,
+                       "--out-dir", str(tmp_path / "report")) == 0
+
     def test_repeated_row_exit_2(self, tmp_path, grid_file, capsys):
         aggregate = self._sweep(tmp_path, grid_file)
         lines = aggregate.read_text().splitlines()
@@ -710,3 +757,27 @@ def test_reduced_sweep_script_matches_report(tmp_path, capsys):
                        "--format", "long-csv", "--out-dir", str(report_dir)) == 0
         name = f"rel_u_m{m}_long.csv"
         assert (out_dir / name).read_bytes() == (report_dir / name).read_bytes()
+
+
+# The functions that bench/tracing.py wraps in the cli module's namespace,
+# where cmd_simulate and cmd_sweep look them up.
+BENCHMARK_PATCH_POINTS = ("main", "cmd_simulate", "run_trial", "run_sweep", "write_sweep_csvs", "write_manifest")
+
+
+def test_benchmark_patch_points_stay_in_the_cli_namespace(tmp_path, capsys, monkeypatch):
+    import smartrar.cli
+
+    for name in BENCHMARK_PATCH_POINTS:
+        assert callable(getattr(smartrar.cli, name)), name
+    calls = []
+    real_run_trial = smartrar.cli.run_trial
+
+    def counted_run_trial(*args, **kwargs):
+        calls.append(args)
+        return real_run_trial(*args, **kwargs)
+
+    monkeypatch.setattr(smartrar.cli, "run_trial", counted_run_trial)
+    for i, out in enumerate([None, tmp_path / "sim"]):
+        argv = ["simulate", "--r0", "0.5", "--seed", "4"] + ([] if out is None else ["--out", str(out)])
+        assert run_cli(*argv) == 0
+        assert len(calls) == i + 1

@@ -1,4 +1,4 @@
-"""Domain-type contracts: grids, stage-two cells, records, utility tables."""
+"""Domain-type contracts: grids, stage-two cells, terminal rows, utility tables."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from smartrar import (
     ConfigurationError,
     DesignConfig,
-    PatientRecord,
     PriorSpec,
     R_GRID,
     S_GRID,
@@ -19,7 +18,7 @@ from smartrar import (
     canonical_designs,
     run_trial,
 )
-from smartrar.simulator import _sufficient_stats
+from smartrar.simulator import TERMINAL_ROWS, _sufficient_stats
 
 
 class TestScenarioGrid:
@@ -80,40 +79,29 @@ class TestHistory:
             assert len({tuple(events2[0, 2 * a1 : 2 * a1 + 2]) for a1 in (0, 1)}) == cells // 2
 
 
-class TestPatientRecord:
-    def test_stage2_present_iff_infected(self):
-        PatientRecord(0, 0, None, None, 1.0)
-        PatientRecord(0, 1, 1, 0, 1.0)
-        with pytest.raises(ValueError):
-            PatientRecord(0, 0, 1, 0, 1.0)
-        with pytest.raises(ValueError):
-            PatientRecord(0, 1, None, None, 1.0)
-
-    def test_binary_fields(self):
-        with pytest.raises(ValueError):
-            PatientRecord(2, 0, None, None, 1.0)
-
-
-# A record's utility is its terminal row's entry: checked on simulated
-# records under a table with ten distinct values.
+# A patient's utility is its terminal row's entry: checked on simulated
+# patients under a table with ten distinct values.
 DISTINCT = UtilityTable.from_entries(
     {key: 0.05 * (i + 1) for i, key in enumerate(UtilityTable.default().entries())}
 )
 
 
-def records_by_row() -> dict[str, list[PatientRecord]]:
-    """Simulated records grouped by the name of their terminal row."""
+def records_by_row() -> dict[str, list[float]]:
+    """Simulated patients' utilities (the table's entry at their row index)
+    grouped by the name their (a1, y1, a2, y2) gives their terminal row."""
     design = DesignConfig(myopic_m=0, adapt_c=1.0, max_patients=400, seed=3)
     scenario = Scenario(0.5, 0.5, 0.5, 0.5)
     result = run_trial(scenario, design, utilities=DISTINCT, keep_records=True)
-    rows: dict[str, list[PatientRecord]] = {}
-    for r in result.patient_records:
-        if r.stage1_outcome == 0:
-            key = f"uninfected_a1_{r.stage1_action}"
+    utility = list(DISTINCT.entries().values())
+    rows: dict[str, list[float]] = {}
+    for row in result.patient_rows.tolist():
+        a1, y1, a2, y2 = TERMINAL_ROWS[row]
+        if y1 == 0:
+            key = f"uninfected_a1_{a1}"
         else:
-            kind = "died" if r.stage2_outcome else "survived"
-            key = f"{kind}_a1_{r.stage1_action}_a2_{r.stage2_action}"
-        rows.setdefault(key, []).append(r)
+            kind = "died" if y2 else "survived"
+            key = f"{kind}_a1_{a1}_a2_{a2}"
+        rows.setdefault(key, []).append(utility[row])
     return rows
 
 
@@ -128,8 +116,8 @@ class TestUtilityTable:
         entries = DISTINCT.entries()
         rows = {k: v for k, v in records_by_row().items() if k.startswith(prefix)}
         assert rows
-        for key, records in rows.items():
-            assert all(r.realized_utility == entries[key] for r in records)
+        for key, utilities in rows.items():
+            assert all(u == entries[key] for u in utilities)
 
     def test_lookup_uninfected(self):
         self._check("uninfected")

@@ -16,6 +16,7 @@ from smartrar import (
     run_trial,
     true_value,
 )
+from smartrar.simulator import TERMINAL_ROWS
 
 from per_patient_reference import generate_patient, per_patient_trial
 
@@ -25,6 +26,12 @@ def rng(seed: int = 0) -> np.random.Generator:
 
 
 PROSE_SCENARIO = Scenario(0.1, 0.3, 0.45, 0.5)
+
+
+def patient_utilities(result, table: UtilityTable | None = None) -> np.ndarray:
+    """Each patient's realised utility: the table's entry at their terminal row."""
+    table = table if table is not None else UtilityTable.default()
+    return np.array(list(table.entries().values()))[result.patient_rows]
 
 
 class TestTrueValue:
@@ -43,19 +50,19 @@ class TestGeneratePatient:
         scenario = Scenario(0.0, 0.0, 0.5, 0.5)
         g = rng(1)
         for _ in range(50):
-            record = generate_patient(scenario, 0, lambda h: 0, g)
-            assert record.stage1_outcome == 0
-            assert record.stage2_action is None
-            assert record.realized_utility == 1.0
+            _, y1, a2, _, utility = generate_patient(scenario, 0, lambda h: 0, g)
+            assert y1 == 0
+            assert a2 is None
+            assert utility == 1.0
 
     def test_degenerate_certain_death(self):
         scenario = Scenario(1.0, 1.0, 1.0, 1.0)
         g = rng(2)
         for _ in range(50):
-            record = generate_patient(scenario, 1, lambda h: 1, g)
-            assert record.stage1_outcome == 1
-            assert record.stage2_outcome == 1
-            assert record.realized_utility == 0.0
+            _, y1, _, y2, utility = generate_patient(scenario, 1, lambda h: 1, g)
+            assert y1 == 1
+            assert y2 == 1
+            assert utility == 0.0
 
     def test_provider_sees_dynamic_history(self):
         scenario = Scenario(1.0, 1.0, 0.5, 0.5)
@@ -67,7 +74,7 @@ class TestGeneratePatient:
         g = rng(12345)
         n = 100_000
         hits = sum(
-            generate_patient(PROSE_SCENARIO, 0, lambda h: 0, g).stage1_outcome for _ in range(n)
+            generate_patient(PROSE_SCENARIO, 0, lambda h: 0, g)[1] for _ in range(n)
         )
         assert hits / n == pytest.approx(0.1, abs=0.005)
 
@@ -78,9 +85,9 @@ class TestGeneratePatient:
         n = 40_000
         deaths = {0: [0, 0], 1: [0, 0]}  # a2 -> [count, total]
         for i in range(n):
-            record = generate_patient(scenario, 0, lambda h: i % 2, g)
-            deaths[record.stage2_action][0] += record.stage2_outcome
-            deaths[record.stage2_action][1] += 1
+            _, _, a2, y2, _ = generate_patient(scenario, 0, lambda h: i % 2, g)
+            deaths[a2][0] += y2
+            deaths[a2][1] += 1
         rate0 = deaths[0][0] / deaths[0][1]
         rate1 = deaths[1][0] / deaths[1][1]
         assert rate0 == pytest.approx(0.3, abs=0.02)
@@ -93,20 +100,23 @@ class TestInterimSchedule:
     def test_from_design_defaults(self):
         design = DesignConfig(myopic_m=0, adapt_c=1.0, seed=2)
         result = run_trial(PROSE_SCENARIO, design, keep_records=True)
-        assert [s.analysis for s in result.per_interim_alloc] == [1, 2, 3]
-        assert len(result.patient_records) == 2000
+        assert result.stage1.shape == (3, 2)
+        assert result.stage2.shape == (3, 2, 2)
+        assert len(result.patient_rows) == 2000
 
     def test_final_analysis_never_adapts(self):
         for interims in (2, 5):
             design = DesignConfig(
                 myopic_m=1, adapt_c=1.0, max_patients=500, num_interims=interims, seed=4
             )
-            snapshots = run_trial(PROSE_SCENARIO, design).per_interim_alloc
-            assert [s.analysis for s in snapshots] == list(range(1, interims))
+            result = run_trial(PROSE_SCENARIO, design)
+            assert len(result.stage1) == len(result.stage2) == interims - 1
 
     def test_single_cohort_design(self):
         design = DesignConfig(myopic_m=0, adapt_c=0.0, max_patients=600, num_interims=1)
-        assert run_trial(PROSE_SCENARIO, design).per_interim_alloc == ()
+        result = run_trial(PROSE_SCENARIO, design)
+        assert result.stage1.shape == (0, 2)
+        assert result.stage2.shape == (0, 2, 2)
 
 
 class TestRunTrial:
@@ -115,22 +125,23 @@ class TestRunTrial:
         a = run_trial(PROSE_SCENARIO, design, keep_records=True)
         b = run_trial(PROSE_SCENARIO, design, keep_records=True)
         assert a.mean_utility == b.mean_utility
-        assert a.patient_records == b.patient_records
-        assert a.per_interim_alloc == b.per_interim_alloc
+        assert np.array_equal(a.patient_rows, b.patient_rows)
+        assert np.array_equal(a.stage1, b.stage1)
+        assert np.array_equal(a.stage2, b.stage2)
 
     def test_patient_conservation(self):
         design = DesignConfig(myopic_m=0, adapt_c=1.0, seed=5)
         result = run_trial(PROSE_SCENARIO, design, keep_records=True)
-        records = result.patient_records
+        records = [TERMINAL_ROWS[row] for row in result.patient_rows.tolist()]
         assert len(records) == design.max_patients
-        infected = [r for r in records if r.stage1_outcome == 1]
-        assert all(r.stage2_action is not None for r in infected)
-        assert all(r.stage2_action is None for r in records if r.stage1_outcome == 0)
+        infected = [r for r in records if r[1] == 1]
+        assert all(r[2] is not None for r in infected)
+        assert all(r[2] is None for r in records if r[1] == 0)
 
     def test_mean_utility_matches_records(self):
         design = DesignConfig(myopic_m=1, adapt_c=1.0, seed=8)
         result = run_trial(PROSE_SCENARIO, design, keep_records=True)
-        total = sum(r.realized_utility for r in result.patient_records)
+        total = patient_utilities(result).sum()
         assert result.mean_utility == pytest.approx(total / design.max_patients, abs=1e-12)
 
     def test_fixed_design_tracks_mixture_value(self):
@@ -143,10 +154,10 @@ class TestRunTrial:
         for m in (0, 1):
             design = DesignConfig(myopic_m=m, adapt_c=0.0, seed=17)
             result = run_trial(PROSE_SCENARIO, design)
-            assert len(result.per_interim_alloc) == 3
-            for snapshot in result.per_interim_alloc:
-                assert snapshot.stage1 == (0.5, 0.5)
-                assert snapshot.stage2 == ((0.5, 0.5),) * (2 - m)
+            assert result.stage1.shape == (3, 2)
+            assert result.stage2.shape == (3, 2, 2)
+            assert (result.stage1 == 0.5).all()
+            assert (result.stage2 == 0.5).all()
 
     def test_fixed_designs_coincide_at_equal_seed(self):
         # with c = 0 the myopic flag cannot influence outcomes, so the two
@@ -156,7 +167,7 @@ class TestRunTrial:
         a = run_trial(PROSE_SCENARIO, dynamic, keep_records=True)
         b = run_trial(PROSE_SCENARIO, myopic, keep_records=True)
         assert a.mean_utility == b.mean_utility
-        assert a.patient_records == b.patient_records
+        assert np.array_equal(a.patient_rows, b.patient_rows)
 
     def test_fixed_design_unbiased_over_seeds(self):
         # mean over 100 seeds within 3 standard errors of the mixture value
@@ -174,20 +185,21 @@ class TestRunTrial:
         scenario = Scenario(0.5, 0.5, 0.05, 0.95)
         design = DesignConfig(myopic_m=0, adapt_c=1.0, seed=3)
         result = run_trial(scenario, design)
-        assert result.per_interim_alloc[-1].stage1[0] > 0.5
+        assert result.stage1[-1, 0] > 0.5
 
     def test_adaptive_myopic_blind_to_death_rates(self):
         # equal infection rates: myopic stage-1 allocation stays near 0.5
         scenario = Scenario(0.5, 0.5, 0.05, 0.95)
         design = DesignConfig(myopic_m=1, adapt_c=1.0, seed=3)
         result = run_trial(scenario, design)
-        assert result.per_interim_alloc[-1].stage1[0] == pytest.approx(0.5, abs=0.05)
+        assert result.stage1[-1, 0] == pytest.approx(0.5, abs=0.05)
 
     def test_myopic_snapshot_pools_stage2(self):
         design = DesignConfig(myopic_m=1, adapt_c=1.0, seed=9)
         result = run_trial(PROSE_SCENARIO, design)
-        for snapshot in result.per_interim_alloc:
-            assert len(snapshot.stage2) == 1
+        # one pooled pair, held for both stage-one arms
+        assert len(result.stage2) == 3
+        assert np.array_equal(result.stage2[:, 0], result.stage2[:, 1])
 
     def test_dynamic_snapshot_has_both_histories(self):
         # one stage-two pair per stage-one arm, each fit to its own cells
@@ -195,16 +207,14 @@ class TestRunTrial:
         scenario = Scenario(0.5, 0.5, 0.05, 0.95)
         table = UtilityTable.from_entries({"survived_a1_1_a2_1": 0.5})
         result = run_trial(scenario, design, utilities=table)
-        for snapshot in result.per_interim_alloc:
-            assert len(snapshot.stage2) == 2
-            assert snapshot.stage2[0] != snapshot.stage2[1]
+        assert result.stage2.shape == (3, 2, 2)
+        assert (result.stage2[:, 0] != result.stage2[:, 1]).any(axis=-1).all()
 
     def test_snapshot_probabilities_sum_to_one(self):
         design = DesignConfig(myopic_m=0, adapt_c=1.0, seed=23)
         result = run_trial(Scenario(0.8, 0.6, 0.9, 0.2), design)
-        for snapshot in result.per_interim_alloc:
-            for pair in (snapshot.stage1, *snapshot.stage2):
-                assert abs(sum(pair) - 1.0) <= 1e-12
+        for pairs in (result.stage1, result.stage2):
+            assert (abs(pairs.sum(axis=-1) - 1.0) <= 1e-12).all()
 
     def test_general_utility_table(self):
         # intermediate utilities flow into realized utility and u_bar
@@ -214,7 +224,7 @@ class TestRunTrial:
         design = DesignConfig(myopic_m=0, adapt_c=0.0, seed=4)
         result = run_trial(Scenario(1.0, 1.0, 0.0, 0.0), design, utilities=table, keep_records=True)
         assert result.mean_utility == pytest.approx(0.7)
-        assert all(r.realized_utility == 0.7 for r in result.patient_records)
+        assert (patient_utilities(result, table) == 0.7).all()
 
     def test_mcmc_engine_trial(self):
         design = DesignConfig(
@@ -223,8 +233,9 @@ class TestRunTrial:
         a = run_trial(PROSE_SCENARIO, design)
         b = run_trial(PROSE_SCENARIO, design)
         assert a.mean_utility == b.mean_utility
-        assert a.per_interim_alloc == b.per_interim_alloc
-        assert len(a.per_interim_alloc) == 3
+        assert np.array_equal(a.stage1, b.stage1)
+        assert np.array_equal(a.stage2, b.stage2)
+        assert len(a.stage1) == 3
 
     def test_engines_agree_on_direction(self):
         scenario = Scenario(0.5, 0.5, 0.05, 0.95)
@@ -237,8 +248,8 @@ class TestRunTrial:
                 myopic_m=0, adapt_c=1.0, max_patients=400, num_interims=4, engine="mcmc", seed=3
             ),
         )
-        assert conjugate.per_interim_alloc[-1].stage1[0] > 0.5
-        assert mcmc.per_interim_alloc[-1].stage1[0] > 0.5
+        assert conjugate.stage1[-1, 0] > 0.5
+        assert mcmc.stage1[-1, 0] > 0.5
 
     def test_records_are_a_pure_observer(self):
         scenario = Scenario(0.6, 0.4, 0.3, 0.7)
@@ -247,10 +258,11 @@ class TestRunTrial:
                 design = DesignConfig(myopic_m=m, adapt_c=c, seed=101)
                 plain = run_trial(scenario, design)
                 observed = run_trial(scenario, design, keep_records=True)
-                assert plain.patient_records is None
+                assert plain.patient_rows is None
                 assert observed.mean_utility == plain.mean_utility
-                assert observed.per_interim_alloc == plain.per_interim_alloc
-                total = sum(r.realized_utility for r in observed.patient_records)
+                assert np.array_equal(observed.stage1, plain.stage1)
+                assert np.array_equal(observed.stage2, plain.stage2)
+                total = patient_utilities(observed).sum()
                 assert total / design.max_patients == pytest.approx(plain.mean_utility, abs=1e-12)
 
     def test_ambiguous_pooled_utilities_rejected_before_any_draw(self):
@@ -331,7 +343,7 @@ def _reference_samples(case: int) -> tuple[np.ndarray, np.ndarray]:
     ]
     return (
         np.array([t.mean_utility for t in trials]),
-        np.array([t.per_interim_alloc[-1].stage1[1] for t in trials]),
+        np.array([t.stage1[-1, 1] for t in trials]),
     )
 
 
@@ -372,7 +384,7 @@ class TestCountLevelParity:
         ]
         z = _parity_z(
             np.array([t.mean_utility for t in trials]),
-            np.array([t.per_interim_alloc[-1].stage1[1] for t in trials]),
+            np.array([t.stage1[-1, 1] for t in trials]),
             *_reference_samples(case),
         )
         assert all(abs(v) <= PARITY_Z for v in z.values()), z
