@@ -669,6 +669,32 @@ def test_reduced_grid_outputs_are_pinned(tmp_path, capsys):
     assert digests == PINNED_SHA256
 
 
+# SHA-256 of a logistic-engine sweep over every 20th reduced-grid scenario
+# (20 scenarios, all four designs, 2 replicates, base seed 0, one worker).
+PINNED_LOGISTIC_SHA256 = {
+    "sweep_replicates.csv": "63cd59f214421696454b8f0fd7625968ad466484a668cecec4725d4a7b6f1aa2",
+    "sweep_aggregate.csv": "09fd015f39732e8f1362d4bc2ec6fcee860ea45523e786e8ff2efa185b025edd",
+}
+
+
+def test_logistic_sweep_outputs_are_pinned(tmp_path, capsys):
+    from smartrar.core import reduced_scenario_grid
+
+    grid = tmp_path / "grid.csv"
+    grid.write_text("r0,r1,s0,s1\n" + "".join(
+        f"{s.r0!r},{s.r1!r},{s.s0!r},{s.s1!r}\n" for s in reduced_scenario_grid()[::20]
+    ))
+    out_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--grid", str(grid), "--designs", "all", "--replicates", "2",
+                   "--base-seed", "0", "--engine", "mcmc", "--threads", "1",
+                   "--out-dir", str(out_dir)) == 0
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in PINNED_LOGISTIC_SHA256
+    }
+    assert digests == PINNED_LOGISTIC_SHA256
+
+
 # SHA-256 of the `simulate` outputs (patients.csv, allocations.csv and
 # stdout) in one scenario at seed 7, per engine and (m, c), and per engine
 # with a [utilities] override. They depend on numpy's multinomial and
