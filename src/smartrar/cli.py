@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import os
 import sys
@@ -183,6 +184,12 @@ def write_manifest(out_dir: Path, command: str, config: dict[str, str], files: l
     return path
 
 
+def _utility_config(table: UtilityTable) -> dict[str, str]:
+    """The utility of each of the ten rows as a manifest config entry, so
+    that a ``[utilities]`` override shows in the manifest."""
+    return {f"row_utility.{key}": str(value) for key, value in table.entries().items()}
+
+
 # ----------------------------------------------------------------------
 # simulate
 # ----------------------------------------------------------------------
@@ -220,19 +227,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         engine=args.engine,
         seed=args.seed,
     )
-    table = args.utilities if args.utilities is not None else UtilityTable.default()
-    check_utilities((design,), table)
+    check_utilities((design,), args.utilities)
     out_dir = None if args.out is None else _writable_dir(args.out)
-    result = run_trial(scenario, design, utilities=table, keep_records=out_dir is not None)
+    result = run_trial(scenario, design, utilities=args.utilities, keep_records=out_dir is not None)
     if out_dir is not None:
         files = [
-            _write_patients_csv(out_dir / "patients.csv", result.patient_rows, table),
+            _write_patients_csv(out_dir / "patients.csv", result.patient_rows, args.utilities),
             _write_allocations_csv(out_dir / "allocations.csv", result, pooled=bool(args.m)),
         ]
         config_snapshot = {
             key: str(getattr(args, key))
             for key in ("r0", "r1", "s0", "s1", "m", "c", "seed", "engine", "patients", "interims")
         }
+        config_snapshot.update(_utility_config(args.utilities))
         write_manifest(out_dir, "simulate", config_snapshot, files)
     print(f"u_bar={fmt_real(result.mean_utility)}")
     return 0
@@ -335,6 +342,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "threads": "auto" if args.threads is None else str(args.threads),
         "workers": str(result.workers),
         "scenarios": str(len(scenarios)),
+        **_utility_config(args.utilities),
     }
     write_manifest(out_dir, "sweep", config_snapshot, files)
     print(f"wrote {result.u_bar_bar.size} aggregated rows to {out_dir / AGGREGATE_CSV}")
@@ -459,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flag(sim, "--patients", 2000, "maximum sample size", type=int)
     _add_flag(sim, "--interims", 4, "number of scheduled analyses", type=int)
     sim.add_argument("--out", help="output directory for patients.csv, allocations.csv and manifest.txt")
-    sim.set_defaults(func=cmd_simulate)
 
     swp = sub.add_parser("sweep", help="run a scenario-grid sweep across designs")
     _add_flag(swp, "--grid", "reduced", "'full', 'reduced' or a scenario CSV path")
@@ -469,18 +476,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flag(swp, **engine)
     swp.add_argument("--threads", type=int, help="worker processes (default: every CPU this process may use)")
     swp.add_argument("--out-dir", help="output directory")
-    swp.set_defaults(func=cmd_sweep)
 
     rep = sub.add_parser("report", help="emit relative-utility matrices from a sweep aggregate")
     rep.add_argument("--in", dest="in_file", help="sweep aggregate CSV")
     rep.add_argument("--m", type=int, choices=(0, 1), help="myopic flag to report")
     _add_flag(rep, "--format", "csv-matrix", "output format", choices=("csv-matrix", "long-csv"))
     rep.add_argument("--out-dir", help="output directory")
-    rep.set_defaults(func=cmd_report)
 
     for command in (sim, swp, rep):
         command.add_argument("--config", help="INI config file; flags and the environment override its values")
-        command.set_defaults(utilities=None)
+        command.set_defaults(utilities=UtilityTable.default())
     return parser
 
 
@@ -525,16 +530,31 @@ def _configured_defaults(command: argparse.ArgumentParser, name: str, path: str 
     return defaults
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``main`` restores any default it
+    changes before returning."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
     try:
-        # File and environment values become the command's defaults, so
-        # parsing again lets only the flags given override them.
-        command.set_defaults(**_configured_defaults(command, args.command, args.config))
-        args = parser.parse_args(argv)
-        return args.func(args)
+        configured = _configured_defaults(command, args.command, args.config)
+        built_in = {dest: command.get_default(dest) for dest in configured}
+        # File and environment values become the command's defaults for
+        # this call only, so parsing again lets only the flags given
+        # override them.
+        command.set_defaults(**configured)
+        try:
+            args = parser.parse_args(argv)
+            # Looked up by name on each call, so that a replaced cmd_*
+            # function is the one run.
+            return globals()[f"cmd_{args.command}"](args)
+        finally:
+            command.set_defaults(**built_in)
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -193,18 +193,34 @@ def _substream(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(index,))
 
 
-def _posterior_means(engine: str, prior: PriorSpec, stats, myopic: np.ndarray):
+def _posterior_means(engine: str, prior: PriorSpec, stats, myopic: np.ndarray, adapt_c: np.ndarray):
     """Posterior means (mean1 (trials, 2), mean2 (trials, 4)) from the
-    sufficient statistics, laid out as they are. The logistic model fits a
-    myopic trial's pooled stage two on its two cells."""
+    sufficient statistics, laid out as they are.
+
+    The logistic model is fitted only for trials with ``adapt_c != 0``, in
+    at most two calls: one two-cell call stacks their stage one with the
+    pooled stage two of the myopic ones (fitted on its two cells), and one
+    four-cell call takes the rest of stage two. A c = 0 trial is not fitted
+    and holds 1/2 throughout, since its allocation is 1/2 whatever its
+    means are."""
     events1, trials1, events2, trials2 = stats
     if engine == "conjugate":
         return conjugate_mean(prior, events1, trials1), conjugate_mean(prior, events2, trials2)
-    pooled = myopic.astype(bool)
-    mean2 = np.empty(trials2.shape)
-    mean2[~pooled] = logistic_mean(prior, events2[~pooled], trials2[~pooled])
-    mean2[pooled] = np.tile(logistic_mean(prior, events2[pooled, :2], trials2[pooled, :2]), 2)
-    return logistic_mean(prior, events1, trials1), mean2
+    mean1, mean2 = np.full(trials1.shape, 0.5), np.full(trials2.shape, 0.5)
+    adapting = adapt_c != 0.0
+    pooled, dynamic = adapting & (myopic != 0), adapting & (myopic == 0)
+    if adapting.any():
+        n1 = np.count_nonzero(adapting)
+        two_cell = logistic_mean(
+            prior,
+            np.concatenate([events1[adapting], events2[pooled, :2]]),
+            np.concatenate([trials1[adapting], trials2[pooled, :2]]),
+        )
+        mean1[adapting] = two_cell[:n1]
+        mean2[pooled] = np.tile(two_cell[n1:], 2)
+    if dynamic.any():
+        mean2[dynamic] = logistic_mean(prior, events2[dynamic], trials2[dynamic])
+    return mean1, mean2
 
 
 def run_block(streams: Sequence[Stream]) -> Block:
@@ -212,8 +228,9 @@ def run_block(streams: Sequence[Stream]) -> Block:
 
     After each adapting analysis the posterior means, Q-values and
     allocations of both stages are recomputed for every trial, honouring
-    the myopic flag in the stage-one utility and the stage-two pooling
-    (``c = 0`` reproduces equal allocation). All designs share one
+    the myopic flag in the stage-one utility and the stage-two pooling.
+    ``c = 0`` reproduces equal allocation, so the logistic model is not
+    fitted for those trials (``_posterior_means``). All designs share one
     schedule (``block_schedule``); a myopic design with an ambiguous
     pooled table raises ``ConfigurationError`` before any draw.
     """
@@ -245,7 +262,7 @@ def run_block(streams: Sequence[Stream]) -> Block:
         if k == num_interims - 1:
             break
         stats = _sufficient_stats(cohorts[:, : k + 1].sum(axis=1), myopic)
-        means = _posterior_means(engine, prior, stats, myopic)
+        means = _posterior_means(engine, prior, stats, myopic, adapt_c)
         p1, p2 = _allocate(*means, utility, myopic, adapt_c, min_prob)
         stage1[:, k], stage2[:, k] = p1, p2
 

@@ -132,6 +132,56 @@ def test_file_and_environment_values(
         assert f"\nthreads = {threads}\n" in (out_dir / "manifest.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "command, config, env, configured, built_in",
+    [
+        ("simulate", "[simulate]\npatients = 1000\n", {}, "patients = 1000", "patients = 2000"),
+        ("sweep", "", {"SMARTRAR_THREADS": "1"}, "threads = 1", "threads = auto"),
+    ],
+    ids=["file", "environment"],
+)
+def test_configured_defaults_last_one_call(
+    tmp_path, scenario_file, monkeypatch, command, config, env, configured, built_in
+):
+    """The parser is built once per process, but a value that a config
+    file or the environment gave one call is not a default of the next."""
+    for name in ("SMARTRAR_THREADS", "SMARTRAR_OUT_DIR"):
+        monkeypatch.delenv(name, raising=False)
+    argv = {
+        "simulate": ["simulate", "--out"],
+        "sweep": ["sweep", "--grid", str(scenario_file), "--replicates", "1", "--out-dir"],
+    }[command]
+    path = tmp_path / "run.ini"
+    path.write_text(config)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert run_cli(*argv, str(tmp_path / "first"), "--config", str(path)) == 0
+    for name in env:
+        monkeypatch.delenv(name)
+    assert run_cli(*argv, str(tmp_path / "second")) == 0
+    assert f"\n{configured}\n" in (tmp_path / "first" / "manifest.txt").read_text()
+    assert f"\n{built_in}\n" in (tmp_path / "second" / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_manifest_records_the_utility_table(tmp_path, scenario_file, command):
+    """A [utilities] override changes the manifest's [config] section by
+    the rows it overrides, and is not a default of the next call."""
+    argv = {
+        "simulate": ["simulate", "--r0", "0.5", "--seed", "3", "--out"],
+        "sweep": ["sweep", "--grid", str(scenario_file), "--replicates", "1", "--threads", "1", "--out-dir"],
+    }[command]
+    path = tmp_path / "utilities.ini"
+    path.write_text("[utilities]\nuninfected_a1_1 = 0.8\n")
+    assert run_cli(*argv, str(tmp_path / "override"), "--config", str(path)) == 0
+    assert run_cli(*argv, str(tmp_path / "default")) == 0
+    manifests = [(tmp_path / name / "manifest.txt").read_text() for name in ("override", "default")]
+    sections = [set(text.split("[config]\n")[1].split("\n\n")[0].splitlines()) for text in manifests]
+    assert sections[0] ^ sections[1] == {
+        "row_utility.uninfected_a1_1 = 0.8", "row_utility.uninfected_a1_1 = 1.0"
+    }
+
+
 @pytest.mark.parametrize("case", ["report-missing", "report-directory", "sweep-directory"])
 def test_unreadable_input_exit_2(tmp_path, capsys, case):
     """An input path that cannot be read is a configuration error naming
@@ -802,8 +852,19 @@ def test_benchmark_patch_points_stay_in_the_cli_namespace(tmp_path, capsys, monk
         calls.append(args)
         return real_run_trial(*args, **kwargs)
 
+    real_cmd_simulate = smartrar.cli.cmd_simulate
+
+    def counted_cmd_simulate(args):
+        commands.append(args)
+        return real_cmd_simulate(args)
+
+    # A call before patching, so that a parser kept between calls is built
+    # with the real command function.
+    assert run_cli("simulate") == 0
+    commands = []
     monkeypatch.setattr(smartrar.cli, "run_trial", counted_run_trial)
+    monkeypatch.setattr(smartrar.cli, "cmd_simulate", counted_cmd_simulate)
     for i, out in enumerate([None, tmp_path / "sim"]):
         argv = ["simulate", "--r0", "0.5", "--seed", "4"] + ([] if out is None else ["--out", str(out)])
         assert run_cli(*argv) == 0
-        assert len(calls) == i + 1
+        assert len(calls) == len(commands) == i + 1

@@ -6,16 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import smartrar.simulator
 from smartrar import (
     ConfigurationError,
     DesignConfig,
     Scenario,
     Stream,
     UtilityTable,
+    canonical_designs,
     run_block,
     run_trial,
     true_value,
 )
+from smartrar.cli import main
 from smartrar.simulator import TERMINAL_ROWS
 
 from per_patient_reference import generate_patient, per_patient_trial
@@ -272,6 +275,57 @@ class TestRunTrial:
         with pytest.raises(ConfigurationError, match="ambiguous"):
             run_trial(PROSE_SCENARIO, design, utilities=table)
         assert run_trial(PROSE_SCENARIO, replace(design, myopic_m=0), utilities=table)
+
+
+@pytest.fixture
+def logistic_calls(monkeypatch):
+    """The (rows, cells) shape of every ``logistic_mean`` call the simulator makes."""
+    calls = []
+    fit = smartrar.simulator.logistic_mean
+
+    def recorded(prior, events, trials):
+        calls.append(np.shape(events))
+        return fit(prior, events, trials)
+
+    monkeypatch.setattr(smartrar.simulator, "logistic_mean", recorded)
+    return calls
+
+
+class TestLogisticFitsOnlyAdaptingRows:
+    """The logistic model is fitted only for c != 0 trials, whose allocation
+    reads it: per adapting analysis at most one two-cell call (stage one and
+    pooled stage two) and one four-cell call (dynamic stage two), never one
+    with zero rows."""
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_fixed_simulate_makes_no_fit(self, logistic_calls, capsys, m):
+        argv = ["simulate", "--engine", "mcmc", "--m", str(m), "--c", "0", "--r0", "0.5", "--r1", "0.45"]
+        assert main(argv) == 0
+        assert logistic_calls == []
+
+    @pytest.mark.parametrize("which", ["all", "myopic", "dynamic", "fixed"])
+    def test_block_fits_adapting_rows_only(self, logistic_calls, which):
+        designs = canonical_designs(engine="mcmc")
+        # The same designs again with an allocation floor.
+        designs += tuple(replace(d, min_alloc_prob=0.2) for d in designs)
+        designs = {
+            "all": designs,
+            "myopic": [d for d in designs if d.myopic_m],
+            "dynamic": [d for d in designs if not d.myopic_m],
+            "fixed": [d for d in designs if d.adapt_c == 0],
+        }[which]
+        replicates = 3
+        scenario = Scenario(0.5, 0.45, 0.05, 0.95)
+        block = run_block([Stream(scenario, tuple(designs), replicates, rng(4), UtilityTable.default())])
+        adapting = replicates * sum(d.adapt_c != 0 for d in designs)
+        pooled = replicates * sum(d.adapt_c != 0 and d.myopic_m for d in designs)
+        calls = ((adapting + pooled, 2), (adapting - pooled, 4))
+        per_analysis = [(rows, cells) for rows, cells in calls if rows]
+        assert logistic_calls == per_analysis * (designs[0].num_interims - 1)
+        fixed = np.repeat([d.adapt_c == 0 for d in designs], replicates)
+        assert fixed.any()
+        assert (block.stage1[fixed] == 0.5).all()
+        assert (block.stage2[fixed] == 0.5).all()
 
 
 # A dynamic-only table and one whose stage-two rows pool over a1.
