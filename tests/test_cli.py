@@ -11,7 +11,7 @@ import pytest
 
 from smartrar import ENGINE_IMPLEMENTATION, Scenario, SweepConfig, canonical_designs, run_sweep
 from smartrar.cli import build_parser, fmt_real, main, write_relative_csv
-from smartrar.core import ENGINES
+from smartrar.core import ENGINES, reduced_scenario_grid
 from smartrar.inference import POSTERIOR_IMPLEMENTATION
 
 REDUCED_SWEEP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_reduced_sweep.py"
@@ -728,8 +728,6 @@ PINNED_LOGISTIC_SHA256 = {
 
 
 def test_logistic_sweep_outputs_are_pinned(tmp_path, capsys):
-    from smartrar.core import reduced_scenario_grid
-
     grid = tmp_path / "grid.csv"
     grid.write_text("r0,r1,s0,s1\n" + "".join(
         f"{s.r0!r},{s.r1!r},{s.s0!r},{s.s1!r}\n" for s in reduced_scenario_grid()[::20]
@@ -852,6 +850,7 @@ def test_benchmark_patch_points_stay_in_the_cli_namespace(tmp_path, capsys, monk
         calls.append(args)
         return real_run_trial(*args, **kwargs)
 
+    commands = []
     real_cmd_simulate = smartrar.cli.cmd_simulate
 
     def counted_cmd_simulate(args):
@@ -861,7 +860,6 @@ def test_benchmark_patch_points_stay_in_the_cli_namespace(tmp_path, capsys, monk
     # A call before patching, so that a parser kept between calls is built
     # with the real command function.
     assert run_cli("simulate") == 0
-    commands = []
     monkeypatch.setattr(smartrar.cli, "run_trial", counted_run_trial)
     monkeypatch.setattr(smartrar.cli, "cmd_simulate", counted_cmd_simulate)
     for i, out in enumerate([None, tmp_path / "sim"]):
