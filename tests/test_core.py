@@ -18,6 +18,7 @@ from smartrar import (
     canonical_designs,
     run_trial,
 )
+from smartrar.core import UTILITY_ROW_KEYS
 from smartrar.simulator import TERMINAL_ROWS, _sufficient_stats
 
 
@@ -103,6 +104,28 @@ def records_by_row() -> dict[str, list[float]]:
             key = f"{kind}_a1_{a1}_a2_{a2}"
         rows.setdefault(key, []).append(utility[row])
     return rows
+
+
+def test_row_keys_name_the_terminal_rows():
+    assert UTILITY_ROW_KEYS == (
+        "uninfected_a1_0",
+        "uninfected_a1_1",
+        "survived_a1_0_a2_0",
+        "died_a1_0_a2_0",
+        "survived_a1_0_a2_1",
+        "died_a1_0_a2_1",
+        "survived_a1_1_a2_0",
+        "died_a1_1_a2_0",
+        "survived_a1_1_a2_1",
+        "died_a1_1_a2_1",
+    )
+    # Key i names the (a1, y1, a2, y2) of terminal row i.
+    for key, row in zip(UTILITY_ROW_KEYS, TERMINAL_ROWS, strict=True):
+        words = key.split("_")
+        if words[0] == "uninfected":
+            assert row == (int(words[2]), 0, None, None)
+        else:
+            assert row == (int(words[2]), 1, int(words[4]), int(words[0] == "died"))
 
 
 class TestUtilityTable:
