@@ -25,7 +25,6 @@ from .core import (
     canonical_designs,
 )
 from .inference import conjugate_mean, logistic_mean
-from .policy import q1_value, q2_value
 from .simulator import (
     ENGINE_IMPLEMENTATION,
     Stream,
@@ -33,7 +32,6 @@ from .simulator import (
     fixed_design_value,
     run_block,
     run_trial,
-    true_value,
 )
 from .sweep import (
     SweepConfig,

@@ -21,14 +21,13 @@ import numpy as np
 DEGENERATE_TOTAL = 1e-12
 
 
-def allocation_pair(q0, q1, c, min_prob=0.0):
+def allocation_pair(q0, q1, c):
     """The p ∝ Q^c rule over actions (0, 1), unvalidated.
 
     Arguments are floats or arrays that broadcast against each other; the
     result is a pair of floats or of arrays of the broadcast shape. Falls
     back to equal probabilities when ``c = 0`` or the total weight is
-    degenerate, then applies the optional ``min_prob`` floor and
-    re-normalises. Callers guarantee finite non-negative Q-values and a
+    degenerate. Callers guarantee finite non-negative Q-values and a
     finite non-negative ``c``.
     """
     c = np.asarray(c, dtype=np.float64)
@@ -37,9 +36,5 @@ def allocation_pair(q0, q1, c, min_prob=0.0):
     equal = (c == 0.0) | (total < DEGENERATE_TOTAL)
     safe = np.where(equal, 1.0, total)
     p0, p1 = np.where(equal, 0.5, w0 / safe), np.where(equal, 0.5, w1 / safe)
-    floored = np.asarray(min_prob) > 0.0
-    f0, f1 = np.maximum(p0, min_prob), np.maximum(p1, min_prob)
-    total = f0 + f1
-    p0, p1 = np.where(floored, f0 / total, p0), np.where(floored, f1 / total, p1)
     # [()] turns 0-d results back into scalars and leaves arrays as they are.
     return p0[()], p1[()]

@@ -200,7 +200,7 @@ def _write_patients_csv(path: Path, patient_rows: np.ndarray, table: UtilityTabl
     ``a1,y1,a2,y2,utility`` with empty stage-two fields when uninfected."""
     text = [
         ",".join("" if v is None else str(v) for v in row) + f",{fmt_real(u)}\n"
-        for row, u in zip(TERMINAL_ROWS, table.entries().values())
+        for row, u in zip(TERMINAL_ROWS, table.rows)
     ]
     lines = (f"{i},{text[row]}" for i, row in enumerate(patient_rows.tolist()))
     return _write_csv(path, "patient,stage1_action,stage1_outcome,stage2_action,stage2_outcome,utility", lines)

@@ -4,8 +4,8 @@ A trial has two stages. Stage one randomises every participant between
 prophylaxis (action 1) and placebo (action 0) with a binary infection
 endpoint. Participants who become infected enter stage two, where they are
 randomised between active treatment (action 1) and placebo (action 0) with
-a binary death endpoint. Everything downstream (inference, policy,
-allocation, simulation) is written against the value types defined here.
+a binary death endpoint. Everything downstream (inference, allocation,
+simulation) is written against the value types defined here.
 
 Two design constants shape a trial:
 
@@ -22,10 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
-
-# Binary action / outcome codes. Stage 1: action 1 = prophylaxis, outcome
-# 1 = infection. Stage 2: action 1 = treatment, outcome 1 = death.
-Action = int
 
 #: Stage-one infection-probability grid (21 values, 0 to 1 in steps of 0.05).
 R_GRID: tuple[float, ...] = tuple(i / 100 for i in range(0, 101, 5))
@@ -71,12 +67,6 @@ class Scenario:
         for name in ("r0", "r1", "s0", "s1"):
             _check_prob(name, getattr(self, name))
 
-    def infection_prob(self, stage1_action: Action) -> float:
-        return self.r1 if stage1_action else self.r0
-
-    def death_prob(self, stage1_action: Action) -> float:
-        return self.s1 if stage1_action else self.s0
-
 
 def _grid(r_values: tuple[float, ...], s_values: tuple[float, ...]) -> list[Scenario]:
     """Every (r0, r1, s0, s1) from the value lists in row-major order: s0
@@ -105,19 +95,16 @@ def reduced_scenario_grid() -> list[Scenario]:
     return _grid(R_GRID_REDUCED, S_GRID_REDUCED)
 
 
-# The ten realisation rows: two stage-1 rows (uninfected) and eight stage-2
-# rows (a1 x a2 x survived/died).
-UTILITY_ROW_KEYS: tuple[str, ...] = (
-    "uninfected_a1_0",
-    "uninfected_a1_1",
-    "survived_a1_0_a2_0",
-    "died_a1_0_a2_0",
-    "survived_a1_0_a2_1",
-    "died_a1_0_a2_1",
-    "survived_a1_1_a2_0",
-    "died_a1_1_a2_0",
-    "survived_a1_1_a2_1",
-    "died_a1_1_a2_1",
+#: (a1, y1, a2, y2) of each terminal row: the two uninfected rows, then the
+#: stage-two row (a1, a2, y2) at 2 + 4 a1 + 2 a2 + y2.
+TERMINAL_ROWS = ((0, 0, None, None), (1, 0, None, None)) + tuple(
+    (a1, 1, a2, y2) for a1 in (0, 1) for a2 in (0, 1) for y2 in (0, 1)
+)
+
+#: The name of each terminal row, in ``TERMINAL_ROWS`` order.
+UTILITY_ROW_KEYS: tuple[str, ...] = tuple(
+    f"uninfected_a1_{a1}" if not y1 else f"{('survived', 'died')[y2]}_a1_{a1}_a2_{a2}"
+    for a1, y1, a2, y2 in TERMINAL_ROWS
 )
 
 
@@ -125,19 +112,16 @@ UTILITY_ROW_KEYS: tuple[str, ...] = (
 class UtilityTable:
     """Utility of every terminal (history, action, outcome) realisation.
 
-    ``stage1_alive[a1]`` is the utility of escaping infection under
-    stage-one action ``a1``; ``stage2[a1][a2][y2]`` is the utility of an
-    infected patient with stage-one action ``a1``, stage-two action ``a2``
-    and death indicator ``y2``. All entries must be finite and
-    non-negative so utility-proportional randomisation is well defined.
+    ``rows`` holds the ten utilities in ``UTILITY_ROW_KEYS`` order. All
+    entries must be finite and non-negative so utility-proportional
+    randomisation is well defined.
     """
 
-    stage1_alive: tuple[float, float]
-    stage2: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
+    rows: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.stage1_alive) != 2 or len(self.stage2) != 2:
-            raise ConfigurationError("utility table must cover both stage-1 actions")
+        if len(self.rows) != len(UTILITY_ROW_KEYS):
+            raise ConfigurationError(f"utility table must have {len(UTILITY_ROW_KEYS)} rows")
         for key, value in self.entries().items():
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0.0):
                 raise ConfigurationError(f"utility for row {key!r} must be finite and >= 0, got {value!r}")
@@ -157,44 +141,29 @@ class UtilityTable:
         unknown = set(entries) - set(UTILITY_ROW_KEYS)
         if unknown:
             raise ConfigurationError(f"unknown utility rows: {sorted(unknown)}")
-        base = dict(cls.default().entries())
-        base.update({k: float(v) for k, v in entries.items()})
-        stage1_alive = (base["uninfected_a1_0"], base["uninfected_a1_1"])
-        stage2 = tuple(
-            tuple(
-                (base[f"survived_a1_{a1}_a2_{a2}"], base[f"died_a1_{a1}_a2_{a2}"])
-                for a2 in (0, 1)
-            )
-            for a1 in (0, 1)
-        )
-        return cls(stage1_alive=stage1_alive, stage2=stage2)
+        base = cls.default().entries() | {k: float(v) for k, v in entries.items()}
+        return cls(tuple(base[key] for key in UTILITY_ROW_KEYS))
 
     def entries(self) -> dict[str, float]:
         """The ten realisation rows as a flat named mapping."""
-        out: dict[str, float] = {}
-        for a1 in (0, 1):
-            out[f"uninfected_a1_{a1}"] = self.stage1_alive[a1]
-        for a1 in (0, 1):
-            for a2 in (0, 1):
-                out[f"survived_a1_{a1}_a2_{a2}"] = self.stage2[a1][a2][0]
-                out[f"died_a1_{a1}_a2_{a2}"] = self.stage2[a1][a2][1]
-        return out
+        return dict(zip(UTILITY_ROW_KEYS, self.rows))
 
     def pooled_stage2(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """(survived, died) utilities of the pooled (myopic) stage-2 cell for
         each stage-two action; raises ``ConfigurationError`` when they
         depend on the stage-one action."""
+        arm0, arm1 = self.rows[2:6], self.rows[6:10]
         for a2 in (0, 1):
-            if self.stage2[0][a2] != self.stage2[1][a2]:
+            if arm0[2 * a2 : 2 * a2 + 2] != arm1[2 * a2 : 2 * a2 + 2]:
                 raise ConfigurationError(
                     "pooled stage-2 utilities are ambiguous: rows "
                     f"survived/died_a1_0_a2_{a2} and _a1_1_a2_{a2} differ"
                 )
-        return self.stage2[0]
+        return arm0[:2], arm0[2:]
 
 
 # Shared: the table is a frozen value and run_trial needs it once per trial.
-_DEFAULT_UTILITIES = UtilityTable(stage1_alive=(1.0, 1.0), stage2=(((1.0, 0.0), (1.0, 0.0)),) * 2)
+_DEFAULT_UTILITIES = UtilityTable((1.0, 1.0) + (1.0, 0.0) * 4)
 
 
 @dataclass(frozen=True)
@@ -232,7 +201,6 @@ class DesignConfig:
     ``(m, c)`` in {0,1}^2 reproduces the four canonical design cells
     (fixed/adaptive x dynamic/myopic); ``adapt_c`` is generalised to any
     non-negative real, where values between 0 and 1 temper adaptation.
-    ``min_alloc_prob`` is an optional allocation floor (default off).
     """
 
     myopic_m: int
@@ -242,7 +210,6 @@ class DesignConfig:
     prior_spec: PriorSpec = field(default_factory=PriorSpec)
     engine: str = "conjugate"
     seed: int = 0
-    min_alloc_prob: float = 0.0
 
     def __post_init__(self) -> None:
         _check_binary("myopic_m", self.myopic_m)
@@ -261,8 +228,6 @@ class DesignConfig:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if not (0.0 <= self.min_alloc_prob <= 0.5):
-            raise ValueError("min_alloc_prob must lie in [0, 0.5] for two actions")
 
 
 def canonical_designs(

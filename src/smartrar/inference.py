@@ -53,9 +53,12 @@ _MAX_NEWTON_STEPS = 100
 _ROWS_PER_PASS = 8
 
 
-def conjugate_mean(prior: PriorSpec, events: int, trials: int) -> float:
-    """Beta(alpha, beta) posterior mean of one cell's event probability:
-    (alpha + events) / (alpha + beta + trials), the prior mean at zero trials."""
+def conjugate_mean(prior: PriorSpec, events: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """Beta(alpha, beta) posterior mean event probability per cell:
+    (alpha + events) / (alpha + beta + trials), the prior mean at zero trials.
+
+    ``events`` and ``trials`` are count arrays of one shape, such as
+    (rows, cells); the result has that shape. Scalars work too."""
     return (prior.conjugate_alpha + events) / (
         prior.conjugate_alpha + prior.conjugate_beta + trials
     )

@@ -39,25 +39,12 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import allocation_pair
-from .core import (
-    Action,
-    DesignConfig,
-    PriorSpec,
-    Scenario,
-    UtilityTable,
-)
+from .core import TERMINAL_ROWS, DesignConfig, PriorSpec, Scenario, UtilityTable
 from .inference import conjugate_mean, logistic_mean
-from .policy import q1_value, q2_value
 
 #: Recorded in output manifests so that outputs of different outcome
 #: samplers can be told apart.
 ENGINE_IMPLEMENTATION = "block-multinomial"
-
-#: (a1, y1, a2, y2) of each terminal row, in UTILITY_ROW_KEYS order: the two
-#: uninfected rows, then the stage-two row (a1, a2, y2) at 2 + 4 a1 + 2 a2 + y2.
-TERMINAL_ROWS = ((0, 0, None, None), (1, 0, None, None)) + tuple(
-    (a1, 1, a2, y2) for a1 in (0, 1) for a2 in (0, 1) for y2 in (0, 1)
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,14 +90,6 @@ class TrialResult:
     patient_rows: np.ndarray | None = None
 
 
-def true_value(scenario: Scenario, stage1_action: Action) -> float:
-    """Expected participant utility for a stage-one arm under the default
-    0/1 utility table: survive-uninfected plus survive-after-infection mass."""
-    r = scenario.infection_prob(stage1_action)
-    s = scenario.death_prob(stage1_action)
-    return (1.0 - r) + r * (1.0 - s)
-
-
 def _rates(scenario: Scenario) -> tuple[float, float, float, float]:
     return (scenario.r0, scenario.r1, scenario.s0, scenario.s1)
 
@@ -134,7 +113,7 @@ def fixed_design_value(scenario: Scenario, table: UtilityTable | None = None) ->
     table = table if table is not None else UtilityTable.default()
     rates, half = np.array([_rates(scenario)]), np.full((1, 2, 2), 0.5)
     pi = _cohort_probs(rates[:, :2], rates[:, 2:], half[:, 0], half)
-    return float(pi[0] @ list(table.entries().values()))
+    return float(pi[0] @ table.rows)
 
 
 def _sufficient_stats(counts: np.ndarray, myopic_m):
@@ -160,23 +139,36 @@ def _q_values(mean1: np.ndarray, mean2: np.ndarray, utility: np.ndarray, myopic_
     """Posterior means -> (Q1 (trials, 2) by a1, Q2 (trials, 4) by cell).
 
     ``mean2`` follows the stage-two layout of ``_sufficient_stats`` and
-    ``utility`` (trials or 1, 10) holds the row utilities. A myopic trial's
-    Q1 has no continuation.
+    ``utility`` (trials or 1, 10) holds the row utilities. The stage-two
+    Q-value of a cell is the utility of its two outcomes weighted by the
+    posterior mean death probability:
+
+        Q2(h2, a2) = u(h2, a2, survived) * (1 - E[pi2]) + u(h2, a2, died) * E[pi2]
+
+    The stage-one Q-value folds the best stage-two value into the infection
+    branch (backward induction), unless the myopic flag zeroes that branch:
+
+        Q1(a1) = u(a1, uninfected) * (1 - E[pi1])
+                 + max_a2 Q2((a1, infected), a2) * (1 - m) * E[pi1]
+
+    Utility is affine in the event probability, so the posterior expected
+    utility depends on the posterior only through its mean: averaging it
+    over posterior draws would give the same number.
     """
-    q2 = q2_value(utility[:, 2::2], utility[:, 3::2], mean2)
+    q2 = utility[:, 2::2] * (1.0 - mean2) + utility[:, 3::2] * mean2
     best2 = np.maximum(q2[:, 0::2], q2[:, 1::2])
     continuation = np.where(np.asarray(myopic_m, dtype=bool)[..., None], 0.0, best2)
-    return q1_value(utility[:, :2], mean1, continuation), q2
+    return utility[:, :2] * (1.0 - mean1) + continuation * mean1, q2
 
 
-def _allocate(mean1, mean2, utility, myopic_m, adapt_c, min_prob):
+def _allocate(mean1, mean2, utility, myopic_m, adapt_c):
     """Posterior means -> Q-values -> Q^c allocation for both stages:
     (p1 (trials, 2), p2 (trials, 2, 2)) laid out as in ``Block``. The
     design constants are floats or per-trial arrays."""
     q1, q2 = _q_values(mean1, mean2, utility, myopic_m)
-    c, floor = np.asarray(adapt_c), np.asarray(min_prob)
-    p2 = allocation_pair(q2[:, 0::2], q2[:, 1::2], c[..., None], floor[..., None])
-    return np.stack(allocation_pair(q1[:, 0], q1[:, 1], c, floor), -1), np.stack(p2, -1)
+    c = np.asarray(adapt_c)
+    p2 = allocation_pair(q2[:, 0::2], q2[:, 1::2], c[..., None])
+    return np.stack(allocation_pair(q1[:, 0], q1[:, 1], c), -1), np.stack(p2, -1)
 
 
 def block_schedule(designs: Sequence[DesignConfig]) -> tuple[int, int, PriorSpec, str]:
@@ -242,10 +234,9 @@ def run_block(streams: Sequence[Stream]) -> Block:
     sizes = [len(st.designs) * st.replicates for st in streams]
     stops, n = np.cumsum(sizes).tolist(), sum(sizes)
     rates = np.repeat([_rates(st.scenario) for st in streams], sizes, axis=0)
-    # Row utilities in UTILITY_ROW_KEYS order, the order of ``entries()``.
-    utility = np.repeat([list(st.utilities.entries().values()) for st in streams], sizes, axis=0)
-    myopic, adapt_c, min_prob = np.repeat(
-        [(d.myopic_m, d.adapt_c, d.min_alloc_prob) for d in designs],
+    utility = np.repeat([st.utilities.rows for st in streams], sizes, axis=0)
+    myopic, adapt_c = np.repeat(
+        [(d.myopic_m, d.adapt_c) for d in designs],
         [st.replicates for st in streams for _ in st.designs],
         axis=0,
     ).T
@@ -263,7 +254,7 @@ def run_block(streams: Sequence[Stream]) -> Block:
             break
         stats = _sufficient_stats(cohorts[:, : k + 1].sum(axis=1), myopic)
         means = _posterior_means(engine, prior, stats, myopic, adapt_c)
-        p1, p2 = _allocate(*means, utility, myopic, adapt_c, min_prob)
+        p1, p2 = _allocate(*means, utility, myopic, adapt_c)
         stage1[:, k], stage2[:, k] = p1, p2
 
     totals = map(math.fsum, (cohorts.sum(axis=1) * utility).tolist())

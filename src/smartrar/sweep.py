@@ -132,19 +132,21 @@ def check_utilities(designs: Iterable[DesignConfig], utilities: UtilityTable | N
 def run_sweep(config: SweepConfig, utilities: UtilityTable | None = None) -> SweepResult:
     """Run the sweep and aggregate per-cell mean utilities.
 
-    Blocks of scenarios execute concurrently when ``parallelism`` exceeds
-    one (default: every CPU in the affinity set); the result is identical
-    for any parallelism degree. A utility table that a myopic design
+    Blocks of scenarios execute concurrently, on at most ``parallelism``
+    workers (default: every CPU in the affinity set) and never more than
+    there are blocks; the result is identical for any parallelism degree. A utility table that a myopic design
     cannot pool raises ``ConfigurationError`` before any trial runs.
     """
     check_utilities(config.designs, utilities)
-    workers = config.parallelism if config.parallelism is not None else available_cpus()
     step = BLOCK_SCENARIOS
     tasks = [
         (start, replace(config, scenarios=config.scenarios[start : start + step]), utilities)
         for start in range(0, len(config.scenarios), step)
     ]
-    if workers <= 1 or len(tasks) == 1:
+    # No more workers than blocks: a pool starts every worker it is given.
+    requested = config.parallelism if config.parallelism is not None else available_cpus()
+    workers = min(requested, len(tasks))
+    if workers == 1:
         results = list(map(_run_block, tasks))
     else:
         executor = ProcessPoolExecutor(max_workers=workers)

@@ -2,10 +2,11 @@
 
 ``run_trial`` draws each cohort's terminal-row counts from one multinomial.
 The samplers here draw every patient's outcomes one Bernoulli at a time
-and run each interim analysis by composing the formula kernels
-(``conjugate_mean`` -> ``q2_value`` / ``q1_value`` -> ``allocation_pair``)
-here, not through the simulator's own glue, so a fault in that glue shows
-as a difference. Both must agree in distribution;
+and run each interim analysis cell by cell: ``conjugate_mean`` for the
+posterior means, the stage-two and stage-one Q-value formulas written out
+here, and ``allocation_pair`` for the p ∝ Q^c rule. None of the
+simulator's own array code is used, so a fault in it, or in its Q
+formulas, shows as a difference. Both must agree in distribution;
 ``test_simulator.TestCountLevelParity`` compares them.
 """
 
@@ -22,19 +23,29 @@ from smartrar import (
     UtilityTable,
     allocation_pair,
     conjugate_mean,
-    q1_value,
-    q2_value,
 )
-from smartrar.core import Action
+
+
+def q2_value(survived: float, died: float, mean: float) -> float:
+    """Stage-two Q-value: the cell's outcome utilities weighted by its
+    posterior mean death probability."""
+    return survived * (1.0 - mean) + died * mean
+
+
+def q1_value(uninfected: float, mean: float, continuation: float) -> float:
+    """Stage-one Q-value: the uninfected utility and the infection branch's
+    value (the best stage-two Q-value, or 0 under a myopic design) weighted
+    by the posterior mean infection probability."""
+    return uninfected * (1.0 - mean) + continuation * mean
 
 
 def generate_patient(
     scenario: Scenario,
-    a1: Action,
-    a2_provider: Callable[[Action], Action],
+    a1: int,
+    a2_provider: Callable[[int], int],
     rng: np.random.Generator,
     utilities: UtilityTable | None = None,
-) -> tuple[Action, int, Action | None, int | None, float]:
+) -> tuple[int, int, int | None, int | None, float]:
     """Draw one patient's (a1, y1, a2, y2, utility) given their stage-one
     action; a2 and y2 are None for an uninfected patient.
 
@@ -44,13 +55,13 @@ def generate_patient(
     is Bernoulli(s_a1). The realized utility is looked up from the table at
     the terminal row.
     """
-    table = utilities if utilities is not None else UtilityTable.default()
-    y1 = int(rng.random() < scenario.infection_prob(a1))
+    entries = (utilities if utilities is not None else UtilityTable.default()).entries()
+    y1 = int(rng.random() < (scenario.r1 if a1 else scenario.r0))
     if not y1:
-        return a1, 0, None, None, table.stage1_alive[a1]
+        return a1, 0, None, None, entries[f"uninfected_a1_{a1}"]
     a2 = a2_provider(a1)
-    y2 = int(rng.random() < scenario.death_prob(a1))
-    return a1, 1, a2, y2, table.stage2[a1][a2][y2]
+    y2 = int(rng.random() < (scenario.s1 if a1 else scenario.s0))
+    return a1, 1, a2, y2, entries[f"{('survived', 'died')[y2]}_a1_{a1}_a2_{a2}"]
 
 
 def per_patient_trial(
@@ -65,13 +76,13 @@ def per_patient_trial(
         raise ValueError("the reference covers the conjugate engine only")
     table = utilities if utilities is not None else UtilityTable.default()
     m = design.myopic_m
-    c, floor, prior = design.adapt_c, design.min_alloc_prob, design.prior_spec
+    c, prior = design.adapt_c, design.prior_spec
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(design.seed)))
 
     p1_treat = 0.5
     p2_treat = (0.5, 0.5)  # P(a2 = 1) for each stage-one arm
-    u_stage1 = np.array(table.stage1_alive, dtype=np.float64)
-    u_stage2 = np.array(table.stage2, dtype=np.float64)
+    u_stage1 = np.array(table.rows[:2])
+    u_stage2 = np.reshape(table.rows[2:], (2, 2, 2))  # [a1, a2, y2]
     events1 = np.zeros(2, dtype=np.int64)
     trials1 = np.zeros(2, dtype=np.int64)
     events2 = np.zeros((2, 2), dtype=np.int64)
@@ -114,16 +125,16 @@ def per_patient_trial(
                 q2_value(*pooled[a], mean(events2[:, a].sum(), trials2[:, a].sum()))
                 for a in (0, 1)
             ]
-            stage2 = (allocation_pair(q2[0], q2[1], c, floor),) * 2
-            q1 = [q1_value(table.stage1_alive[a], mean1[a], 0.0) for a in (0, 1)]
+            stage2 = (allocation_pair(q2[0], q2[1], c),) * 2
+            q1 = [q1_value(u_stage1[a], mean1[a], 0.0) for a in (0, 1)]
         else:
             q2 = [
-                [q2_value(*table.stage2[h][a], mean(events2[h, a], trials2[h, a])) for a in (0, 1)]
+                [q2_value(*u_stage2[h, a], mean(events2[h, a], trials2[h, a])) for a in (0, 1)]
                 for h in (0, 1)
             ]
-            stage2 = tuple(allocation_pair(q2[h][0], q2[h][1], c, floor) for h in (0, 1))
-            q1 = [q1_value(table.stage1_alive[a], mean1[a], max(q2[a])) for a in (0, 1)]
-        stage1 = allocation_pair(q1[0], q1[1], c, floor)
+            stage2 = tuple(allocation_pair(q2[h][0], q2[h][1], c) for h in (0, 1))
+            q1 = [q1_value(u_stage1[a], mean1[a], max(q2[a])) for a in (0, 1)]
+        stage1 = allocation_pair(q1[0], q1[1], c)
         p1_treat = stage1[1]
         p2_treat = (stage2[0][1], stage2[1][1])
         stage1s.append(stage1)

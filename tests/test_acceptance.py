@@ -38,7 +38,6 @@ from smartrar import (
     run_trial,
     canonical_designs,
     scenario_stream,
-    true_value,
 )
 from mcmc_reference import posterior_mcmc
 from smartrar.cli import write_sweep_csvs
@@ -47,6 +46,14 @@ from smartrar.simulator import _q_values
 BASE_SEED = 53
 
 FULL_GRID_TRIALS = 28224 * 4 * 10
+
+
+def arm_value(scenario: Scenario, a1: int) -> float:
+    """Expected utility of a patient on stage-one arm a1 under the default
+    0/1 table, written out from the model: uninfected with probability
+    1 - r, else survived with probability 1 - s."""
+    r, s = (scenario.r1, scenario.s1) if a1 else (scenario.r0, scenario.s0)
+    return (1.0 - r) + r * (1.0 - s)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -194,7 +201,7 @@ def test_c2_dynamic_dominance(reduced_sweep):
 
 
 def _fluid_limit(scenario: Scenario, design: DesignConfig, table: UtilityTable) -> float:
-    """Expected-count ("fluid-limit") mean utility of one design without a floor.
+    """Expected-count ("fluid-limit") mean utility of one design.
 
     Follows the trial's cohort loop with every count replaced by its
     expectation, so each interim posterior mean is the true rate: the
@@ -204,8 +211,8 @@ def _fluid_limit(scenario: Scenario, design: DesignConfig, table: UtilityTable) 
     """
     r = np.array([scenario.r0, scenario.r1])
     s = np.array([scenario.s0, scenario.s1])
-    u1 = np.array(table.stage1_alive)
-    u2 = np.array(table.stage2)  # [a1, a2, (survived, died)]
+    u1 = np.array(table.rows[:2])
+    u2 = np.reshape(table.rows[2:], (2, 2, 2))  # [a1, a2, (survived, died)]
     q2_true = u2[..., 0] * (1.0 - s[:, None]) + u2[..., 1] * s[:, None]
 
     def rule(q: np.ndarray) -> np.ndarray:
@@ -267,8 +274,8 @@ def test_c3_myopic_harm():
     m = 1 is held to its fluid value.
     """
     scenario = Scenario(0.5, 0.45, 0.05, 0.95)
-    assert true_value(scenario, 0) == pytest.approx(0.975)
-    assert true_value(scenario, 1) == pytest.approx(0.5725)
+    assert arm_value(scenario, 0) == pytest.approx(0.975)
+    assert arm_value(scenario, 1) == pytest.approx(0.5725)
     designs = canonical_designs()
     result = run_sweep(
         SweepConfig(
@@ -326,15 +333,17 @@ def enumerated_stage1_values(
     probability 1 - pi1[a1], else survived or died at stage two with
     probability pi2[2 a1 + a2]. The value of a1 is its best regimen's.
     """
+    entries = table.entries()
     values = []
     for a1 in (0, 1):
         regimens = []
         for a2 in (0, 1):
-            survived, died = table.stage2[a1][a2]
+            survived = entries[f"survived_a1_{a1}_a2_{a2}"]
+            died = entries[f"died_a1_{a1}_a2_{a2}"]
             death = means2[2 * a1 + a2]
             infected = means1[a1]
             regimens.append(
-                table.stage1_alive[a1] * (1.0 - infected)
+                entries[f"uninfected_a1_{a1}"] * (1.0 - infected)
                 + infected * ((1.0 - death) * survived + death * died)
             )
         values.append(max(regimens))
@@ -353,7 +362,7 @@ def test_c4_backward_induction_oracle_equivalence():
         table = UtilityTable.from_entries(
             dict(zip(row_keys, rng.uniform(0.0, 5.0, size=10)))
         )
-        utility = np.array([list(table.entries().values())])
+        utility = np.array([table.rows])
         induction, _ = _q_values(np.array([means1]), np.array([means2]), utility, myopic_m=0)
         induction = induction[0]
         oracle = enumerated_stage1_values(means1, means2, table)
@@ -441,7 +450,7 @@ def test_logistic_mean_matches_mcmc_reference():
 def test_c6_fixed_design_calibration():
     """Fixed-design mean utility matches the analytic mixture value."""
     scenario = Scenario(0.1, 0.3, 0.45, 0.5)
-    expected = 0.5 * (true_value(scenario, 0) + true_value(scenario, 1))
+    expected = 0.5 * (arm_value(scenario, 0) + arm_value(scenario, 1))
     assert expected == pytest.approx(0.9025)
     design = DesignConfig(myopic_m=0, adapt_c=0.0)
     seeds = [
@@ -534,7 +543,7 @@ def test_c10_fixed_design_exact(reduced_sweep):
     utilities), and a c = 0 row's ``u_bar_bar`` is Binomial(N, p) / N with
     N = replicates x patients = 20,000. Two checks:
 
-    (a) p equals the mean of the two arms' ``true_value`` (per-arm survival
+    (a) p equals the mean of the two arms' ``arm_value`` (per-arm survival
         1 - r s, computed without the terminal-row probabilities) to 1e-15
         for every scenario, so a fault in those probabilities shows here;
     (b) each of the 400 scenarios x 2 flags = 800 rows is z-tested at
@@ -555,7 +564,7 @@ def test_c10_fixed_design_exact(reduced_sweep):
     failures = []
     for scenario, m, u_bar_bar in fixed_rows:
         p = fixed_design_value(scenario)
-        mixture = 0.5 * (true_value(scenario, 0) + true_value(scenario, 1))
+        mixture = 0.5 * (arm_value(scenario, 0) + arm_value(scenario, 1))
         if abs(p - mixture) > 1e-15:
             failures.append(f"{scenario}: fixed-design value {p!r} != {mixture!r}")
         if p in (0.0, 1.0):

@@ -10,7 +10,6 @@ from smartrar.allocation import DEGENERATE_TOTAL
 qvalues = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 positive_q = st.floats(min_value=1e-6, max_value=100.0, allow_nan=False)
 exponents = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
-floors = st.floats(min_value=1e-6, max_value=0.5, allow_nan=False)
 
 
 def test_zero_exponent_gives_equal_split():
@@ -43,12 +42,6 @@ def test_negative_exponent_rejected():
         DesignConfig(myopic_m=0, adapt_c=-1.0)
 
 
-def test_allocation_floor():
-    p0, p1 = allocation_pair(0.0, 0.7, c=1.0, min_prob=0.05)
-    assert p0 == pytest.approx(0.05 / 1.05)
-    assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
-
-
 @given(q0=qvalues, q1=qvalues, c=exponents)
 def test_sums_to_one(q0, q1, c):
     assert abs(sum(allocation_pair(q0, q1, c)) - 1.0) <= 1e-12
@@ -70,12 +63,3 @@ def test_monotone_in_own_q(q0, q1, c):
     # under the degenerate-total fallback to equal allocation.
     if before < 1.0 and q0**c + q1**c >= DEGENERATE_TOTAL:
         assert after > before
-
-
-@given(q0=qvalues, q1=qvalues, c=exponents, floor=floors)
-def test_floor_bounds_both_probabilities(q0, q1, c, floor):
-    # After the floor and re-normalisation each arm keeps at least
-    # f / (1 + f): the worst case raises one arm from 0 to f.
-    p0, p1 = allocation_pair(q0, q1, c, min_prob=floor)
-    assert min(p0, p1) >= floor / (1.0 + floor) - 1e-12
-    assert abs(p0 + p1 - 1.0) <= 1e-12

@@ -474,6 +474,35 @@ class TestSweep:
         ) == 1
         assert "worker process died" in capsys.readouterr().err
 
+    def test_workers_capped_at_blocks(self, tmp_path, scenario_file, monkeypatch):
+        import smartrar.sweep
+
+        sizes = []
+
+        class RecordingPool:
+            """Runs the blocks in this process and records the pool size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(smartrar.sweep, "ProcessPoolExecutor", RecordingPool)
+        common = ("sweep", "--grid", str(scenario_file), "--replicates", "1")
+        # Two scenarios make one block: no pool, one worker.
+        assert run_cli(*common, "--threads", "3", "--out-dir", str(tmp_path / "one")) == 0
+        assert sizes == []
+        assert "threads = 3\nworkers = 1\n" in (tmp_path / "one" / "manifest.txt").read_text()
+        # One scenario per block makes two blocks: a pool of two.
+        monkeypatch.setattr(smartrar.sweep, "BLOCK_SCENARIOS", 1)
+        assert run_cli(*common, "--threads", "64", "--out-dir", str(tmp_path / "two")) == 0
+        assert sizes == [2]
+        assert "threads = 64\nworkers = 2\n" in (tmp_path / "two" / "manifest.txt").read_text()
+
     def test_designs_subset(self, tmp_path, scenario_file):
         out_dir = tmp_path / "sweep"
         assert run_cli(

@@ -93,7 +93,7 @@ def records_by_row() -> dict[str, list[float]]:
     design = DesignConfig(myopic_m=0, adapt_c=1.0, max_patients=400, seed=3)
     scenario = Scenario(0.5, 0.5, 0.5, 0.5)
     result = run_trial(scenario, design, utilities=DISTINCT, keep_records=True)
-    utility = list(DISTINCT.entries().values())
+    utility = DISTINCT.rows
     rows: dict[str, list[float]] = {}
     for row in result.patient_rows.tolist():
         a1, y1, a2, y2 = TERMINAL_ROWS[row]
@@ -158,9 +158,9 @@ class TestUtilityTable:
 
     def test_override_rows(self):
         table = UtilityTable.from_entries({"died_a1_0_a2_0": 0.1, "uninfected_a1_1": 0.8})
-        assert table.stage2[0][0][1] == 0.1
-        assert table.stage1_alive[1] == 0.8
-        assert table.stage2[1][1][1] == 0.0
+        assert table.rows == (1.0, 0.8, 1.0, 0.1) + (1.0, 0.0) * 3
+        assert table.entries()["died_a1_0_a2_0"] == 0.1
+        assert table.entries()["died_a1_1_a2_1"] == 0.0
 
     def test_unknown_row_rejected(self):
         with pytest.raises(ConfigurationError):

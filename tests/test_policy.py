@@ -1,12 +1,12 @@
-"""Q-value kernels, the simulator's means -> Q -> allocation glue, and the
-enumeration oracle that c4 compares them against."""
+"""The Q-value formulas of ``_q_values``, the simulator's means -> Q ->
+allocation glue, and the enumeration oracle that c4 compares them against."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smartrar import UtilityTable, q1_value, q2_value
+from smartrar import UtilityTable
 from smartrar.simulator import _allocate, _q_values
 
 from test_acceptance import enumerated_stage1_values
@@ -26,7 +26,7 @@ def random_table(draw_values: list[float]) -> UtilityTable:
 
 def row_utility(table: UtilityTable) -> np.ndarray:
     """One trial's row utilities, in the layout ``run_block`` uses."""
-    return np.array([list(table.entries().values())])
+    return np.array([table.rows])
 
 
 def allocate(mean1, mean2, table: UtilityTable, m: int, c: float = 1.0):
@@ -36,36 +36,42 @@ def allocate(mean1, mean2, table: UtilityTable, m: int, c: float = 1.0):
     stage-two means, held in both a1 cells as ``_sufficient_stats`` does."""
     if m:
         mean2 = mean2[:2] * 2
-    p1, p2 = _allocate(np.array([mean1]), np.array([mean2]), row_utility(table), m, c, 0.0)
+    p1, p2 = _allocate(np.array([mean1]), np.array([mean2]), row_utility(table), m, c)
     return tuple(p1[0].tolist()), tuple(map(tuple, p2[0].tolist()[: 2 - m]))
 
 
-def dynamic_q1(mean1, mean2, table: UtilityTable) -> list[float]:
-    """Stage-one Q-values of a dynamic design, as ``run_block`` computes them."""
-    return _q_values(np.array([mean1]), np.array([mean2]), row_utility(table), myopic_m=0)[0][0]
+def q_values(mean1, mean2, table: UtilityTable, m: int):
+    """``_q_values`` for one trial, as ``run_block`` computes them: (Q1 by
+    a1, Q2 by cell 2 a1 + a2)."""
+    q1, q2 = _q_values(np.array([mean1]), np.array([mean2]), row_utility(table), m)
+    return q1[0].tolist(), q2[0].tolist()
 
 
 class TestQStage2:
     def test_prior_only_cell(self, default_table):
-        assert q2_value(*default_table.stage2[0][0], 0.5) == pytest.approx(0.5)
+        assert q_values((0.5,) * 2, (0.5,) * 4, default_table, 0)[1][0] == pytest.approx(0.5)
 
     def test_conjugate_mean_cell(self, default_table):
-        assert q2_value(*default_table.stage2[0][0], 11 / 42) == pytest.approx(31 / 42)
+        q2 = q_values((0.5,) * 2, (11 / 42,) * 4, default_table, 0)[1]
+        assert q2[0] == pytest.approx(31 / 42)
 
     def test_general_utilities(self):
-        assert q2_value(0.8, 0.1, 0.25) == pytest.approx(0.625)
+        table = UtilityTable.from_entries({"survived_a1_0_a2_0": 0.8, "died_a1_0_a2_0": 0.1})
+        assert q_values((0.5,) * 2, (0.25,) * 4, table, 0)[1][0] == pytest.approx(0.625)
 
 
 class TestQStage1:
-    def test_myopic_drops_continuation(self):
-        assert q1_value(1.0, 0.2, 0.0) == pytest.approx(0.8)
+    def test_myopic_drops_continuation(self, default_table):
+        assert q_values((0.2,) * 2, (0.5,) * 4, default_table, 1)[0][0] == pytest.approx(0.8)
 
-    def test_dynamic_continuation(self):
-        assert q1_value(1.0, 0.2, q2_value(1.0, 0.0, 0.2)) == pytest.approx(0.8 + 0.8 * 0.2)
+    def test_dynamic_continuation(self, default_table):
+        # both a2 cells at death probability 0.2: the continuation is 0.8
+        q1 = q_values((0.2,) * 2, (0.2,) * 4, default_table, 0)[0]
+        assert q1[0] == pytest.approx(0.8 + 0.8 * 0.2)
 
-    def test_certain_infection_reduces_to_continuation(self):
-        continuation = q2_value(1.0, 0.0, 0.45)
-        assert q1_value(1.0, 1.0 - 1e-12, continuation) == pytest.approx(0.55, abs=1e-9)
+    def test_certain_infection_reduces_to_continuation(self, default_table):
+        q1 = q_values((1.0 - 1e-12,) * 2, (0.45,) * 4, default_table, 0)[0]
+        assert q1[0] == pytest.approx(0.55, abs=1e-9)
 
 
 class TestOptimalPolicy:
@@ -104,7 +110,7 @@ class TestBruteForceOracle:
     def test_oracle_equivalence(self, p0, p1, m00, m01, m10, m11, table_values):
         table = random_table(table_values)
         mean2 = (m00, m01, m10, m11)
-        induction = dynamic_q1((p0, p1), mean2, table)
+        induction = q_values((p0, p1), mean2, table, 0)[0]
         oracle = enumerated_stage1_values((p0, p1), mean2, table)
         for action in (0, 1):
             assert abs(induction[action] - oracle[action]) <= 1e-12
@@ -114,10 +120,15 @@ class TestInvariants:
     @given(mean=probs, table_values=st.lists(utilities, min_size=10, max_size=10))
     def test_linearity_reduction(self, mean, table_values):
         # averaging Q2 over draws with a given mean equals Q2 at that mean
-        alive, dead = random_table(table_values).stage2[1][0]
+        table = random_table(table_values)
         delta = min(mean, 1.0 - mean) / 2
-        over_draws = (q2_value(alive, dead, mean - delta) + q2_value(alive, dead, mean + delta)) / 2
-        assert abs(over_draws - q2_value(alive, dead, mean)) <= 1e-12
+
+        def q2(death: float) -> float:
+            # cell (a1 = 1, a2 = 0)
+            return q_values((0.5,) * 2, (death,) * 4, table, 0)[1][2]
+
+        over_draws = (q2(mean - delta) + q2(mean + delta)) / 2
+        assert abs(over_draws - q2(mean)) <= 1e-12
 
     @given(
         p0=probs,

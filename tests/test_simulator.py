@@ -16,12 +16,12 @@ from smartrar import (
     canonical_designs,
     run_block,
     run_trial,
-    true_value,
 )
 from smartrar.cli import main
 from smartrar.simulator import TERMINAL_ROWS
 
 from per_patient_reference import generate_patient, per_patient_trial
+from test_acceptance import arm_value
 
 
 def rng(seed: int = 0) -> np.random.Generator:
@@ -34,18 +34,20 @@ PROSE_SCENARIO = Scenario(0.1, 0.3, 0.45, 0.5)
 def patient_utilities(result, table: UtilityTable | None = None) -> np.ndarray:
     """Each patient's realised utility: the table's entry at their terminal row."""
     table = table if table is not None else UtilityTable.default()
-    return np.array(list(table.entries().values()))[result.patient_rows]
+    return np.array(table.rows)[result.patient_rows]
 
 
 class TestTrueValue:
+    """The per-arm value oracle that the fixed-design checks compare with."""
+
     def test_placebo_arm(self):
-        assert true_value(PROSE_SCENARIO, 0) == pytest.approx(0.955)
+        assert arm_value(PROSE_SCENARIO, 0) == pytest.approx(0.955)
 
     def test_prophylaxis_arm(self):
-        assert true_value(PROSE_SCENARIO, 1) == pytest.approx(0.85)
+        assert arm_value(PROSE_SCENARIO, 1) == pytest.approx(0.85)
 
     def test_no_infection_is_unit_value(self):
-        assert true_value(Scenario(0.0, 0.5, 0.9, 0.9), 0) == 1.0
+        assert arm_value(Scenario(0.0, 0.5, 0.9, 0.9), 0) == 1.0
 
 
 class TestGeneratePatient:
@@ -148,7 +150,7 @@ class TestRunTrial:
         assert result.mean_utility == pytest.approx(total / design.max_patients, abs=1e-12)
 
     def test_fixed_design_tracks_mixture_value(self):
-        expected = 0.5 * (true_value(PROSE_SCENARIO, 0) + true_value(PROSE_SCENARIO, 1))
+        expected = 0.5 * (arm_value(PROSE_SCENARIO, 0) + arm_value(PROSE_SCENARIO, 1))
         for seed in (0, 1, 2):
             result = run_trial(PROSE_SCENARIO, DesignConfig(myopic_m=0, adapt_c=0.0, seed=seed))
             assert result.mean_utility == pytest.approx(expected, abs=0.02)
@@ -175,7 +177,7 @@ class TestRunTrial:
     def test_fixed_design_unbiased_over_seeds(self):
         # mean over 100 seeds within 3 standard errors of the mixture value
         scenario = Scenario(0.3, 0.6, 0.2, 0.7)
-        expected = 0.5 * (true_value(scenario, 0) + true_value(scenario, 1))
+        expected = 0.5 * (arm_value(scenario, 0) + arm_value(scenario, 1))
         utilities = [
             run_trial(scenario, DesignConfig(myopic_m=0, adapt_c=0.0, seed=seed)).mean_utility
             for seed in range(100)
@@ -306,8 +308,6 @@ class TestLogisticFitsOnlyAdaptingRows:
     @pytest.mark.parametrize("which", ["all", "myopic", "dynamic", "fixed"])
     def test_block_fits_adapting_rows_only(self, logistic_calls, which):
         designs = canonical_designs(engine="mcmc")
-        # The same designs again with an allocation floor.
-        designs += tuple(replace(d, min_alloc_prob=0.2) for d in designs)
         designs = {
             "all": designs,
             "myopic": [d for d in designs if d.myopic_m],
@@ -351,12 +351,8 @@ PARITY_CASES = (
     (Scenario(0.0, 0.5, 0.3, 0.6), dict(myopic_m=0, adapt_c=1.0), None),
     (Scenario(1.0, 1.0, 0.2, 0.7), dict(myopic_m=1, adapt_c=1.0), None),
     (Scenario(1.0, 0.5, 0.05, 0.95), dict(myopic_m=0, adapt_c=0.5), None),
-    (Scenario(0.5, 0.45, 0.05, 0.95), dict(myopic_m=1, adapt_c=1.0, min_alloc_prob=0.1), None),
-    (
-        Scenario(0.3, 0.6, 0.2, 0.7),
-        dict(myopic_m=0, adapt_c=1.0, min_alloc_prob=0.05),
-        TABLE_DYNAMIC,
-    ),
+    (Scenario(0.5, 0.45, 0.05, 0.95), dict(myopic_m=1, adapt_c=1.0), None),
+    (Scenario(0.3, 0.6, 0.2, 0.7), dict(myopic_m=0, adapt_c=1.0), TABLE_DYNAMIC),
     (Scenario(0.8, 0.6, 0.9, 0.2), dict(myopic_m=1, adapt_c=0.5), TABLE_POOLED),
 )
 
@@ -421,7 +417,7 @@ class TestCountLevelParity:
     Per case, 400 trials of each on disjoint seeds; the mean
     ``mean_utility``, its variance and the mean final stage-one allocation
     must agree within 4 SE. The cases cover r = 0 and r = 1, c = 0.5,
-    ``min_alloc_prob`` > 0, both myopic flags and two non-default tables.
+    both myopic flags and two non-default tables.
     Two subjects: ``run_trial`` one trial at a time, and one mixed
     ``run_block`` holding all six cases.
     """
