@@ -311,11 +311,16 @@ class TestSimulate:
         assert run_cli("simulate", "--out", str(taken)) == 2
         assert "error: output directory not writable" in capsys.readouterr().err
 
-    def test_invalid_flags_exit_2(self, capsys):
+    def test_invalid_flags_exit_2(self, tmp_path, capsys):
         assert run_cli("simulate", "--r0", "1.5") == 2
         with pytest.raises(SystemExit) as exc:
             run_cli("simulate", "--engine", "nonsense")
         assert exc.value.code == 2
+        # Rejected before the output directory is made.
+        for flag, value in [("--seed", "-1"), ("--patients", "0"), ("--interims", "3"), ("--c", "-1")]:
+            out = tmp_path / f"sim{flag}"
+            assert run_cli("simulate", flag, value, "--out", str(out)) == 2, flag
+            assert not out.exists(), flag
 
     def test_ambiguous_pooled_utilities_exit_2(self, tmp_path, ambiguous_pooling, capsys):
         out = tmp_path / "sim"
@@ -756,11 +761,17 @@ PINNED_LOGISTIC_SHA256 = {
 }
 
 
-def test_logistic_sweep_outputs_are_pinned(tmp_path, capsys):
+def every_20th_reduced_scenario(tmp_path) -> Path:
+    """A scenario CSV of every 20th reduced-grid scenario (20 scenarios)."""
     grid = tmp_path / "grid.csv"
     grid.write_text("r0,r1,s0,s1\n" + "".join(
         f"{s.r0!r},{s.r1!r},{s.s0!r},{s.s1!r}\n" for s in reduced_scenario_grid()[::20]
     ))
+    return grid
+
+
+def test_logistic_sweep_outputs_are_pinned(tmp_path, capsys):
+    grid = every_20th_reduced_scenario(tmp_path)
     out_dir = tmp_path / "sweep"
     assert run_cli("sweep", "--grid", str(grid), "--designs", "all", "--replicates", "2",
                    "--base-seed", "0", "--engine", "mcmc", "--threads", "1",
@@ -846,6 +857,39 @@ def test_simulate_outputs_are_pinned(tmp_path, capsys, case):
     outputs = [(out_dir / name).read_bytes() for name in ("patients.csv", "allocations.csv")]
     outputs.append(capsys.readouterr().out.encode())
     assert tuple(hashlib.sha256(data).hexdigest() for data in outputs) == PINNED_SIMULATE_SHA256[case]
+
+
+# SHA-256 of conjugate sweeps over every 20th reduced-grid scenario (2
+# replicates, base seed 0, one worker) under a [utilities] override: the
+# dynamic designs with the simulate table, which a myopic design cannot
+# pool, and all four designs with only the uninfected prophylaxis row
+# changed.
+PINNED_SWEEP_UTILITIES_SHA256 = {
+    "m0c0,m0c1": (
+        "87151fe90981c1a4fd3c550bf11813933ae73c4c4e3e095e381d85c31b6589ff",
+        "aeb4361e480a977edf80ef9cd7f2745f2b74d2214681c032be50dd9c84a326b3",
+    ),
+    "all": (
+        "5354f5eb75345c2ecc94439e5fdba7f8178369decabbe610eb60450053dde330",
+        "2f443a47c56fba4c0637e0e5dc48e3eafe29d85d1397471110f872333b361f71",
+    ),
+}
+SWEEP_UTILITIES = {"m0c0,m0c1": SIMULATE_UTILITIES, "all": "[utilities]\nuninfected_a1_1 = 0.8\n"}
+
+
+@pytest.mark.parametrize("designs", list(PINNED_SWEEP_UTILITIES_SHA256))
+def test_sweep_outputs_under_a_utility_override_are_pinned(tmp_path, capsys, designs):
+    config = tmp_path / "utilities.ini"
+    config.write_text(SWEEP_UTILITIES[designs])
+    out_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--grid", str(every_20th_reduced_scenario(tmp_path)),
+                   "--designs", designs, "--replicates", "2", "--base-seed", "0",
+                   "--threads", "1", "--config", str(config), "--out-dir", str(out_dir)) == 0
+    digests = tuple(
+        hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in ("sweep_replicates.csv", "sweep_aggregate.csv")
+    )
+    assert digests == PINNED_SWEEP_UTILITIES_SHA256[designs]
 
 
 def test_reduced_sweep_script_matches_report(tmp_path, capsys):
