@@ -10,12 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from smartrar import (
-    SweepConfig,
-    reduced_scenario_grid,
-    run_sweep,
-    canonical_designs,
-)
+from smartrar import CANONICAL_DESIGNS, SweepConfig, reduced_scenario_grid, run_sweep
 from smartrar.cli import write_relative_csv, write_sweep_csvs
 
 
@@ -30,7 +25,7 @@ def main(argv: list[str] | None = None) -> int:
     result = run_sweep(
         SweepConfig(
             scenarios=tuple(reduced_scenario_grid()),
-            designs=canonical_designs(),
+            designs=CANONICAL_DESIGNS,
             replicates=args.replicates,
             base_seed=args.base_seed,
             parallelism=args.threads,

@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .allocation import allocation_pair
 from .core import (
+    CANONICAL_DESIGNS,
     ConfigurationError,
     DesignConfig,
     PriorSpec,
@@ -19,15 +20,14 @@ from .core import (
     S_GRID,
     S_GRID_REDUCED,
     Scenario,
+    TrialSettings,
     UtilityTable,
     reduced_scenario_grid,
     scenario_grid,
-    canonical_designs,
 )
 from .inference import conjugate_mean, logistic_mean
 from .simulator import (
     ENGINE_IMPLEMENTATION,
-    Stream,
     TrialResult,
     fixed_design_value,
     run_block,
@@ -39,5 +39,5 @@ from .sweep import (
     SweepResult,
     relative_utility,
     run_sweep,
-    scenario_stream,
+    scenario_rng,
 )

@@ -33,25 +33,20 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    CANONICAL_DESIGNS,
     ENGINES,
+    TERMINAL_ROWS,
     ConfigurationError,
     DesignConfig,
     Scenario,
+    TrialSettings,
     UtilityTable,
     reduced_scenario_grid,
     scenario_grid,
-    canonical_designs,
 )
 from .inference import POSTERIOR_IMPLEMENTATION
-from .simulator import ENGINE_IMPLEMENTATION, TERMINAL_ROWS, TrialResult, run_trial
-from .sweep import (
-    SweepConfig,
-    SweepError,
-    SweepResult,
-    check_utilities,
-    relative_utility,
-    run_sweep,
-)
+from .simulator import ENGINE_IMPLEMENTATION, TrialResult, check_seed, run_trial
+from .sweep import SweepConfig, SweepError, SweepResult, relative_utility, run_sweep
 
 # The environment variable that sets each long flag's default.
 ENV_VARS = {"threads": "SMARTRAR_THREADS", "out": "SMARTRAR_OUT_DIR", "out-dir": "SMARTRAR_OUT_DIR"}
@@ -219,17 +214,14 @@ def _write_allocations_csv(path: Path, result: TrialResult, pooled: bool) -> Pat
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = Scenario(r0=args.r0, r1=args.r1, s0=args.s0, s1=args.s1)
-    design = DesignConfig(
-        myopic_m=args.m,
-        adapt_c=args.c,
-        max_patients=args.patients,
-        num_interims=args.interims,
-        engine=args.engine,
-        seed=args.seed,
+    design = DesignConfig(myopic_m=args.m, adapt_c=args.c)
+    settings = TrialSettings(
+        max_patients=args.patients, num_interims=args.interims, engine=args.engine, utilities=args.utilities
     )
-    check_utilities((design,), args.utilities)
+    settings.check_pooling((design,))
+    check_seed(args.seed)
     out_dir = None if args.out is None else _writable_dir(args.out)
-    result = run_trial(scenario, design, utilities=args.utilities, keep_records=out_dir is not None)
+    result = run_trial(scenario, design, settings, seed=args.seed, keep_records=out_dir is not None)
     if out_dir is not None:
         files = [
             _write_patients_csv(out_dir / "patients.csv", result.patient_rows, args.utilities),
@@ -264,10 +256,8 @@ def _scenarios_from_grid(grid: str) -> list[Scenario]:
     return [Scenario(*cell) for cell in table.tolist()]
 
 
-def _designs_from_spec(spec: str, engine: str) -> list[DesignConfig]:
-    all_designs = {
-        f"m{d.myopic_m}c{int(d.adapt_c)}": d for d in canonical_designs(engine=engine)
-    }
+def _designs_from_spec(spec: str) -> list[DesignConfig]:
+    all_designs = {f"m{d.myopic_m}c{int(d.adapt_c)}": d for d in CANONICAL_DESIGNS}
     if spec == "all":
         return list(all_designs.values())
     chosen = {}
@@ -285,8 +275,8 @@ def _designs_from_spec(spec: str, engine: str) -> list[DesignConfig]:
 
 
 def write_sweep_csvs(out_dir: Path, result: SweepResult) -> list[Path]:
-    """Stream the replicate and aggregate CSVs from the result's arrays: one
-    line per (scenario, design, replicate) and per (scenario, design)."""
+    """Write the replicate and aggregate CSVs from the result's arrays, line
+    by line: one per (scenario, design, replicate) and per (scenario, design)."""
     designs = [f"{d.myopic_m},{d.adapt_c:.17g}" for d in result.config.designs]
 
     def rows(*arrays: np.ndarray) -> Iterable[tuple]:
@@ -315,19 +305,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
 
     scenarios = _scenarios_from_grid(args.grid)
-    designs = _designs_from_spec(args.designs, args.engine)
-    check_utilities(designs, args.utilities)
     sweep_config = SweepConfig(
         scenarios=tuple(scenarios),
-        designs=tuple(designs),
+        designs=tuple(_designs_from_spec(args.designs)),
         replicates=args.replicates,
         base_seed=args.base_seed,
         parallelism=args.threads,
+        settings=TrialSettings(engine=args.engine, utilities=args.utilities),
     )
 
     out_dir = _writable_dir(args.out_dir)
     try:
-        result = run_sweep(sweep_config, utilities=args.utilities)
+        result = run_sweep(sweep_config)
     except SweepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 #: Stage-one infection-probability grid (21 values, 0 to 1 in steps of 0.05).
 R_GRID: tuple[float, ...] = tuple(i / 100 for i in range(0, 101, 5))
@@ -162,7 +162,7 @@ class UtilityTable:
         return arm0[:2], arm0[2:]
 
 
-# Shared: the table is a frozen value and run_trial needs it once per trial.
+# Shared: the table is a frozen value, the default of every TrialSettings.
 _DEFAULT_UTILITIES = UtilityTable((1.0, 1.0) + (1.0, 0.0) * 4)
 
 
@@ -196,7 +196,7 @@ ENGINES: tuple[str, ...] = ("conjugate", "mcmc")
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """One trial design: the (m, c) cell plus operational settings.
+    """One trial design: the (m, c) cell.
 
     ``(m, c)`` in {0,1}^2 reproduces the four canonical design cells
     (fixed/adaptive x dynamic/myopic); ``adapt_c`` is generalised to any
@@ -205,16 +205,30 @@ class DesignConfig:
 
     myopic_m: int
     adapt_c: float
-    max_patients: int = 2000
-    num_interims: int = 4
-    prior_spec: PriorSpec = field(default_factory=PriorSpec)
-    engine: str = "conjugate"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         _check_binary("myopic_m", self.myopic_m)
         if not (math.isfinite(self.adapt_c) and self.adapt_c >= 0.0):
             raise ValueError(f"adapt_c must be a non-negative real, got {self.adapt_c!r}")
+
+
+#: The four canonical design cells, ordered (m, c) = (0,0), (0,1), (1,0), (1,1).
+CANONICAL_DESIGNS = tuple(DesignConfig(myopic_m=m, adapt_c=float(c)) for m in (0, 1) for c in (0, 1))
+
+
+@dataclass(frozen=True)
+class TrialSettings:
+    """The trial protocol that every design of a run shares: the sample
+    size, enrolled in ``num_interims`` equal cohorts, the prior and
+    posterior engine of each interim analysis, and the utility table."""
+
+    max_patients: int = 2000
+    num_interims: int = 4
+    prior_spec: PriorSpec = field(default_factory=PriorSpec)
+    engine: str = "conjugate"
+    utilities: UtilityTable = field(default_factory=UtilityTable.default)
+
+    def __post_init__(self) -> None:
         if self.max_patients < 1:
             raise ValueError("max_patients must be positive")
         if self.num_interims < 1:
@@ -226,28 +240,9 @@ class DesignConfig:
             )
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
 
-
-def canonical_designs(
-    max_patients: int = 2000,
-    num_interims: int = 4,
-    prior_spec: PriorSpec | None = None,
-    engine: str = "conjugate",
-) -> tuple[DesignConfig, ...]:
-    """The four canonical design cells, ordered (m, c) = (0,0), (0,1), (1,0), (1,1)."""
-    prior = prior_spec if prior_spec is not None else PriorSpec()
-    return tuple(
-        DesignConfig(
-            myopic_m=m,
-            adapt_c=float(c),
-            max_patients=max_patients,
-            num_interims=num_interims,
-            prior_spec=prior,
-            engine=engine,
-        )
-        for m in (0, 1)
-        for c in (0, 1)
-    )
-
+    def check_pooling(self, designs: Iterable[DesignConfig]) -> None:
+        """Raise ``ConfigurationError`` if a myopic design among ``designs``
+        cannot pool the table's stage-two utilities."""
+        if any(d.myopic_m for d in designs):
+            self.utilities.pooled_stage2()

@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import PriorSpec
 
-__all__ = ["PriorSpec", "conjugate_mean", "logistic_mean"]
+__all__ = ["conjugate_mean", "logistic_mean"]
 
 #: Gauss-Hermite nodes per coefficient.
 _NODES = 7

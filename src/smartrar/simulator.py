@@ -20,14 +20,15 @@ cohort's utility (counts dot row utilities) and its share of the 2 + 2x2
 sufficient statistics. This is exact in distribution.
 
 Trials run in blocks (``run_block``): one cohort loop over arrays with a
-leading trial axis, each cohort one multinomial call per Philox stream.
-Both posterior engines are deterministic functions of the counts, so the
-counts are the only random draws of a trial. ``run_trial`` is a block of
-one trial, reproducible bit-for-bit from (scenario, design), and returns
-its row of the block as arrays: substream 0 of the design seed draws the
-counts and substream 2 orders each cohort's patients by terminal row,
-made only when they are requested so that asking for them never changes
-the mean utility or allocation path.
+leading trial axis, each cohort one multinomial call per scenario's Philox
+stream. Every trial of a block shares one ``TrialSettings``. Both
+posterior engines are deterministic functions of the counts, so the counts
+are the only random draws of a trial. ``run_trial`` is a block of one
+trial, reproducible bit-for-bit from (scenario, design, settings, seed),
+and returns its row of the block as arrays: substream 0 of the trial seed
+draws the counts and substream 2 orders each cohort's patients by terminal
+row, made only when they are requested so that asking for them never
+changes the mean utility or allocation path.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import allocation_pair
-from .core import TERMINAL_ROWS, DesignConfig, PriorSpec, Scenario, UtilityTable
+from .core import TERMINAL_ROWS, DesignConfig, Scenario, TrialSettings, UtilityTable
 from .inference import conjugate_mean, logistic_mean
 
 #: Recorded in output manifests so that outputs of different outcome
@@ -48,23 +49,12 @@ ENGINE_IMPLEMENTATION = "block-multinomial"
 
 
 @dataclass(frozen=True, eq=False)
-class Stream:
-    """Trials of one scenario that draw their cohort counts from ``rng``:
-    ``replicates`` rows per design, in order."""
-
-    scenario: Scenario
-    designs: tuple[DesignConfig, ...]
-    replicates: int
-    rng: np.random.Generator
-    utilities: UtilityTable
-
-
-@dataclass(frozen=True, eq=False)
 class Block:
-    """Per-trial results of ``run_block``, rows in stream order: after
-    adapting analysis k + 1, ``stage1[t, k]`` is (P(a1 = 0), P(a1 = 1)) and
-    ``stage2[t, k, a1]`` the stage-two pair for arm a1 (pooled: the same
-    pair twice); ``cohorts[t, k]`` holds cohort k + 1's row counts."""
+    """Per-trial results of ``run_block``, rows in (scenario, design,
+    replicate) order: after adapting analysis k + 1, ``stage1[t, k]`` is
+    (P(a1 = 0), P(a1 = 1)) and ``stage2[t, k, a1]`` the stage-two pair for
+    arm a1 (pooled: the same pair twice); ``cohorts[t, k]`` holds cohort
+    k + 1's row counts."""
 
     mean_utility: np.ndarray
     stage1: np.ndarray
@@ -171,21 +161,12 @@ def _allocate(mean1, mean2, utility, myopic_m, adapt_c):
     return np.stack(allocation_pair(q1[:, 0], q1[:, 1], c), -1), np.stack(p2, -1)
 
 
-def block_schedule(designs: Sequence[DesignConfig]) -> tuple[int, int, PriorSpec, str]:
-    """(max_patients, num_interims, prior_spec, engine), which all designs
-    of a block must share; raises ``ValueError`` otherwise."""
-    schedules = {(d.max_patients, d.num_interims, d.prior_spec, d.engine) for d in designs}
-    if len(schedules) != 1:
-        raise ValueError("designs must share max_patients, num_interims, prior_spec and engine")
-    return schedules.pop()
-
-
 def _substream(seed: int, index: int) -> np.random.SeedSequence:
     """Child ``index`` of ``SeedSequence(seed)``, as ``spawn`` would make it."""
     return np.random.SeedSequence(seed, spawn_key=(index,))
 
 
-def _posterior_means(engine: str, prior: PriorSpec, stats, myopic: np.ndarray, adapt_c: np.ndarray):
+def _posterior_means(settings: TrialSettings, stats, myopic: np.ndarray, adapt_c: np.ndarray):
     """Posterior means (mean1 (trials, 2), mean2 (trials, 4)) from the
     sufficient statistics, laid out as they are.
 
@@ -196,7 +177,8 @@ def _posterior_means(engine: str, prior: PriorSpec, stats, myopic: np.ndarray, a
     and holds 1/2 throughout, since its allocation is 1/2 whatever its
     means are."""
     events1, trials1, events2, trials2 = stats
-    if engine == "conjugate":
+    prior = settings.prior_spec
+    if settings.engine == "conjugate":
         return conjugate_mean(prior, events1, trials1), conjugate_mean(prior, events2, trials2)
     mean1, mean2 = np.full(trials1.shape, 0.5), np.full(trials2.shape, 0.5)
     adapting = adapt_c != 0.0
@@ -215,78 +197,86 @@ def _posterior_means(engine: str, prior: PriorSpec, stats, myopic: np.ndarray, a
     return mean1, mean2
 
 
-def run_block(streams: Sequence[Stream]) -> Block:
-    """Simulate every trial of ``streams`` through one cohort loop.
+def check_seed(seed: int) -> None:
+    """Raise ``ValueError`` unless ``seed`` is a 64-bit unsigned integer."""
+    if not (0 <= seed < 2**64):
+        raise ValueError("seed must be a 64-bit unsigned integer")
 
-    After each adapting analysis the posterior means, Q-values and
-    allocations of both stages are recomputed for every trial, honouring
-    the myopic flag in the stage-one utility and the stage-two pooling.
-    ``c = 0`` reproduces equal allocation, so the logistic model is not
-    fitted for those trials (``_posterior_means``). All designs share one
-    schedule (``block_schedule``); a myopic design with an ambiguous
-    pooled table raises ``ConfigurationError`` before any draw.
+
+def run_block(
+    cells: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    designs: Sequence[DesignConfig],
+    replicates: int,
+    settings: TrialSettings,
+) -> Block:
+    """Simulate every scenario x design x replicate through one cohort loop.
+
+    ``cells`` (scenarios, 4) holds each scenario's (r0, r1, s0, s1), and
+    scenario s draws the cohort counts of its designs x replicates trials
+    from ``rngs[s]``. After each adapting analysis the posterior means,
+    Q-values and allocations of both stages are recomputed for every trial,
+    honouring the myopic flag in the stage-one utility and the stage-two
+    pooling. ``c = 0`` reproduces equal allocation, so the logistic model
+    is not fitted for those trials (``_posterior_means``). A myopic design
+    with an ambiguous pooled table raises ``ConfigurationError`` before any
+    draw.
     """
-    designs = [d for st in streams for d in st.designs]
-    max_patients, num_interims, prior, engine = block_schedule(designs)
-    for st in streams:
-        if any(d.myopic_m for d in st.designs):
-            st.utilities.pooled_stage2()
-    sizes = [len(st.designs) * st.replicates for st in streams]
-    stops, n = np.cumsum(sizes).tolist(), sum(sizes)
-    rates = np.repeat([_rates(st.scenario) for st in streams], sizes, axis=0)
-    utility = np.repeat([st.utilities.rows for st in streams], sizes, axis=0)
-    myopic, adapt_c = np.repeat(
-        [(d.myopic_m, d.adapt_c) for d in designs],
-        [st.replicates for st in streams for _ in st.designs],
-        axis=0,
-    ).T
+    settings.check_pooling(designs)
+    per_scenario, num_interims = len(designs) * replicates, settings.num_interims
+    rates = np.repeat(np.asarray(cells, dtype=np.float64), per_scenario, axis=0)
+    design_rows = np.repeat([(d.myopic_m, d.adapt_c) for d in designs], replicates, axis=0)
+    myopic, adapt_c = np.tile(design_rows, (len(rngs), 1)).T
+    # One row of utilities, which broadcasts over the trials.
+    utility, n = np.array([settings.utilities.rows]), len(rates)
     p1, p2 = np.full((n, 2), 0.5), np.full((n, 2, 2), 0.5)
     stage1, stage2 = np.empty((n, num_interims - 1, 2)), np.empty((n, num_interims - 1, 2, 2))
     cohorts = np.empty((n, num_interims, len(TERMINAL_ROWS)), dtype=np.int64)
+    by_scenario = cohorts.reshape(len(rngs), per_scenario, num_interims, -1)
     for k in range(num_interims):
-        pi = _cohort_probs(rates[:, :2], rates[:, 2:], p1, p2)
-        for st, size, stop in zip(streams, sizes, stops):
-            cohorts[stop - size : stop, k] = st.rng.multinomial(
-                max_patients // num_interims, pi[stop - size : stop]
-            )
+        pi = _cohort_probs(rates[:, :2], rates[:, 2:], p1, p2).reshape(len(rngs), per_scenario, -1)
+        for rng, rows, scenario_pi in zip(rngs, by_scenario, pi):
+            rows[:, k] = rng.multinomial(settings.max_patients // num_interims, scenario_pi)
         # Allocation adapts after every analysis but the last.
         if k == num_interims - 1:
             break
         stats = _sufficient_stats(cohorts[:, : k + 1].sum(axis=1), myopic)
-        means = _posterior_means(engine, prior, stats, myopic, adapt_c)
+        means = _posterior_means(settings, stats, myopic, adapt_c)
         p1, p2 = _allocate(*means, utility, myopic, adapt_c)
         stage1[:, k], stage2[:, k] = p1, p2
 
     totals = map(math.fsum, (cohorts.sum(axis=1) * utility).tolist())
-    mean_utility = np.fromiter(totals, float, n) / max_patients
+    mean_utility = np.fromiter(totals, float, n) / settings.max_patients
     return Block(mean_utility, stage1, stage2, cohorts)
 
 
 def run_trial(
     scenario: Scenario,
     design: DesignConfig,
+    settings: TrialSettings,
     *,
-    utilities: UtilityTable | None = None,
+    seed: int,
     keep_records: bool = False,
 ) -> TrialResult:
     """Simulate one complete trial under the given design: a block of one.
 
-    Fully deterministic given ``design.seed``, whose substream 0 draws the
-    cohort counts. A myopic design with an ambiguous pooled table raises
-    ``ConfigurationError`` before any draw. Set ``keep_records`` to fill
-    ``patient_rows``, which leaves every other field unchanged.
+    Fully deterministic given ``seed``, a 64-bit unsigned integer whose
+    substream 0 draws the cohort counts. A myopic design with an ambiguous
+    pooled table raises ``ConfigurationError`` before any draw. Set
+    ``keep_records`` to fill ``patient_rows``, which leaves every other
+    field unchanged.
     """
-    table = utilities if utilities is not None else UtilityTable.default()
-    # Substreams 0 (cohort counts) and 2 (patient order) of the design
+    check_seed(seed)
+    # Substreams 0 (cohort counts) and 2 (patient order) of the trial
     # seed, each made only when it is used. Substream 1 is unused; patients
     # stay on 2 so that their bytes match earlier versions' output.
-    rng = np.random.Generator(np.random.Philox(_substream(design.seed, 0)))
-    block = run_block([Stream(scenario, (design,), 1, rng, table)])
+    rng = np.random.Generator(np.random.Philox(_substream(seed, 0)))
+    block = run_block([_rates(scenario)], [rng], (design,), 1, settings)
     rows = None
     if keep_records:
         # Each cohort's row counts, one entry per patient, in a random order
         # (patients within a cohort are exchangeable).
-        order = np.random.Generator(np.random.Philox(_substream(design.seed, 2)))
+        order = np.random.Generator(np.random.Philox(_substream(seed, 2)))
         every_row = np.arange(len(TERMINAL_ROWS))
         rows = np.concatenate([order.permutation(np.repeat(every_row, n)) for n in block.cohorts[0]])
     return TrialResult(float(block.mean_utility[0]), block.stage1[0], block.stage2[0], rows)

@@ -1,10 +1,11 @@
 """Scenario-grid sweeps over trial designs, with deterministic parallelism.
 
-Each scenario owns one random stream (``scenario_stream``), so its results
+Each scenario owns one random stream (``scenario_rng``), so its results
 are a pure function of the base seed and its index, identical whatever the
 block it runs in, the degree of parallelism or the execution order. Work
-items are blocks of consecutive scenarios, each simulated as one batch;
-aggregation is a deterministic reduction into index order.
+items are blocks of consecutive scenarios, each simulated as one
+``run_block`` batch under the sweep's one ``TrialSettings``; aggregation is
+a deterministic reduction into index order.
 """
 
 from __future__ import annotations
@@ -13,17 +14,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    DesignConfig,
-    Scenario,
-    UtilityTable,
-)
-from .simulator import Stream, block_schedule, run_block
+from .core import DesignConfig, Scenario, TrialSettings
+from .simulator import run_block
 
 #: Scenarios per work item. It sets the batch size only: every scenario
 #: draws from its own stream, so results do not depend on it.
@@ -37,13 +34,17 @@ class SweepError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """What to sweep: scenarios x designs x replicates, plus seeding."""
+    """What to sweep: scenarios x designs x replicates, plus seeding, under
+    the trial settings that every trial shares. A utility table that a
+    myopic design cannot pool raises ``ConfigurationError`` here, before
+    any trial runs."""
 
     scenarios: tuple[Scenario, ...]
     designs: tuple[DesignConfig, ...]
     replicates: int = 10
     base_seed: int = 0
     parallelism: int | None = None
+    settings: TrialSettings = field(default_factory=TrialSettings)
 
     def __post_init__(self) -> None:
         if not self.scenarios:
@@ -56,7 +57,7 @@ class SweepConfig:
             raise ValueError("base_seed must be non-negative")
         if self.parallelism is not None and self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        block_schedule(self.designs)
+        self.settings.check_pooling(self.designs)
 
     @property
     def cells(self) -> np.ndarray:
@@ -83,38 +84,24 @@ class SweepResult:
         return relative_utility(self.u_bar_bar, designs)
 
 
-def scenario_stream(
-    base_seed: int,
-    index: int,
-    scenario: Scenario,
-    designs: tuple[DesignConfig, ...],
-    replicates: int,
-    utilities: UtilityTable,
-) -> Stream:
-    """The trials of scenario ``index``: one Philox generator keyed by
-    ``SeedSequence((base_seed, index))`` draws the cohorts of all designs x
-    replicates, in (design, replicate) row order."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((base_seed, index))))
-    return Stream(scenario, designs, replicates, rng, utilities)
+def scenario_rng(base_seed: int, index: int) -> np.random.Generator:
+    """The stream of scenario ``index``, keyed by ``SeedSequence((base_seed,
+    index))``; it draws the cohorts of all the scenario's trials."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((base_seed, index))))
 
 
-def _run_block(args: tuple[int, SweepConfig, UtilityTable | None]) -> np.ndarray:
+def _run_block(args: tuple[int, SweepConfig]) -> np.ndarray:
     """Utility (scenarios, designs, replicates) of the trials of
     ``config.scenarios``, sweep indices ``start`` on, run as one batch."""
-    start, config, utilities = args
-    table = utilities if utilities is not None else UtilityTable.default()
-    designs, replicates = config.designs, config.replicates
-    streams = [
-        scenario_stream(config.base_seed, start + offset, scenario, designs, replicates, table)
-        for offset, scenario in enumerate(config.scenarios)
-    ]
+    start, config = args
+    rngs = [scenario_rng(config.base_seed, start + offset) for offset in range(len(config.scenarios))]
     try:
-        block = run_block(streams)
+        block = run_block(config.cells, rngs, config.designs, config.replicates, config.settings)
     except Exception as exc:
         raise SweepError(
-            f"trial failed in scenario indices {start} to {start + len(streams) - 1}: {exc}"
+            f"trial failed in scenario indices {start} to {start + len(rngs) - 1}: {exc}"
         ) from exc
-    return block.mean_utility.reshape(len(streams), len(designs), replicates)
+    return block.mean_utility.reshape(len(rngs), len(config.designs), config.replicates)
 
 
 def available_cpus() -> int:
@@ -122,25 +109,16 @@ def available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def check_utilities(designs: Iterable[DesignConfig], utilities: UtilityTable | None) -> None:
-    """Raise ``ConfigurationError`` if a myopic design cannot pool the table's
-    stage-two utilities, before any trial runs."""
-    if utilities is not None and any(d.myopic_m for d in designs):
-        utilities.pooled_stage2()
-
-
-def run_sweep(config: SweepConfig, utilities: UtilityTable | None = None) -> SweepResult:
+def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the sweep and aggregate per-cell mean utilities.
 
     Blocks of scenarios execute concurrently, on at most ``parallelism``
     workers (default: every CPU in the affinity set) and never more than
-    there are blocks; the result is identical for any parallelism degree. A utility table that a myopic design
-    cannot pool raises ``ConfigurationError`` before any trial runs.
+    there are blocks; the result is identical for any parallelism degree.
     """
-    check_utilities(config.designs, utilities)
     step = BLOCK_SCENARIOS
     tasks = [
-        (start, replace(config, scenarios=config.scenarios[start : start + step]), utilities)
+        (start, replace(config, scenarios=config.scenarios[start : start + step]))
         for start in range(0, len(config.scenarios), step)
     ]
     # No more workers than blocks: a pool starts every worker it is given.

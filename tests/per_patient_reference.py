@@ -20,6 +20,7 @@ from smartrar import (
     DesignConfig,
     Scenario,
     TrialResult,
+    TrialSettings,
     UtilityTable,
     allocation_pair,
     conjugate_mean,
@@ -65,19 +66,19 @@ def generate_patient(
 
 
 def per_patient_trial(
-    scenario: Scenario, design: DesignConfig, *, utilities: UtilityTable | None = None
+    scenario: Scenario, design: DesignConfig, settings: TrialSettings, *, seed: int
 ) -> TrialResult:
     """One conjugate-engine trial with per-patient vectorised Bernoulli draws.
 
     Draw order per cohort: assignment, infection (all patients), then
     treatment assignment and death (infected patients, in patient order).
     """
-    if design.engine != "conjugate":
+    if settings.engine != "conjugate":
         raise ValueError("the reference covers the conjugate engine only")
-    table = utilities if utilities is not None else UtilityTable.default()
+    table = settings.utilities
     m = design.myopic_m
-    c, prior = design.adapt_c, design.prior_spec
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(design.seed)))
+    c, prior = design.adapt_c, settings.prior_spec
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
     p1_treat = 0.5
     p2_treat = (0.5, 0.5)  # P(a2 = 1) for each stage-one arm
@@ -94,8 +95,8 @@ def per_patient_trial(
     def mean(events, trials) -> float:
         return conjugate_mean(prior, int(events), int(trials))
 
-    n = design.max_patients // design.num_interims
-    for analysis in range(1, design.num_interims + 1):
+    n = settings.max_patients // settings.num_interims
+    for analysis in range(1, settings.num_interims + 1):
         a1 = (rng.random(n) < p1_treat).astype(np.int8)
         y1 = (rng.random(n) < np.where(a1 == 1, scenario.r1, scenario.r0)).astype(np.int8)
         inf_idx = np.nonzero(y1)[0]
@@ -115,7 +116,7 @@ def per_patient_trial(
         trials2 += np.bincount(pair, minlength=4).reshape(2, 2)
         events2 += np.bincount(pair[y2 == 1], minlength=4).reshape(2, 2)
 
-        if analysis == design.num_interims:
+        if analysis == settings.num_interims:
             break
         mean1 = [mean(events1[a], trials1[a]) for a in (0, 1)]
         if m:
@@ -142,7 +143,7 @@ def per_patient_trial(
 
     # Laid out as run_trial's result: a myopic trial's pooled pair twice.
     return TrialResult(
-        total_utility / design.max_patients,
+        total_utility / settings.max_patients,
         np.array(stage1s).reshape(-1, 2),
         np.array(stage2s).reshape(-1, 2, 2),
     )

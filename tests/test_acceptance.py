@@ -17,16 +17,17 @@ distribution.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from smartrar import (
+    CANONICAL_DESIGNS,
     DesignConfig,
     PriorSpec,
     Scenario,
     SweepConfig,
+    TrialSettings,
     UtilityTable,
     allocation_pair,
     conjugate_mean,
@@ -36,8 +37,7 @@ from smartrar import (
     run_block,
     run_sweep,
     run_trial,
-    canonical_designs,
-    scenario_stream,
+    scenario_rng,
 )
 from mcmc_reference import posterior_mcmc
 from smartrar.cli import write_sweep_csvs
@@ -66,7 +66,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def reduced_sweep(tmp_path_factory):
     """Reduced-grid sweep at parallelism 1 and 2, with serial timing."""
     scenarios = tuple(reduced_scenario_grid())
-    designs = canonical_designs()
+    designs = CANONICAL_DESIGNS
     t0 = time.perf_counter()
     serial = run_sweep(
         SweepConfig(
@@ -138,7 +138,7 @@ def test_c1_null_effect_neutrality(reduced_sweep):
     """
     result = reduced_sweep["result"]
     u_bar_bar = result.u_bar_bar.tolist()
-    n = result.config.replicates * result.config.designs[0].max_patients
+    n = result.config.replicates * result.config.settings.max_patients
     null_scenarios = [
         (index, sc)
         for index, sc in enumerate(result.config.scenarios)
@@ -200,7 +200,7 @@ def test_c2_dynamic_dominance(reduced_sweep):
     )
 
 
-def _fluid_limit(scenario: Scenario, design: DesignConfig, table: UtilityTable) -> float:
+def _fluid_limit(scenario: Scenario, design: DesignConfig, settings: TrialSettings) -> float:
     """Expected-count ("fluid-limit") mean utility of one design.
 
     Follows the trial's cohort loop with every count replaced by its
@@ -211,8 +211,8 @@ def _fluid_limit(scenario: Scenario, design: DesignConfig, table: UtilityTable) 
     """
     r = np.array([scenario.r0, scenario.r1])
     s = np.array([scenario.s0, scenario.s1])
-    u1 = np.array(table.rows[:2])
-    u2 = np.reshape(table.rows[2:], (2, 2, 2))  # [a1, a2, (survived, died)]
+    u1 = np.array(settings.utilities.rows[:2])
+    u2 = np.reshape(settings.utilities.rows[2:], (2, 2, 2))  # [a1, a2, (survived, died)]
     q2_true = u2[..., 0] * (1.0 - s[:, None]) + u2[..., 1] * s[:, None]
 
     def rule(q: np.ndarray) -> np.ndarray:
@@ -223,7 +223,7 @@ def _fluid_limit(scenario: Scenario, design: DesignConfig, table: UtilityTable) 
     p2 = np.full((2, 2), 0.5)  # [a1, a2]
     stage2_trials = np.zeros((2, 2))
     utility = 0.0
-    for _ in range(design.num_interims):
+    for _ in range(settings.num_interims):
         cell2 = (p1 * r)[:, None] * p2  # share of the cohort in stage-2 cell (a1, a2)
         utility += float(np.sum(p1 * (1.0 - r) * u1) + np.sum(cell2 * q2_true))
         stage2_trials += cell2
@@ -236,7 +236,7 @@ def _fluid_limit(scenario: Scenario, design: DesignConfig, table: UtilityTable) 
             q2 = q2_true
             q1 = u1 * (1.0 - r) + r * q2.max(axis=1)
         p1, p2 = rule(q1), rule(q2)
-    return utility / design.num_interims
+    return utility / settings.num_interims
 
 
 C3_REPLICATES = 400
@@ -276,7 +276,7 @@ def test_c3_myopic_harm():
     scenario = Scenario(0.5, 0.45, 0.05, 0.95)
     assert arm_value(scenario, 0) == pytest.approx(0.975)
     assert arm_value(scenario, 1) == pytest.approx(0.5725)
-    designs = canonical_designs()
+    designs = CANONICAL_DESIGNS
     result = run_sweep(
         SweepConfig(
             scenarios=(scenario,),
@@ -288,14 +288,15 @@ def test_c3_myopic_harm():
     )
     rel = {m: float(rel_u[0]) for m, rel_u in result.relative.items()}
     se = float(_delta_se(result, 1)[0])
-    table = UtilityTable.default()
-    fluid = {d.adapt_c: _fluid_limit(scenario, d, table) for d in designs if d.myopic_m}
+    settings = result.config.settings
+    fluid = {d.adapt_c: _fluid_limit(scenario, d, settings) for d in designs if d.myopic_m}
     expected = fluid[1.0] / fluid[0.0]
 
     # Re-run the scenario's stream at the sweep's own coordinates (base
     # seed, scenario index 0) through the block function to read the
     # allocation paths.
-    block = run_block([scenario_stream(BASE_SEED, 0, scenario, designs, C3_REPLICATES, table)])
+    rngs = [scenario_rng(BASE_SEED, 0)]
+    block = run_block(result.config.cells, rngs, designs, C3_REPLICATES, settings)
     u_bars = block.mean_utility.reshape(len(designs), C3_REPLICATES)
     final_stage1 = block.stage1[:, -1, 1].reshape(len(designs), C3_REPLICATES)
     final_p1 = {}
@@ -457,7 +458,7 @@ def test_c6_fixed_design_calibration():
         int(np.random.SeedSequence((BASE_SEED, 0, 0, rep)).generate_state(1, np.uint64)[0])
         for rep in range(100)
     ]
-    utilities = [run_trial(scenario, replace(design, seed=seed)).mean_utility for seed in seeds]
+    utilities = [run_trial(scenario, design, TrialSettings(), seed=seed).mean_utility for seed in seeds]
     u_bar_bar = float(np.mean(utilities))
     report(
         6,
@@ -552,7 +553,7 @@ def test_c10_fixed_design_exact(reduced_sweep):
         approximation). Where p is 0 or 1 the row must equal p exactly.
     """
     result = reduced_sweep["result"]
-    n = result.config.replicates * result.config.designs[0].max_patients
+    n = result.config.replicates * result.config.settings.max_patients
     fixed_rows = [
         (scenario, design.myopic_m, u_bar_bar[d_idx])
         for scenario, u_bar_bar in zip(result.config.scenarios, result.u_bar_bar.tolist())

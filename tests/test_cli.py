@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smartrar import ENGINE_IMPLEMENTATION, Scenario, SweepConfig, canonical_designs, run_sweep
+from smartrar import CANONICAL_DESIGNS, ENGINE_IMPLEMENTATION, Scenario, SweepConfig, run_sweep
 from smartrar.cli import build_parser, fmt_real, main, write_relative_csv
 from smartrar.core import ENGINES, reduced_scenario_grid
 from smartrar.inference import POSTERIOR_IMPLEMENTATION
@@ -661,7 +661,7 @@ class TestReport:
         result = run_sweep(
             SweepConfig(
                 scenarios=tuple(Scenario(r0, r1, 0.4, 0.4) for r0 in (0.2, 0.8) for r1 in (0.2, 0.8)),
-                designs=canonical_designs(),
+                designs=CANONICAL_DESIGNS,
                 replicates=2,
                 base_seed=3,
                 parallelism=1,

@@ -1,25 +1,27 @@
 """Domain-type contracts: grids, stage-two cells, terminal rows, utility tables."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from smartrar import (
+    CANONICAL_DESIGNS,
     ConfigurationError,
     DesignConfig,
     PriorSpec,
     R_GRID,
     S_GRID,
     Scenario,
+    TrialSettings,
     UtilityTable,
     reduced_scenario_grid,
-    scenario_grid,
-    canonical_designs,
     run_trial,
+    scenario_grid,
 )
-from smartrar.core import UTILITY_ROW_KEYS
-from smartrar.simulator import TERMINAL_ROWS, _sufficient_stats
+from smartrar.core import TERMINAL_ROWS, UTILITY_ROW_KEYS
+from smartrar.simulator import _sufficient_stats
 
 
 class TestScenarioGrid:
@@ -90,9 +92,9 @@ DISTINCT = UtilityTable.from_entries(
 def records_by_row() -> dict[str, list[float]]:
     """Simulated patients' utilities (the table's entry at their row index)
     grouped by the name their (a1, y1, a2, y2) gives their terminal row."""
-    design = DesignConfig(myopic_m=0, adapt_c=1.0, max_patients=400, seed=3)
-    scenario = Scenario(0.5, 0.5, 0.5, 0.5)
-    result = run_trial(scenario, design, utilities=DISTINCT, keep_records=True)
+    design = DesignConfig(myopic_m=0, adapt_c=1.0)
+    settings = TrialSettings(max_patients=400, utilities=DISTINCT)
+    result = run_trial(Scenario(0.5, 0.5, 0.5, 0.5), design, settings, seed=3, keep_records=True)
     utility = DISTINCT.rows
     rows: dict[str, list[float]] = {}
     for row in result.patient_rows.tolist():
@@ -182,18 +184,15 @@ class TestUtilityTable:
 
 class TestDesignConfig:
     def test_table1_cells(self):
-        designs = canonical_designs()
-        assert [(d.myopic_m, d.adapt_c) for d in designs] == [
+        assert [(d.myopic_m, d.adapt_c) for d in CANONICAL_DESIGNS] == [
             (0, 0.0),
             (0, 1.0),
             (1, 0.0),
             (1, 1.0),
         ]
 
-    def test_cohort_divisibility(self):
-        DesignConfig(myopic_m=0, adapt_c=1.0, max_patients=2000, num_interims=4)
-        with pytest.raises(ValueError):
-            DesignConfig(myopic_m=0, adapt_c=1.0, max_patients=2001, num_interims=4)
+    def test_two_fields(self):
+        assert [f.name for f in dataclasses.fields(DesignConfig)] == ["myopic_m", "adapt_c"]
 
     def test_generalised_exponent(self):
         DesignConfig(myopic_m=0, adapt_c=0.5)
@@ -201,12 +200,33 @@ class TestDesignConfig:
             DesignConfig(myopic_m=0, adapt_c=-0.1)
 
     def test_seed_range(self):
-        DesignConfig(myopic_m=0, adapt_c=0.0, seed=2**64 - 1)
-        with pytest.raises(ValueError):
-            DesignConfig(myopic_m=0, adapt_c=0.0, seed=2**64)
+        # The trial seed, given to run_trial beside the design, is 64-bit unsigned.
+        scenario, design = Scenario(0.5, 0.5, 0.5, 0.5), DesignConfig(myopic_m=0, adapt_c=0.0)
+        settings = TrialSettings(max_patients=4, num_interims=1)
+        run_trial(scenario, design, settings, seed=2**64 - 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="64-bit"):
+                run_trial(scenario, design, settings, seed=seed)
 
     def test_prior_spec_positivity(self):
         with pytest.raises(ValueError):
             PriorSpec(conjugate_alpha=0.0)
         with pytest.raises(ValueError):
             PriorSpec(coefficient_prior_sd=-1.0)
+
+
+class TestTrialSettings:
+    def test_cohort_divisibility(self):
+        TrialSettings(max_patients=2000, num_interims=4)
+        with pytest.raises(ValueError, match="divisible"):
+            TrialSettings(max_patients=2001, num_interims=4)
+
+    def test_positive_sizes(self):
+        with pytest.raises(ValueError, match="max_patients"):
+            TrialSettings(max_patients=0)
+        with pytest.raises(ValueError, match="num_interims"):
+            TrialSettings(num_interims=0)
+
+    def test_known_engine(self):
+        with pytest.raises(ValueError, match="engine"):
+            TrialSettings(engine="gibbs")

@@ -1,24 +1,24 @@
 """Trial-simulation contracts: generation, scheduling, adaptation, determinism."""
 
 import functools
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 import smartrar.simulator
 from smartrar import (
+    CANONICAL_DESIGNS,
     ConfigurationError,
     DesignConfig,
     Scenario,
-    Stream,
+    TrialSettings,
     UtilityTable,
-    canonical_designs,
     run_block,
     run_trial,
 )
 from smartrar.cli import main
-from smartrar.simulator import TERMINAL_ROWS
+from smartrar.core import TERMINAL_ROWS
 
 from per_patient_reference import generate_patient, per_patient_trial
 from test_acceptance import arm_value
@@ -29,6 +29,7 @@ def rng(seed: int = 0) -> np.random.Generator:
 
 
 PROSE_SCENARIO = Scenario(0.1, 0.3, 0.45, 0.5)
+SETTINGS = TrialSettings()
 
 
 def patient_utilities(result, table: UtilityTable | None = None) -> np.ndarray:
@@ -103,62 +104,61 @@ class TestInterimSchedule:
     """Equal cohorts, with adaptation after every analysis but the last."""
 
     def test_from_design_defaults(self):
-        design = DesignConfig(myopic_m=0, adapt_c=1.0, seed=2)
-        result = run_trial(PROSE_SCENARIO, design, keep_records=True)
+        design = DesignConfig(myopic_m=0, adapt_c=1.0)
+        result = run_trial(PROSE_SCENARIO, design, SETTINGS, seed=2, keep_records=True)
         assert result.stage1.shape == (3, 2)
         assert result.stage2.shape == (3, 2, 2)
         assert len(result.patient_rows) == 2000
 
     def test_final_analysis_never_adapts(self):
         for interims in (2, 5):
-            design = DesignConfig(
-                myopic_m=1, adapt_c=1.0, max_patients=500, num_interims=interims, seed=4
-            )
-            result = run_trial(PROSE_SCENARIO, design)
+            settings = TrialSettings(max_patients=500, num_interims=interims)
+            result = run_trial(PROSE_SCENARIO, DesignConfig(myopic_m=1, adapt_c=1.0), settings, seed=4)
             assert len(result.stage1) == len(result.stage2) == interims - 1
 
     def test_single_cohort_design(self):
-        design = DesignConfig(myopic_m=0, adapt_c=0.0, max_patients=600, num_interims=1)
-        result = run_trial(PROSE_SCENARIO, design)
+        settings = TrialSettings(max_patients=600, num_interims=1)
+        result = run_trial(PROSE_SCENARIO, DesignConfig(myopic_m=0, adapt_c=0.0), settings, seed=0)
         assert result.stage1.shape == (0, 2)
         assert result.stage2.shape == (0, 2, 2)
 
 
 class TestRunTrial:
     def test_bit_for_bit_determinism(self):
-        design = DesignConfig(myopic_m=0, adapt_c=1.0, seed=42)
-        a = run_trial(PROSE_SCENARIO, design, keep_records=True)
-        b = run_trial(PROSE_SCENARIO, design, keep_records=True)
+        design = DesignConfig(myopic_m=0, adapt_c=1.0)
+        a = run_trial(PROSE_SCENARIO, design, SETTINGS, seed=42, keep_records=True)
+        b = run_trial(PROSE_SCENARIO, design, SETTINGS, seed=42, keep_records=True)
         assert a.mean_utility == b.mean_utility
         assert np.array_equal(a.patient_rows, b.patient_rows)
         assert np.array_equal(a.stage1, b.stage1)
         assert np.array_equal(a.stage2, b.stage2)
 
     def test_patient_conservation(self):
-        design = DesignConfig(myopic_m=0, adapt_c=1.0, seed=5)
-        result = run_trial(PROSE_SCENARIO, design, keep_records=True)
+        design = DesignConfig(myopic_m=0, adapt_c=1.0)
+        result = run_trial(PROSE_SCENARIO, design, SETTINGS, seed=5, keep_records=True)
         records = [TERMINAL_ROWS[row] for row in result.patient_rows.tolist()]
-        assert len(records) == design.max_patients
+        assert len(records) == SETTINGS.max_patients
         infected = [r for r in records if r[1] == 1]
         assert all(r[2] is not None for r in infected)
         assert all(r[2] is None for r in records if r[1] == 0)
 
     def test_mean_utility_matches_records(self):
-        design = DesignConfig(myopic_m=1, adapt_c=1.0, seed=8)
-        result = run_trial(PROSE_SCENARIO, design, keep_records=True)
+        design = DesignConfig(myopic_m=1, adapt_c=1.0)
+        result = run_trial(PROSE_SCENARIO, design, SETTINGS, seed=8, keep_records=True)
         total = patient_utilities(result).sum()
-        assert result.mean_utility == pytest.approx(total / design.max_patients, abs=1e-12)
+        assert result.mean_utility == pytest.approx(total / SETTINGS.max_patients, abs=1e-12)
 
     def test_fixed_design_tracks_mixture_value(self):
         expected = 0.5 * (arm_value(PROSE_SCENARIO, 0) + arm_value(PROSE_SCENARIO, 1))
         for seed in (0, 1, 2):
-            result = run_trial(PROSE_SCENARIO, DesignConfig(myopic_m=0, adapt_c=0.0, seed=seed))
+            design = DesignConfig(myopic_m=0, adapt_c=0.0)
+            result = run_trial(PROSE_SCENARIO, design, SETTINGS, seed=seed)
             assert result.mean_utility == pytest.approx(expected, abs=0.02)
 
     def test_fixed_design_snapshots_exactly_equal(self):
         for m in (0, 1):
-            design = DesignConfig(myopic_m=m, adapt_c=0.0, seed=17)
-            result = run_trial(PROSE_SCENARIO, design)
+            design = DesignConfig(myopic_m=m, adapt_c=0.0)
+            result = run_trial(PROSE_SCENARIO, design, SETTINGS, seed=17)
             assert result.stage1.shape == (3, 2)
             assert result.stage2.shape == (3, 2, 2)
             assert (result.stage1 == 0.5).all()
@@ -167,10 +167,10 @@ class TestRunTrial:
     def test_fixed_designs_coincide_at_equal_seed(self):
         # with c = 0 the myopic flag cannot influence outcomes, so the two
         # fixed designs generate identical trials from identical seeds
-        dynamic = DesignConfig(myopic_m=0, adapt_c=0.0, seed=12)
-        myopic = DesignConfig(myopic_m=1, adapt_c=0.0, seed=12)
-        a = run_trial(PROSE_SCENARIO, dynamic, keep_records=True)
-        b = run_trial(PROSE_SCENARIO, myopic, keep_records=True)
+        dynamic = DesignConfig(myopic_m=0, adapt_c=0.0)
+        myopic = DesignConfig(myopic_m=1, adapt_c=0.0)
+        a = run_trial(PROSE_SCENARIO, dynamic, SETTINGS, seed=12, keep_records=True)
+        b = run_trial(PROSE_SCENARIO, myopic, SETTINGS, seed=12, keep_records=True)
         assert a.mean_utility == b.mean_utility
         assert np.array_equal(a.patient_rows, b.patient_rows)
 
@@ -179,7 +179,7 @@ class TestRunTrial:
         scenario = Scenario(0.3, 0.6, 0.2, 0.7)
         expected = 0.5 * (arm_value(scenario, 0) + arm_value(scenario, 1))
         utilities = [
-            run_trial(scenario, DesignConfig(myopic_m=0, adapt_c=0.0, seed=seed)).mean_utility
+            run_trial(scenario, DesignConfig(myopic_m=0, adapt_c=0.0), SETTINGS, seed=seed).mean_utility
             for seed in range(100)
         ]
         mean = np.mean(utilities)
@@ -188,36 +188,36 @@ class TestRunTrial:
 
     def test_adaptive_dynamic_favours_better_arm(self):
         scenario = Scenario(0.5, 0.5, 0.05, 0.95)
-        design = DesignConfig(myopic_m=0, adapt_c=1.0, seed=3)
-        result = run_trial(scenario, design)
+        design = DesignConfig(myopic_m=0, adapt_c=1.0)
+        result = run_trial(scenario, design, SETTINGS, seed=3)
         assert result.stage1[-1, 0] > 0.5
 
     def test_adaptive_myopic_blind_to_death_rates(self):
         # equal infection rates: myopic stage-1 allocation stays near 0.5
         scenario = Scenario(0.5, 0.5, 0.05, 0.95)
-        design = DesignConfig(myopic_m=1, adapt_c=1.0, seed=3)
-        result = run_trial(scenario, design)
+        design = DesignConfig(myopic_m=1, adapt_c=1.0)
+        result = run_trial(scenario, design, SETTINGS, seed=3)
         assert result.stage1[-1, 0] == pytest.approx(0.5, abs=0.05)
 
     def test_myopic_snapshot_pools_stage2(self):
-        design = DesignConfig(myopic_m=1, adapt_c=1.0, seed=9)
-        result = run_trial(PROSE_SCENARIO, design)
+        design = DesignConfig(myopic_m=1, adapt_c=1.0)
+        result = run_trial(PROSE_SCENARIO, design, SETTINGS, seed=9)
         # one pooled pair, held for both stage-one arms
         assert len(result.stage2) == 3
         assert np.array_equal(result.stage2[:, 0], result.stage2[:, 1])
 
     def test_dynamic_snapshot_has_both_histories(self):
         # one stage-two pair per stage-one arm, each fit to its own cells
-        design = DesignConfig(myopic_m=0, adapt_c=1.0, seed=9)
+        design = DesignConfig(myopic_m=0, adapt_c=1.0)
         scenario = Scenario(0.5, 0.5, 0.05, 0.95)
-        table = UtilityTable.from_entries({"survived_a1_1_a2_1": 0.5})
-        result = run_trial(scenario, design, utilities=table)
+        settings = TrialSettings(utilities=UtilityTable.from_entries({"survived_a1_1_a2_1": 0.5}))
+        result = run_trial(scenario, design, settings, seed=9)
         assert result.stage2.shape == (3, 2, 2)
         assert (result.stage2[:, 0] != result.stage2[:, 1]).any(axis=-1).all()
 
     def test_snapshot_probabilities_sum_to_one(self):
-        design = DesignConfig(myopic_m=0, adapt_c=1.0, seed=23)
-        result = run_trial(Scenario(0.8, 0.6, 0.9, 0.2), design)
+        design = DesignConfig(myopic_m=0, adapt_c=1.0)
+        result = run_trial(Scenario(0.8, 0.6, 0.9, 0.2), design, SETTINGS, seed=23)
         for pairs in (result.stage1, result.stage2):
             assert (abs(pairs.sum(axis=-1) - 1.0) <= 1e-12).all()
 
@@ -226,17 +226,17 @@ class TestRunTrial:
         table = UtilityTable.from_entries(
             {f"survived_a1_{a1}_a2_{a2}": 0.7 for a1 in (0, 1) for a2 in (0, 1)}
         )
-        design = DesignConfig(myopic_m=0, adapt_c=0.0, seed=4)
-        result = run_trial(Scenario(1.0, 1.0, 0.0, 0.0), design, utilities=table, keep_records=True)
+        design = DesignConfig(myopic_m=0, adapt_c=0.0)
+        settings = TrialSettings(utilities=table)
+        result = run_trial(Scenario(1.0, 1.0, 0.0, 0.0), design, settings, seed=4, keep_records=True)
         assert result.mean_utility == pytest.approx(0.7)
         assert (patient_utilities(result, table) == 0.7).all()
 
     def test_mcmc_engine_trial(self):
-        design = DesignConfig(
-            myopic_m=0, adapt_c=1.0, max_patients=400, num_interims=4, engine="mcmc", seed=31
-        )
-        a = run_trial(PROSE_SCENARIO, design)
-        b = run_trial(PROSE_SCENARIO, design)
+        design = DesignConfig(myopic_m=0, adapt_c=1.0)
+        settings = TrialSettings(max_patients=400, num_interims=4, engine="mcmc")
+        a = run_trial(PROSE_SCENARIO, design, settings, seed=31)
+        b = run_trial(PROSE_SCENARIO, design, settings, seed=31)
         assert a.mean_utility == b.mean_utility
         assert np.array_equal(a.stage1, b.stage1)
         assert np.array_equal(a.stage2, b.stage2)
@@ -244,14 +244,10 @@ class TestRunTrial:
 
     def test_engines_agree_on_direction(self):
         scenario = Scenario(0.5, 0.5, 0.05, 0.95)
-        conjugate = run_trial(
-            scenario, DesignConfig(myopic_m=0, adapt_c=1.0, seed=3, engine="conjugate")
-        )
+        design = DesignConfig(myopic_m=0, adapt_c=1.0)
+        conjugate = run_trial(scenario, design, TrialSettings(engine="conjugate"), seed=3)
         mcmc = run_trial(
-            scenario,
-            DesignConfig(
-                myopic_m=0, adapt_c=1.0, max_patients=400, num_interims=4, engine="mcmc", seed=3
-            ),
+            scenario, design, TrialSettings(max_patients=400, num_interims=4, engine="mcmc"), seed=3
         )
         assert conjugate.stage1[-1, 0] > 0.5
         assert mcmc.stage1[-1, 0] > 0.5
@@ -260,23 +256,24 @@ class TestRunTrial:
         scenario = Scenario(0.6, 0.4, 0.3, 0.7)
         for m in (0, 1):
             for c in (0.0, 1.0):
-                design = DesignConfig(myopic_m=m, adapt_c=c, seed=101)
-                plain = run_trial(scenario, design)
-                observed = run_trial(scenario, design, keep_records=True)
+                design = DesignConfig(myopic_m=m, adapt_c=c)
+                plain = run_trial(scenario, design, SETTINGS, seed=101)
+                observed = run_trial(scenario, design, SETTINGS, seed=101, keep_records=True)
                 assert plain.patient_rows is None
                 assert observed.mean_utility == plain.mean_utility
                 assert np.array_equal(observed.stage1, plain.stage1)
                 assert np.array_equal(observed.stage2, plain.stage2)
                 total = patient_utilities(observed).sum()
-                assert total / design.max_patients == pytest.approx(plain.mean_utility, abs=1e-12)
+                assert total / SETTINGS.max_patients == pytest.approx(plain.mean_utility, abs=1e-12)
 
     def test_ambiguous_pooled_utilities_rejected_before_any_draw(self):
         # one cohort, so no interim analysis ever reads the pooled cell
         table = UtilityTable.from_entries({"survived_a1_1_a2_1": 0.7})
-        design = DesignConfig(myopic_m=1, adapt_c=1.0, max_patients=100, num_interims=1)
+        settings = TrialSettings(max_patients=100, num_interims=1, utilities=table)
+        design = DesignConfig(myopic_m=1, adapt_c=1.0)
         with pytest.raises(ConfigurationError, match="ambiguous"):
-            run_trial(PROSE_SCENARIO, design, utilities=table)
-        assert run_trial(PROSE_SCENARIO, replace(design, myopic_m=0), utilities=table)
+            run_trial(PROSE_SCENARIO, design, settings, seed=0)
+        assert run_trial(PROSE_SCENARIO, replace(design, myopic_m=0), settings, seed=0)
 
 
 @pytest.fixture
@@ -307,21 +304,20 @@ class TestLogisticFitsOnlyAdaptingRows:
 
     @pytest.mark.parametrize("which", ["all", "myopic", "dynamic", "fixed"])
     def test_block_fits_adapting_rows_only(self, logistic_calls, which):
-        designs = canonical_designs(engine="mcmc")
         designs = {
-            "all": designs,
-            "myopic": [d for d in designs if d.myopic_m],
-            "dynamic": [d for d in designs if not d.myopic_m],
-            "fixed": [d for d in designs if d.adapt_c == 0],
+            "all": CANONICAL_DESIGNS,
+            "myopic": [d for d in CANONICAL_DESIGNS if d.myopic_m],
+            "dynamic": [d for d in CANONICAL_DESIGNS if not d.myopic_m],
+            "fixed": [d for d in CANONICAL_DESIGNS if d.adapt_c == 0],
         }[which]
         replicates = 3
-        scenario = Scenario(0.5, 0.45, 0.05, 0.95)
-        block = run_block([Stream(scenario, tuple(designs), replicates, rng(4), UtilityTable.default())])
+        settings = TrialSettings(engine="mcmc")
+        block = run_block([(0.5, 0.45, 0.05, 0.95)], [rng(4)], designs, replicates, settings)
         adapting = replicates * sum(d.adapt_c != 0 for d in designs)
         pooled = replicates * sum(d.adapt_c != 0 and d.myopic_m for d in designs)
         calls = ((adapting + pooled, 2), (adapting - pooled, 4))
         per_analysis = [(rows, cells) for rows, cells in calls if rows]
-        assert logistic_calls == per_analysis * (designs[0].num_interims - 1)
+        assert logistic_calls == per_analysis * (settings.num_interims - 1)
         fixed = np.repeat([d.adapt_c == 0 for d in designs], replicates)
         assert fixed.any()
         assert (block.stage1[fixed] == 0.5).all()
@@ -347,13 +343,16 @@ TABLE_POOLED = UtilityTable.from_entries(
     }
 )
 
-PARITY_CASES = (
-    (Scenario(0.0, 0.5, 0.3, 0.6), dict(myopic_m=0, adapt_c=1.0), None),
-    (Scenario(1.0, 1.0, 0.2, 0.7), dict(myopic_m=1, adapt_c=1.0), None),
-    (Scenario(1.0, 0.5, 0.05, 0.95), dict(myopic_m=0, adapt_c=0.5), None),
-    (Scenario(0.5, 0.45, 0.05, 0.95), dict(myopic_m=1, adapt_c=1.0), None),
-    (Scenario(0.3, 0.6, 0.2, 0.7), dict(myopic_m=0, adapt_c=1.0), TABLE_DYNAMIC),
-    (Scenario(0.8, 0.6, 0.9, 0.2), dict(myopic_m=1, adapt_c=0.5), TABLE_POOLED),
+PARITY_CASES = tuple(
+    (scenario, DesignConfig(myopic_m=m, adapt_c=c), TrialSettings(utilities=table))
+    for scenario, m, c, table in (
+        (Scenario(0.0, 0.5, 0.3, 0.6), 0, 1.0, UtilityTable.default()),
+        (Scenario(1.0, 1.0, 0.2, 0.7), 1, 1.0, UtilityTable.default()),
+        (Scenario(1.0, 0.5, 0.05, 0.95), 0, 0.5, UtilityTable.default()),
+        (Scenario(0.5, 0.45, 0.05, 0.95), 1, 1.0, UtilityTable.default()),
+        (Scenario(0.3, 0.6, 0.2, 0.7), 0, 1.0, TABLE_DYNAMIC),
+        (Scenario(0.8, 0.6, 0.9, 0.2), 1, 0.5, TABLE_POOLED),
+    )
 )
 
 PARITY_REPLICATES = 400
@@ -383,12 +382,9 @@ def _lattice_seed(*coordinates: int) -> int:
 def _reference_samples(case: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean utility and final stage-one P(arm 1) of 400 per-patient
     reference trials of one parity case."""
-    scenario, overrides, table = PARITY_CASES[case]
-    design = DesignConfig(**overrides)
+    scenario, design, settings = PARITY_CASES[case]
     trials = [
-        per_patient_trial(
-            scenario, replace(design, seed=_lattice_seed(7, case, 1, rep)), utilities=table
-        )
+        per_patient_trial(scenario, design, settings, seed=_lattice_seed(7, case, 1, rep))
         for rep in range(PARITY_REPLICATES)
     ]
     return (
@@ -418,18 +414,15 @@ class TestCountLevelParity:
     ``mean_utility``, its variance and the mean final stage-one allocation
     must agree within 4 SE. The cases cover r = 0 and r = 1, c = 0.5,
     both myopic flags and two non-default tables.
-    Two subjects: ``run_trial`` one trial at a time, and one mixed
-    ``run_block`` holding all six cases.
+    Two subjects: ``run_trial`` one trial at a time, and mixed
+    ``run_block`` calls, one per table, holding every case with that table.
     """
 
     @pytest.mark.parametrize("case", range(len(PARITY_CASES)))
     def test_distribution_matches_reference(self, case):
-        scenario, overrides, table = PARITY_CASES[case]
-        design = DesignConfig(**overrides)
+        scenario, design, settings = PARITY_CASES[case]
         trials = [
-            run_trial(
-                scenario, replace(design, seed=_lattice_seed(7, case, 0, rep)), utilities=table
-            )
+            run_trial(scenario, design, settings, seed=_lattice_seed(7, case, 0, rep))
             for rep in range(PARITY_REPLICATES)
         ]
         z = _parity_z(
@@ -440,19 +433,22 @@ class TestCountLevelParity:
         assert all(abs(v) <= PARITY_Z for v in z.values()), z
 
     def test_mixed_block_matches_reference(self):
-        streams = [
-            Stream(
-                scenario,
-                (DesignConfig(**overrides),),
-                PARITY_REPLICATES,
-                np.random.Generator(np.random.Philox(np.random.SeedSequence((7, case, 2)))),
-                table if table is not None else UtilityTable.default(),
-            )
-            for case, (scenario, overrides, table) in enumerate(PARITY_CASES)
-        ]
-        block = run_block(streams)
-        utilities = block.mean_utility.reshape(len(PARITY_CASES), PARITY_REPLICATES)
-        final_p1 = block.stage1[:, -1, 1].reshape(len(PARITY_CASES), PARITY_REPLICATES)
+        # One block per settings: its cases' scenarios crossed with their
+        # designs, so several scenarios and both myopic flags share a block.
+        # Each case reads its own (scenario, design) cell.
+        utilities, final_p1 = {}, {}
+        for settings in dict.fromkeys(settings for _, _, settings in PARITY_CASES):
+            cases = [case for case, (_, _, s) in enumerate(PARITY_CASES) if s == settings]
+            designs = list(dict.fromkeys(PARITY_CASES[case][1] for case in cases))
+            cells = [astuple(PARITY_CASES[case][0]) for case in cases]
+            rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence((7, case, 2)))) for case in cases]
+            block = run_block(cells, rngs, designs, PARITY_REPLICATES, settings)
+            shape = (len(cases), len(designs), PARITY_REPLICATES)
+            u_bars, p1 = block.mean_utility.reshape(shape), block.stage1[:, -1, 1].reshape(shape)
+            for row, case in enumerate(cases):
+                column = designs.index(PARITY_CASES[case][1])
+                utilities[case], final_p1[case] = u_bars[row, column], p1[row, column]
+        assert len(utilities) == len(PARITY_CASES)
         failed = {}
         for case in range(len(PARITY_CASES)):
             z = _parity_z(utilities[case], final_p1[case], *_reference_samples(case))

@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 
 from smartrar import (
+    CANONICAL_DESIGNS,
     R_GRID,
     S_GRID,
     DesignConfig,
     Scenario,
     SweepConfig,
-    UtilityTable,
+    TrialSettings,
     relative_utility,
     run_block,
     run_sweep,
-    canonical_designs,
-    scenario_stream,
+    scenario_rng,
 )
 from smartrar.cli import fmt_real, main, write_sweep_csvs
 from smartrar.sweep import BLOCK_SCENARIOS
@@ -33,10 +33,11 @@ SCENARIOS = (
 def small_config(**overrides) -> SweepConfig:
     defaults = dict(
         scenarios=SCENARIOS,
-        designs=canonical_designs(max_patients=400, num_interims=4),
+        designs=CANONICAL_DESIGNS,
         replicates=3,
         base_seed=11,
         parallelism=1,
+        settings=TrialSettings(max_patients=400, num_interims=4),
     )
     defaults.update(overrides)
     return SweepConfig(**defaults)
@@ -55,19 +56,17 @@ class TestSeedContract:
     def test_block_composition_invariance(self, engine):
         # The logistic engine is slower: a short scenario list at 1 replicate.
         scenarios, replicates = (self.BLOCKED, 3) if engine == "conjugate" else (SCENARIOS, 1)
-        designs = canonical_designs(max_patients=400, num_interims=4, engine=engine)
-        config = small_config(scenarios=scenarios, designs=designs, replicates=replicates)
+        settings = TrialSettings(max_patients=400, num_interims=4, engine=engine)
+        config = small_config(scenarios=scenarios, replicates=replicates, settings=settings)
         in_blocks = run_sweep(config)
         three_workers = run_sweep(replace(config, parallelism=3))
         for name in ("utility", "u_bar_bar", "std_err"):
             assert np.array_equal(getattr(three_workers, name), getattr(in_blocks, name))
         n_designs = len(config.designs)
-        for index, scenario in enumerate(config.scenarios):
-            stream = scenario_stream(
-                config.base_seed, index, scenario, config.designs, config.replicates,
-                UtilityTable.default(),
-            )  # fmt: skip
-            alone = run_block([stream]).mean_utility.reshape(n_designs, config.replicates)
+        for index, cell in enumerate(config.cells):
+            rng = scenario_rng(config.base_seed, index)
+            block = run_block([cell], [rng], config.designs, config.replicates, settings)
+            alone = block.mean_utility.reshape(n_designs, config.replicates)
             assert in_blocks.utility[index].tolist() == alone.tolist()
 
     def test_distinct_indices_draw_distinct_streams(self):
@@ -130,16 +129,8 @@ class TestRunSweep:
         result = run_sweep(small_config(replicates=1))
         assert np.all(result.std_err == 0.0)
 
-    def test_designs_must_share_schedule(self):
-        designs = (
-            DesignConfig(myopic_m=0, adapt_c=1.0, max_patients=400),
-            DesignConfig(myopic_m=0, adapt_c=0.0, max_patients=800),
-        )
-        with pytest.raises(ValueError, match="must share"):
-            small_config(designs=designs)
-
     def test_subset_of_designs_skips_relative(self):
-        config = small_config(designs=(DesignConfig(myopic_m=0, adapt_c=1.0, max_patients=400),))
+        config = small_config(designs=(DesignConfig(myopic_m=0, adapt_c=1.0),))
         result = run_sweep(config)
         assert result.relative == {}
 
