@@ -9,7 +9,6 @@ designs.
 
 __version__ = "0.1.0"
 
-from .allocation import allocation_pair
 from .core import (
     CANONICAL_DESIGNS,
     ConfigurationError,
@@ -29,6 +28,7 @@ from .inference import conjugate_mean, logistic_mean
 from .simulator import (
     ENGINE_IMPLEMENTATION,
     TrialResult,
+    allocation_probs,
     fixed_design_value,
     run_block,
     run_trial,

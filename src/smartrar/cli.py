@@ -301,8 +301,7 @@ def write_sweep_csvs(out_dir: Path, result: SweepResult) -> list[Path]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out_dir is None:
-        print("error: --out-dir is required (flag, SMARTRAR_OUT_DIR or config)", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--out-dir is required (flag, SMARTRAR_OUT_DIR or config)")
 
     scenarios = _scenarios_from_grid(args.grid)
     sweep_config = SweepConfig(
@@ -385,11 +384,9 @@ def _write_relative_matrices(out_dir: Path, cells: np.ndarray, rel_u: np.ndarray
 def cmd_report(args: argparse.Namespace) -> int:
     m = args.m
     if args.in_file is None or m is None:
-        print("error: --in and --m are required", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--in and --m are required")
     if args.out_dir is None:
-        print("error: --out-dir is required (flag, SMARTRAR_OUT_DIR or config)", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--out-dir is required (flag, SMARTRAR_OUT_DIR or config)")
 
     table = _read_table(Path(args.in_file), AGGREGATE_HEADER, (float,) * 4 + (int, float, float), key=6)
     rows = table[table[:, 4] == m]

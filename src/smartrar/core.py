@@ -148,19 +148,6 @@ class UtilityTable:
         """The ten realisation rows as a flat named mapping."""
         return dict(zip(UTILITY_ROW_KEYS, self.rows))
 
-    def pooled_stage2(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """(survived, died) utilities of the pooled (myopic) stage-2 cell for
-        each stage-two action; raises ``ConfigurationError`` when they
-        depend on the stage-one action."""
-        arm0, arm1 = self.rows[2:6], self.rows[6:10]
-        for a2 in (0, 1):
-            if arm0[2 * a2 : 2 * a2 + 2] != arm1[2 * a2 : 2 * a2 + 2]:
-                raise ConfigurationError(
-                    "pooled stage-2 utilities are ambiguous: rows "
-                    f"survived/died_a1_0_a2_{a2} and _a1_1_a2_{a2} differ"
-                )
-        return arm0[:2], arm0[2:]
-
 
 # Shared: the table is a frozen value, the default of every TrialSettings.
 _DEFAULT_UTILITIES = UtilityTable((1.0, 1.0) + (1.0, 0.0) * 4)
@@ -243,6 +230,14 @@ class TrialSettings:
 
     def check_pooling(self, designs: Iterable[DesignConfig]) -> None:
         """Raise ``ConfigurationError`` if a myopic design among ``designs``
-        cannot pool the table's stage-two utilities."""
+        cannot pool the table's stage-two utilities: each stage-two
+        action's (survived, died) rows must not depend on the stage-one
+        action."""
         if any(d.myopic_m for d in designs):
-            self.utilities.pooled_stage2()
+            rows = self.utilities.rows
+            for a2 in (0, 1):
+                if rows[2 + 2 * a2 : 4 + 2 * a2] != rows[6 + 2 * a2 : 8 + 2 * a2]:
+                    raise ConfigurationError(
+                        "pooled stage-2 utilities are ambiguous: rows "
+                        f"survived/died_a1_0_a2_{a2} and _a1_1_a2_{a2} differ"
+                    )

@@ -5,8 +5,8 @@ outcomes are observed immediately, so each scheduled analysis sees complete
 data for every prior cohort. The first cohort is always randomised
 equally at both stages; after each adapting analysis the allocation
 probabilities are recomputed from posterior means, Q-values and the
-utility-weighting rule, and applied wholesale to the next cohort. The
-final analysis never re-randomises.
+p ∝ Q^c rule (``allocation_probs``), and applied wholesale to the next
+cohort. The final analysis never re-randomises.
 
 Outcomes are drawn as counts, not patient by patient. Within a cohort the
 allocation probabilities are fixed and patients are independent, so the
@@ -39,13 +39,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocation import allocation_pair
 from .core import TERMINAL_ROWS, DesignConfig, Scenario, TrialSettings, UtilityTable
 from .inference import conjugate_mean, logistic_mean
 
 #: Recorded in output manifests so that outputs of different outcome
 #: samplers can be told apart.
 ENGINE_IMPLEMENTATION = "block-multinomial"
+
+#: Below this total Q^c weight (or at an overflowed one) a pair's weights
+#: are recomputed from Q / max Q; see ``allocation_probs``.
+DEGENERATE_TOTAL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,14 +154,41 @@ def _q_values(mean1: np.ndarray, mean2: np.ndarray, utility: np.ndarray, myopic_
     return utility[:, :2] * (1.0 - mean1) + continuation * mean1, q2
 
 
+def allocation_probs(q, c):
+    """The p ∝ Q^c rule over the trailing action axis, unvalidated:
+
+        p(a | h) = Q(a)^c / sum_a' Q(a')^c
+
+    ``q`` (..., 2) holds finite non-negative Q-values and ``c`` (finite,
+    non-negative) broadcasts against ``q[..., 0]``; the result has the
+    broadcast shape (..., 2). ``c = 0`` gives equal allocation (0^0 is
+    taken as 1), ``c = 1`` allocates in proportion to Q, and an arm whose
+    Q is zero gets no patients. A pair whose weights underflow (total below
+    ``DEGENERATE_TOTAL``) or overflow at large ``c`` is weighted by
+    (Q / max Q)^c instead, which is the same rule since it ignores the
+    scale of Q; only a pair of zero Q-values falls back to equal allocation.
+    """
+    q, c = np.asarray(q, dtype=np.float64), np.asarray(c, dtype=np.float64)[..., None]
+    with np.errstate(over="ignore"):
+        w = np.power(q, c)
+    total = w[..., :1] + w[..., 1:]
+    off = (total < DEGENERATE_TOTAL) | (total == np.inf)
+    if off.any():
+        top = q.max(axis=-1, keepdims=True)
+        rescale = off & (top > 0.0)
+        w = np.where(rescale, np.power(q / np.where(rescale, top, 1.0), c), w)
+        total = w[..., :1] + w[..., 1:]
+    equal = (c == 0.0) | (total < DEGENERATE_TOTAL)
+    return np.where(equal, 0.5, w / np.where(equal, 1.0, total))
+
+
 def _allocate(mean1, mean2, utility, myopic_m, adapt_c):
     """Posterior means -> Q-values -> Q^c allocation for both stages:
     (p1 (trials, 2), p2 (trials, 2, 2)) laid out as in ``Block``. The
     design constants are floats or per-trial arrays."""
     q1, q2 = _q_values(mean1, mean2, utility, myopic_m)
     c = np.asarray(adapt_c)
-    p2 = allocation_pair(q2[:, 0::2], q2[:, 1::2], c[..., None])
-    return np.stack(allocation_pair(q1[:, 0], q1[:, 1], c), -1), np.stack(p2, -1)
+    return allocation_probs(q1, c), allocation_probs(q2.reshape(-1, 2, 2), c[..., None])
 
 
 def _substream(seed: int, index: int) -> np.random.SeedSequence:

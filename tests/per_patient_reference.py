@@ -3,10 +3,10 @@
 ``run_trial`` draws each cohort's terminal-row counts from one multinomial.
 The samplers here draw every patient's outcomes one Bernoulli at a time
 and run each interim analysis cell by cell: ``conjugate_mean`` for the
-posterior means, the stage-two and stage-one Q-value formulas written out
-here, and ``allocation_pair`` for the p ∝ Q^c rule. None of the
-simulator's own array code is used, so a fault in it, or in its Q
-formulas, shows as a difference. Both must agree in distribution;
+posterior means, and the stage-two and stage-one Q-value formulas, the
+p ∝ Q^c rule and the myopic pooled utilities written out here. None of
+the simulator's own array code is used, so a fault in it, or in its Q or
+allocation formulas, shows as a difference. Both must agree in distribution;
 ``test_simulator.TestCountLevelParity`` compares them.
 """
 
@@ -22,7 +22,6 @@ from smartrar import (
     TrialResult,
     TrialSettings,
     UtilityTable,
-    allocation_pair,
     conjugate_mean,
 )
 
@@ -38,6 +37,17 @@ def q1_value(uninfected: float, mean: float, continuation: float) -> float:
     value (the best stage-two Q-value, or 0 under a myopic design) weighted
     by the posterior mean infection probability."""
     return uninfected * (1.0 - mean) + continuation * mean
+
+
+def allocation(q0: float, q1: float, c: float) -> tuple[float, float]:
+    """The p ∝ Q^c rule for one pair of Q-values: equal allocation when
+    c = 0 or both are 0, else weights (Q / max Q)^c, which the scale of Q
+    does not change."""
+    top = max(q0, q1)
+    if c == 0.0 or top == 0.0:
+        return 0.5, 0.5
+    w0, w1 = (q0 / top) ** c, (q1 / top) ** c
+    return w0 / (w0 + w1), w1 / (w0 + w1)
 
 
 def generate_patient(
@@ -120,22 +130,22 @@ def per_patient_trial(
             break
         mean1 = [mean(events1[a], trials1[a]) for a in (0, 1)]
         if m:
-            # one pooled stage-two cell per a2; Q1 has no continuation
-            pooled = table.pooled_stage2()
+            # one pooled stage-two cell per a2, whose utilities the caller
+            # has checked do not depend on a1; Q1 has no continuation
             q2 = [
-                q2_value(*pooled[a], mean(events2[:, a].sum(), trials2[:, a].sum()))
+                q2_value(*u_stage2[0, a], mean(events2[:, a].sum(), trials2[:, a].sum()))
                 for a in (0, 1)
             ]
-            stage2 = (allocation_pair(q2[0], q2[1], c),) * 2
+            stage2 = (allocation(q2[0], q2[1], c),) * 2
             q1 = [q1_value(u_stage1[a], mean1[a], 0.0) for a in (0, 1)]
         else:
             q2 = [
                 [q2_value(*u_stage2[h, a], mean(events2[h, a], trials2[h, a])) for a in (0, 1)]
                 for h in (0, 1)
             ]
-            stage2 = tuple(allocation_pair(q2[h][0], q2[h][1], c) for h in (0, 1))
+            stage2 = tuple(allocation(q2[h][0], q2[h][1], c) for h in (0, 1))
             q1 = [q1_value(u_stage1[a], mean1[a], max(q2[a])) for a in (0, 1)]
-        stage1 = allocation_pair(q1[0], q1[1], c)
+        stage1 = allocation(q1[0], q1[1], c)
         p1_treat = stage1[1]
         p2_treat = (stage2[0][1], stage2[1][1])
         stage1s.append(stage1)

@@ -29,7 +29,7 @@ from smartrar import (
     SweepConfig,
     TrialSettings,
     UtilityTable,
-    allocation_pair,
+    allocation_probs,
     conjugate_mean,
     fixed_design_value,
     logistic_mean,
@@ -469,31 +469,25 @@ def test_c6_fixed_design_calibration():
 
 def test_c7_allocation_rule_properties():
     """Sum-to-one, c=0 equality, scale invariance, degenerate fallback and
-    the stop-allocating limit over 1000 randomised inputs."""
+    the stop-allocating limit over 1000 randomised inputs, evaluated in one
+    array call per property."""
     rng = np.random.default_rng(BASE_SEED + 2)
-    failures = []
-    for i in range(1000):
-        q0, q1 = rng.uniform(0.0, 5.0, size=2)
-        c = float(rng.uniform(0.0, 3.0))
-        lam = float(rng.uniform(0.01, 100.0))
-
-        alloc = allocation_pair(q0, q1, c)
-        if abs(sum(alloc) - 1.0) > 1e-12:
-            failures.append(f"case {i}: sum != 1")
-
-        if allocation_pair(q0, q1, 0.0) != (0.5, 0.5):
-            failures.append(f"case {i}: c=0 not equal")
-
-        scaled = allocation_pair(lam * q0, lam * q1, c)
-        if abs(scaled[0] - alloc[0]) > 1e-9:
-            failures.append(f"case {i}: not scale invariant")
-
-        if allocation_pair(0.0, 0.0, max(c, 0.5)) != (0.5, 0.5):
-            failures.append(f"case {i}: degenerate fallback broken")
-
-        q_pos = float(rng.uniform(1e-9, 5.0))
-        if allocation_pair(0.0, q_pos, 1.0) != (0.0, 1.0):
-            failures.append(f"case {i}: dead arm still allocated")
+    # Per case: q0, q1, c, lam and q_pos, drawn case by case.
+    draws = np.array([
+        [*rng.uniform(0.0, 5.0, size=2), rng.uniform(0.0, 3.0), rng.uniform(0.01, 100.0), rng.uniform(1e-9, 5.0)]
+        for _ in range(1000)
+    ])  # fmt: skip
+    q, c, lam, q_pos = draws[:, :2], draws[:, 2], draws[:, 3:4], draws[:, 4]
+    alloc = allocation_probs(q, c)
+    dead_arm = np.stack([np.zeros_like(q_pos), q_pos], axis=1)
+    violations = {
+        "sum != 1": np.abs(alloc.sum(axis=1) - 1.0) > 1e-12,
+        "c=0 not equal": (allocation_probs(q, 0.0) != 0.5).any(axis=1),
+        "not scale invariant": np.abs(allocation_probs(lam * q, c)[:, 0] - alloc[:, 0]) > 1e-9,
+        "degenerate fallback broken": (allocation_probs(0.0 * q, np.maximum(c, 0.5)) != 0.5).any(axis=1),
+        "dead arm still allocated": (allocation_probs(dead_arm, 1.0) != [0.0, 1.0]).any(axis=1),
+    }
+    failures = [f"case {i}: {what}" for i in range(len(q)) for what, bad in violations.items() if bad[i]]
     report(
         7,
         not failures,

@@ -939,3 +939,20 @@ def test_benchmark_patch_points_stay_in_the_cli_namespace(tmp_path, capsys, monk
         argv = ["simulate", "--r0", "0.5", "--seed", "4"] + ([] if out is None else ["--out", str(out)])
         assert run_cli(*argv) == 0
         assert len(calls) == len(commands) == i + 1
+
+
+def test_benchmark_allocation_patch_point_stays_in_the_simulator_namespace(capsys, monkeypatch):
+    # bench/tracing.py wraps allocation_probs where _allocate looks it up.
+    import smartrar.simulator
+
+    calls = []
+    real_allocation_probs = smartrar.simulator.allocation_probs
+
+    def counted_allocation_probs(*args, **kwargs):
+        calls.append(args)
+        return real_allocation_probs(*args, **kwargs)
+
+    monkeypatch.setattr(smartrar.simulator, "allocation_probs", counted_allocation_probs)
+    assert run_cli("simulate", "--r0", "0.5", "--c", "1", "--seed", "4") == 0
+    # One call per stage at each of the three adapting analyses of four.
+    assert len(calls) == 6

@@ -175,11 +175,15 @@ class TestUtilityTable:
             UtilityTable.from_entries({"survived_a1_0_a2_0": math.inf})
 
     def test_pooled_stage2_utilities_require_invariance(self):
+        myopic = (DesignConfig(myopic_m=1, adapt_c=1.0),)
+        ambiguous = TrialSettings(utilities=UtilityTable.from_entries({"survived_a1_0_a2_0": 0.9}))
         with pytest.raises(ConfigurationError, match="a2_0"):
-            UtilityTable.from_entries({"survived_a1_0_a2_0": 0.9}).pooled_stage2()
+            ambiguous.check_pooling(myopic)
+        # a dynamic design never pools, so any table will do
+        ambiguous.check_pooling((DesignConfig(myopic_m=0, adapt_c=1.0),))
         # a change made to both stage-one arms' rows still pools
         table = UtilityTable.from_entries({"survived_a1_0_a2_0": 0.9, "survived_a1_1_a2_0": 0.9})
-        assert table.pooled_stage2() == ((0.9, 0.0), (1.0, 0.0))
+        TrialSettings(utilities=table).check_pooling(myopic)
 
 
 class TestDesignConfig:
