@@ -1,17 +1,24 @@
 #!/usr/bin/env python3
 """Quick qualitative check on the reduced grid (400 scenarios, seconds of work).
 
-Runs the four canonical designs, writes the sweep CSVs plus long-format
-relative utilities for both myopic flags, and prints a short summary of
-where adaptive randomisation helps and where the myopic variant hurts.
+Runs the four canonical designs through ``smartrar sweep``, writes
+long-format relative utilities for both myopic flags with ``smartrar
+report`` into the same directory, and prints a short summary of where
+adaptive randomisation helps and where the myopic variant hurts. Outputs
+land in --out-dir:
+
+    sweep_replicates.csv, sweep_aggregate.csv   the sweep CSVs
+    manifest.txt                                config snapshot and their digests
+    rel_u_m0_long.csv, rel_u_m1_long.csv        relative utility per scenario
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from smartrar import CANONICAL_DESIGNS, SweepConfig, reduced_scenario_grid, run_sweep
-from smartrar.cli import write_relative_csv, write_sweep_csvs
+import numpy as np
+
+from smartrar.cli import main as cli_main
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -22,21 +29,32 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
-    result = run_sweep(
-        SweepConfig(
-            scenarios=tuple(reduced_scenario_grid()),
-            designs=CANONICAL_DESIGNS,
-            replicates=args.replicates,
-            base_seed=args.base_seed,
-            parallelism=args.threads,
-        )
-    )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_sweep_csvs(out_dir, result)
+    sweep_args = [
+        "sweep",
+        "--grid", "reduced",
+        "--designs", "all",
+        "--replicates", str(args.replicates),
+        "--base-seed", str(args.base_seed),
+        "--out-dir", str(out_dir),
+    ]
+    if args.threads is not None:
+        sweep_args += ["--threads", str(args.threads)]
+    code = cli_main(sweep_args)
+    if code != 0:
+        return code
 
-    for m, rel_u in result.relative.items():
-        write_relative_csv(out_dir / f"rel_u_m{m}_long.csv", result.config.cells, rel_u, m)
+    for m in (0, 1):
+        code = cli_main([
+            "report",
+            "--in", str(out_dir / "sweep_aggregate.csv"),
+            "--m", str(m),
+            "--format", "long-csv",
+            "--out-dir", str(out_dir),
+        ])
+        if code != 0:
+            return code
+        rel_u = np.loadtxt(out_dir / f"rel_u_m{m}_long.csv", delimiter=",", skiprows=1, usecols=5, ndmin=1)
         label = "dynamic" if m == 0 else "myopic"
         print(
             f"{label} adaptation: min rel = {rel_u.min():.4f}, "

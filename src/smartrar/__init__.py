@@ -18,7 +18,6 @@ from .core import (
     R_GRID_REDUCED,
     S_GRID,
     S_GRID_REDUCED,
-    Scenario,
     TrialSettings,
     UtilityTable,
     reduced_scenario_grid,

@@ -38,9 +38,9 @@ from .core import (
     TERMINAL_ROWS,
     ConfigurationError,
     DesignConfig,
-    Scenario,
     TrialSettings,
     UtilityTable,
+    check_cells,
     reduced_scenario_grid,
     scenario_grid,
 )
@@ -213,7 +213,8 @@ def _write_allocations_csv(path: Path, result: TrialResult, pooled: bool) -> Pat
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = Scenario(r0=args.r0, r1=args.r1, s0=args.s0, s1=args.s1)
+    cell = (args.r0, args.r1, args.s0, args.s1)
+    check_cells([cell])
     design = DesignConfig(myopic_m=args.m, adapt_c=args.c)
     settings = TrialSettings(
         max_patients=args.patients, num_interims=args.interims, engine=args.engine, utilities=args.utilities
@@ -221,7 +222,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     settings.check_pooling((design,))
     check_seed(args.seed)
     out_dir = None if args.out is None else _writable_dir(args.out)
-    result = run_trial(scenario, design, settings, seed=args.seed, keep_records=out_dir is not None)
+    result = run_trial(cell, design, settings, seed=args.seed, keep_records=out_dir is not None)
     if out_dir is not None:
         files = [
             _write_patients_csv(out_dir / "patients.csv", result.patient_rows, args.utilities),
@@ -242,7 +243,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _scenarios_from_grid(grid: str) -> list[Scenario]:
+def _scenarios_from_grid(grid: str) -> np.ndarray:
+    """The (r0, r1, s0, s1) rows that ``--grid`` names, one per scenario."""
     if grid == "full":
         return scenario_grid()
     if grid == "reduced":
@@ -253,7 +255,7 @@ def _scenarios_from_grid(grid: str) -> list[Scenario]:
     table = _read_table(path, "r0,r1,s0,s1", (float,) * 4, key=4)
     if not len(table):
         raise ConfigurationError(f"scenario file {grid} contains no scenarios")
-    return [Scenario(*cell) for cell in table.tolist()]
+    return table
 
 
 def _designs_from_spec(spec: str) -> list[DesignConfig]:
@@ -303,9 +305,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out_dir is None:
         raise ConfigurationError("--out-dir is required (flag, SMARTRAR_OUT_DIR or config)")
 
-    scenarios = _scenarios_from_grid(args.grid)
+    cells = _scenarios_from_grid(args.grid)
     sweep_config = SweepConfig(
-        scenarios=tuple(scenarios),
+        cells=cells,
         designs=tuple(_designs_from_spec(args.designs)),
         replicates=args.replicates,
         base_seed=args.base_seed,
@@ -329,7 +331,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "engine": args.engine,
         "threads": "auto" if args.threads is None else str(args.threads),
         "workers": str(result.workers),
-        "scenarios": str(len(scenarios)),
+        "scenarios": str(len(cells)),
         **_utility_config(args.utilities),
     }
     write_manifest(out_dir, "sweep", config_snapshot, files)
@@ -490,12 +492,16 @@ def _configured_defaults(command: argparse.ArgumentParser, name: str, path: str 
     ``path`` and then the environment, which wins, give the command's flags,
     keyed by dest, plus ``utilities`` from a ``[utilities]`` section. A key
     that names none of the command's long flags, or a value its flag would
-    reject, is a ``ConfigurationError``."""
+    reject, or a file that does not parse, is a ``ConfigurationError``."""
     flags = {o[2:]: a for a in command._actions for o in a.option_strings if o.startswith("--")}
     del flags["help"], flags["config"]
-    cfg = configparser.ConfigParser()
-    if path is not None and not cfg.read(path):
-        raise ConfigurationError(f"config file not found or unreadable: {path}")
+    # No interpolation: a value is taken as written, '%' included.
+    cfg = configparser.ConfigParser(interpolation=None)
+    try:
+        if path is not None and not cfg.read(path):
+            raise ConfigurationError(f"config file not found or unreadable: {path}")
+    except configparser.Error as exc:
+        raise ConfigurationError(f"malformed config file {path}: {' '.join(str(exc).split())}") from None
     given = {}  # long flag -> (where the value comes from, its text)
     if cfg.has_section(name):
         unknown = sorted(set(cfg.options(name)) - set(flags))

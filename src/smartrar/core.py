@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
 #: Stage-one infection-probability grid (21 values, 0 to 1 in steps of 0.05).
 R_GRID: tuple[float, ...] = tuple(i / 100 for i in range(0, 101, 5))
 
@@ -44,31 +46,28 @@ def _check_binary(name: str, value: int) -> None:
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
 
 
-def _check_prob(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and 0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
+#: A scenario is one ``cells`` row: infection probabilities (r0, r1) and
+#: death probabilities (s0, s1) by stage-one arm, never by stage-two arm.
+CELL_COLUMNS: tuple[str, ...] = ("r0", "r1", "s0", "s1")
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Generative truth: infection probabilities (r0, r1) by stage-one arm
-    and death probabilities (s0, s1) by stage-one arm.
+def check_cells(cells) -> np.ndarray:
+    """``cells`` as a float64 (scenarios, 4) array of (r0, r1, s0, s1) rows.
 
-    The death probability depends on the stage-one action only, never on
-    the stage-two action.
+    Raises ``ValueError`` on another shape, on zero rows, or on an entry
+    outside [0, 1] (NaN and inf included), naming its column.
     """
+    out = np.array(cells, dtype=np.float64)
+    if out.ndim != 2 or out.shape[1] != len(CELL_COLUMNS) or not len(out):
+        raise ValueError(f"cells must be a non-empty (scenarios, 4) array, got shape {out.shape}")
+    outside = np.argwhere(~((out >= 0.0) & (out <= 1.0)))
+    if len(outside):
+        row, col = outside[0]
+        raise ValueError(f"{CELL_COLUMNS[col]} must be a probability in [0, 1], got {out[row, col].item()!r}")
+    return out
 
-    r0: float
-    r1: float
-    s0: float
-    s1: float
 
-    def __post_init__(self) -> None:
-        for name in ("r0", "r1", "s0", "s1"):
-            _check_prob(name, getattr(self, name))
-
-
-def _grid(r_values: tuple[float, ...], s_values: tuple[float, ...]) -> list[Scenario]:
+def _grid(r_values: tuple[float, ...], s_values: tuple[float, ...]) -> np.ndarray:
     """Every (r0, r1, s0, s1) from the value lists in row-major order: s0
     outermost, then s1, then r0, then r1 innermost.
 
@@ -76,21 +75,17 @@ def _grid(r_values: tuple[float, ...], s_values: tuple[float, ...]) -> list[Scen
     matches the panel layout of the relative-utility matrices (one panel
     per (s0, s1) pair, r0 on the x axis, r1 on the y axis).
     """
-    return [
-        Scenario(r0=r0, r1=r1, s0=s0, s1=s1)
-        for s0 in s_values
-        for s1 in s_values
-        for r0 in r_values
-        for r1 in r_values
-    ]
+    return np.array(
+        [(r0, r1, s0, s1) for s0 in s_values for s1 in s_values for r0 in r_values for r1 in r_values]
+    )
 
 
-def scenario_grid() -> list[Scenario]:
-    """Full scenario grid: 21^2 x 8^2 = 28224 scenarios."""
+def scenario_grid() -> np.ndarray:
+    """Full scenario grid: 21^2 x 8^2 = 28224 (r0, r1, s0, s1) rows."""
     return _grid(R_GRID, S_GRID)
 
 
-def reduced_scenario_grid() -> list[Scenario]:
+def reduced_scenario_grid() -> np.ndarray:
     """Reduced grid (5^2 x 4^2 = 400 scenarios), same nesting order."""
     return _grid(R_GRID_REDUCED, S_GRID_REDUCED)
 

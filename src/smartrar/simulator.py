@@ -24,7 +24,7 @@ leading trial axis, each cohort one multinomial call per scenario's Philox
 stream. Every trial of a block shares one ``TrialSettings``. Both
 posterior engines are deterministic functions of the counts, so the counts
 are the only random draws of a trial. ``run_trial`` is a block of one
-trial, reproducible bit-for-bit from (scenario, design, settings, seed),
+trial, reproducible bit-for-bit from (cell, design, settings, seed),
 and returns its row of the block as arrays: substream 0 of the trial seed
 draws the counts and substream 2 orders each cohort's patients by terminal
 row, made only when they are requested so that asking for them never
@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TERMINAL_ROWS, DesignConfig, Scenario, TrialSettings, UtilityTable
+from .core import TERMINAL_ROWS, DesignConfig, TrialSettings, UtilityTable, check_cells
 from .inference import conjugate_mean, logistic_mean
 
 #: Recorded in output manifests so that outputs of different outcome
@@ -83,10 +83,6 @@ class TrialResult:
     patient_rows: np.ndarray | None = None
 
 
-def _rates(scenario: Scenario) -> tuple[float, float, float, float]:
-    return (scenario.r0, scenario.r1, scenario.s0, scenario.s1)
-
-
 def _cohort_probs(r: np.ndarray, s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """pi (trials, 10) over the terminal rows from each trial's rates ``r``
     and ``s`` (trials, 2) by a1 and the allocation in force: ``p1[t, a1]``
@@ -99,12 +95,12 @@ def _cohort_probs(r: np.ndarray, s: np.ndarray, p1: np.ndarray, p2: np.ndarray) 
     return pi
 
 
-def fixed_design_value(scenario: Scenario, table: UtilityTable | None = None) -> float:
-    """Expected per-patient utility under equal allocation at both stages
-    (any c = 0 design): the terminal-row probabilities at (1/2, 1/2) dotted
-    with the row utilities."""
+def fixed_design_value(cell, table: UtilityTable | None = None) -> float:
+    """Expected per-patient utility of the scenario ``cell`` (r0, r1, s0, s1)
+    under equal allocation at both stages (any c = 0 design): the
+    terminal-row probabilities at (1/2, 1/2) dotted with the row utilities."""
     table = table if table is not None else UtilityTable.default()
-    rates, half = np.array([_rates(scenario)]), np.full((1, 2, 2), 0.5)
+    rates, half = check_cells([cell]), np.full((1, 2, 2), 0.5)
     pi = _cohort_probs(rates[:, :2], rates[:, 2:], half[:, 0], half)
     return float(pi[0] @ table.rows)
 
@@ -281,14 +277,15 @@ def run_block(
 
 
 def run_trial(
-    scenario: Scenario,
+    cell,
     design: DesignConfig,
     settings: TrialSettings,
     *,
     seed: int,
     keep_records: bool = False,
 ) -> TrialResult:
-    """Simulate one complete trial under the given design: a block of one.
+    """Simulate one complete trial of the scenario ``cell`` (r0, r1, s0, s1)
+    under the given design: a block of one.
 
     Fully deterministic given ``seed``, a 64-bit unsigned integer whose
     substream 0 draws the cohort counts. A myopic design with an ambiguous
@@ -301,7 +298,7 @@ def run_trial(
     # seed, each made only when it is used. Substream 1 is unused; patients
     # stay on 2 so that their bytes match earlier versions' output.
     rng = np.random.Generator(np.random.Philox(_substream(seed, 0)))
-    block = run_block([_rates(scenario)], [rng], (design,), 1, settings)
+    block = run_block(check_cells([cell]), [rng], (design,), 1, settings)
     rows = None
     if keep_records:
         # Each cohort's row counts, one entry per patient, in a random order

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DesignConfig, Scenario, TrialSettings
+from .core import DesignConfig, TrialSettings, check_cells
 from .simulator import run_block
 
 #: Scenarios per work item. It sets the batch size only: every scenario
@@ -32,14 +32,15 @@ class SweepError(RuntimeError):
     the message names the block's scenario indices where they are known."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepConfig:
     """What to sweep: scenarios x designs x replicates, plus seeding, under
-    the trial settings that every trial shares. A utility table that a
-    myopic design cannot pool raises ``ConfigurationError`` here, before
-    any trial runs."""
+    the trial settings that every trial shares. ``cells`` holds one
+    (r0, r1, s0, s1) row per scenario, stored as ``check_cells`` returns
+    it. A bad row, or a utility table that a myopic design cannot pool,
+    raises here, before any trial runs."""
 
-    scenarios: tuple[Scenario, ...]
+    cells: np.ndarray
     designs: tuple[DesignConfig, ...]
     replicates: int = 10
     base_seed: int = 0
@@ -47,8 +48,7 @@ class SweepConfig:
     settings: TrialSettings = field(default_factory=TrialSettings)
 
     def __post_init__(self) -> None:
-        if not self.scenarios:
-            raise ValueError("scenarios must be non-empty")
+        object.__setattr__(self, "cells", check_cells(self.cells))
         if not self.designs:
             raise ValueError("designs must be non-empty")
         if self.replicates < 1:
@@ -59,16 +59,11 @@ class SweepConfig:
             raise ValueError("parallelism must be >= 1")
         self.settings.check_pooling(self.designs)
 
-    @property
-    def cells(self) -> np.ndarray:
-        """(r0, r1, s0, s1) of each scenario, shape (scenarios, 4)."""
-        return np.array([(s.r0, s.r1, s.s0, s.s1) for s in self.scenarios], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class SweepResult:
     """A sweep's mean utilities by position: ``utility[s, d, r]`` is
-    replicate r of design ``config.designs[d]`` on ``config.scenarios[s]``;
+    replicate r of design ``config.designs[d]`` on ``config.cells[s]``;
     ``u_bar_bar`` and ``std_err`` are its mean and standard error over r."""
 
     config: SweepConfig
@@ -92,9 +87,9 @@ def scenario_rng(base_seed: int, index: int) -> np.random.Generator:
 
 def _run_block(args: tuple[int, SweepConfig]) -> np.ndarray:
     """Utility (scenarios, designs, replicates) of the trials of
-    ``config.scenarios``, sweep indices ``start`` on, run as one batch."""
+    ``config.cells``, sweep indices ``start`` on, run as one batch."""
     start, config = args
-    rngs = [scenario_rng(config.base_seed, start + offset) for offset in range(len(config.scenarios))]
+    rngs = [scenario_rng(config.base_seed, start + offset) for offset in range(len(config.cells))]
     try:
         block = run_block(config.cells, rngs, config.designs, config.replicates, config.settings)
     except Exception as exc:
@@ -118,8 +113,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """
     step = BLOCK_SCENARIOS
     tasks = [
-        (start, replace(config, scenarios=config.scenarios[start : start + step]))
-        for start in range(0, len(config.scenarios), step)
+        (start, replace(config, cells=config.cells[start : start + step]))
+        for start in range(0, len(config.cells), step)
     ]
     # No more workers than blocks: a pool starts every worker it is given.
     requested = config.parallelism if config.parallelism is not None else available_cpus()

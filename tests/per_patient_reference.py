@@ -18,7 +18,6 @@ import numpy as np
 
 from smartrar import (
     DesignConfig,
-    Scenario,
     TrialResult,
     TrialSettings,
     UtilityTable,
@@ -51,7 +50,7 @@ def allocation(q0: float, q1: float, c: float) -> tuple[float, float]:
 
 
 def generate_patient(
-    scenario: Scenario,
+    cell: tuple[float, float, float, float],
     a1: int,
     a2_provider: Callable[[int], int],
     rng: np.random.Generator,
@@ -66,17 +65,18 @@ def generate_patient(
     is Bernoulli(s_a1). The realized utility is looked up from the table at
     the terminal row.
     """
+    r0, r1, s0, s1 = cell
     entries = (utilities if utilities is not None else UtilityTable.default()).entries()
-    y1 = int(rng.random() < (scenario.r1 if a1 else scenario.r0))
+    y1 = int(rng.random() < (r1 if a1 else r0))
     if not y1:
         return a1, 0, None, None, entries[f"uninfected_a1_{a1}"]
     a2 = a2_provider(a1)
-    y2 = int(rng.random() < (scenario.s1 if a1 else scenario.s0))
+    y2 = int(rng.random() < (s1 if a1 else s0))
     return a1, 1, a2, y2, entries[f"{('survived', 'died')[y2]}_a1_{a1}_a2_{a2}"]
 
 
 def per_patient_trial(
-    scenario: Scenario, design: DesignConfig, settings: TrialSettings, *, seed: int
+    cell: tuple[float, float, float, float], design: DesignConfig, settings: TrialSettings, *, seed: int
 ) -> TrialResult:
     """One conjugate-engine trial with per-patient vectorised Bernoulli draws.
 
@@ -85,6 +85,7 @@ def per_patient_trial(
     """
     if settings.engine != "conjugate":
         raise ValueError("the reference covers the conjugate engine only")
+    r0, r1, s0, s1 = cell
     table = settings.utilities
     m = design.myopic_m
     c, prior = design.adapt_c, settings.prior_spec
@@ -108,12 +109,12 @@ def per_patient_trial(
     n = settings.max_patients // settings.num_interims
     for analysis in range(1, settings.num_interims + 1):
         a1 = (rng.random(n) < p1_treat).astype(np.int8)
-        y1 = (rng.random(n) < np.where(a1 == 1, scenario.r1, scenario.r0)).astype(np.int8)
+        y1 = (rng.random(n) < np.where(a1 == 1, r1, r0)).astype(np.int8)
         inf_idx = np.nonzero(y1)[0]
         a1_inf = a1[inf_idx]
         treat_p = np.where(a1_inf == 1, p2_treat[1], p2_treat[0])
         a2 = (rng.random(inf_idx.size) < treat_p).astype(np.int8)
-        death_p = np.where(a1_inf == 1, scenario.s1, scenario.s0)
+        death_p = np.where(a1_inf == 1, s1, s0)
         y2 = (rng.random(inf_idx.size) < death_p).astype(np.int8)
 
         cohort_utility = u_stage1[a1]

@@ -25,7 +25,6 @@ from smartrar import (
     CANONICAL_DESIGNS,
     DesignConfig,
     PriorSpec,
-    Scenario,
     SweepConfig,
     TrialSettings,
     UtilityTable,
@@ -48,11 +47,13 @@ BASE_SEED = 53
 FULL_GRID_TRIALS = 28224 * 4 * 10
 
 
-def arm_value(scenario: Scenario, a1: int) -> float:
-    """Expected utility of a patient on stage-one arm a1 under the default
-    0/1 table, written out from the model: uninfected with probability
-    1 - r, else survived with probability 1 - s."""
-    r, s = (scenario.r1, scenario.s1) if a1 else (scenario.r0, scenario.s0)
+def arm_value(cell, a1: int) -> float:
+    """Expected utility of a patient on stage-one arm a1 of the scenario
+    ``cell`` (r0, r1, s0, s1) under the default 0/1 table, written out from
+    the model: uninfected with probability 1 - r, else survived with
+    probability 1 - s."""
+    r0, r1, s0, s1 = cell
+    r, s = (r1, s1) if a1 else (r0, s0)
     return (1.0 - r) + r * (1.0 - s)
 
 
@@ -65,12 +66,12 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="session")
 def reduced_sweep(tmp_path_factory):
     """Reduced-grid sweep at parallelism 1 and 2, with serial timing."""
-    scenarios = tuple(reduced_scenario_grid())
+    cells = reduced_scenario_grid()
     designs = CANONICAL_DESIGNS
     t0 = time.perf_counter()
     serial = run_sweep(
         SweepConfig(
-            scenarios=scenarios,
+            cells=cells,
             designs=designs,
             replicates=10,
             base_seed=BASE_SEED,
@@ -80,7 +81,7 @@ def reduced_sweep(tmp_path_factory):
     serial_seconds = time.perf_counter() - t0
     parallel = run_sweep(
         SweepConfig(
-            scenarios=scenarios,
+            cells=cells,
             designs=designs,
             replicates=10,
             base_seed=BASE_SEED,
@@ -94,7 +95,7 @@ def reduced_sweep(tmp_path_factory):
     return {
         "result": serial,
         "serial_seconds": serial_seconds,
-        "n_trials": len(scenarios) * len(designs) * 10,
+        "n_trials": len(cells) * len(designs) * 10,
         "serial_agg": (serial_dir / "sweep_aggregate.csv").read_bytes(),
         "parallel_agg": (parallel_dir / "sweep_aggregate.csv").read_bytes(),
     }
@@ -141,14 +142,14 @@ def test_c1_null_effect_neutrality(reduced_sweep):
     n = result.config.replicates * result.config.settings.max_patients
     null_scenarios = [
         (index, sc)
-        for index, sc in enumerate(result.config.scenarios)
-        if sc.r0 == sc.r1 and sc.s0 == sc.s1
+        for index, sc in enumerate(result.config.cells.tolist())
+        if sc[0] == sc[1] and sc[2] == sc[3]
     ]
     assert len(null_scenarios) == 20
     worst_z = 0.0
     failures = []
     for index, sc in null_scenarios:
-        p = 1.0 - sc.r0 * sc.s0
+        p = 1.0 - sc[0] * sc[2]
         sd = math.sqrt(2.0 * p * (1.0 - p) / n)
         for m in (0, 1):
             cells = u_bar_bar[index]
@@ -184,7 +185,7 @@ def test_c2_dynamic_dominance(reduced_sweep):
     assert not any(np.isnan(rel_u).any() for rel_u in result.relative.values())
     failures = []
     worst_z = math.inf
-    for scenario, rel_u, se in zip(result.config.scenarios, rel_m0, _delta_se(result, 0).tolist()):
+    for scenario, rel_u, se in zip(result.config.cells.tolist(), rel_m0, _delta_se(result, 0).tolist()):
         if rel_u + 4.0 * se < 0.98:
             failures.append(f"{scenario}: rel = {rel_u:.4f} +/- {se:.4f}")
         if se > 0.0:
@@ -200,7 +201,7 @@ def test_c2_dynamic_dominance(reduced_sweep):
     )
 
 
-def _fluid_limit(scenario: Scenario, design: DesignConfig, settings: TrialSettings) -> float:
+def _fluid_limit(cell, design: DesignConfig, settings: TrialSettings) -> float:
     """Expected-count ("fluid-limit") mean utility of one design.
 
     Follows the trial's cohort loop with every count replaced by its
@@ -209,8 +210,9 @@ def _fluid_limit(scenario: Scenario, design: DesignConfig, settings: TrialSettin
     p ∝ Q^c rule are written out from their documented formulas, not taken
     from the library.
     """
-    r = np.array([scenario.r0, scenario.r1])
-    s = np.array([scenario.s0, scenario.s1])
+    r0, r1, s0, s1 = cell
+    r = np.array([r0, r1])
+    s = np.array([s0, s1])
     u1 = np.array(settings.utilities.rows[:2])
     u2 = np.reshape(settings.utilities.rows[2:], (2, 2, 2))  # [a1, a2, (survived, died)]
     q2_true = u2[..., 0] * (1.0 - s[:, None]) + u2[..., 1] * s[:, None]
@@ -273,13 +275,13 @@ def test_c3_myopic_harm():
     and the final allocation to arm 1 is 0.372 against 0.370. So only
     m = 1 is held to its fluid value.
     """
-    scenario = Scenario(0.5, 0.45, 0.05, 0.95)
+    scenario = (0.5, 0.45, 0.05, 0.95)
     assert arm_value(scenario, 0) == pytest.approx(0.975)
     assert arm_value(scenario, 1) == pytest.approx(0.5725)
     designs = CANONICAL_DESIGNS
     result = run_sweep(
         SweepConfig(
-            scenarios=(scenario,),
+            cells=[scenario],
             designs=designs,
             replicates=C3_REPLICATES,
             base_seed=BASE_SEED,
@@ -450,7 +452,7 @@ def test_logistic_mean_matches_mcmc_reference():
 
 def test_c6_fixed_design_calibration():
     """Fixed-design mean utility matches the analytic mixture value."""
-    scenario = Scenario(0.1, 0.3, 0.45, 0.5)
+    scenario = (0.1, 0.3, 0.45, 0.5)
     expected = 0.5 * (arm_value(scenario, 0) + arm_value(scenario, 1))
     assert expected == pytest.approx(0.9025)
     design = DesignConfig(myopic_m=0, adapt_c=0.0)
@@ -550,7 +552,7 @@ def test_c10_fixed_design_exact(reduced_sweep):
     n = result.config.replicates * result.config.settings.max_patients
     fixed_rows = [
         (scenario, design.myopic_m, u_bar_bar[d_idx])
-        for scenario, u_bar_bar in zip(result.config.scenarios, result.u_bar_bar.tolist())
+        for scenario, u_bar_bar in zip(result.config.cells.tolist(), result.u_bar_bar.tolist())
         for d_idx, design in enumerate(result.config.designs)
         if design.adapt_c == 0.0
     ]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smartrar import CANONICAL_DESIGNS, ENGINE_IMPLEMENTATION, Scenario, SweepConfig, run_sweep
+from smartrar import CANONICAL_DESIGNS, ENGINE_IMPLEMENTATION, SweepConfig, run_sweep
 from smartrar.cli import build_parser, fmt_real, main, write_relative_csv
 from smartrar.core import ENGINES, reduced_scenario_grid
 from smartrar.inference import POSTERIOR_IMPLEMENTATION
@@ -161,6 +161,34 @@ def test_configured_defaults_last_one_call(
     assert run_cli(*argv, str(tmp_path / "second")) == 0
     assert f"\n{configured}\n" in (tmp_path / "first" / "manifest.txt").read_text()
     assert f"\n{built_in}\n" in (tmp_path / "second" / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "command, text, code",
+    [
+        ("sweep", "out-dir = {out}\n", 2),
+        ("sweep", "[sweep]\ngrid\n", 2),
+        ("simulate", "[simulate]\nout = {out}\n", 0),
+        ("sweep", "[sweep]\nout-dir = {out}\n", 0),
+    ],
+    ids=["no-section-header", "key-without-value", "percent-in-out", "percent-in-out-dir"],
+)
+def test_config_file_syntax(tmp_path, scenario_file, capsys, monkeypatch, command, text, code):
+    """A config file that does not parse exits 2, naming the file, before
+    any output directory is made; a '%' in a value is taken as written."""
+    monkeypatch.delenv("SMARTRAR_OUT_DIR", raising=False)
+    out_dir = tmp_path / "o100%x"
+    config = tmp_path / "run.ini"
+    config.write_text(text.format(out=out_dir))
+    argv = {"simulate": [], "sweep": ["--grid", str(scenario_file), "--replicates", "1", "--threads", "1"]}[command]
+    if code == 2:
+        argv += ["--out-dir", str(out_dir)]
+    assert run_cli(command, "--config", str(config), *argv) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith(f"error: malformed config file {config}: ")
+        assert not out_dir.exists()
+    else:
+        assert (out_dir / "manifest.txt").is_file()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -317,7 +345,10 @@ class TestSimulate:
             run_cli("simulate", "--engine", "nonsense")
         assert exc.value.code == 2
         # Rejected before the output directory is made.
-        for flag, value in [("--seed", "-1"), ("--patients", "0"), ("--interims", "3"), ("--c", "-1")]:
+        for flag, value in [
+            ("--seed", "-1"), ("--patients", "0"), ("--interims", "3"), ("--c", "-1"),
+            ("--r0", "1.5"), ("--s1", "nan"),
+        ]:
             out = tmp_path / f"sim{flag}"
             assert run_cli("simulate", flag, value, "--out", str(out)) == 2, flag
             assert not out.exists(), flag
@@ -660,7 +691,7 @@ class TestReport:
         # the same sweep in-process, through the same writer
         result = run_sweep(
             SweepConfig(
-                scenarios=tuple(Scenario(r0, r1, 0.4, 0.4) for r0 in (0.2, 0.8) for r1 in (0.2, 0.8)),
+                cells=[(r0, r1, 0.4, 0.4) for r0 in (0.2, 0.8) for r1 in (0.2, 0.8)],
                 designs=CANONICAL_DESIGNS,
                 replicates=2,
                 base_seed=3,
@@ -765,7 +796,7 @@ def every_20th_reduced_scenario(tmp_path) -> Path:
     """A scenario CSV of every 20th reduced-grid scenario (20 scenarios)."""
     grid = tmp_path / "grid.csv"
     grid.write_text("r0,r1,s0,s1\n" + "".join(
-        f"{s.r0!r},{s.r1!r},{s.s0!r},{s.s1!r}\n" for s in reduced_scenario_grid()[::20]
+        f"{r0!r},{r1!r},{s0!r},{s1!r}\n" for r0, r1, s0, s1 in reduced_scenario_grid()[::20].tolist()
     ))
     return grid
 
@@ -904,6 +935,10 @@ def test_reduced_sweep_script_matches_report(tmp_path, capsys):
                        "--format", "long-csv", "--out-dir", str(report_dir)) == 0
         name = f"rel_u_m{m}_long.csv"
         assert (out_dir / name).read_bytes() == (report_dir / name).read_bytes()
+    manifest = (out_dir / "manifest.txt").read_text()
+    for name in ("sweep_replicates.csv", "sweep_aggregate.csv"):
+        digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        assert f"\n{name} = sha256:{digest}\n" in manifest
 
 
 # The functions that bench/tracing.py wraps in the cli module's namespace,

@@ -13,20 +13,20 @@ from smartrar import (
     PriorSpec,
     R_GRID,
     S_GRID,
-    Scenario,
     TrialSettings,
     UtilityTable,
     reduced_scenario_grid,
     run_trial,
     scenario_grid,
 )
-from smartrar.core import TERMINAL_ROWS, UTILITY_ROW_KEYS
+from smartrar.core import TERMINAL_ROWS, UTILITY_ROW_KEYS, check_cells
 from smartrar.simulator import _sufficient_stats
 
 
 class TestScenarioGrid:
     def test_full_grid_size(self):
-        assert len(scenario_grid()) == 28224
+        assert scenario_grid().shape == (28224, 4)
+        assert scenario_grid().dtype == np.float64
 
     def test_grid_axes(self):
         assert len(R_GRID) == 21
@@ -35,38 +35,62 @@ class TestScenarioGrid:
         assert S_GRID == (0.05, 0.10, 0.20, 0.40, 0.60, 0.80, 0.90, 0.95)
 
     def test_first_element(self):
-        assert scenario_grid()[0] == Scenario(r0=0.0, r1=0.0, s0=0.05, s1=0.05)
+        assert scenario_grid()[0].tolist() == [0.0, 0.0, 0.05, 0.05]
 
     def test_membership(self):
-        grid = set(scenario_grid())
-        assert Scenario(0.10, 0.30, 0.40, 0.60) in grid
+        grid = set(map(tuple, scenario_grid().tolist()))
+        assert (0.10, 0.30, 0.40, 0.60) in grid
         # 0.45 is not a death-probability grid value
-        assert not any(sc.s0 == 0.45 for sc in grid)
+        assert not any(s0 == 0.45 for _, _, s0, _ in grid)
 
     def test_duplicate_free(self):
         grid = scenario_grid()
-        assert len(set(grid)) == len(grid)
+        assert len(np.unique(grid, axis=0)) == len(grid)
 
     def test_order_deterministic(self):
-        assert scenario_grid() == scenario_grid()
+        assert np.array_equal(scenario_grid(), scenario_grid())
 
     def test_row_major_nesting(self):
         grid = scenario_grid()
         # r1 varies fastest, then r0; (s0, s1) changes only every 441 rows
-        assert grid[1] == Scenario(0.0, 0.05, 0.05, 0.05)
-        assert grid[21] == Scenario(0.05, 0.0, 0.05, 0.05)
-        assert grid[441] == Scenario(0.0, 0.0, 0.05, 0.10)
+        assert grid[1].tolist() == [0.0, 0.05, 0.05, 0.05]
+        assert grid[21].tolist() == [0.05, 0.0, 0.05, 0.05]
+        assert grid[441].tolist() == [0.0, 0.0, 0.05, 0.10]
 
     def test_reduced_grid(self):
         reduced = reduced_scenario_grid()
-        assert len(reduced) == 400
-        assert len(set(reduced)) == 400
+        assert reduced.shape == (400, 4)
+        assert len(np.unique(reduced, axis=0)) == 400
 
     def test_free_form_scenarios_accept_any_probability(self):
         # off-grid values are fine outside the generator
-        Scenario(0.1, 0.3, 0.45, 0.5)
+        check_cells([(0.1, 0.3, 0.45, 0.5)])
         with pytest.raises(ValueError):
-            Scenario(0.1, 0.3, 1.45, 0.5)
+            check_cells([(0.1, 0.3, 1.45, 0.5)])
+
+
+class TestCheckCells:
+    """``check_cells``: the one validator of (r0, r1, s0, s1) rows."""
+
+    def test_returns_the_rows_as_float64(self):
+        rows = [(0, 1, 0.5, 0.25), (0.1, 0.2, 0.3, 0.4)]
+        cells = check_cells(rows)
+        assert cells.dtype == np.float64 and cells.shape == (2, 4)
+        assert cells.tolist() == [[0.0, 1.0, 0.5, 0.25], [0.1, 0.2, 0.3, 0.4]]
+
+    @pytest.mark.parametrize("cells", [np.zeros((2, 3)), np.zeros(4), np.zeros((0, 4)), []])
+    def test_other_shapes_and_zero_rows_are_rejected(self, cells):
+        with pytest.raises(ValueError, match="non-empty"):
+            check_cells(cells)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.5])
+    @pytest.mark.parametrize("column", range(4))
+    def test_a_non_probability_names_its_column(self, bad, column):
+        row = [0.5] * 4
+        row[column] = bad
+        name = ("r0", "r1", "s0", "s1")[column]
+        with pytest.raises(ValueError, match=rf"^{name} must be a probability in \[0, 1\], got {bad!r}$"):
+            check_cells([(0.2, 0.2, 0.2, 0.2), row])
 
 
 class TestHistory:
@@ -94,7 +118,7 @@ def records_by_row() -> dict[str, list[float]]:
     grouped by the name their (a1, y1, a2, y2) gives their terminal row."""
     design = DesignConfig(myopic_m=0, adapt_c=1.0)
     settings = TrialSettings(max_patients=400, utilities=DISTINCT)
-    result = run_trial(Scenario(0.5, 0.5, 0.5, 0.5), design, settings, seed=3, keep_records=True)
+    result = run_trial((0.5, 0.5, 0.5, 0.5), design, settings, seed=3, keep_records=True)
     utility = DISTINCT.rows
     rows: dict[str, list[float]] = {}
     for row in result.patient_rows.tolist():
@@ -205,7 +229,7 @@ class TestDesignConfig:
 
     def test_seed_range(self):
         # The trial seed, given to run_trial beside the design, is 64-bit unsigned.
-        scenario, design = Scenario(0.5, 0.5, 0.5, 0.5), DesignConfig(myopic_m=0, adapt_c=0.0)
+        scenario, design = (0.5, 0.5, 0.5, 0.5), DesignConfig(myopic_m=0, adapt_c=0.0)
         settings = TrialSettings(max_patients=4, num_interims=1)
         run_trial(scenario, design, settings, seed=2**64 - 1)
         for seed in (-1, 2**64):

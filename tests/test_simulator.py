@@ -1,7 +1,7 @@
 """Trial-simulation contracts: generation, scheduling, adaptation, determinism."""
 
 import functools
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +11,9 @@ from smartrar import (
     CANONICAL_DESIGNS,
     ConfigurationError,
     DesignConfig,
-    Scenario,
     TrialSettings,
     UtilityTable,
+    fixed_design_value,
     run_block,
     run_trial,
 )
@@ -28,7 +28,7 @@ def rng(seed: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-PROSE_SCENARIO = Scenario(0.1, 0.3, 0.45, 0.5)
+PROSE_SCENARIO = (0.1, 0.3, 0.45, 0.5)
 SETTINGS = TrialSettings()
 
 
@@ -48,12 +48,22 @@ class TestTrueValue:
         assert arm_value(PROSE_SCENARIO, 1) == pytest.approx(0.85)
 
     def test_no_infection_is_unit_value(self):
-        assert arm_value(Scenario(0.0, 0.5, 0.9, 0.9), 0) == 1.0
+        assert arm_value((0.0, 0.5, 0.9, 0.9), 0) == 1.0
+
+
+def test_run_trial_and_fixed_design_value_check_their_cell():
+    design = DesignConfig(myopic_m=0, adapt_c=0.0)
+    assert fixed_design_value(PROSE_SCENARIO) == pytest.approx(0.5 * (0.955 + 0.85))
+    for cell, message in [((0.1, 0.3, 0.45), r"\(scenarios, 4\)"), ((0.1, -0.3, 0.45, 0.5), "r1 must be")]:
+        with pytest.raises(ValueError, match=message):
+            run_trial(cell, design, SETTINGS, seed=0)
+        with pytest.raises(ValueError, match=message):
+            fixed_design_value(cell)
 
 
 class TestGeneratePatient:
     def test_degenerate_no_infection(self):
-        scenario = Scenario(0.0, 0.0, 0.5, 0.5)
+        scenario = (0.0, 0.0, 0.5, 0.5)
         g = rng(1)
         for _ in range(50):
             _, y1, a2, _, utility = generate_patient(scenario, 0, lambda h: 0, g)
@@ -62,7 +72,7 @@ class TestGeneratePatient:
             assert utility == 1.0
 
     def test_degenerate_certain_death(self):
-        scenario = Scenario(1.0, 1.0, 1.0, 1.0)
+        scenario = (1.0, 1.0, 1.0, 1.0)
         g = rng(2)
         for _ in range(50):
             _, y1, _, y2, utility = generate_patient(scenario, 1, lambda h: 1, g)
@@ -71,7 +81,7 @@ class TestGeneratePatient:
             assert utility == 0.0
 
     def test_provider_sees_dynamic_history(self):
-        scenario = Scenario(1.0, 1.0, 0.5, 0.5)
+        scenario = (1.0, 1.0, 0.5, 0.5)
         seen = []
         generate_patient(scenario, 1, lambda a1: seen.append(a1) or 0, rng(3))
         assert seen == [1]
@@ -86,7 +96,7 @@ class TestGeneratePatient:
 
     def test_death_rate_ignores_stage2_action(self):
         # generative death probability depends on the stage-1 arm only
-        scenario = Scenario(1.0, 1.0, 0.3, 0.8)
+        scenario = (1.0, 1.0, 0.3, 0.8)
         g = rng(99)
         n = 40_000
         deaths = {0: [0, 0], 1: [0, 0]}  # a2 -> [count, total]
@@ -176,7 +186,7 @@ class TestRunTrial:
 
     def test_fixed_design_unbiased_over_seeds(self):
         # mean over 100 seeds within 3 standard errors of the mixture value
-        scenario = Scenario(0.3, 0.6, 0.2, 0.7)
+        scenario = (0.3, 0.6, 0.2, 0.7)
         expected = 0.5 * (arm_value(scenario, 0) + arm_value(scenario, 1))
         utilities = [
             run_trial(scenario, DesignConfig(myopic_m=0, adapt_c=0.0), SETTINGS, seed=seed).mean_utility
@@ -187,14 +197,14 @@ class TestRunTrial:
         assert abs(mean - expected) < 3 * se + 1e-9
 
     def test_adaptive_dynamic_favours_better_arm(self):
-        scenario = Scenario(0.5, 0.5, 0.05, 0.95)
+        scenario = (0.5, 0.5, 0.05, 0.95)
         design = DesignConfig(myopic_m=0, adapt_c=1.0)
         result = run_trial(scenario, design, SETTINGS, seed=3)
         assert result.stage1[-1, 0] > 0.5
 
     def test_adaptive_myopic_blind_to_death_rates(self):
         # equal infection rates: myopic stage-1 allocation stays near 0.5
-        scenario = Scenario(0.5, 0.5, 0.05, 0.95)
+        scenario = (0.5, 0.5, 0.05, 0.95)
         design = DesignConfig(myopic_m=1, adapt_c=1.0)
         result = run_trial(scenario, design, SETTINGS, seed=3)
         assert result.stage1[-1, 0] == pytest.approx(0.5, abs=0.05)
@@ -209,7 +219,7 @@ class TestRunTrial:
     def test_dynamic_snapshot_has_both_histories(self):
         # one stage-two pair per stage-one arm, each fit to its own cells
         design = DesignConfig(myopic_m=0, adapt_c=1.0)
-        scenario = Scenario(0.5, 0.5, 0.05, 0.95)
+        scenario = (0.5, 0.5, 0.05, 0.95)
         settings = TrialSettings(utilities=UtilityTable.from_entries({"survived_a1_1_a2_1": 0.5}))
         result = run_trial(scenario, design, settings, seed=9)
         assert result.stage2.shape == (3, 2, 2)
@@ -217,7 +227,7 @@ class TestRunTrial:
 
     def test_snapshot_probabilities_sum_to_one(self):
         design = DesignConfig(myopic_m=0, adapt_c=1.0)
-        result = run_trial(Scenario(0.8, 0.6, 0.9, 0.2), design, SETTINGS, seed=23)
+        result = run_trial((0.8, 0.6, 0.9, 0.2), design, SETTINGS, seed=23)
         for pairs in (result.stage1, result.stage2):
             assert (abs(pairs.sum(axis=-1) - 1.0) <= 1e-12).all()
 
@@ -228,7 +238,7 @@ class TestRunTrial:
         )
         design = DesignConfig(myopic_m=0, adapt_c=0.0)
         settings = TrialSettings(utilities=table)
-        result = run_trial(Scenario(1.0, 1.0, 0.0, 0.0), design, settings, seed=4, keep_records=True)
+        result = run_trial((1.0, 1.0, 0.0, 0.0), design, settings, seed=4, keep_records=True)
         assert result.mean_utility == pytest.approx(0.7)
         assert (patient_utilities(result, table) == 0.7).all()
 
@@ -243,7 +253,7 @@ class TestRunTrial:
         assert len(a.stage1) == 3
 
     def test_engines_agree_on_direction(self):
-        scenario = Scenario(0.5, 0.5, 0.05, 0.95)
+        scenario = (0.5, 0.5, 0.05, 0.95)
         design = DesignConfig(myopic_m=0, adapt_c=1.0)
         conjugate = run_trial(scenario, design, TrialSettings(engine="conjugate"), seed=3)
         mcmc = run_trial(
@@ -253,7 +263,7 @@ class TestRunTrial:
         assert mcmc.stage1[-1, 0] > 0.5
 
     def test_records_are_a_pure_observer(self):
-        scenario = Scenario(0.6, 0.4, 0.3, 0.7)
+        scenario = (0.6, 0.4, 0.3, 0.7)
         for m in (0, 1):
             for c in (0.0, 1.0):
                 design = DesignConfig(myopic_m=m, adapt_c=c)
@@ -346,12 +356,12 @@ TABLE_POOLED = UtilityTable.from_entries(
 PARITY_CASES = tuple(
     (scenario, DesignConfig(myopic_m=m, adapt_c=c), TrialSettings(utilities=table))
     for scenario, m, c, table in (
-        (Scenario(0.0, 0.5, 0.3, 0.6), 0, 1.0, UtilityTable.default()),
-        (Scenario(1.0, 1.0, 0.2, 0.7), 1, 1.0, UtilityTable.default()),
-        (Scenario(1.0, 0.5, 0.05, 0.95), 0, 0.5, UtilityTable.default()),
-        (Scenario(0.5, 0.45, 0.05, 0.95), 1, 1.0, UtilityTable.default()),
-        (Scenario(0.3, 0.6, 0.2, 0.7), 0, 1.0, TABLE_DYNAMIC),
-        (Scenario(0.8, 0.6, 0.9, 0.2), 1, 0.5, TABLE_POOLED),
+        ((0.0, 0.5, 0.3, 0.6), 0, 1.0, UtilityTable.default()),
+        ((1.0, 1.0, 0.2, 0.7), 1, 1.0, UtilityTable.default()),
+        ((1.0, 0.5, 0.05, 0.95), 0, 0.5, UtilityTable.default()),
+        ((0.5, 0.45, 0.05, 0.95), 1, 1.0, UtilityTable.default()),
+        ((0.3, 0.6, 0.2, 0.7), 0, 1.0, TABLE_DYNAMIC),
+        ((0.8, 0.6, 0.9, 0.2), 1, 0.5, TABLE_POOLED),
     )
 )
 
@@ -440,7 +450,7 @@ class TestCountLevelParity:
         for settings in dict.fromkeys(settings for _, _, settings in PARITY_CASES):
             cases = [case for case, (_, _, s) in enumerate(PARITY_CASES) if s == settings]
             designs = list(dict.fromkeys(PARITY_CASES[case][1] for case in cases))
-            cells = [astuple(PARITY_CASES[case][0]) for case in cases]
+            cells = [PARITY_CASES[case][0] for case in cases]
             rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence((7, case, 2)))) for case in cases]
             block = run_block(cells, rngs, designs, PARITY_REPLICATES, settings)
             shape = (len(cases), len(designs), PARITY_REPLICATES)

@@ -1,6 +1,7 @@
 """Sweep orchestration: per-scenario streams, parallel determinism,
 relative utilities and their matrix report."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -12,7 +13,6 @@ from smartrar import (
     R_GRID,
     S_GRID,
     DesignConfig,
-    Scenario,
     SweepConfig,
     TrialSettings,
     relative_utility,
@@ -24,15 +24,15 @@ from smartrar.cli import fmt_real, main, write_sweep_csvs
 from smartrar.sweep import BLOCK_SCENARIOS
 
 SCENARIOS = (
-    Scenario(0.5, 0.45, 0.05, 0.95),
-    Scenario(0.1, 0.3, 0.45, 0.5),
-    Scenario(0.0, 0.0, 0.4, 0.4),
+    (0.5, 0.45, 0.05, 0.95),
+    (0.1, 0.3, 0.45, 0.5),
+    (0.0, 0.0, 0.4, 0.4),
 )
 
 
 def small_config(**overrides) -> SweepConfig:
     defaults = dict(
-        scenarios=SCENARIOS,
+        cells=SCENARIOS,
         designs=CANONICAL_DESIGNS,
         replicates=3,
         base_seed=11,
@@ -48,7 +48,7 @@ class TestSeedContract:
 
     # More scenarios than one block holds, the first one twice.
     BLOCKED = (SCENARIOS[0],) * 2 + tuple(
-        Scenario(x, 1.0 - x, 0.1 + 0.8 * x, 0.9 - 0.8 * x)
+        (x, 1.0 - x, 0.1 + 0.8 * x, 0.9 - 0.8 * x)
         for x in (i / (BLOCK_SCENARIOS + 2) for i in range(1, BLOCK_SCENARIOS + 2))
     )
 
@@ -57,7 +57,7 @@ class TestSeedContract:
         # The logistic engine is slower: a short scenario list at 1 replicate.
         scenarios, replicates = (self.BLOCKED, 3) if engine == "conjugate" else (SCENARIOS, 1)
         settings = TrialSettings(max_patients=400, num_interims=4, engine=engine)
-        config = small_config(scenarios=scenarios, replicates=replicates, settings=settings)
+        config = small_config(cells=scenarios, replicates=replicates, settings=settings)
         in_blocks = run_sweep(config)
         three_workers = run_sweep(replace(config, parallelism=3))
         for name in ("utility", "u_bar_bar", "std_err"):
@@ -70,7 +70,7 @@ class TestSeedContract:
             assert in_blocks.utility[index].tolist() == alone.tolist()
 
     def test_distinct_indices_draw_distinct_streams(self):
-        result = run_sweep(small_config(scenarios=self.BLOCKED))
+        result = run_sweep(small_config(cells=self.BLOCKED))
         # the same scenario at indices 0 and 1 keeps one result per index
         assert result.utility[0].tolist() != result.utility[1].tolist()
         for rel_u in result.relative.values():
@@ -84,7 +84,7 @@ class TestRunSweep:
         # scenario, design, replicate axes in the config's order
         assert result.utility.shape == (len(SCENARIOS), 4, 3)
         assert result.u_bar_bar.shape == result.std_err.shape == (len(SCENARIOS), 4)
-        assert result.config.scenarios == SCENARIOS
+        assert result.config.cells.tolist() == [list(cell) for cell in SCENARIOS]
         assert [(d.myopic_m, d.adapt_c) for d in result.config.designs] == [
             (0, 0.0),
             (0, 1.0),
@@ -114,13 +114,13 @@ class TestRunSweep:
     def test_no_infection_scenario_is_exactly_neutral(self):
         result = run_sweep(small_config())
         for rel_u in result.relative.values():
-            for scenario, rel in zip(SCENARIOS, rel_u):
-                if scenario.r0 == 0.0 and scenario.r1 == 0.0:
+            for (r0, r1, _, _), rel in zip(SCENARIOS, rel_u):
+                if r0 == 0.0 and r1 == 0.0:
                     assert rel == 1.0
 
     def test_degenerate_denominator_flagged(self):
         # everyone infected, everyone dies: fixed-design utility is zero
-        config = small_config(scenarios=(Scenario(1.0, 1.0, 1.0, 1.0),), replicates=2)
+        config = small_config(cells=[(1.0, 1.0, 1.0, 1.0)], replicates=2)
         result = run_sweep(config)
         assert len(result.relative) == 2
         assert all(math.isnan(rel) for rel_u in result.relative.values() for rel in rel_u)
@@ -128,6 +128,27 @@ class TestRunSweep:
     def test_replicate_std_err(self):
         result = run_sweep(small_config(replicates=1))
         assert np.all(result.std_err == 0.0)
+
+    def test_cells_are_stored_as_a_float64_array(self):
+        config = small_config(cells=[(0, 1, 0.5, 0.25), (0.1, 0.2, 0.3, 0.4)])
+        names = [f.name for f in dataclasses.fields(SweepConfig)]
+        assert names[0] == "cells" and "scenarios" not in names
+        assert config.cells.dtype == np.float64 and config.cells.shape == (2, 4)
+        assert config.cells.tolist() == [[0.0, 1.0, 0.5, 0.25], [0.1, 0.2, 0.3, 0.4]]
+
+    def test_a_bad_row_raises_before_any_trial_runs(self, monkeypatch):
+        import smartrar.sweep
+
+        calls = []
+        monkeypatch.setattr(smartrar.sweep, "run_block", lambda *args: calls.append(args))
+        for cells, message in [
+            ([SCENARIOS[0], (0.1, 0.2, 0.3, 1.2)], "s1 must be a probability"),
+            ([(0.1, 0.2, 0.3)], "non-empty"),
+            ([], "non-empty"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                run_sweep(small_config(cells=cells))
+        assert calls == []
 
     def test_subset_of_designs_skips_relative(self):
         config = small_config(designs=(DesignConfig(myopic_m=0, adapt_c=1.0),))
@@ -213,10 +234,10 @@ class TestFigureMatrix:
     def test_figure_matrix_from_sweep_result(self, tmp_path):
         r_values = (0.2, 0.7)
         scenarios = tuple(
-            Scenario(r0, r1, 0.3, 0.3) for r0 in r_values for r1 in r_values
+            (r0, r1, 0.3, 0.3) for r0 in r_values for r1 in r_values
         )
         result = run_sweep(
-            small_config(scenarios=scenarios, replicates=1)
+            small_config(cells=scenarios, replicates=1)
         )
         write_sweep_csvs(tmp_path, result)
         out_dir = tmp_path / "report"
@@ -227,7 +248,7 @@ class TestFigureMatrix:
         rel_u = result.relative[1].tolist()
         for r1 in r_values:
             assert rows[str(r1)] == [
-                rel_u[scenarios.index(Scenario(r0, r1, 0.3, 0.3))] for r0 in r_values
+                rel_u[scenarios.index((r0, r1, 0.3, 0.3))] for r0 in r_values
             ]
 
     def test_matrix_report_errors_on_scattered_scenarios(self, tmp_path, capsys):
