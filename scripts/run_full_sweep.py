@@ -3,10 +3,10 @@
 both relative-utility matrix bundles.
 
 Uses the conjugate engine and every CPU by default. Measured on a 2-vCPU
-VM: about 20 s with --threads 1 and 14 s with both CPUs, matrix reports
-included; peak RSS of this process about 74 MB with --threads 1 (the
-sweep's arrays, with each CSV line formatted as it is written). Outputs
-land in --out-dir:
+VM, the sweep took 12-15 s with --threads 1 and 10-11 s with both CPUs;
+peak RSS of this process about 72 MB with --threads 1 (the sweep's
+arrays, with each scenario's CSV lines formatted as they are written).
+Outputs land in --out-dir:
 
     sweep_replicates.csv   per-trial mean utilities
     sweep_aggregate.csv    per-(scenario, design) mean and standard error

@@ -197,8 +197,8 @@ def _write_patients_csv(path: Path, patient_rows: np.ndarray, table: UtilityTabl
         ",".join("" if v is None else str(v) for v in row) + f",{fmt_real(u)}\n"
         for row, u in zip(TERMINAL_ROWS, table.rows)
     ]
-    lines = (f"{i},{text[row]}" for i, row in enumerate(patient_rows.tolist()))
-    return _write_csv(path, "patient,stage1_action,stage1_outcome,stage2_action,stage2_outcome,utility", lines)
+    body = "".join([f"{i},{text[row]}" for i, row in enumerate(patient_rows.tolist())])
+    return _write_csv(path, "patient,stage1_action,stage1_outcome,stage2_action,stage2_outcome,utility", [body])
 
 
 def _write_allocations_csv(path: Path, result: TrialResult, pooled: bool) -> Path:
@@ -277,28 +277,23 @@ def _designs_from_spec(spec: str) -> list[DesignConfig]:
 
 
 def write_sweep_csvs(out_dir: Path, result: SweepResult) -> list[Path]:
-    """Write the replicate and aggregate CSVs from the result's arrays, line
-    by line: one per (scenario, design, replicate) and per (scenario, design)."""
+    """Write the replicate and aggregate CSVs from the result's arrays: one
+    line per (scenario, design, replicate) and per (scenario, design). Each
+    scenario's (r0,r1,s0,s1,m,c) prefixes are formatted once for both files
+    and its lines written as one string per file, so the memory used stays
+    that of one scenario whatever the number of scenarios."""
     designs = [f"{d.myopic_m},{d.adapt_c:.17g}" for d in result.config.designs]
-
-    def rows(*arrays: np.ndarray) -> Iterable[tuple]:
-        # One scenario at a time: (r0,r1,s0,s1,m,c prefix, its values) per design.
-        for cell, *values in zip(result.config.cells.tolist(), *arrays):
-            prefixes = [f"{_cell_text(*cell)},{design}" for design in designs]
-            yield from zip(prefixes, *(v.tolist() for v in values))
-
-    replicate_lines = (
-        f"{prefix},{rep},{u:.17g}\n"
-        for prefix, u_bars in rows(result.utility)
-        for rep, u in enumerate(u_bars)
-    )
-    aggregate_lines = (
-        f"{prefix},{u:.17g},{se:.17g}\n" for prefix, u, se in rows(result.u_bar_bar, result.std_err)
-    )
-    return [
-        _write_csv(out_dir / REPLICATES_CSV, "r0,r1,s0,s1,m,c,replicate,u_bar", replicate_lines),
-        _write_csv(out_dir / AGGREGATE_CSV, AGGREGATE_HEADER, aggregate_lines),
-    ]
+    paths = [out_dir / REPLICATES_CSV, out_dir / AGGREGATE_CSV]
+    with open(paths[0], "w", newline="\n") as replicates, open(paths[1], "w", newline="\n") as aggregate:
+        replicates.write("r0,r1,s0,s1,m,c,replicate,u_bar\n")
+        aggregate.write(AGGREGATE_HEADER + "\n")
+        for cell, *values in zip(result.config.cells, result.utility, result.u_bar_bar, result.std_err):
+            cell_text, (u_bars, u, se) = _cell_text(*cell.tolist()), (v.tolist() for v in values)
+            prefixes = [f"{cell_text},{design}" for design in designs]
+            lines = [f"{p},{rep},{x:.17g}\n" for p, row in zip(prefixes, u_bars) for rep, x in enumerate(row)]
+            replicates.write("".join(lines))
+            aggregate.write("".join([f"{p},{a:.17g},{b:.17g}\n" for p, a, b in zip(prefixes, u, se)]))
+    return paths
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -500,7 +495,7 @@ def _configured_defaults(command: argparse.ArgumentParser, name: str, path: str 
     try:
         if path is not None and not cfg.read(path):
             raise ConfigurationError(f"config file not found or unreadable: {path}")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"malformed config file {path}: {' '.join(str(exc).split())}") from None
     given = {}  # long flag -> (where the value comes from, its text)
     if cfg.has_section(name):
@@ -535,18 +530,19 @@ def main(argv: list[str] | None = None) -> int:
     command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
     try:
         configured = _configured_defaults(command, args.command, args.config)
-        built_in = {dest: command.get_default(dest) for dest in configured}
-        # File and environment values become the command's defaults for
-        # this call only, so parsing again lets only the flags given
-        # override them.
-        command.set_defaults(**configured)
-        try:
-            args = parser.parse_args(argv)
-            # Looked up by name on each call, so that a replaced cmd_*
-            # function is the one run.
-            return globals()[f"cmd_{args.command}"](args)
-        finally:
-            command.set_defaults(**built_in)
+        if configured:
+            # File and environment values become the command's defaults for
+            # this parse only, so parsing again lets only the flags given
+            # override them.
+            built_in = {dest: command.get_default(dest) for dest in configured}
+            command.set_defaults(**configured)
+            try:
+                args = parser.parse_args(argv)
+            finally:
+                command.set_defaults(**built_in)
+        # Looked up by name on each call, so that a replaced cmd_* function
+        # is the one run.
+        return globals()[f"cmd_{args.command}"](args)
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -192,35 +192,29 @@ def _substream(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(index,))
 
 
-def _posterior_means(settings: TrialSettings, stats, myopic: np.ndarray, adapt_c: np.ndarray):
+def _posterior_means(settings: TrialSettings, stats, myopic: np.ndarray):
     """Posterior means (mean1 (trials, 2), mean2 (trials, 4)) from the
-    sufficient statistics, laid out as they are.
+    sufficient statistics of at least one trial, laid out as they are.
 
-    The logistic model is fitted only for trials with ``adapt_c != 0``, in
-    at most two calls: one two-cell call stacks their stage one with the
-    pooled stage two of the myopic ones (fitted on its two cells), and one
-    four-cell call takes the rest of stage two. A c = 0 trial is not fitted
-    and holds 1/2 throughout, since its allocation is 1/2 whatever its
-    means are."""
+    The logistic model takes at most two calls: one two-cell call stacks
+    every trial's stage one with the pooled stage two of the myopic ones
+    (fitted on its two cells), and one four-cell call takes the rest of
+    stage two. ``run_block`` passes only the adapting (c != 0) trials."""
     events1, trials1, events2, trials2 = stats
     prior = settings.prior_spec
     if settings.engine == "conjugate":
         return conjugate_mean(prior, events1, trials1), conjugate_mean(prior, events2, trials2)
-    mean1, mean2 = np.full(trials1.shape, 0.5), np.full(trials2.shape, 0.5)
-    adapting = adapt_c != 0.0
-    pooled, dynamic = adapting & (myopic != 0), adapting & (myopic == 0)
-    if adapting.any():
-        n1 = np.count_nonzero(adapting)
-        two_cell = logistic_mean(
-            prior,
-            np.concatenate([events1[adapting], events2[pooled, :2]]),
-            np.concatenate([trials1[adapting], trials2[pooled, :2]]),
-        )
-        mean1[adapting] = two_cell[:n1]
-        mean2[pooled] = np.tile(two_cell[n1:], 2)
-    if dynamic.any():
-        mean2[dynamic] = logistic_mean(prior, events2[dynamic], trials2[dynamic])
-    return mean1, mean2
+    pooled, n1 = myopic != 0, len(trials1)
+    two_cell = logistic_mean(
+        prior,
+        np.concatenate([events1, events2[pooled, :2]]),
+        np.concatenate([trials1, trials2[pooled, :2]]),
+    )
+    mean2 = np.empty(trials2.shape)
+    mean2[pooled] = np.tile(two_cell[n1:], 2)
+    if not pooled.all():
+        mean2[~pooled] = logistic_mean(prior, events2[~pooled], trials2[~pooled])
+    return two_cell[:n1], mean2
 
 
 def check_seed(seed: int) -> None:
@@ -241,37 +235,42 @@ def run_block(
     ``cells`` (scenarios, 4) holds each scenario's (r0, r1, s0, s1), and
     scenario s draws the cohort counts of its designs x replicates trials
     from ``rngs[s]``. After each adapting analysis the posterior means,
-    Q-values and allocations of both stages are recomputed for every trial,
-    honouring the myopic flag in the stage-one utility and the stage-two
-    pooling. ``c = 0`` reproduces equal allocation, so the logistic model
-    is not fitted for those trials (``_posterior_means``). A myopic design
-    with an ambiguous pooled table raises ``ConfigurationError`` before any
-    draw.
+    Q-values and allocations of both stages are recomputed, honouring the
+    myopic flag in the stage-one utility and the stage-two pooling, for the
+    c != 0 trials only: ``c = 0`` allocates 1/2 whatever the data, so those
+    trials keep the first cohort's probabilities and are never analysed,
+    under either engine. A myopic design with an ambiguous pooled table
+    raises ``ConfigurationError`` before any draw.
     """
     settings.check_pooling(designs)
     per_scenario, num_interims = len(designs) * replicates, settings.num_interims
     rates = np.repeat(np.asarray(cells, dtype=np.float64), per_scenario, axis=0)
     design_rows = np.repeat([(d.myopic_m, d.adapt_c) for d in designs], replicates, axis=0)
-    myopic, adapt_c = np.tile(design_rows, (len(rngs), 1)).T
+    design_rows = np.tile(design_rows, (len(rngs), 1))
+    adapting = np.flatnonzero(design_rows[:, 1] != 0.0)
+    myopic, adapt_c = design_rows[adapting].T
+    r, s = rates[adapting, :2], rates[adapting, 2:]
     # One row of utilities, which broadcasts over the trials.
     utility, n = np.array([settings.utilities.rows]), len(rates)
-    p1, p2 = np.full((n, 2), 0.5), np.full((n, 2, 2), 0.5)
-    stage1, stage2 = np.empty((n, num_interims - 1, 2)), np.empty((n, num_interims - 1, 2, 2))
+    stage1, stage2 = np.full((n, num_interims - 1, 2), 0.5), np.full((n, num_interims - 1, 2, 2), 0.5)
+    half = np.full((n, 2, 2), 0.5)
+    pi = _cohort_probs(rates[:, :2], rates[:, 2:], half[:, 0], half)
     cohorts = np.empty((n, num_interims, len(TERMINAL_ROWS)), dtype=np.int64)
+    total = np.zeros((n, len(TERMINAL_ROWS)), dtype=np.int64)
     by_scenario = cohorts.reshape(len(rngs), per_scenario, num_interims, -1)
     for k in range(num_interims):
-        pi = _cohort_probs(rates[:, :2], rates[:, 2:], p1, p2).reshape(len(rngs), per_scenario, -1)
-        for rng, rows, scenario_pi in zip(rngs, by_scenario, pi):
+        for rng, rows, scenario_pi in zip(rngs, by_scenario, pi.reshape(len(rngs), per_scenario, -1)):
             rows[:, k] = rng.multinomial(settings.max_patients // num_interims, scenario_pi)
-        # Allocation adapts after every analysis but the last.
-        if k == num_interims - 1:
-            break
-        stats = _sufficient_stats(cohorts[:, : k + 1].sum(axis=1), myopic)
-        means = _posterior_means(settings, stats, myopic, adapt_c)
+        total += cohorts[:, k]
+        # Allocation adapts after every analysis but the last, where c != 0.
+        if k == num_interims - 1 or not len(adapting):
+            continue
+        means = _posterior_means(settings, _sufficient_stats(total[adapting], myopic), myopic)
         p1, p2 = _allocate(*means, utility, myopic, adapt_c)
-        stage1[:, k], stage2[:, k] = p1, p2
+        stage1[adapting, k], stage2[adapting, k] = p1, p2
+        pi[adapting] = _cohort_probs(r, s, p1, p2)
 
-    totals = map(math.fsum, (cohorts.sum(axis=1) * utility).tolist())
+    totals = map(math.fsum, (total * utility).tolist())
     mean_utility = np.fromiter(totals, float, n) / settings.max_patients
     return Block(mean_utility, stage1, stage2, cohorts)
 

@@ -3,15 +3,18 @@
 import argparse
 import hashlib
 import importlib.util
+import io
 import platform
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smartrar import CANONICAL_DESIGNS, ENGINE_IMPLEMENTATION, SweepConfig, run_sweep
-from smartrar.cli import build_parser, fmt_real, main, write_relative_csv
-from smartrar.core import ENGINES, reduced_scenario_grid
+import smartrar.cli
+from smartrar import CANONICAL_DESIGNS, ENGINE_IMPLEMENTATION, DesignConfig, SweepConfig, SweepResult, run_sweep
+from smartrar.cli import build_parser, fmt_real, main, write_relative_csv, write_sweep_csvs
+from smartrar.core import ENGINES, reduced_scenario_grid, scenario_grid
 from smartrar.inference import POSTERIOR_IMPLEMENTATION
 
 REDUCED_SWEEP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_reduced_sweep.py"
@@ -153,12 +156,20 @@ def test_configured_defaults_last_one_call(
     }[command]
     path = tmp_path / "run.ini"
     path.write_text(config)
+    # argv is parsed a second time only when a file or the environment
+    # supplied a default.
+    parses = []
+    parser = smartrar.cli._parser()
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: parses.append(argv) or parse_args(argv))
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert run_cli(*argv, str(tmp_path / "first"), "--config", str(path)) == 0
+    assert len(parses) == 2
     for name in env:
         monkeypatch.delenv(name)
     assert run_cli(*argv, str(tmp_path / "second")) == 0
+    assert len(parses) == 3
     assert f"\n{configured}\n" in (tmp_path / "first" / "manifest.txt").read_text()
     assert f"\n{built_in}\n" in (tmp_path / "second" / "manifest.txt").read_text()
 
@@ -168,10 +179,12 @@ def test_configured_defaults_last_one_call(
     [
         ("sweep", "out-dir = {out}\n", 2),
         ("sweep", "[sweep]\ngrid\n", 2),
+        # written as the bytes ff fe, which are not UTF-8
+        ("sweep", "[sweep]\nout-dir = \udcff\udcfe\n", 2),
         ("simulate", "[simulate]\nout = {out}\n", 0),
         ("sweep", "[sweep]\nout-dir = {out}\n", 0),
     ],
-    ids=["no-section-header", "key-without-value", "percent-in-out", "percent-in-out-dir"],
+    ids=["no-section-header", "key-without-value", "not-utf-8", "percent-in-out", "percent-in-out-dir"],
 )
 def test_config_file_syntax(tmp_path, scenario_file, capsys, monkeypatch, command, text, code):
     """A config file that does not parse exits 2, naming the file, before
@@ -179,7 +192,7 @@ def test_config_file_syntax(tmp_path, scenario_file, capsys, monkeypatch, comman
     monkeypatch.delenv("SMARTRAR_OUT_DIR", raising=False)
     out_dir = tmp_path / "o100%x"
     config = tmp_path / "run.ini"
-    config.write_text(text.format(out=out_dir))
+    config.write_bytes(text.format(out=out_dir).encode("utf-8", "surrogateescape"))
     argv = {"simulate": [], "sweep": ["--grid", str(scenario_file), "--replicates", "1", "--threads", "1"]}[command]
     if code == 2:
         argv += ["--out-dir", str(out_dir)]
@@ -939,6 +952,57 @@ def test_reduced_sweep_script_matches_report(tmp_path, capsys):
     for name in ("sweep_replicates.csv", "sweep_aggregate.csv"):
         digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         assert f"\n{name} = sha256:{digest}\n" in manifest
+
+
+def hand_built_result(cells, designs, replicates: int) -> SweepResult:
+    """A ``SweepResult`` over ``cells`` x ``designs`` x ``replicates`` whose
+    utilities are random draws rather than trials."""
+    utility = np.random.default_rng(0).random((len(cells), len(designs), replicates))
+    config = SweepConfig(cells=np.array(cells), designs=tuple(designs), replicates=replicates)
+    return SweepResult(config, utility, utility.mean(axis=2), utility.std(axis=2, ddof=1), workers=1)
+
+
+def test_sweep_csv_lines(tmp_path):
+    """One replicate line per (scenario, design, replicate) and one aggregate
+    line per (scenario, design), in that order, every real as ``.17g``."""
+    cells = [(0.5, 0.45, 0.05, 0.95), (0.1, 1 / 3, 0.45, 0.5)]
+    designs = [DesignConfig(myopic_m=0, adapt_c=0.5), DesignConfig(myopic_m=1, adapt_c=1.0)]
+    result = hand_built_result(cells, designs, 3)
+    paths = write_sweep_csvs(tmp_path, result)
+    assert paths == [tmp_path / "sweep_replicates.csv", tmp_path / "sweep_aggregate.csv"]
+    replicates, aggregate = ["r0,r1,s0,s1,m,c,replicate,u_bar"], ["r0,r1,s0,s1,m,c,u_bar_bar,std_err"]
+    for s, cell in enumerate(cells):
+        for d, design in enumerate(["0,0.5", "1,1"]):
+            prefix = ",".join(format(x, ".17g") for x in cell) + "," + design
+            replicates += [f"{prefix},{r},{format(result.utility[s, d, r], '.17g')}" for r in range(3)]
+            aggregate.append(
+                f"{prefix},{format(result.u_bar_bar[s, d], '.17g')},{format(result.std_err[s, d], '.17g')}"
+            )
+    for path, lines in zip(paths, (replicates, aggregate)):
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_sweep_csvs_hold_one_scenario_at_a_time(tmp_path):
+    """The writer's memory does not grow with the number of scenarios."""
+    result = hand_built_result(scenario_grid()[:2000], CANONICAL_DESIGNS, 10)
+    paths = write_sweep_csvs(tmp_path, result)  # first-call allocations are not the writer's
+    one_scenario = sum(path.stat().st_size for path in paths) / 2000
+    tracemalloc.start()
+    try:
+        write_sweep_csvs(tmp_path, result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # At most one scenario's text is held at a time: its lines as a list of
+    # str (each line plus a str header and a list slot, under twice its
+    # text), their join and its encoded bytes, so under 4x one scenario's
+    # text. Each of the two files adds a binary buffer and the text layer's
+    # pending chunk, io.DEFAULT_BUFFER_SIZE each. Twice that leaves room for
+    # small objects (about 100 KB here). A writer that held every
+    # scenario's lines at once would need 2,000 scenarios' text, and one
+    # that held only every scenario's four cell values as Python floats
+    # (about 180 bytes a scenario) would need 360 KB.
+    assert peak < 2 * (4 * one_scenario + 4 * io.DEFAULT_BUFFER_SIZE)
 
 
 # The functions that bench/tracing.py wraps in the cli module's namespace,

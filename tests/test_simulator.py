@@ -333,6 +333,36 @@ class TestLogisticFitsOnlyAdaptingRows:
         assert (block.stage1[fixed] == 0.5).all()
         assert (block.stage2[fixed] == 0.5).all()
 
+    @pytest.mark.parametrize("which", ["all", "fixed"])
+    @pytest.mark.parametrize("engine", ["conjugate", "mcmc"])
+    def test_analyses_read_adapting_rows_only(self, monkeypatch, engine, which):
+        """Under either engine, each analysis but the last passes
+        ``_posterior_means`` the cumulative counts of exactly the c != 0
+        trials, a block of c = 0 trials makes no call, and the c = 0
+        trials allocate exactly 1/2 throughout."""
+        calls = []
+        analyse = smartrar.simulator._posterior_means
+
+        def recorded(settings, stats, myopic):
+            calls.append([a.copy() for a in (*stats, myopic)])
+            return analyse(settings, stats, myopic)
+
+        monkeypatch.setattr(smartrar.simulator, "_posterior_means", recorded)
+        designs = [d for d in CANONICAL_DESIGNS if which == "all" or d.adapt_c == 0]
+        cells, replicates, settings = [(0.5, 0.45, 0.05, 0.95), PROSE_SCENARIO], 3, TrialSettings(engine=engine)
+        block = run_block(cells, [rng(4), rng(5)], designs, replicates, settings)
+        m, c = np.tile(np.repeat([(d.myopic_m, d.adapt_c) for d in designs], replicates, axis=0), (2, 1)).T
+        adapting, expected = c != 0, []
+        for k in range(settings.num_interims - 1 if adapting.any() else 0):
+            counts = block.cohorts[adapting, : k + 1].sum(axis=1)
+            expected.append([*smartrar.simulator._sufficient_stats(counts, m[adapting]), m[adapting]])
+        assert len(calls) == len(expected)
+        for got, want in zip(calls, expected):
+            for a, b in zip(got, want, strict=True):
+                np.testing.assert_array_equal(a, b)
+        assert (block.stage1[~adapting] == 0.5).all()
+        assert (block.stage2[~adapting] == 0.5).all()
+
 
 # A dynamic-only table and one whose stage-two rows pool over a1.
 TABLE_DYNAMIC = UtilityTable.from_entries(
