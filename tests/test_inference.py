@@ -1,6 +1,8 @@
 """Posterior-engine contracts: conjugate means, count tallies, the logistic
 engine, and the MCMC reference sampler that it is checked against."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -223,7 +225,37 @@ class TestLogisticMean:
         together = logistic_mean(prior, events, trials)
         for start, stop in ((0, 1), (3, 17), (39, 40)):
             alone = logistic_mean(prior, events[start:stop], trials[start:stop])
-            assert np.array_equal(alone, together[start:stop])
+            assert alone.tobytes() == together[start:stop].tobytes()
+
+    # sha256 of logistic_mean(...).tobytes() for each (prior, cells) batch of
+    # _pinned_batch; any change to the floating-point operations of a fit,
+    # or to their order, moves these.
+    PINNED_KERNEL = {
+        (0.0, 2.5, 2): "26ee22ae857f698a10f4baaec84a83b5ca67e4a7a5b172eee351bf90260dae41",
+        (0.0, 2.5, 4): "ffd48d50e6beb1fdc181d7b1f76495511cde37b910cd8df33a386ebc87d88ba3",
+        (0.3, 1.5, 2): "497b2760d210aafc78411da41fe512947b0ffaf832664d7b91fa6543aaeafaa6",
+        (0.3, 1.5, 4): "c08166d32db2b6c24624ce829d09ff068060843cdbe7e48540f6d2c252ae638a",
+    }
+
+    @staticmethod
+    def _pinned_batch(cells: int):
+        """37 seeded rows, so that a batch spans several integration passes:
+        three with no trials, six with one zero-trial cell, five whose
+        events equal their trials, and the rest at random."""
+        rng = np.random.default_rng({2: 11, 4: 12}[cells])
+        trials = rng.integers(0, 400, size=(37, cells))
+        trials[:3] = 0
+        trials[3:9, rng.integers(cells)] = 0
+        events = rng.integers(0, trials + 1)
+        events[9:14] = trials[9:14]
+        return events, trials
+
+    @pytest.mark.parametrize("cells", [2, 4])
+    @pytest.mark.parametrize("mean, sd", [(0.0, 2.5), (0.3, 1.5)])
+    def test_pinned_bits(self, mean, sd, cells):
+        prior = PriorSpec(coefficient_prior_mean=mean, coefficient_prior_sd=sd)
+        means = logistic_mean(prior, *self._pinned_batch(cells))
+        assert hashlib.sha256(means.tobytes()).hexdigest() == self.PINNED_KERNEL[mean, sd, cells]
 
     def test_open_interval_and_ordering(self, prior):
         means = logistic_mean(prior, np.array([[0, 500], [50, 50]]), np.array([[500, 500], [200, 200]]))
