@@ -89,12 +89,11 @@ def _cell_text(r0: float, r1: float, s0: float, s1: float) -> str:
     return f"{r0:.17g},{r1:.17g},{s0:.17g},{s1:.17g}"
 
 
-def _write_csv(path: Path, header: str, lines: Iterable[str]) -> Path:
-    """Write ``header`` and then the newline-terminated ``lines`` as they come."""
-    with open(path, "w", newline="\n") as f:
-        f.write(header + "\n")
-        f.writelines(lines)
-    return path
+def _write_csv(path: Path, header: str, lines: Iterable[str]) -> tuple[Path, str]:
+    """Write ``header`` and the newline-terminated ``lines``; ``path`` and the sha256 of the bytes."""
+    data = (header + "\n" + "".join(lines)).encode()
+    path.write_bytes(data)
+    return path, hashlib.sha256(data).hexdigest()
 
 
 def _read_table(path: Path, header: str, types: tuple[type, ...], key: int) -> np.ndarray:
@@ -147,18 +146,10 @@ def _read_table(path: Path, header: str, types: tuple[type, ...], key: int) -> n
     return table
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def write_manifest(out_dir: Path, command: str, config: dict[str, str], files: list[Path]) -> Path:
+def write_manifest(out_dir: Path, command: str, config: dict[str, str], outputs: dict[Path, str]) -> Path:
     """Reproducibility record for one command invocation: versions, the
     outcome sampler and the posterior engine named by ``config["engine"]``,
-    command, config and the sha256 of every output file."""
+    command, config and each output file's sha256 as its writer gave it."""
     lines = [
         f"tool_version = {__version__}",
         f"engine_implementation = {ENGINE_IMPLEMENTATION}",
@@ -173,7 +164,7 @@ def write_manifest(out_dir: Path, command: str, config: dict[str, str], files: l
     lines.extend(f"{key} = {value}" for key, value in sorted(config.items()))
     lines.append("")
     lines.append("[outputs]")
-    lines.extend(f"{f.name} = sha256:{_sha256(f)}" for f in files)
+    lines.extend(f"{f.name} = sha256:{digest}" for f, digest in outputs.items())
     path = out_dir / MANIFEST_FILE
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path
@@ -190,18 +181,25 @@ def _utility_config(table: UtilityTable) -> dict[str, str]:
 # ----------------------------------------------------------------------
 
 
-def _write_patients_csv(path: Path, patient_rows: np.ndarray, table: UtilityTable) -> Path:
+@functools.lru_cache(maxsize=4)
+def _patient_prefixes(n: int) -> tuple[str, ...]:
+    """The ``"{i},"`` that starts each patient's line, for ``n`` patients."""
+    return tuple(f"{i}," for i in range(n))
+
+
+def _write_patients_csv(path: Path, patient_rows: np.ndarray, table: UtilityTable) -> tuple[Path, str]:
     """One line per patient: the ten terminal rows are formatted once, as
     ``a1,y1,a2,y2,utility`` with empty stage-two fields when uninfected."""
     text = [
         ",".join("" if v is None else str(v) for v in row) + f",{fmt_real(u)}\n"
         for row, u in zip(TERMINAL_ROWS, table.rows)
     ]
-    body = "".join([f"{i},{text[row]}" for i, row in enumerate(patient_rows.tolist())])
-    return _write_csv(path, "patient,stage1_action,stage1_outcome,stage2_action,stage2_outcome,utility", [body])
+    prefixes = _patient_prefixes(len(patient_rows))
+    lines = [prefix + text[row] for prefix, row in zip(prefixes, patient_rows.tolist())]
+    return _write_csv(path, "patient,stage1_action,stage1_outcome,stage2_action,stage2_outcome,utility", lines)
 
 
-def _write_allocations_csv(path: Path, result: TrialResult, pooled: bool) -> Path:
+def _write_allocations_csv(path: Path, result: TrialResult, pooled: bool) -> tuple[Path, str]:
     """Per adapting analysis, the stage-one pair, then the stage-two pair
     of each stage-one arm, or the pooled pair once with an empty arm."""
     arms = [""] if pooled else ["0", "1"]
@@ -224,16 +222,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = None if args.out is None else _writable_dir(args.out)
     result = run_trial(cell, design, settings, seed=args.seed, keep_records=out_dir is not None)
     if out_dir is not None:
-        files = [
+        outputs = dict([
             _write_patients_csv(out_dir / "patients.csv", result.patient_rows, args.utilities),
             _write_allocations_csv(out_dir / "allocations.csv", result, pooled=bool(args.m)),
-        ]
+        ])
         config_snapshot = {
             key: str(getattr(args, key))
             for key in ("r0", "r1", "s0", "s1", "m", "c", "seed", "engine", "patients", "interims")
         }
         config_snapshot.update(_utility_config(args.utilities))
-        write_manifest(out_dir, "simulate", config_snapshot, files)
+        write_manifest(out_dir, "simulate", config_snapshot, outputs)
     print(f"u_bar={fmt_real(result.mean_utility)}")
     return 0
 
@@ -276,24 +274,29 @@ def _designs_from_spec(spec: str) -> list[DesignConfig]:
     return list(chosen.values())
 
 
-def write_sweep_csvs(out_dir: Path, result: SweepResult) -> list[Path]:
+def write_sweep_csvs(out_dir: Path, result: SweepResult) -> dict[Path, str]:
     """Write the replicate and aggregate CSVs from the result's arrays: one
     line per (scenario, design, replicate) and per (scenario, design). Each
     scenario's (r0,r1,s0,s1,m,c) prefixes are formatted once for both files
     and its lines written as one string per file, so the memory used stays
-    that of one scenario whatever the number of scenarios."""
+    that of one scenario whatever the number of scenarios. Returns each
+    path with the sha256 of the bytes written to it."""
     designs = [f"{d.myopic_m},{d.adapt_c:.17g}" for d in result.config.designs]
     paths = [out_dir / REPLICATES_CSV, out_dir / AGGREGATE_CSV]
-    with open(paths[0], "w", newline="\n") as replicates, open(paths[1], "w", newline="\n") as aggregate:
-        replicates.write("r0,r1,s0,s1,m,c,replicate,u_bar\n")
-        aggregate.write(AGGREGATE_HEADER + "\n")
+    digests = [hashlib.sha256(), hashlib.sha256()]
+    with open(paths[0], "wb") as replicates, open(paths[1], "wb") as aggregate:
+        def write(*texts: str) -> None:
+            for f, digest, text in zip((replicates, aggregate), digests, texts):
+                data = text.encode()
+                f.write(data)
+                digest.update(data)
+        write("r0,r1,s0,s1,m,c,replicate,u_bar\n", AGGREGATE_HEADER + "\n")
         for cell, *values in zip(result.config.cells, result.utility, result.u_bar_bar, result.std_err):
             cell_text, (u_bars, u, se) = _cell_text(*cell.tolist()), (v.tolist() for v in values)
             prefixes = [f"{cell_text},{design}" for design in designs]
             lines = [f"{p},{rep},{x:.17g}\n" for p, row in zip(prefixes, u_bars) for rep, x in enumerate(row)]
-            replicates.write("".join(lines))
-            aggregate.write("".join([f"{p},{a:.17g},{b:.17g}\n" for p, a, b in zip(prefixes, u, se)]))
-    return paths
+            write("".join(lines), "".join([f"{p},{a:.17g},{b:.17g}\n" for p, a, b in zip(prefixes, u, se)]))
+    return {path: digest.hexdigest() for path, digest in zip(paths, digests)}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -317,7 +320,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    files = write_sweep_csvs(out_dir, result)
+    outputs = write_sweep_csvs(out_dir, result)
     config_snapshot = {
         "grid": args.grid,
         "designs": args.designs,
@@ -329,7 +332,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "scenarios": str(len(cells)),
         **_utility_config(args.utilities),
     }
-    write_manifest(out_dir, "sweep", config_snapshot, files)
+    write_manifest(out_dir, "sweep", config_snapshot, outputs)
     print(f"wrote {result.u_bar_bar.size} aggregated rows to {out_dir / AGGREGATE_CSV}")
     return 0
 
@@ -345,7 +348,7 @@ def write_relative_csv(path: Path, cells: np.ndarray, rel_u: np.ndarray, m: int)
     lines = (
         f"{_cell_text(*cell)},{m},{rel:.17g}\n" for cell, rel in zip(cells.tolist(), rel_u.tolist())
     )
-    return _write_csv(path, "r0,r1,s0,s1,m,rel_u", lines)
+    return _write_csv(path, "r0,r1,s0,s1,m,rel_u", lines)[0]
 
 
 def _write_relative_matrices(out_dir: Path, cells: np.ndarray, rel_u: np.ndarray, m: int) -> int:
@@ -488,6 +491,8 @@ def _configured_defaults(command: argparse.ArgumentParser, name: str, path: str 
     keyed by dest, plus ``utilities`` from a ``[utilities]`` section. A key
     that names none of the command's long flags, or a value its flag would
     reject, or a file that does not parse, is a ``ConfigurationError``."""
+    if path is None and not any(env in os.environ for env in ENV_VARS.values()):
+        return {}
     flags = {o[2:]: a for a in command._actions for o in a.option_strings if o.startswith("--")}
     del flags["help"], flags["config"]
     # No interpolation: a value is taken as written, '%' included.

@@ -25,7 +25,10 @@ posterior means are then integrated by a product Gauss-Hermite rule with
 seven nodes per coefficient, centred on the mode and scaled by the Laplace
 covariance (adaptive Gauss-Hermite quadrature: Naylor and Smith, Applied
 Statistics 1982; Liu and Pierce, Biometrika 1994). The result is
-deterministic: there are no chains, seeds or convergence diagnostics.
+deterministic: there are no chains, seeds or convergence diagnostics. It is
+also fixed to the bit: the kernels fill reused work arrays in the order of
+the plain array expressions, drop only terms that the 0/1 design makes
+exact, and keep every sum's array shape, on which numpy's order depends.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ _GRADIENT_TOL = 1e-10
 _MAX_NEWTON_STEPS = 100
 
 # Rows integrated per pass: a few at a time keep the (rows, cells, nodes)
-# arrays small (7 ** 4 nodes per row in the four-cell model).
+# work arrays small (7 ** 4 nodes per row in the four-cell model, 2.8 MB in
+# all for 8 rows); ``_node_means`` makes them once per call and reuses them.
 _ROWS_PER_PASS = 8
 
 
@@ -78,6 +82,15 @@ def _design_matrix(n_cells: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _model(n_cells: int) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+    """The design (cells, p), its per-cell outer products (cells, p, p) and,
+    per coefficient after the intercept, the slice of cells whose covariate is 1."""
+    design = _design_matrix(n_cells)
+    cells = [slice(c[0], None, c[1] - c[0] if len(c) > 1 else 1) for c in map(np.flatnonzero, design.T[1:])]
+    return design, design[:, :, None] * design[:, None, :], cells
+
+
+@lru_cache(maxsize=None)
 def _product_rule(dims: int) -> tuple[np.ndarray, np.ndarray]:
     """Standard-normal nodes (dims, 7 ** dims) of the product Gauss-Hermite
     rule, and each node's log weight over the standard normal density there,
@@ -89,52 +102,87 @@ def _product_rule(dims: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(2.0) * x[at], (np.log(w) + x * x)[at].sum(axis=0)
 
 
-def _linear_predictor(design: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """eta (rows, cells, n) from coefficients beta (rows, p, n), one
-    coefficient at a time."""
-    return sum(design[:, k, None] * beta[:, None, k] for k in range(design.shape[1]))
+def _linear_predictor(cells: list[slice], beta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """eta (rows, cells, ...) into ``out`` from beta (rows, p, ...): each cell's
+    coefficients added in index order, the design product exactly (0/1 design)."""
+    out[:] = beta[:, :1]
+    for k, at in enumerate(cells, start=1):
+        out[:, at] += beta[:, k : k + 1]
+    return out
 
 
-def _newton_terms(design, events, trials, prior, beta):
-    """Gradient (rows, p) and negative Hessian (rows, p, p) of the log
-    posterior at the coefficients ``beta`` (rows, p)."""
-    mu = 1.0 / (1.0 + np.exp(-_linear_predictor(design, beta[..., None])[..., 0]))
-    grad = ((events - trials * mu)[..., None] * design).sum(axis=1)
-    grad -= (beta - prior.coefficient_prior_mean) / prior.coefficient_prior_sd**2
-    weight = trials * mu * (1.0 - mu)
-    neg_hess = (weight[..., None, None] * design[:, :, None] * design[:, None, :]).sum(axis=1)
-    return grad, neg_hess + np.eye(design.shape[1]) / prior.coefficient_prior_sd**2
+def _neg_hessian(model, trials, beta, prior_precision):
+    """Negative Hessian (rows, p, p) of the log posterior at beta (rows, p), and ``trials * mu``."""
+    eta = _linear_predictor(model[2], beta, np.empty(trials.shape))
+    mu = 1.0 / (1.0 + np.exp(-eta))
+    expected = trials * mu
+    return ((expected * (1.0 - mu))[..., None, None] * model[1]).sum(axis=1) + prior_precision, expected
 
 
-def _posterior_mode(design, events, trials, prior):
+def _posterior_mode(model, events, trials, prior):
     """Posterior mode (rows, p) and the negative Hessian there, by Newton
     iteration from the prior mean. Each row stops on its own gradient and is
-    then frozen, so that its mode does not depend on the other rows."""
+    then frozen, so that its mode does not depend on the other rows; until
+    the first row stops, every row is updated in place, with no gathers."""
+    design, sd2 = model[0], prior.coefficient_prior_sd**2
+    prior_precision = np.eye(design.shape[1]) / sd2
     beta = np.full((len(events), design.shape[1]), float(prior.coefficient_prior_mean))
-    active = np.arange(len(events))
+    rows, active = np.arange(len(events)), slice(None)
     for _ in range(_MAX_NEWTON_STEPS):
-        grad, neg_hess = _newton_terms(design, events[active], trials[active], prior, beta[active])
+        current = beta[active]
+        neg_hess, expected = _neg_hessian(model, trials[active], current, prior_precision)
+        grad = ((events[active] - expected)[..., None] * design).sum(axis=1)
+        grad -= (current - prior.coefficient_prior_mean) / sd2
         beta[active] += np.linalg.solve(neg_hess, grad[..., None])[..., 0]
-        active = active[np.abs(grad).max(axis=1) >= _GRADIENT_TOL]
-        if not active.size:
+        still = np.abs(grad).max(axis=1) >= _GRADIENT_TOL
+        if not still.all():
+            active = rows = rows[still]
+        if not rows.size:
             break
-    return beta, _newton_terms(design, events, trials, prior, beta)[1]
+    return beta, _neg_hessian(model, trials, beta, prior_precision)[0]
 
 
-def _node_means(design, events, trials, prior, mode, scale):
+def _node_means(model, events, trials, prior, mode, scale):
     """Posterior means (rows, cells) by the product rule about ``mode``
-    (rows, p), scaled by the Laplace covariance's Cholesky factor ``scale``."""
-    z, log_weight = _product_rule(design.shape[1])
-    # The coefficients (rows, p, nodes) and the linear predictor at every node.
-    beta = mode[..., None] + sum(scale[:, :, k, None] * z[k] for k in range(len(z)))
-    eta = _linear_predictor(design, beta)
-    # log sigmoid(eta); exp(-|eta|) cannot overflow.
-    log_prob = np.minimum(eta, 0.0) - np.log1p(np.exp(-np.abs(eta)))
-    log_lik = (trials[..., None] * log_prob - (trials - events)[..., None] * eta).sum(axis=1)
-    z_prior = (beta - prior.coefficient_prior_mean) / prior.coefficient_prior_sd
-    log_post = log_weight + log_lik - 0.5 * (z_prior * z_prior).sum(axis=1)
-    weight = np.exp(log_post - log_post.max(axis=-1, keepdims=True))
-    return (weight[:, None] * np.exp(log_prob)).sum(axis=-1) / weight.sum(axis=-1)[:, None]
+    (rows, p), scaled by the Laplace covariance's Cholesky factor ``scale``.
+
+    Rows are integrated ``_ROWS_PER_PASS`` at a time in work arrays made
+    once per call and filled in place (``out=``), in the order of the fresh
+    expressions they stand for. Arrays this large go back to the system
+    when freed, so making them for every pass would fault their pages in
+    again on every pass."""
+    design, _, cells = model
+    z, log_weight = _product_rule(len(design))
+    n, nodes = min(len(events), _ROWS_PER_PASS), z.shape[1]
+    # Coefficients, linear predictor, log probability and a temporary (rows, p =
+    # cells, nodes); then the log posterior and prior penalty (rows, nodes).
+    work, sums = np.empty((4, n, len(design), nodes)), np.empty((2, n, nodes))
+    survivors, means = trials - events, np.empty(events.shape)
+    for at in range(0, len(events), _ROWS_PER_PASS):
+        rows = slice(at, min(at + n, len(events)))
+        (b, e, lp, w), (post, pen) = work[:, : rows.stop - at], sums[:, : rows.stop - at]
+        np.multiply(scale[rows, :, 0, None], z[0], out=b)
+        for j in range(1, len(z)):
+            b += np.multiply(scale[rows, :, j, None], z[j], out=w)
+        b += mode[rows, :, None]
+        _linear_predictor(cells, b, e)
+        # log sigmoid(eta); exp(-|eta|) cannot overflow.
+        np.exp(np.negative(np.abs(e, out=w), out=w), out=w)
+        np.subtract(np.minimum(e, 0.0, out=lp), np.log1p(w, out=w), out=lp)
+        np.multiply(trials[rows, :, None], lp, out=w)
+        w -= np.multiply(survivors[rows, :, None], e, out=e)
+        w.sum(axis=1, out=post)
+        # The prior's log density, up to a constant.
+        b -= prior.coefficient_prior_mean
+        b /= prior.coefficient_prior_sd
+        np.multiply(b, b, out=b).sum(axis=1, out=pen)
+        np.add(log_weight, post, out=post)
+        post -= np.multiply(pen, 0.5, out=pen)
+        post -= post.max(axis=-1, keepdims=True)
+        weight = np.exp(post, out=post)
+        np.multiply(weight[:, None], np.exp(lp, out=lp), out=lp).sum(axis=-1, out=means[rows])
+        means[rows] /= weight.sum(axis=-1)[:, None]
+    return means
 
 
 def logistic_mean(prior: PriorSpec, events: np.ndarray, trials: np.ndarray) -> np.ndarray:
@@ -148,11 +196,7 @@ def logistic_mean(prior: PriorSpec, events: np.ndarray, trials: np.ndarray) -> n
     every mean is 1/2.
     """
     events, trials = np.asarray(events, dtype=np.float64), np.asarray(trials, dtype=np.float64)
-    design = _design_matrix(events.shape[-1])
-    mode, neg_hess = _posterior_mode(design, events, trials, prior)
+    model = _model(events.shape[-1])
+    mode, neg_hess = _posterior_mode(model, events, trials, prior)
     scale = np.linalg.cholesky(np.linalg.inv(neg_hess))
-    means = np.empty(events.shape)
-    for at in range(0, len(events), _ROWS_PER_PASS):
-        rows = slice(at, at + _ROWS_PER_PASS)
-        means[rows] = _node_means(design, events[rows], trials[rows], prior, mode[rows], scale[rows])
-    return means
+    return _node_means(model, events, trials, prior, mode, scale)

@@ -969,7 +969,7 @@ def test_sweep_csv_lines(tmp_path):
     designs = [DesignConfig(myopic_m=0, adapt_c=0.5), DesignConfig(myopic_m=1, adapt_c=1.0)]
     result = hand_built_result(cells, designs, 3)
     paths = write_sweep_csvs(tmp_path, result)
-    assert paths == [tmp_path / "sweep_replicates.csv", tmp_path / "sweep_aggregate.csv"]
+    assert list(paths) == [tmp_path / "sweep_replicates.csv", tmp_path / "sweep_aggregate.csv"]
     replicates, aggregate = ["r0,r1,s0,s1,m,c,replicate,u_bar"], ["r0,r1,s0,s1,m,c,u_bar_bar,std_err"]
     for s, cell in enumerate(cells):
         for d, design in enumerate(["0,0.5", "1,1"]):
@@ -980,6 +980,8 @@ def test_sweep_csv_lines(tmp_path):
             )
     for path, lines in zip(paths, (replicates, aggregate)):
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        # the writer's digest is that of the bytes on disk
+        assert paths[path] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_sweep_csvs_hold_one_scenario_at_a_time(tmp_path):

@@ -2,6 +2,7 @@
 engine, and the MCMC reference sampler that it is checked against."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from mcmc_reference import posterior_mcmc, split_chain_rhat
 from smartrar import PriorSpec, conjugate_mean, logistic_mean
-from smartrar.inference import _design_matrix
+from smartrar.inference import _NODES, _ROWS_PER_PASS, _design_matrix
 from smartrar.simulator import _sufficient_stats
 
 
@@ -256,6 +257,29 @@ class TestLogisticMean:
         prior = PriorSpec(coefficient_prior_mean=mean, coefficient_prior_sd=sd)
         means = logistic_mean(prior, *self._pinned_batch(cells))
         assert hashlib.sha256(means.tobytes()).hexdigest() == self.PINNED_KERNEL[mean, sd, cells]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads minor page faults from Linux getrusage")
+    def test_work_arrays_fault_in_once_per_call(self, prior):
+        import resource
+
+        rng = np.random.default_rng(3)
+        trials = rng.integers(0, 600, size=(200, 4))
+        events = rng.integers(0, trials + 1)
+        logistic_mean(prior, events, trials)  # the first call's caches and heap growth
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        logistic_mean(prior, events, trials)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        # A pass over _ROWS_PER_PASS four-cell rows works in four (rows, 4,
+        # nodes) float64 arrays (coefficients, linear predictor, log
+        # probability, temporary) and two (rows, nodes) ones (log posterior,
+        # prior penalty): 2.8 MB, 675 4-KB pages. Made once per call, they
+        # fault in at most once per call, and the Newton arrays of 200 rows
+        # are under 0.1 MB each, so a call adds fewer than twice their pages.
+        # Arrays made afresh on each of the 25 passes of 200 rows are freed
+        # back to the system and fault in again every pass: a kernel that
+        # did so took about 32,000 faults for this call on x86-64 Linux.
+        work_bytes = 8 * _ROWS_PER_PASS * _NODES**4 * (4 * 4 + 2)
+        assert faults < 2 * work_bytes / resource.getpagesize()
 
     def test_open_interval_and_ordering(self, prior):
         means = logistic_mean(prior, np.array([[0, 500], [50, 50]]), np.array([[500, 500], [200, 200]]))
