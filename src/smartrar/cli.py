@@ -189,14 +189,16 @@ def _patient_prefixes(n: int) -> tuple[str, ...]:
 
 def _write_patients_csv(path: Path, patient_rows: np.ndarray, table: UtilityTable) -> tuple[Path, str]:
     """One line per patient: the ten terminal rows are formatted once, as
-    ``a1,y1,a2,y2,utility`` with empty stage-two fields when uninfected."""
+    ``a1,y1,a2,y2,utility`` with empty stage-two fields when uninfected,
+    and each line is its cached prefix followed by its row's text."""
     text = [
         ",".join("" if v is None else str(v) for v in row) + f",{fmt_real(u)}\n"
         for row, u in zip(TERMINAL_ROWS, table.rows)
     ]
-    prefixes = _patient_prefixes(len(patient_rows))
-    lines = [prefix + text[row] for prefix, row in zip(prefixes, patient_rows.tolist())]
-    return _write_csv(path, "patient,stage1_action,stage1_outcome,stage2_action,stage2_outcome,utility", lines)
+    parts = [""] * (2 * len(patient_rows))
+    parts[::2] = _patient_prefixes(len(patient_rows))
+    parts[1::2] = np.array(text, dtype=object)[patient_rows].tolist()
+    return _write_csv(path, "patient,stage1_action,stage1_outcome,stage2_action,stage2_outcome,utility", parts)
 
 
 def _write_allocations_csv(path: Path, result: TrialResult, pooled: bool) -> tuple[Path, str]:

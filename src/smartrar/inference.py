@@ -111,35 +111,49 @@ def _linear_predictor(cells: list[slice], beta: np.ndarray, out: np.ndarray) -> 
     return out
 
 
-def _neg_hessian(model, trials, beta, prior_precision):
-    """Negative Hessian (rows, p, p) of the log posterior at beta (rows, p), and ``trials * mu``."""
-    eta = _linear_predictor(model[2], beta, np.empty(trials.shape))
-    mu = 1.0 / (1.0 + np.exp(-eta))
+def _neg_hessian(model, trials, beta, prior_precision, eta):
+    """Negative Hessian (rows, p, p) of the log posterior at beta (rows, p),
+    and ``trials * mu``; ``eta`` (rows, cells) is work space."""
+    # eta, then mu = 1 / (1 + exp(-eta)) in its place.
+    mu = _linear_predictor(model[2], beta, eta)
+    np.exp(np.negative(mu, out=mu), out=mu)
+    mu += 1.0
+    np.divide(1.0, mu, out=mu)
     expected = trials * mu
-    return ((expected * (1.0 - mu))[..., None, None] * model[1]).sum(axis=1) + prior_precision, expected
+    weight = np.multiply(expected, np.subtract(1.0, mu, out=mu), out=mu)
+    neg_hess = (weight[..., None, None] * model[1]).sum(axis=1)
+    neg_hess += prior_precision
+    return neg_hess, expected
 
 
 def _posterior_mode(model, events, trials, prior):
     """Posterior mode (rows, p) and the negative Hessian there, by Newton
     iteration from the prior mean. Each row stops on its own gradient and is
-    then frozen, so that its mode does not depend on the other rows; until
-    the first row stops, every row is updated in place, with no gathers."""
-    design, sd2 = model[0], prior.coefficient_prior_sd**2
+    then frozen, so that its mode does not depend on the other rows; the
+    rows still moving are updated in place and gathered again only when a
+    row stops. Raises ``ValueError`` if a row has not stopped after
+    ``_MAX_NEWTON_STEPS`` steps (full steps can cycle under a strong prior)."""
+    design, mean, sd2 = model[0], prior.coefficient_prior_mean, prior.coefficient_prior_sd**2
     prior_precision = np.eye(design.shape[1]) / sd2
-    beta = np.full((len(events), design.shape[1]), float(prior.coefficient_prior_mean))
-    rows, active = np.arange(len(events)), slice(None)
+    beta = np.full((len(events), design.shape[1]), float(mean))
+    eta = np.empty(trials.shape)
+    rows, current, moving_events, moving_trials = np.arange(len(events)), beta, events, trials
     for _ in range(_MAX_NEWTON_STEPS):
-        current = beta[active]
-        neg_hess, expected = _neg_hessian(model, trials[active], current, prior_precision)
-        grad = ((events[active] - expected)[..., None] * design).sum(axis=1)
-        grad -= (current - prior.coefficient_prior_mean) / sd2
-        beta[active] += np.linalg.solve(neg_hess, grad[..., None])[..., 0]
-        still = np.abs(grad).max(axis=1) >= _GRADIENT_TOL
+        neg_hess, expected = _neg_hessian(model, moving_trials, current, prior_precision, eta[: len(rows)])
+        grad = (np.subtract(moving_events, expected, out=expected)[..., None] * design).sum(axis=1)
+        grad -= (current - mean) / sd2
+        current += np.linalg.solve(neg_hess, grad[..., None])[..., 0]
+        still = np.abs(grad, out=grad).max(axis=1) >= _GRADIENT_TOL
         if not still.all():
-            active = rows = rows[still]
-        if not rows.size:
-            break
-    return beta, _neg_hessian(model, trials, beta, prior_precision)[0]
+            beta[rows] = current
+            rows, current = rows[still], current[still]
+            if not rows.size:
+                return beta, _neg_hessian(model, trials, beta, prior_precision, eta)[0]
+            moving_events, moving_trials = events[rows], trials[rows]
+    raise ValueError(
+        f"Newton iteration for the posterior mode did not converge in {_MAX_NEWTON_STEPS} steps "
+        f"for {len(rows)} of {len(events)} rows under {prior}"
+    )
 
 
 def _node_means(model, events, trials, prior, mode, scale):
@@ -161,9 +175,10 @@ def _node_means(model, events, trials, prior, mode, scale):
     for at in range(0, len(events), _ROWS_PER_PASS):
         rows = slice(at, min(at + n, len(events)))
         (b, e, lp, w), (post, pen) = work[:, : rows.stop - at], sums[:, : rows.stop - at]
+        # The factor is lower triangular: coefficient i takes nodes j <= i.
         np.multiply(scale[rows, :, 0, None], z[0], out=b)
         for j in range(1, len(z)):
-            b += np.multiply(scale[rows, :, j, None], z[j], out=w)
+            b[:, j:] += np.multiply(scale[rows, j:, j, None], z[j], out=w[:, j:])
         b += mode[rows, :, None]
         _linear_predictor(cells, b, e)
         # log sigmoid(eta); exp(-|eta|) cannot overflow.

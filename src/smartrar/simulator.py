@@ -105,27 +105,47 @@ def fixed_design_value(cell, table: UtilityTable | None = None) -> float:
     return float(pi[0] @ table.rows)
 
 
+def _stats_map(pooled: bool) -> np.ndarray:
+    """The 0/1 map (10, 12) from row counts to the columns of (events1,
+    trials1, events2, trials2), laid out as ``_sufficient_stats`` returns them."""
+    out = np.zeros((len(TERMINAL_ROWS), 12))
+    out[[0, 1], [2, 3]] = 1.0  # uninfected: trials1
+    for j in range(4):  # stage-two cell 2 a1 + a2: its survived and died rows
+        rows, into = slice(2 + 2 * j, 4 + 2 * j), [j % 2, 2 + j % 2] if pooled else [j]
+        out[rows, j // 2] = out[rows, 2 + j // 2] = 1.0  # infected: events1, trials1
+        out[3 + 2 * j, [4 + cell for cell in into]] = 1.0  # died: events2
+        out[rows, [8 + cell for cell in into]] = 1.0  # treated: trials2
+    return out
+
+
+#: The count maps, indexed by the pooled flag: row counts (trials, 10) times
+#: a map give the sufficient statistics exactly (integer sums far below 2**53).
+_STATS_MAPS = (_stats_map(False), _stats_map(True))
+
+
 def _sufficient_stats(counts: np.ndarray, myopic_m):
     """(events1, trials1, events2, trials2) per trial from cumulative row
-    counts (trials, 10).
+    counts (trials, 10): integer-valued float views of the counts' product
+    with the map of their flag (a block that mixes flags picks each trial's
+    row from both products).
 
     Stage one is indexed by a1. Stage two is flat over the cells (a1, a2)
     at index 2 a1 + a2, whose survived and died rows are counts[:, 2 + 2 j]
     and counts[:, 3 + 2 j]. In a myopic trial (``myopic_m`` broadcasts
     over the trials) both a1 cells of an a2 hold its counts pooled over a1.
     """
-    died = counts[:, 3::2]
-    treated = counts[:, 2::2] + died
-    infected = treated[:, 0::2] + treated[:, 1::2]
-    trials1 = counts[:, :2] + infected
     pooled = np.asarray(myopic_m, dtype=bool)[..., None]
-    died = np.where(pooled, np.tile(died[:, :2] + died[:, 2:], 2), died)
-    treated = np.where(pooled, np.tile(treated[:, :2] + treated[:, 2:], 2), treated)
-    return infected, trials1, died, treated
+    if pooled.all() or not pooled.any():
+        stats = counts @ _STATS_MAPS[bool(pooled.all())]
+    else:
+        stats = np.where(pooled, counts @ _STATS_MAPS[True], counts @ _STATS_MAPS[False])
+    return stats[:, :2], stats[:, 2:4], stats[:, 4:8], stats[:, 8:]
 
 
-def _q_values(mean1: np.ndarray, mean2: np.ndarray, utility: np.ndarray, myopic_m):
-    """Posterior means -> (Q1 (trials, 2) by a1, Q2 (trials, 4) by cell).
+def _q_values(mean1: np.ndarray, mean2: np.ndarray, utility: np.ndarray, myopic_m) -> np.ndarray:
+    """Posterior means -> Q (trials, 6): Q1 by a1, then Q2 by cell, so that
+    ``q.reshape(-1, 3, 2)`` holds the stage-one pair and the stage-two pair
+    of each a1.
 
     ``mean2`` follows the stage-two layout of ``_sufficient_stats`` and
     ``utility`` (trials or 1, 10) holds the row utilities. The stage-two
@@ -147,7 +167,7 @@ def _q_values(mean1: np.ndarray, mean2: np.ndarray, utility: np.ndarray, myopic_
     q2 = utility[:, 2::2] * (1.0 - mean2) + utility[:, 3::2] * mean2
     best2 = np.maximum(q2[:, 0::2], q2[:, 1::2])
     continuation = np.where(np.asarray(myopic_m, dtype=bool)[..., None], 0.0, best2)
-    return utility[:, :2] * (1.0 - mean1) + continuation * mean1, q2
+    return np.concatenate([utility[:, :2] * (1.0 - mean1) + continuation * mean1, q2], axis=1)
 
 
 def allocation_probs(q, c):
@@ -180,11 +200,12 @@ def allocation_probs(q, c):
 
 def _allocate(mean1, mean2, utility, myopic_m, adapt_c):
     """Posterior means -> Q-values -> Q^c allocation for both stages:
-    (p1 (trials, 2), p2 (trials, 2, 2)) laid out as in ``Block``. The
-    design constants are floats or per-trial arrays."""
-    q1, q2 = _q_values(mean1, mean2, utility, myopic_m)
-    c = np.asarray(adapt_c)
-    return allocation_probs(q1, c), allocation_probs(q2.reshape(-1, 2, 2), c[..., None])
+    (p1 (trials, 2), p2 (trials, 2, 2)) laid out as in ``Block``, from one
+    ``allocation_probs`` call on the three pairs of each trial. The design
+    constants are floats or per-trial arrays."""
+    q = _q_values(mean1, mean2, utility, myopic_m).reshape(-1, 3, 2)
+    p = allocation_probs(q, np.asarray(adapt_c)[..., None])
+    return p[:, 0], p[:, 1:]
 
 
 def _substream(seed: int, index: int) -> np.random.SeedSequence:
@@ -205,16 +226,33 @@ def _posterior_means(settings: TrialSettings, stats, myopic: np.ndarray):
     if settings.engine == "conjugate":
         return conjugate_mean(prior, events1, trials1), conjugate_mean(prior, events2, trials2)
     pooled, n1 = myopic != 0, len(trials1)
+    if not pooled.any():
+        return logistic_mean(prior, events1, trials1), logistic_mean(prior, events2, trials2)
+    # Masks only where the block mixes dynamic and myopic trials.
+    mixed = not pooled.all()
+    rows = pooled if mixed else slice(None)
     two_cell = logistic_mean(
         prior,
-        np.concatenate([events1, events2[pooled, :2]]),
-        np.concatenate([trials1, trials2[pooled, :2]]),
+        np.concatenate([events1, events2[rows, :2]]),
+        np.concatenate([trials1, trials2[rows, :2]]),
     )
-    mean2 = np.empty(trials2.shape)
-    mean2[pooled] = np.tile(two_cell[n1:], 2)
-    if not pooled.all():
-        mean2[~pooled] = logistic_mean(prior, events2[~pooled], trials2[~pooled])
-    return two_cell[:n1], mean2
+    mean1, mean2 = two_cell[:n1], np.tile(two_cell[n1:], 2)
+    if mixed:
+        mean2, pooled_mean2 = np.empty(trials2.shape), mean2
+        mean2[pooled], mean2[~pooled] = pooled_mean2, logistic_mean(prior, events2[~pooled], trials2[~pooled])
+    return mean1, mean2
+
+
+def _patient_rows(cohorts: np.ndarray, order: np.random.Generator) -> np.ndarray:
+    """Each patient's terminal row in enrolment order from the row counts
+    (cohorts, 10): the rows of a cohort in a random order (patients within
+    a cohort are exchangeable). Each cohort's slice is shuffled in place,
+    which makes the draws that ``order.permutation`` of the slice would."""
+    rows = np.repeat(np.tile(np.arange(cohorts.shape[1]), len(cohorts)), cohorts.ravel())
+    ends = np.cumsum(cohorts.sum(axis=1)).tolist()
+    for start, end in zip([0, *ends], ends):
+        order.shuffle(rows[start:end])
+    return rows
 
 
 def check_seed(seed: int) -> None:
@@ -300,9 +338,5 @@ def run_trial(
     block = run_block(check_cells([cell]), [rng], (design,), 1, settings)
     rows = None
     if keep_records:
-        # Each cohort's row counts, one entry per patient, in a random order
-        # (patients within a cohort are exchangeable).
-        order = np.random.Generator(np.random.Philox(_substream(seed, 2)))
-        every_row = np.arange(len(TERMINAL_ROWS))
-        rows = np.concatenate([order.permutation(np.repeat(every_row, n)) for n in block.cohorts[0]])
+        rows = _patient_rows(block.cohorts[0], np.random.Generator(np.random.Philox(_substream(seed, 2))))
     return TrialResult(float(block.mean_utility[0]), block.stage1[0], block.stage2[0], rows)

@@ -366,8 +366,7 @@ def test_c4_backward_induction_oracle_equivalence():
             dict(zip(row_keys, rng.uniform(0.0, 5.0, size=10)))
         )
         utility = np.array([table.rows])
-        induction, _ = _q_values(np.array([means1]), np.array([means2]), utility, myopic_m=0)
-        induction = induction[0]
+        induction = _q_values(np.array([means1]), np.array([means2]), utility, myopic_m=0)[0, :2]
         oracle = enumerated_stage1_values(means1, means2, table)
         worst = max(worst, max(abs(induction[a] - oracle[a]) for a in (0, 1)))
     report(4, worst <= 1e-12, f"1000 randomised inputs: max |induction - oracle| = {worst:.2e}")

@@ -56,6 +56,31 @@ def test_array_layout_matches_pairs():
     assert allocation_probs(q, c).tolist() == [[list(p) for p in row] for row in expected]
 
 
+def test_stacked_pairs_match_the_per_stage_calls():
+    # _allocate makes one call on each trial's three pairs (stage one, then
+    # stage two by a1) where it used to make one call per stage; the rule
+    # acts on each pair alone, so the bits must not change. Large c makes
+    # some pairs underflow or overflow, and zero pairs fall back to 1/2.
+    rng = np.random.default_rng(17)
+    q = rng.uniform(0.0, 2.0, size=(400, 3, 2))
+    q[::7] = 0.0
+    q[3::11, :, 0] = 0.0
+    q[5::13] *= 1e-3
+    q[1, 0] = (40.0, 30.0)  # a pair far above the others' scale
+    c = rng.choice([0.0, 0.5, 1.0, 3.0, 60.0, 400.0, 5000.0], size=400)
+    stacked = allocation_probs(q, c[:, None])
+    stage1 = allocation_probs(q[:, 0], c)
+    stage2 = allocation_probs(q[:, 1:], c[:, None])
+    with np.errstate(over="ignore"):
+        total = (q ** c[:, None, None]).sum(axis=2)
+    positive = q.max(axis=2) > 0.0
+    assert (positive & (c[:, None] == 0.0)).any()
+    assert (positive & (total < DEGENERATE_TOTAL)).any()
+    assert np.isinf(total).any()
+    assert stacked[:, 0].tobytes() == stage1.tobytes()
+    assert stacked[:, 1:].tobytes() == stage2.tobytes()
+
+
 @pytest.mark.parametrize("q0, q1", [(0.5, 0.6), (0.19, 0.2), (5.0, 6.0)])
 def test_large_exponent_keeps_favouring_the_better_arm(q0, q1):
     # Past some c the plain weights Q^c underflow below DEGENERATE_TOTAL

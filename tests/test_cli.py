@@ -1055,5 +1055,6 @@ def test_benchmark_allocation_patch_point_stays_in_the_simulator_namespace(capsy
 
     monkeypatch.setattr(smartrar.simulator, "allocation_probs", counted_allocation_probs)
     assert run_cli("simulate", "--r0", "0.5", "--c", "1", "--seed", "4") == 0
-    # One call per stage at each of the three adapting analyses of four.
-    assert len(calls) == 6
+    # One call, on the stacked pairs of both stages, at each of the three
+    # adapting analyses of four.
+    assert len(calls) == 3

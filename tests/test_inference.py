@@ -236,6 +236,8 @@ class TestLogisticMean:
         (0.0, 2.5, 4): "ffd48d50e6beb1fdc181d7b1f76495511cde37b910cd8df33a386ebc87d88ba3",
         (0.3, 1.5, 2): "497b2760d210aafc78411da41fe512947b0ffaf832664d7b91fa6543aaeafaa6",
         (0.3, 1.5, 4): "c08166d32db2b6c24624ce829d09ff068060843cdbe7e48540f6d2c252ae638a",
+        (-0.4, 2.0, 2): "c85acb16eee331221846b428389331b28dfa2766f854d7ec46b571dee623b7e8",
+        (-0.4, 2.0, 4): "d1eb29e84a4407c5a279f51ccab2c59b3de3a2f1f051b3c20a4114f20f0ae5ca",
     }
 
     @staticmethod
@@ -252,11 +254,27 @@ class TestLogisticMean:
         return events, trials
 
     @pytest.mark.parametrize("cells", [2, 4])
-    @pytest.mark.parametrize("mean, sd", [(0.0, 2.5), (0.3, 1.5)])
+    @pytest.mark.parametrize("mean, sd", [(0.0, 2.5), (0.3, 1.5), (-0.4, 2.0)])
     def test_pinned_bits(self, mean, sd, cells):
         prior = PriorSpec(coefficient_prior_mean=mean, coefficient_prior_sd=sd)
         means = logistic_mean(prior, *self._pinned_batch(cells))
         assert hashlib.sha256(means.tobytes()).hexdigest() == self.PINNED_KERNEL[mean, sd, cells]
+
+    def test_newton_cycle_raises(self):
+        # Under this prior, full Newton steps on this four-cell row overshoot
+        # and then alternate between two points far from the mode; the fit
+        # must fail rather than integrate about a point that is not the mode.
+        # The first overshoot overflows exp, which tier-1 turns into an error.
+        prior = PriorSpec(coefficient_prior_mean=-1.0, coefficient_prior_sd=0.7)
+        events, trials = np.array([[743, 1442, 1399, 1317]]), np.array([[839, 1643, 1470, 1946]])
+        named = r"1 of 1 rows .*coefficient_prior_mean=-1\.0"
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=named):
+            logistic_mean(prior, events, trials)
+        # Rows that converge in the same batch do not hide the one that does not.
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="1 of 3 rows"):
+            logistic_mean(
+                prior, np.vstack([[3, 4, 2, 5], events, [0] * 4]), np.vstack([[10] * 4, trials, [0] * 4])
+            )
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads minor page faults from Linux getrusage")
     def test_work_arrays_fault_in_once_per_call(self, prior):

@@ -43,8 +43,8 @@ def allocate(mean1, mean2, table: UtilityTable, m: int, c: float = 1.0):
 def q_values(mean1, mean2, table: UtilityTable, m: int):
     """``_q_values`` for one trial, as ``run_block`` computes them: (Q1 by
     a1, Q2 by cell 2 a1 + a2)."""
-    q1, q2 = _q_values(np.array([mean1]), np.array([mean2]), row_utility(table), m)
-    return q1[0].tolist(), q2[0].tolist()
+    q = _q_values(np.array([mean1]), np.array([mean2]), row_utility(table), m)
+    return q[0, :2].tolist(), q[0, 2:].tolist()
 
 
 class TestQStage2:
@@ -138,9 +138,9 @@ class TestInvariants:
     )
     def test_q_values_within_table_bounds(self, p0, p1, mean, table_values):
         table = random_table(table_values)
-        q1, q2 = _q_values(np.array([(p0, p1)]), np.full((1, 4), mean), row_utility(table), 0)
+        q = _q_values(np.array([(p0, p1)]), np.full((1, 4), mean), row_utility(table), 0)
         lo, hi = min(table_values), max(table_values)
-        for value in np.concatenate([q2[0], q1[0]]):
+        for value in q[0]:
             assert lo - 1e-12 <= value <= hi + 1e-12
 
     @given(p0=probs, p1=probs, m_a=probs, m_b=probs)

@@ -134,6 +134,24 @@ class TestInterimSchedule:
 
 
 class TestRunTrial:
+    def test_patient_order_matches_a_permutation_per_cohort(self):
+        # _patient_rows shuffles each cohort's slice of one repeated array
+        # in place; the order must be the one that permuting each cohort's
+        # rows on its own gives, for any cohort counts, empty rows and
+        # empty cohorts included.
+        counts = np.random.default_rng(31)
+        for seed in range(40):
+            cohorts = counts.integers(0, 6, size=(counts.integers(1, 6), len(TERMINAL_ROWS)))
+            cohorts[counts.random(cohorts.shape) < 0.3] = 0
+            cohorts[counts.random(len(cohorts)) < 0.2] = 0
+            order = rng(seed)
+            expected = np.concatenate(
+                [order.permutation(np.repeat(np.arange(len(TERMINAL_ROWS)), n)) for n in cohorts]
+            )
+            got = smartrar.simulator._patient_rows(cohorts, rng(seed))
+            assert got.dtype == expected.dtype
+            assert got.tolist() == expected.tolist()
+
     def test_bit_for_bit_determinism(self):
         design = DesignConfig(myopic_m=0, adapt_c=1.0)
         a = run_trial(PROSE_SCENARIO, design, SETTINGS, seed=42, keep_records=True)
