@@ -2,10 +2,18 @@
 """Run the complete 28224-scenario x 4-design x 10-replicate sweep and emit
 both relative-utility matrix bundles.
 
-Uses the conjugate engine and every CPU by default. Measured on a 2-vCPU
-VM, the sweep took 12-15 s with --threads 1 and 10-11 s with both CPUs;
-peak RSS of this process about 72 MB with --threads 1 (the sweep's
-arrays, with each scenario's CSV lines formatted as they are written).
+Uses the conjugate engine and every CPU by default. Prints the sweep's
+seconds, trials/s and peak RSS, then the sha256 of both sweep CSVs. At
+base seed 0 with 10 replicates, any thread count, these are
+
+    sweep_replicates.csv  1ca16cd24bb4932ae791d92e7357e703aa2cf8f74a7314cd7e508e76b52726a4
+    sweep_aggregate.csv   71b726998649444e41702449938e83c75536790a7af183ec93b824baa33c6256
+
+(they depend on numpy's multinomial sampler). Measured on a shared 2-vCPU
+VM, the sweep took 9.5-14.0 s with --threads 1 and 7.3-8.2 s with both
+CPUs; peak RSS of this process 70-73 MB (the sweep's arrays, with each
+scenario's CSV lines formatted as they are written).
+
 Outputs land in --out-dir:
 
     sweep_replicates.csv   per-trial mean utilities
@@ -15,18 +23,29 @@ Outputs land in --out-dir:
 """
 
 import argparse
+import hashlib
 import resource
 import sys
 import time
 from pathlib import Path
 
 from smartrar.cli import main as cli_main
+from smartrar.core import CANONICAL_DESIGNS, scenario_grid
 
 
 def peak_rss_mb() -> float:
     """Peak resident set size of this process so far (``ru_maxrss`` is in
     KiB on Linux)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def sha256_of(path: Path) -> str:
+    """Hex sha256 of the file at ``path``, read in 1 MiB pieces."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for piece in iter(lambda: f.read(1 << 20), b""):
+            digest.update(piece)
+    return digest.hexdigest()
 
 
 def main() -> int:
@@ -54,7 +73,14 @@ def main() -> int:
     code = cli_main(sweep_args)
     if code != 0:
         return code
-    print(f"sweep finished in {time.perf_counter() - t0:.1f} s, peak RSS {peak_rss_mb():.0f} MB")
+    seconds = time.perf_counter() - t0
+    trials = len(scenario_grid()) * len(CANONICAL_DESIGNS) * args.replicates
+    print(
+        f"sweep finished in {seconds:.1f} s ({trials / seconds:,.0f} trials/s), "
+        f"peak RSS {peak_rss_mb():.0f} MB"
+    )
+    for name in ("sweep_replicates.csv", "sweep_aggregate.csv"):
+        print(f"{name} sha256:{sha256_of(out_dir / name)}")
 
     aggregate = out_dir / "sweep_aggregate.csv"
     for m in (0, 1):

@@ -278,12 +278,16 @@ def _designs_from_spec(spec: str) -> list[DesignConfig]:
 
 def write_sweep_csvs(out_dir: Path, result: SweepResult) -> dict[Path, str]:
     """Write the replicate and aggregate CSVs from the result's arrays: one
-    line per (scenario, design, replicate) and per (scenario, design). Each
-    scenario's (r0,r1,s0,s1,m,c) prefixes are formatted once for both files
-    and its lines written as one string per file, so the memory used stays
-    that of one scenario whatever the number of scenarios. Returns each
-    path with the sha256 of the bytes written to it."""
+    line per (scenario, design, replicate) and per (scenario, design).
+    Each file's lines for one scenario come from one ``%`` template, built
+    once per call over the designs (and replicates), into which each
+    scenario's (r0,r1,s0,s1) text and values go. Only one scenario's text
+    is held at a time, so the memory used does not grow with the number of
+    scenarios. Returns each path with the sha256 of the bytes written to it."""
     designs = [f"{d.myopic_m},{d.adapt_c:.17g}" for d in result.config.designs]
+    lines = len(designs) * result.config.replicates
+    replicate_lines = "".join(f"%s,{d},{rep},%.17g\n" for d in designs for rep in range(result.config.replicates))
+    aggregate_lines = "".join(f"%s,{d},%.17g,%.17g\n" for d in designs)
     paths = [out_dir / REPLICATES_CSV, out_dir / AGGREGATE_CSV]
     digests = [hashlib.sha256(), hashlib.sha256()]
     with open(paths[0], "wb") as replicates, open(paths[1], "wb") as aggregate:
@@ -293,11 +297,13 @@ def write_sweep_csvs(out_dir: Path, result: SweepResult) -> dict[Path, str]:
                 f.write(data)
                 digest.update(data)
         write("r0,r1,s0,s1,m,c,replicate,u_bar\n", AGGREGATE_HEADER + "\n")
-        for cell, *values in zip(result.config.cells, result.utility, result.u_bar_bar, result.std_err):
-            cell_text, (u_bars, u, se) = _cell_text(*cell.tolist()), (v.tolist() for v in values)
-            prefixes = [f"{cell_text},{design}" for design in designs]
-            lines = [f"{p},{rep},{x:.17g}\n" for p, row in zip(prefixes, u_bars) for rep, x in enumerate(row)]
-            write("".join(lines), "".join([f"{p},{a:.17g},{b:.17g}\n" for p, a, b in zip(prefixes, u, se)]))
+        for cell, u_bars, u, se in zip(result.config.cells, result.utility, result.u_bar_bar, result.std_err):
+            cell_text = _cell_text(*cell.tolist())
+            # Each line's arguments: the cell text, then its values.
+            replicate_args, aggregate_args = [cell_text] * (2 * lines), [cell_text] * (3 * len(designs))
+            replicate_args[1::2] = u_bars.ravel().tolist()
+            aggregate_args[1::3], aggregate_args[2::3] = u.tolist(), se.tolist()
+            write(replicate_lines % tuple(replicate_args), aggregate_lines % tuple(aggregate_args))
     return {path: digest.hexdigest() for path, digest in zip(paths, digests)}
 
 

@@ -19,9 +19,18 @@ never on the stage-two action. One multinomial draw per cohort gives the
 cohort's utility (counts dot row utilities) and its share of the 2 + 2x2
 sufficient statistics. This is exact in distribution.
 
+A trial's total utility is the ``math.fsum`` of its row counts times the row
+utilities. When every row utility is a non-negative integer and
+``max_patients`` times the largest is at most 2**53, every product and
+partial sum of a float dot product is an exact integer, so the block sums
+by one dot product instead, with the same bits; any other table keeps
+``fsum``.
+
 Trials run in blocks (``run_block``): one cohort loop over arrays with a
 leading trial axis, each cohort one multinomial call per scenario's Philox
-stream. Every trial of a block shares one ``TrialSettings``. Both
+stream (a stream whose trials share one row of probabilities, as at the
+first cohort, draws through the cheaper 1-D path, with the same
+variates). Every trial of a block shares one ``TrialSettings``. Both
 posterior engines are deterministic functions of the counts, so the counts
 are the only random draws of a trial. ``run_trial`` is a block of one
 trial, reproducible bit-for-bit from (cell, design, settings, seed),
@@ -105,41 +114,64 @@ def fixed_design_value(cell, table: UtilityTable | None = None) -> float:
     return float(pi[0] @ table.rows)
 
 
-def _stats_map(pooled: bool) -> np.ndarray:
+def _stats_map() -> np.ndarray:
     """The 0/1 map (10, 12) from row counts to the columns of (events1,
-    trials1, events2, trials2), laid out as ``_sufficient_stats`` returns them."""
+    events2, trials1, trials2): events before trials, so that one
+    ``conjugate_mean`` call takes every cell."""
     out = np.zeros((len(TERMINAL_ROWS), 12))
-    out[[0, 1], [2, 3]] = 1.0  # uninfected: trials1
+    out[[0, 1], [6, 7]] = 1.0  # uninfected: trials1
     for j in range(4):  # stage-two cell 2 a1 + a2: its survived and died rows
-        rows, into = slice(2 + 2 * j, 4 + 2 * j), [j % 2, 2 + j % 2] if pooled else [j]
-        out[rows, j // 2] = out[rows, 2 + j // 2] = 1.0  # infected: events1, trials1
-        out[3 + 2 * j, [4 + cell for cell in into]] = 1.0  # died: events2
-        out[rows, [8 + cell for cell in into]] = 1.0  # treated: trials2
+        rows = slice(2 + 2 * j, 4 + 2 * j)
+        out[rows, j // 2] = out[rows, 6 + j // 2] = 1.0  # infected: events1, trials1
+        out[3 + 2 * j, 2 + j] = 1.0  # died: events2
+        out[rows, 8 + j] = 1.0  # treated: trials2
     return out
 
 
-#: The count maps, indexed by the pooled flag: row counts (trials, 10) times
-#: a map give the sufficient statistics exactly (integer sums far below 2**53).
-_STATS_MAPS = (_stats_map(False), _stats_map(True))
+#: Row counts (trials, 10) times this map give the dynamic sufficient
+#: statistics exactly (integer sums far below 2**53).
+_STATS_MAP = _stats_map()
 
 
-def _sufficient_stats(counts: np.ndarray, myopic_m):
+def _pool_map() -> np.ndarray:
+    """The 0/1 map (12, 12) from the dynamic statistics to the pooled ones:
+    each stage-two column becomes the sum of the a1 = 0 and a1 = 1 columns
+    of its a2, exact as integer sums; the other columns stay."""
+    out = np.eye(12)
+    for column in (2, 3, 8, 9):  # events2 and trials2 of a1 = 0, by a2
+        out[column, column + 2] = out[column + 2, column] = 1.0
+    return out
+
+
+_POOL_MAP = _pool_map()
+
+
+class _Stats(tuple):
+    """(events1, trials1, events2, trials2) per trial, as ``_sufficient_stats``
+    returns them: views of ``table`` (trials, 12), whose columns hold
+    events1, events2, trials1 and trials2 in that order."""
+
+    table: np.ndarray
+
+
+def _sufficient_stats(counts: np.ndarray, myopic_m) -> _Stats:
     """(events1, trials1, events2, trials2) per trial from cumulative row
-    counts (trials, 10): integer-valued float views of the counts' product
-    with the map of their flag (a block that mixes flags picks each trial's
-    row from both products).
+    counts (trials, 10): integer-valued float views of one product of the
+    counts with the dynamic map.
 
     Stage one is indexed by a1. Stage two is flat over the cells (a1, a2)
     at index 2 a1 + a2, whose survived and died rows are counts[:, 2 + 2 j]
     and counts[:, 3 + 2 j]. In a myopic trial (``myopic_m`` broadcasts
-    over the trials) both a1 cells of an a2 hold its counts pooled over a1.
+    over the trials) both a1 cells of an a2 hold its counts pooled over a1,
+    the sum of its two dynamic cells (``_POOL_MAP``).
     """
-    pooled = np.asarray(myopic_m, dtype=bool)[..., None]
-    if pooled.all() or not pooled.any():
-        stats = counts @ _STATS_MAPS[bool(pooled.all())]
-    else:
-        stats = np.where(pooled, counts @ _STATS_MAPS[True], counts @ _STATS_MAPS[False])
-    return stats[:, :2], stats[:, 2:4], stats[:, 4:8], stats[:, 8:]
+    table = counts @ _STATS_MAP
+    pooled = np.asarray(myopic_m, dtype=bool)
+    if pooled.any():
+        np.copyto(table, table @ _POOL_MAP, where=pooled[..., None])
+    stats = _Stats((table[:, :2], table[:, 6:8], table[:, 2:6], table[:, 8:]))
+    stats.table = table
+    return stats
 
 
 def _q_values(mean1: np.ndarray, mean2: np.ndarray, utility: np.ndarray, myopic_m) -> np.ndarray:
@@ -215,16 +247,20 @@ def _substream(seed: int, index: int) -> np.random.SeedSequence:
 
 def _posterior_means(settings: TrialSettings, stats, myopic: np.ndarray):
     """Posterior means (mean1 (trials, 2), mean2 (trials, 4)) from the
-    sufficient statistics of at least one trial, laid out as they are.
+    sufficient statistics of at least one trial (``_sufficient_stats``),
+    laid out as they are.
 
-    The logistic model takes at most two calls: one two-cell call stacks
-    every trial's stage one with the pooled stage two of the myopic ones
-    (fitted on its two cells), and one four-cell call takes the rest of
-    stage two. ``run_block`` passes only the adapting (c != 0) trials."""
+    The conjugate engine takes one call over the whole table that the
+    statistics are views of. The logistic model takes at most two calls:
+    one two-cell call stacks every trial's stage one with the pooled stage
+    two of the myopic ones (fitted on its two cells), and one four-cell
+    call takes the rest of stage two. ``run_block`` passes only the
+    adapting (c != 0) trials."""
     events1, trials1, events2, trials2 = stats
     prior = settings.prior_spec
     if settings.engine == "conjugate":
-        return conjugate_mean(prior, events1, trials1), conjugate_mean(prior, events2, trials2)
+        means = conjugate_mean(prior, stats.table[:, :6], stats.table[:, 6:])
+        return means[:, :2], means[:, 2:]
     pooled, n1 = myopic != 0, len(trials1)
     if not pooled.any():
         return logistic_mean(prior, events1, trials1), logistic_mean(prior, events2, trials2)
@@ -255,6 +291,18 @@ def _patient_rows(cohorts: np.ndarray, order: np.random.Generator) -> np.ndarray
     return rows
 
 
+def _utility_totals(total: np.ndarray, rows: Sequence[float], max_patients: int) -> np.ndarray:
+    """Each trial's total utility from its row counts (trials, 10): the
+    ``math.fsum`` of the counts times the row utilities ``rows``. When every
+    row utility is an integer and ``max_patients`` times the largest is at
+    most 2**53, each product and partial sum of one float dot product is an
+    exact integer, so the dot product gives the same bits; any other table
+    keeps ``fsum``."""
+    if all(float(u).is_integer() for u in rows) and max_patients * int(max(rows)) <= 2**53:
+        return total @ np.asarray(rows, dtype=np.float64)
+    return np.fromiter(map(math.fsum, (total * np.asarray(rows, dtype=np.float64)).tolist()), float, len(total))
+
+
 def check_seed(seed: int) -> None:
     """Raise ``ValueError`` unless ``seed`` is a 64-bit unsigned integer."""
     if not (0 <= seed < 2**64):
@@ -281,35 +329,43 @@ def run_block(
     raises ``ConfigurationError`` before any draw.
     """
     settings.check_pooling(designs)
+    cells = np.asarray(cells, dtype=np.float64)
     per_scenario, num_interims = len(designs) * replicates, settings.num_interims
-    rates = np.repeat(np.asarray(cells, dtype=np.float64), per_scenario, axis=0)
     design_rows = np.repeat([(d.myopic_m, d.adapt_c) for d in designs], replicates, axis=0)
     design_rows = np.tile(design_rows, (len(rngs), 1))
     adapting = np.flatnonzero(design_rows[:, 1] != 0.0)
     myopic, adapt_c = design_rows[adapting].T
-    r, s = rates[adapting, :2], rates[adapting, 2:]
+    r, s = cells[adapting // per_scenario, :2], cells[adapting // per_scenario, 2:]
     # One row of utilities, which broadcasts over the trials.
-    utility, n = np.array([settings.utilities.rows]), len(rates)
-    stage1, stage2 = np.full((n, num_interims - 1, 2), 0.5), np.full((n, num_interims - 1, 2, 2), 0.5)
-    half = np.full((n, 2, 2), 0.5)
-    pi = _cohort_probs(rates[:, :2], rates[:, 2:], half[:, 0], half)
+    utility, n = np.array([settings.utilities.rows]), len(design_rows)
+    half = np.full((len(cells), 2, 2), 0.5)
+    pi = np.repeat(_cohort_probs(cells[:, :2], cells[:, 2:], half[:, 0], half), per_scenario, axis=0)
+    # The allocations of the adapting trials, written into the block once.
+    p1s, p2s = np.empty((len(adapting), num_interims - 1, 2)), np.empty((len(adapting), num_interims - 1, 2, 2))
     cohorts = np.empty((n, num_interims, len(TERMINAL_ROWS)), dtype=np.int64)
-    total = np.zeros((n, len(TERMINAL_ROWS)), dtype=np.int64)
-    by_scenario = cohorts.reshape(len(rngs), per_scenario, num_interims, -1)
+    total, pvals = np.zeros((n, len(TERMINAL_ROWS))), pi.reshape(len(rngs), per_scenario, -1)
+    cohort = settings.max_patients // num_interims
     for k in range(num_interims):
-        for rng, rows, scenario_pi in zip(rngs, by_scenario, pi.reshape(len(rngs), per_scenario, -1)):
-            rows[:, k] = rng.multinomial(settings.max_patients // num_interims, scenario_pi)
-        total += cohorts[:, k]
+        # Where a stream's trials share one row of pvals (its first cohort, a
+        # block with no adapting trial, a stream of one trial), the 1-D pvals
+        # path draws them: the same variates as the 2-D path, without most of
+        # its fixed cost per call.
+        shared = k == 0 or not len(adapting) or per_scenario == 1
+        draws = [
+            rng.multinomial(cohort, p[0], size=per_scenario) if shared else rng.multinomial(cohort, p)
+            for rng, p in zip(rngs, pvals)
+        ]
+        total += np.concatenate(draws, out=cohorts[:, k])
         # Allocation adapts after every analysis but the last, where c != 0.
         if k == num_interims - 1 or not len(adapting):
             continue
         means = _posterior_means(settings, _sufficient_stats(total[adapting], myopic), myopic)
-        p1, p2 = _allocate(*means, utility, myopic, adapt_c)
-        stage1[adapting, k], stage2[adapting, k] = p1, p2
-        pi[adapting] = _cohort_probs(r, s, p1, p2)
+        p1s[:, k], p2s[:, k] = _allocate(*means, utility, myopic, adapt_c)
+        pi[adapting] = _cohort_probs(r, s, p1s[:, k], p2s[:, k])
 
-    totals = map(math.fsum, (total * utility).tolist())
-    mean_utility = np.fromiter(totals, float, n) / settings.max_patients
+    stage1, stage2 = np.full((n, num_interims - 1, 2), 0.5), np.full((n, num_interims - 1, 2, 2), 0.5)
+    stage1[adapting], stage2[adapting] = p1s, p2s
+    mean_utility = _utility_totals(total, settings.utilities.rows, settings.max_patients) / settings.max_patients
     return Block(mean_utility, stage1, stage2, cohorts)
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import smartrar.cli
 from smartrar import CANONICAL_DESIGNS, ENGINE_IMPLEMENTATION, DesignConfig, SweepConfig, SweepResult, run_sweep
-from smartrar.cli import build_parser, fmt_real, main, write_relative_csv, write_sweep_csvs
+from smartrar.cli import AGGREGATE_HEADER, build_parser, fmt_real, main, write_relative_csv, write_sweep_csvs
 from smartrar.core import ENGINES, reduced_scenario_grid, scenario_grid
 from smartrar.inference import POSTERIOR_IMPLEMENTATION
 
@@ -982,6 +982,36 @@ def test_sweep_csv_lines(tmp_path):
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
         # the writer's digest is that of the bytes on disk
         assert paths[path] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def reference_sweep_csvs(result: SweepResult) -> tuple[bytes, bytes]:
+    """The bytes of both sweep CSVs as a line-by-line f-string writer
+    makes them: the reference for ``write_sweep_csvs``."""
+    designs = [f"{d.myopic_m},{d.adapt_c:.17g}" for d in result.config.designs]
+    replicates, aggregate = ["r0,r1,s0,s1,m,c,replicate,u_bar\n"], [AGGREGATE_HEADER + "\n"]
+    for cell, u_bars, u, se in zip(result.config.cells, result.utility, result.u_bar_bar, result.std_err):
+        r0, r1, s0, s1 = cell.tolist()
+        prefixes = [f"{r0:.17g},{r1:.17g},{s0:.17g},{s1:.17g},{design}" for design in designs]
+        for p, row in zip(prefixes, u_bars.tolist()):
+            replicates.extend(f"{p},{rep},{x:.17g}\n" for rep, x in enumerate(row))
+        aggregate.extend(f"{p},{a:.17g},{b:.17g}\n" for p, a, b in zip(prefixes, u.tolist(), se.tolist()))
+    return "".join(replicates).encode(), "".join(aggregate).encode()
+
+
+def test_sweep_csvs_match_the_line_by_line_writer(tmp_path):
+    """The template writer gives the reference writer's bytes: on one
+    replicate with c = 0.5, values 0, 1, 1/3 and the smallest subnormal
+    and a zero std_err; and on random utilities over several replicates."""
+    cells = np.array([(0.5, 0.45, 0.05, 0.95), (0.1, 1 / 3, 0.45, 0.5)])
+    designs = (DesignConfig(myopic_m=0, adapt_c=0.5), DesignConfig(myopic_m=1, adapt_c=0.5))
+    utility = np.array([0.0, 1.0, 1 / 3, 5e-324]).reshape(2, 2, 1)
+    config = SweepConfig(cells=cells, designs=designs, replicates=1)
+    one = SweepResult(config, utility, utility[:, :, 0], np.zeros((2, 2)), workers=1)
+    for result in (one, hand_built_result(scenario_grid()[::997], CANONICAL_DESIGNS, 10)):
+        paths = write_sweep_csvs(tmp_path, result)
+        expected = reference_sweep_csvs(result)
+        assert [path.read_bytes() for path in paths] == list(expected)
+        assert list(paths.values()) == [hashlib.sha256(data).hexdigest() for data in expected]
 
 
 def test_sweep_csvs_hold_one_scenario_at_a_time(tmp_path):

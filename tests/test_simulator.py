@@ -1,6 +1,7 @@
 """Trial-simulation contracts: generation, scheduling, adaptation, determinism."""
 
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from smartrar import (
     run_trial,
 )
 from smartrar.cli import main
-from smartrar.core import TERMINAL_ROWS
+from smartrar.core import TERMINAL_ROWS, UTILITY_ROW_KEYS
 
 from per_patient_reference import generate_patient, per_patient_trial
 from test_acceptance import arm_value
@@ -513,3 +514,52 @@ class TestCountLevelParity:
             if any(abs(v) > PARITY_Z for v in z.values()):
                 failed[case] = z
         assert not failed, failed
+
+
+def fsum_mean_utility(block, settings: TrialSettings) -> np.ndarray:
+    """The reference mean utility of each trial of ``block``: the
+    ``math.fsum`` of its row counts times the row utilities, over
+    ``max_patients``."""
+    rows = settings.utilities.rows
+    totals = [math.fsum(n * u for n, u in zip(counts, rows)) for counts in block.cohorts.sum(axis=1).tolist()]
+    return np.array(totals) / settings.max_patients
+
+
+# Integral tables sum as one dot product; the others, and an integral table
+# whose largest total could pass 2**53, keep fsum. On the last two tables a
+# naive dot product rounds differently from fsum in some of these trials.
+TOTALS_TABLES = {
+    "default": UtilityTable.default(),
+    "all-3": UtilityTable.from_entries({key: 3.0 for key in UTILITY_ROW_KEYS}),
+    "all--0.0": UtilityTable.from_entries({key: -0.0 for key in UTILITY_ROW_KEYS}),
+    "0.8": UtilityTable.from_entries({"uninfected_a1_1": 0.8, "survived_a1_0_a2_0": 0.8, "survived_a1_1_a2_0": 0.8}),
+    "past-2**53": UtilityTable((2.0**52 + 1, 3.0) + (2.0**52 - 1, 1.0) * 4),
+}
+
+
+@pytest.mark.parametrize("name", TOTALS_TABLES)
+def test_mean_utility_equals_a_per_trial_fsum(name):
+    """``run_block``'s mean utility equals, bit for bit, the per-trial
+    ``math.fsum`` of counts times utilities, under either summation."""
+    settings = TrialSettings(utilities=TOTALS_TABLES[name])
+    cells = [(0.5, 0.45, 0.05, 0.95), PROSE_SCENARIO, (0.9, 0.8, 0.6, 0.2), (0.0, 1.0, 0.05, 1.0)]
+    block = run_block(cells, [rng(seed) for seed in range(4)], CANONICAL_DESIGNS, 5, settings)
+    expected = fsum_mean_utility(block, settings)
+    assert block.mean_utility.tobytes() == expected.tobytes()
+    if name in ("0.8", "past-2**53"):
+        naive = block.cohorts.sum(axis=1) @ np.array(settings.utilities.rows) / settings.max_patients
+        assert (naive != expected).any()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_row_pvals_draw_as_the_two_d_path(seed):
+    """The 1-D pvals path of ``multinomial`` (one trial, or ``size`` trials
+    that share one row) draws the same variates as the 2-D path on the
+    same rows, zero probabilities included. ``run_block`` relies on it."""
+    p = np.random.default_rng(seed).dirichlet(np.ones(len(TERMINAL_ROWS)))
+    p[[seed % len(p), (3 * seed + 1) % len(p)]] = 0.0
+    p /= p.sum()
+    for n in (0, 1, 500):
+        assert (rng(seed).multinomial(n, p) == rng(seed).multinomial(n, p[None])[0]).all()
+        for size in (1, 7, 40):
+            assert (rng(seed).multinomial(n, p, size=size) == rng(seed).multinomial(n, np.tile(p, (size, 1)))).all()
