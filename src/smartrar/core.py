@@ -190,6 +190,8 @@ class DesignConfig:
 
     def __post_init__(self) -> None:
         _check_binary("myopic_m", self.myopic_m)
+        # Stored as int, so that a True or 1.0 flag is written as 0 or 1.
+        object.__setattr__(self, "myopic_m", int(self.myopic_m))
         if not (math.isfinite(self.adapt_c) and self.adapt_c >= 0.0):
             raise ValueError(f"adapt_c must be a non-negative real, got {self.adapt_c!r}")
 

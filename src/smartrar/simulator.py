@@ -30,14 +30,17 @@ Trials run in blocks (``run_block``): one cohort loop over arrays with a
 leading trial axis, each cohort one multinomial call per scenario's Philox
 stream (a stream whose trials share one row of probabilities, as at the
 first cohort, draws through the cheaper 1-D path, with the same
-variates). Every trial of a block shares one ``TrialSettings``. Both
-posterior engines are deterministic functions of the counts, so the counts
-are the only random draws of a trial. ``run_trial`` is a block of one
-trial, reproducible bit-for-bit from (cell, design, settings, seed),
-and returns its row of the block as arrays: substream 0 of the trial seed
-draws the counts and substream 2 orders each cohort's patients by terminal
-row, made only when they are requested so that asking for them never
-changes the mean utility or allocation path.
+variates), then one ``_policy_step`` from the adapting trials' cumulative
+counts to their next allocation. Every trial of a block shares one
+``TrialSettings``, and ``run_block`` takes inputs that ``run_trial`` or
+``SweepConfig`` checked. Both posterior engines are deterministic
+functions of the counts, so the counts are the only random draws of a
+trial. ``run_trial`` is a block of one trial, reproducible bit-for-bit
+from (cell, design, settings, seed), and returns its row of the block as
+arrays: substream 0 of the trial seed draws the counts and substream 2
+orders each cohort's patients by terminal row, made only when they are
+requested so that asking for them never changes the mean utility or
+allocation path.
 """
 
 from __future__ import annotations
@@ -92,12 +95,17 @@ class TrialResult:
     patient_rows: np.ndarray | None = None
 
 
-def _cohort_probs(r: np.ndarray, s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+#: Equal allocation at both stages: every first cohort, and any c = 0 design.
+_HALF = np.full((2, 2), 0.5)
+
+
+def _cohort_probs(r: np.ndarray, s: np.ndarray, p1: np.ndarray = _HALF[0], p2: np.ndarray = _HALF) -> np.ndarray:
     """pi (trials, 10) over the terminal rows from each trial's rates ``r``
     and ``s`` (trials, 2) by a1 and the allocation in force: ``p1[t, a1]``
-    is P(stage-one arm a1) and ``p2[t, a1, a2]`` P(stage-two arm a2 | a1)."""
+    is P(stage-one arm a1) and ``p2[t, a1, a2]`` P(stage-two arm a2 | a1),
+    equal at both stages by default."""
     infected = (p1 * r)[:, :, None] * p2
-    pi = np.empty((len(p1), len(TERMINAL_ROWS)))
+    pi = np.empty((len(r), len(TERMINAL_ROWS)))
     pi[:, :2] = p1 * (1.0 - r)
     pi[:, 2::2] = (infected * (1.0 - s)[:, :, None]).reshape(-1, 4)
     pi[:, 3::2] = (infected * s[:, :, None]).reshape(-1, 4)
@@ -109,9 +117,8 @@ def fixed_design_value(cell, table: UtilityTable | None = None) -> float:
     under equal allocation at both stages (any c = 0 design): the
     terminal-row probabilities at (1/2, 1/2) dotted with the row utilities."""
     table = table if table is not None else UtilityTable.default()
-    rates, half = check_cells([cell]), np.full((1, 2, 2), 0.5)
-    pi = _cohort_probs(rates[:, :2], rates[:, 2:], half[:, 0], half)
-    return float(pi[0] @ table.rows)
+    rates = check_cells([cell])
+    return float(_cohort_probs(rates[:, :2], rates[:, 2:])[0] @ table.rows)
 
 
 def _stats_map() -> np.ndarray:
@@ -146,18 +153,11 @@ def _pool_map() -> np.ndarray:
 _POOL_MAP = _pool_map()
 
 
-class _Stats(tuple):
-    """(events1, trials1, events2, trials2) per trial, as ``_sufficient_stats``
-    returns them: views of ``table`` (trials, 12), whose columns hold
-    events1, events2, trials1 and trials2 in that order."""
-
-    table: np.ndarray
-
-
-def _sufficient_stats(counts: np.ndarray, myopic_m) -> _Stats:
-    """(events1, trials1, events2, trials2) per trial from cumulative row
-    counts (trials, 10): integer-valued float views of one product of the
-    counts with the dynamic map.
+def _sufficient_stats(counts: np.ndarray, myopic_m) -> np.ndarray:
+    """The sufficient statistics (trials, 12) from cumulative row counts
+    (trials, 10): one product of the counts with the dynamic map, whose
+    integer-valued columns hold events1 (2), events2 (4), trials1 (2) and
+    trials2 (4) in that order.
 
     Stage one is indexed by a1. Stage two is flat over the cells (a1, a2)
     at index 2 a1 + a2, whose survived and died rows are counts[:, 2 + 2 j]
@@ -169,9 +169,7 @@ def _sufficient_stats(counts: np.ndarray, myopic_m) -> _Stats:
     pooled = np.asarray(myopic_m, dtype=bool)
     if pooled.any():
         np.copyto(table, table @ _POOL_MAP, where=pooled[..., None])
-    stats = _Stats((table[:, :2], table[:, 6:8], table[:, 2:6], table[:, 8:]))
-    stats.table = table
-    return stats
+    return table
 
 
 def _q_values(mean1: np.ndarray, mean2: np.ndarray, utility: np.ndarray, myopic_m) -> np.ndarray:
@@ -230,53 +228,49 @@ def allocation_probs(q, c):
     return np.where(equal, 0.5, w / np.where(equal, 1.0, total))
 
 
-def _allocate(mean1, mean2, utility, myopic_m, adapt_c):
-    """Posterior means -> Q-values -> Q^c allocation for both stages:
-    (p1 (trials, 2), p2 (trials, 2, 2)) laid out as in ``Block``, from one
-    ``allocation_probs`` call on the three pairs of each trial. The design
-    constants are floats or per-trial arrays."""
-    q = _q_values(mean1, mean2, utility, myopic_m).reshape(-1, 3, 2)
-    p = allocation_probs(q, np.asarray(adapt_c)[..., None])
-    return p[:, 0], p[:, 1:]
-
-
 def _substream(seed: int, index: int) -> np.random.SeedSequence:
     """Child ``index`` of ``SeedSequence(seed)``, as ``spawn`` would make it."""
     return np.random.SeedSequence(seed, spawn_key=(index,))
 
 
-def _posterior_means(settings: TrialSettings, stats, myopic: np.ndarray):
+def _posterior_means(settings: TrialSettings, table: np.ndarray, myopic: np.ndarray):
     """Posterior means (mean1 (trials, 2), mean2 (trials, 4)) from the
-    sufficient statistics of at least one trial (``_sufficient_stats``),
-    laid out as they are.
+    sufficient statistics (trials, 12) of at least one trial
+    (``_sufficient_stats``), laid out as they are.
 
-    The conjugate engine takes one call over the whole table that the
-    statistics are views of. The logistic model takes at most two calls:
-    one two-cell call stacks every trial's stage one with the pooled stage
-    two of the myopic ones (fitted on its two cells), and one four-cell
-    call takes the rest of stage two. ``run_block`` passes only the
-    adapting (c != 0) trials."""
-    events1, trials1, events2, trials2 = stats
-    prior = settings.prior_spec
+    The conjugate engine takes one call over the whole table. The logistic
+    model takes at most two calls: one two-cell call stacks every trial's
+    stage one with the pooled stage two of the myopic ones (fitted on its
+    two cells), and one four-cell call, made only if some trial is dynamic,
+    takes the rest of stage two."""
+    prior, events, trials = settings.prior_spec, table[:, :6], table[:, 6:]
     if settings.engine == "conjugate":
-        means = conjugate_mean(prior, stats.table[:, :6], stats.table[:, 6:])
+        means = conjugate_mean(prior, events, trials)
         return means[:, :2], means[:, 2:]
-    pooled, n1 = myopic != 0, len(trials1)
-    if not pooled.any():
-        return logistic_mean(prior, events1, trials1), logistic_mean(prior, events2, trials2)
-    # Masks only where the block mixes dynamic and myopic trials.
-    mixed = not pooled.all()
-    rows = pooled if mixed else slice(None)
+    pooled, n = myopic != 0, len(table)
     two_cell = logistic_mean(
         prior,
-        np.concatenate([events1, events2[rows, :2]]),
-        np.concatenate([trials1, trials2[rows, :2]]),
+        np.concatenate([events[:, :2], events[pooled, 2:4]]),
+        np.concatenate([trials[:, :2], trials[pooled, 2:4]]),
     )
-    mean1, mean2 = two_cell[:n1], np.tile(two_cell[n1:], 2)
-    if mixed:
-        mean2, pooled_mean2 = np.empty(trials2.shape), mean2
-        mean2[pooled], mean2[~pooled] = pooled_mean2, logistic_mean(prior, events2[~pooled], trials2[~pooled])
-    return mean1, mean2
+    mean2 = np.empty((n, 4))
+    mean2[pooled] = np.tile(two_cell[n:], 2)
+    if not pooled.all():
+        mean2[~pooled] = logistic_mean(prior, events[~pooled, 2:], trials[~pooled, 2:])
+    return two_cell[:n], mean2
+
+
+def _policy_step(settings: TrialSettings, total: np.ndarray, myopic: np.ndarray, adapt_c: np.ndarray):
+    """One interim analysis of adapting trials with design constants
+    ``myopic`` and ``adapt_c``: cumulative row counts ``total`` (trials, 10)
+    -> sufficient statistics -> posterior means -> Q-values -> Q^c
+    allocation (p1 (trials, 2), p2 (trials, 2, 2)), laid out as in
+    ``Block``. A trial's result does not depend on the other trials."""
+    means = _posterior_means(settings, _sufficient_stats(total, myopic), myopic)
+    # One row of utilities, which broadcasts over the trials.
+    q = _q_values(*means, np.array([settings.utilities.rows]), myopic).reshape(-1, 3, 2)
+    p = allocation_probs(q, adapt_c[:, None])
+    return p[:, 0], p[:, 1:]
 
 
 def _patient_rows(cohorts: np.ndarray, order: np.random.Generator) -> np.ndarray:
@@ -305,7 +299,7 @@ def _utility_totals(total: np.ndarray, rows: Sequence[float], max_patients: int)
 
 def check_seed(seed: int) -> None:
     """Raise ``ValueError`` unless ``seed`` is a 64-bit unsigned integer."""
-    if not (0 <= seed < 2**64):
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
         raise ValueError("seed must be a 64-bit unsigned integer")
 
 
@@ -325,10 +319,13 @@ def run_block(
     myopic flag in the stage-one utility and the stage-two pooling, for the
     c != 0 trials only: ``c = 0`` allocates 1/2 whatever the data, so those
     trials keep the first cohort's probabilities and are never analysed,
-    under either engine. A myopic design with an ambiguous pooled table
-    raises ``ConfigurationError`` before any draw.
+    under either engine.
+
+    Unvalidated, like ``allocation_probs``: ``cells`` holds probabilities
+    (as ``check_cells`` returns them) and ``settings`` can pool the stage
+    two of every myopic design (``TrialSettings.check_pooling``). The
+    public entry points, ``run_trial`` and ``SweepConfig``, check both.
     """
-    settings.check_pooling(designs)
     cells = np.asarray(cells, dtype=np.float64)
     per_scenario, num_interims = len(designs) * replicates, settings.num_interims
     design_rows = np.repeat([(d.myopic_m, d.adapt_c) for d in designs], replicates, axis=0)
@@ -336,10 +333,7 @@ def run_block(
     adapting = np.flatnonzero(design_rows[:, 1] != 0.0)
     myopic, adapt_c = design_rows[adapting].T
     r, s = cells[adapting // per_scenario, :2], cells[adapting // per_scenario, 2:]
-    # One row of utilities, which broadcasts over the trials.
-    utility, n = np.array([settings.utilities.rows]), len(design_rows)
-    half = np.full((len(cells), 2, 2), 0.5)
-    pi = np.repeat(_cohort_probs(cells[:, :2], cells[:, 2:], half[:, 0], half), per_scenario, axis=0)
+    n, pi = len(design_rows), np.repeat(_cohort_probs(cells[:, :2], cells[:, 2:]), per_scenario, axis=0)
     # The allocations of the adapting trials, written into the block once.
     p1s, p2s = np.empty((len(adapting), num_interims - 1, 2)), np.empty((len(adapting), num_interims - 1, 2, 2))
     cohorts = np.empty((n, num_interims, len(TERMINAL_ROWS)), dtype=np.int64)
@@ -359,8 +353,7 @@ def run_block(
         # Allocation adapts after every analysis but the last, where c != 0.
         if k == num_interims - 1 or not len(adapting):
             continue
-        means = _posterior_means(settings, _sufficient_stats(total[adapting], myopic), myopic)
-        p1s[:, k], p2s[:, k] = _allocate(*means, utility, myopic, adapt_c)
+        p1s[:, k], p2s[:, k] = _policy_step(settings, total[adapting], myopic, adapt_c)
         pi[adapting] = _cohort_probs(r, s, p1s[:, k], p2s[:, k])
 
     stage1, stage2 = np.full((n, num_interims - 1, 2), 0.5), np.full((n, num_interims - 1, 2, 2), 0.5)
@@ -381,12 +374,13 @@ def run_trial(
     under the given design: a block of one.
 
     Fully deterministic given ``seed``, a 64-bit unsigned integer whose
-    substream 0 draws the cohort counts. A myopic design with an ambiguous
-    pooled table raises ``ConfigurationError`` before any draw. Set
-    ``keep_records`` to fill ``patient_rows``, which leaves every other
-    field unchanged.
+    substream 0 draws the cohort counts. A bad cell or seed raises
+    ``ValueError``, and a myopic design with an ambiguous pooled table
+    ``ConfigurationError``, before any draw. Set ``keep_records`` to fill
+    ``patient_rows``, which leaves every other field unchanged.
     """
     check_seed(seed)
+    settings.check_pooling((design,))
     # Substreams 0 (cohort counts) and 2 (patient order) of the trial
     # seed, each made only when it is used. Substream 1 is unused; patients
     # stay on 2 so that their bytes match earlier versions' output.

@@ -14,7 +14,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -37,8 +37,8 @@ class SweepConfig:
     """What to sweep: scenarios x designs x replicates, plus seeding, under
     the trial settings that every trial shares. ``cells`` holds one
     (r0, r1, s0, s1) row per scenario, stored as ``check_cells`` returns
-    it. A bad row, or a utility table that a myopic design cannot pool,
-    raises here, before any trial runs."""
+    it. A bad row or base seed, or a table that a myopic design cannot
+    pool, raises here, once, before any trial runs."""
 
     cells: np.ndarray
     designs: tuple[DesignConfig, ...]
@@ -53,8 +53,8 @@ class SweepConfig:
             raise ValueError("designs must be non-empty")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be non-negative")
+        if not (isinstance(self.base_seed, (int, np.integer)) and self.base_seed >= 0):
+            raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
         if self.parallelism is not None and self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         self.settings.check_pooling(self.designs)
@@ -85,18 +85,19 @@ def scenario_rng(base_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((base_seed, index))))
 
 
-def _run_block(args: tuple[int, SweepConfig]) -> np.ndarray:
-    """Utility (scenarios, designs, replicates) of the trials of
-    ``config.cells``, sweep indices ``start`` on, run as one batch."""
-    start, config = args
-    rngs = [scenario_rng(config.base_seed, start + offset) for offset in range(len(config.cells))]
+def _run_block(task: tuple) -> np.ndarray:
+    """Utility (scenarios, designs, replicates) of the checked ``cells``,
+    sweep indices ``start`` on, run as one batch under the sweep's checked
+    designs, replicates, base seed and settings."""
+    start, cells, designs, replicates, base_seed, settings = task
+    rngs = [scenario_rng(base_seed, start + offset) for offset in range(len(cells))]
     try:
-        block = run_block(config.cells, rngs, config.designs, config.replicates, config.settings)
+        block = run_block(cells, rngs, designs, replicates, settings)
     except Exception as exc:
         raise SweepError(
             f"trial failed in scenario indices {start} to {start + len(rngs) - 1}: {exc}"
         ) from exc
-    return block.mean_utility.reshape(len(rngs), len(config.designs), config.replicates)
+    return block.mean_utility.reshape(len(rngs), len(designs), replicates)
 
 
 def available_cpus() -> int:
@@ -112,10 +113,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     there are blocks; the result is identical for any parallelism degree.
     """
     step = BLOCK_SCENARIOS
-    tasks = [
-        (start, replace(config, cells=config.cells[start : start + step]))
-        for start in range(0, len(config.cells), step)
-    ]
+    fields = (config.designs, config.replicates, config.base_seed, config.settings)
+    tasks = [(start, config.cells[start : start + step], *fields) for start in range(0, len(config.cells), step)]
     # No more workers than blocks: a pool starts every worker it is given.
     requested = config.parallelism if config.parallelism is not None else available_cpus()
     workers = min(requested, len(tasks))

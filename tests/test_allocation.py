@@ -57,7 +57,7 @@ def test_array_layout_matches_pairs():
 
 
 def test_stacked_pairs_match_the_per_stage_calls():
-    # _allocate makes one call on each trial's three pairs (stage one, then
+    # _policy_step makes one call on each trial's three pairs (stage one, then
     # stage two by a1) where it used to make one call per stage; the rule
     # acts on each pair alone, so the bits must not change. Large c makes
     # some pairs underflow or overflow, and zero pairs fall back to 1/2.

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import io
 import platform
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,12 +13,21 @@ import numpy as np
 import pytest
 
 import smartrar.cli
-from smartrar import CANONICAL_DESIGNS, ENGINE_IMPLEMENTATION, DesignConfig, SweepConfig, SweepResult, run_sweep
+from smartrar import (
+    CANONICAL_DESIGNS,
+    ENGINE_IMPLEMENTATION,
+    DesignConfig,
+    SweepConfig,
+    SweepResult,
+    TrialSettings,
+    run_sweep,
+)
 from smartrar.cli import AGGREGATE_HEADER, build_parser, fmt_real, main, write_relative_csv, write_sweep_csvs
-from smartrar.core import ENGINES, reduced_scenario_grid, scenario_grid
+from smartrar.core import ENGINES, check_cells, reduced_scenario_grid, scenario_grid
 from smartrar.inference import POSTERIOR_IMPLEMENTATION
 
 REDUCED_SWEEP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_reduced_sweep.py"
+FULL_SWEEP_SCRIPT = REDUCED_SWEEP_SCRIPT.with_name("run_full_sweep.py")
 
 
 def run_cli(*argv: str) -> int:
@@ -716,6 +726,30 @@ class TestReport:
         )
         assert (out_dir / "rel_u_m0_long.csv").read_bytes() == expected.read_bytes()
 
+    def test_a_true_myopic_flag_round_trips_as_1(self, tmp_path):
+        """A design made with ``myopic_m=True`` is written with m = 1, and
+        ``report`` reads that sweep back."""
+        designs = tuple(DesignConfig(myopic_m=True, adapt_c=c) for c in (0.0, 1.0))
+        result = run_sweep(
+            SweepConfig(
+                cells=[(r0, r1, 0.4, 0.4) for r0 in (0.2, 0.8) for r1 in (0.2, 0.8)],
+                designs=designs,
+                replicates=2,
+                base_seed=3,
+                parallelism=1,
+                settings=TrialSettings(max_patients=400),
+            )
+        )
+        write_sweep_csvs(tmp_path, result)
+        for name in ("sweep_replicates.csv", "sweep_aggregate.csv"):
+            rows = (tmp_path / name).read_text().splitlines()[1:]
+            assert {row.split(",")[4] for row in rows} == {"1"}
+        out_dir = tmp_path / "report"
+        assert run_cli("report", "--in", str(tmp_path / "sweep_aggregate.csv"), "--m", "1",
+                       "--format", "long-csv", "--out-dir", str(out_dir)) == 0
+        expected = write_relative_csv(tmp_path / "expected.csv", result.config.cells, result.relative[1], 1)
+        assert (out_dir / "rel_u_m1_long.csv").read_bytes() == expected.read_bytes()
+
     def test_long_format_accepts_any_scenario_set(self, tmp_path, scenario_file, capsys):
         # two scenarios that share no (s0, s1) pair: no r0 x r1 x s0 x s1 grid
         aggregate = self._sweep(tmp_path, scenario_file)
@@ -936,10 +970,16 @@ def test_sweep_outputs_under_a_utility_override_are_pinned(tmp_path, capsys, des
     assert digests == PINNED_SWEEP_UTILITIES_SHA256[designs]
 
 
-def test_reduced_sweep_script_matches_report(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("run_reduced_sweep", REDUCED_SWEEP_SCRIPT)
+def load_script(path: Path):
+    """The script at ``path``, imported as a module."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_reduced_sweep_script_matches_report(tmp_path, capsys):
+    script = load_script(REDUCED_SWEEP_SCRIPT)
     out_dir = tmp_path / "script"
     assert script.main(["--out-dir", str(out_dir), "--replicates", "1", "--threads", "1"]) == 0
     for m in (0, 1):
@@ -952,6 +992,64 @@ def test_reduced_sweep_script_matches_report(tmp_path, capsys):
     for name in ("sweep_replicates.csv", "sweep_aggregate.csv"):
         digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         assert f"\n{name} = sha256:{digest}\n" in manifest
+
+
+def test_full_sweep_script_checks_the_pinned_digests(tmp_path, capsys, monkeypatch):
+    """At base seed 0 with 10 replicates the script exits 1 and names each
+    sweep CSV whose sha256 differs from ``PINNED_DIGESTS``; at any other
+    seed or replicate count it only prints them. The full-grid sweep is
+    stood in for by one that writes each CSV's name as its content."""
+    script = load_script(FULL_SWEEP_SCRIPT)
+    pinned = script.PINNED_DIGESTS
+    assert list(pinned) == ["sweep_replicates.csv", "sweep_aggregate.csv"]
+
+    def fake_cli_main(argv):
+        if argv[0] == "sweep":
+            out_dir = Path(argv[argv.index("--out-dir") + 1])
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name in pinned:
+                (out_dir / name).write_text(name)
+        return 0
+
+    monkeypatch.setattr(script, "cli_main", fake_cli_main)
+    written = {name: hashlib.sha256(name.encode()).hexdigest() for name in pinned}
+    out_dir = tmp_path / "full"
+    cases = [
+        ([], pinned, ["sweep_replicates.csv", "sweep_aggregate.csv"]),
+        ([], written | {"sweep_aggregate.csv": pinned["sweep_aggregate.csv"]}, ["sweep_aggregate.csv"]),
+        ([], written, []),
+        (["--base-seed", "1"], pinned, []),
+        (["--replicates", "2"], pinned, []),
+    ]
+    for extra, digests, differ in cases:
+        monkeypatch.setattr(script, "PINNED_DIGESTS", digests)
+        assert script.main(["--out-dir", str(out_dir), *extra]) == (1 if differ else 0)
+        out, err = capsys.readouterr()
+        for name in pinned:
+            assert f"{name} sha256:{written[name]}" in out
+            assert (str(out_dir / name) in err) == (name in differ)
+        assert ("reports finished" in out) == (not differ)
+
+
+def test_one_sweep_call_checks_its_inputs_once(tmp_path, capsys):
+    """A ``sweep`` call checks its cells and its pooling once, where its
+    ``SweepConfig`` is made; each block it runs takes them as checked."""
+    grid = every_20th_reduced_scenario(tmp_path)
+    counts = {check_cells.__code__: 0, TrialSettings.check_pooling.__code__: 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        code = run_cli("sweep", "--grid", str(grid), "--designs", "all", "--replicates", "10",
+                       "--threads", "1", "--out-dir", str(tmp_path / "sweep"))
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    # 20 scenarios run as two blocks
+    assert list(counts.values()) == [1, 1]
 
 
 def hand_built_result(cells, designs, replicates: int) -> SweepResult:
@@ -1073,7 +1171,7 @@ def test_benchmark_patch_points_stay_in_the_cli_namespace(tmp_path, capsys, monk
 
 
 def test_benchmark_allocation_patch_point_stays_in_the_simulator_namespace(capsys, monkeypatch):
-    # bench/tracing.py wraps allocation_probs where _allocate looks it up.
+    # bench/tracing.py wraps allocation_probs where _policy_step looks it up.
     import smartrar.simulator
 
     calls = []

@@ -10,6 +10,7 @@ from smartrar import (
     CANONICAL_DESIGNS,
     ConfigurationError,
     DesignConfig,
+    SweepConfig,
     PriorSpec,
     R_GRID,
     S_GRID,
@@ -20,7 +21,8 @@ from smartrar import (
     scenario_grid,
 )
 from smartrar.core import TERMINAL_ROWS, UTILITY_ROW_KEYS, check_cells
-from smartrar.simulator import _sufficient_stats
+
+from test_inference import sufficient_stats
 
 
 class TestScenarioGrid:
@@ -100,7 +102,7 @@ class TestHistory:
         # a1 cells of that a2)
         counts = np.arange(10)[None, :]
         for m, cells in ((0, 4), (1, 2)):
-            events1, trials1, events2, trials2 = _sufficient_stats(counts, m)
+            events1, trials1, events2, trials2 = sufficient_stats(counts, m)
             assert events1.shape == trials1.shape == (1, 2)
             assert events2.shape == trials2.shape == (1, 4)
             assert len({tuple(events2[0, 2 * a1 : 2 * a1 + 2]) for a1 in (0, 1)}) == cells // 2
@@ -227,14 +229,32 @@ class TestDesignConfig:
         with pytest.raises(ValueError):
             DesignConfig(myopic_m=0, adapt_c=-0.1)
 
-    def test_seed_range(self):
-        # The trial seed, given to run_trial beside the design, is 64-bit unsigned.
+    def test_seed_range(self, monkeypatch):
+        # The trial seed, given to run_trial beside the design, is 64-bit
+        # unsigned, and a sweep's base seed a non-negative integer; a bad
+        # one raises before any trial runs.
+        import smartrar.simulator
+
         scenario, design = (0.5, 0.5, 0.5, 0.5), DesignConfig(myopic_m=0, adapt_c=0.0)
         settings = TrialSettings(max_patients=4, num_interims=1)
         run_trial(scenario, design, settings, seed=2**64 - 1)
-        for seed in (-1, 2**64):
+        SweepConfig(cells=[scenario], designs=(design,), base_seed=np.uint64(5))
+        calls = []
+        monkeypatch.setattr(smartrar.simulator, "run_block", lambda *args: calls.append(args))
+        for seed in (-1, 2**64, 2.5, 3.0, np.float64(4.0), "5"):
             with pytest.raises(ValueError, match="64-bit"):
                 run_trial(scenario, design, settings, seed=seed)
+            if seed != 2**64:
+                with pytest.raises(ValueError, match="base_seed must be a non-negative integer"):
+                    SweepConfig(cells=[scenario], designs=(design,), base_seed=seed)
+        assert calls == []
+
+    def test_myopic_flag_is_stored_as_an_int(self):
+        for flag in (True, False, 1.0, np.int64(1)):
+            design = DesignConfig(myopic_m=flag, adapt_c=1.0)
+            assert type(design.myopic_m) is int and design.myopic_m == flag
+        with pytest.raises(ValueError, match="myopic_m must be 0 or 1"):
+            DesignConfig(myopic_m=0.5, adapt_c=1.0)
 
     def test_prior_spec_positivity(self):
         with pytest.raises(ValueError):

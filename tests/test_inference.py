@@ -15,6 +15,15 @@ from smartrar.inference import _NODES, _ROWS_PER_PASS, _design_matrix
 from smartrar.simulator import _sufficient_stats
 
 
+def sufficient_stats(counts, m):
+    """(events1, trials1, events2, trials2) per trial: the slices of the
+    (trials, 12) table of ``_sufficient_stats``, whose columns hold events1
+    (2), events2 (4), trials1 (2) and trials2 (4) in that order."""
+    table = _sufficient_stats(counts, m)
+    assert table.shape == (len(counts), 12)
+    return table[:, :2], table[:, 6:8], table[:, 2:6], table[:, 8:]
+
+
 class TestCellCounts:
     def test_events_bounded_by_trials(self, prior):
         # cell counts are checked where they enter the MCMC reference
@@ -90,28 +99,28 @@ RECORDS = [(0, 1, 1, 0), (0, 0, None, None), (1, 1, 1, 1)]
 class TestAccumulate:
     def test_empty_records(self):
         for m in (0, 1):
-            events1, trials1, events2, trials2 = _sufficient_stats(_row_counts([]), m)
+            events1, trials1, events2, trials2 = sufficient_stats(_row_counts([]), m)
             assert events1.tolist() == trials1.tolist() == [[0, 0]]
             assert events2.tolist() == trials2.tolist() == [[0] * 4]
 
     def test_hand_counted_dynamic(self):
-        events1, trials1, events2, trials2 = _sufficient_stats(_row_counts(RECORDS), 0)
+        events1, trials1, events2, trials2 = sufficient_stats(_row_counts(RECORDS), 0)
         assert (events1.tolist(), trials1.tolist()) == ([[1, 1]], [[2, 1]])
         assert (events2.tolist(), trials2.tolist()) == ([[0, 0, 0, 1]], [[0, 1, 0, 1]])
 
     def test_hand_counted_pooled(self):
         # pooled by a2, held in both a1 cells
-        _, _, events2, trials2 = _sufficient_stats(_row_counts(RECORDS), 1)
+        _, _, events2, trials2 = sufficient_stats(_row_counts(RECORDS), 1)
         assert (events2.tolist(), trials2.tolist()) == ([[0, 1, 0, 1]], [[0, 2, 0, 2]])
 
     def test_flag_per_trial(self):
         counts = np.concatenate([_row_counts(RECORDS)] * 2)
-        _, _, events2, trials2 = _sufficient_stats(counts, np.array([0, 1]))
+        _, _, events2, trials2 = sufficient_stats(counts, np.array([0, 1]))
         assert events2.tolist() == [[0, 0, 0, 1], [0, 1, 0, 1]]
         assert trials2.tolist() == [[0, 1, 0, 1], [0, 2, 0, 2]]
 
     def test_stage2_trials_equal_infections(self):
-        events1, _, _, trials2 = _sufficient_stats(_row_counts(RECORDS), 0)
+        events1, _, _, trials2 = sufficient_stats(_row_counts(RECORDS), 0)
         assert trials2.sum() == events1.sum()
 
     @given(
@@ -124,8 +133,8 @@ class TestAccumulate:
     )
     def test_pooling_consistency(self, data):
         counts = _row_counts(data)
-        _, _, events2, trials2 = _sufficient_stats(counts, 0)
-        _, _, pooled_events, pooled_trials = _sufficient_stats(counts, 1)
+        _, _, events2, trials2 = sufficient_stats(counts, 0)
+        _, _, pooled_events, pooled_trials = sufficient_stats(counts, 1)
         for a1 in (0, 1):
             for a2 in (0, 1):
                 assert pooled_events[0, 2 * a1 + a2] == events2[0, a2] + events2[0, 2 + a2]

@@ -1,13 +1,16 @@
 """The Q-value formulas of ``_q_values``, the simulator's means -> Q ->
 allocation glue, and the enumeration oracle that c4 compares them against."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smartrar import UtilityTable
-from smartrar.simulator import _allocate, _q_values
+import smartrar.simulator
+from smartrar import TrialSettings, UtilityTable
+from smartrar.simulator import _policy_step, _q_values
 
 from test_acceptance import enumerated_stage1_values
 
@@ -30,13 +33,16 @@ def row_utility(table: UtilityTable) -> np.ndarray:
 
 
 def allocate(mean1, mean2, table: UtilityTable, m: int, c: float = 1.0):
-    """``_allocate`` for one trial with flag m: the stage-one pair and the
-    stage-two pairs as ``run_trial`` reports them (one per a1, or the
-    pooled pair once). A myopic trial's pooled means are the first two
-    stage-two means, held in both a1 cells as ``_sufficient_stats`` does."""
+    """``_policy_step`` for one trial with flag m whose posterior means are
+    the given ones: the stage-one pair and the stage-two pairs as
+    ``run_trial`` reports them (one per a1, or the pooled pair once). A
+    myopic trial's pooled means are the first two stage-two means, held in
+    both a1 cells as ``_sufficient_stats`` does."""
     if m:
         mean2 = mean2[:2] * 2
-    p1, p2 = _allocate(np.array([mean1]), np.array([mean2]), row_utility(table), m, c)
+    means = (np.array([mean1]), np.array([mean2]))
+    with mock.patch.object(smartrar.simulator, "_posterior_means", lambda *args: means):
+        p1, p2 = _policy_step(TrialSettings(utilities=table), np.zeros((1, 10)), np.array([m]), np.array([c]))
     return tuple(p1[0].tolist()), tuple(map(tuple, p2[0].tolist()[: 2 - m]))
 
 

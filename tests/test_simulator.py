@@ -362,9 +362,9 @@ class TestLogisticFitsOnlyAdaptingRows:
         calls = []
         analyse = smartrar.simulator._posterior_means
 
-        def recorded(settings, stats, myopic):
-            calls.append([a.copy() for a in (*stats, myopic)])
-            return analyse(settings, stats, myopic)
+        def recorded(settings, table, myopic):
+            calls.append([table.copy(), myopic.copy()])
+            return analyse(settings, table, myopic)
 
         monkeypatch.setattr(smartrar.simulator, "_posterior_means", recorded)
         designs = [d for d in CANONICAL_DESIGNS if which == "all" or d.adapt_c == 0]
@@ -374,7 +374,7 @@ class TestLogisticFitsOnlyAdaptingRows:
         adapting, expected = c != 0, []
         for k in range(settings.num_interims - 1 if adapting.any() else 0):
             counts = block.cohorts[adapting, : k + 1].sum(axis=1)
-            expected.append([*smartrar.simulator._sufficient_stats(counts, m[adapting]), m[adapting]])
+            expected.append([smartrar.simulator._sufficient_stats(counts, m[adapting]), m[adapting]])
         assert len(calls) == len(expected)
         for got, want in zip(calls, expected):
             for a, b in zip(got, want, strict=True):
@@ -401,6 +401,29 @@ TABLE_POOLED = UtilityTable.from_entries(
         "died_a1_1_a2_0": 0.1,
     }
 )
+
+
+@pytest.mark.parametrize("engine", ["conjugate", "mcmc"])
+def test_policy_step_is_row_by_row(engine):
+    """``_policy_step`` on a block that mixes dynamic and myopic trials at
+    c in {0.5, 1, 3} gives, bit for bit, the stacked results of one-trial
+    calls: no trial's allocation depends on the other trials of its block."""
+    gen = np.random.default_rng(23)
+    settings = TrialSettings(engine=engine, utilities=TABLE_POOLED)
+    rows = gen.permutation([(m, c) for m in (0, 1) for c in (0.5, 1.0, 3.0)] * 3)
+    myopic, adapt_c = rows.T
+    sizes = gen.choice([0, 7, 500, 1500], size=len(rows))
+    total = np.stack([gen.multinomial(n, gen.dirichlet(np.ones(10))) for n in sizes]).astype(np.float64)
+    p1, p2 = smartrar.simulator._policy_step(settings, total, myopic, adapt_c)
+    assert p1.shape == (len(rows), 2) and p2.shape == (len(rows), 2, 2)
+    assert (p1 != 0.5).any() and (p2 != 0.5).any()
+    alone = [
+        smartrar.simulator._policy_step(settings, total[t : t + 1], myopic[t : t + 1], adapt_c[t : t + 1])
+        for t in range(len(rows))
+    ]
+    assert p1.tobytes() == np.concatenate([a for a, _ in alone]).tobytes()
+    assert p2.tobytes() == np.concatenate([b for _, b in alone]).tobytes()
+
 
 PARITY_CASES = tuple(
     (scenario, DesignConfig(myopic_m=m, adapt_c=c), TrialSettings(utilities=table))
