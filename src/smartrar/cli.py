@@ -45,7 +45,12 @@ from .core import (
     scenario_grid,
 )
 from .inference import POSTERIOR_IMPLEMENTATION
-from .simulator import ENGINE_IMPLEMENTATION, TrialResult, check_seed, run_trial
+from .simulator import ENGINE_IMPLEMENTATION, TrialResult, check_seed
+
+# cmd_simulate checks its inputs before it makes the output directory, so
+# its trial runs unchecked. The runner keeps the name run_trial here, the
+# patch point where bench/tracing.py times simulate's trial.
+from .simulator import _run_checked_trial as run_trial
 from .sweep import SweepConfig, SweepError, SweepResult, relative_utility, run_sweep
 
 # The environment variable that sets each long flag's default.
@@ -213,8 +218,9 @@ def _write_allocations_csv(path: Path, result: TrialResult, pooled: bool) -> tup
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cell = (args.r0, args.r1, args.s0, args.s1)
-    check_cells([cell])
+    # The inputs are checked here, before the output directory is made, and
+    # the trial takes them as checked.
+    cells = check_cells([(args.r0, args.r1, args.s0, args.s1)])
     design = DesignConfig(myopic_m=args.m, adapt_c=args.c)
     settings = TrialSettings(
         max_patients=args.patients, num_interims=args.interims, engine=args.engine, utilities=args.utilities
@@ -222,7 +228,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     settings.check_pooling((design,))
     check_seed(args.seed)
     out_dir = None if args.out is None else _writable_dir(args.out)
-    result = run_trial(cell, design, settings, seed=args.seed, keep_records=out_dir is not None)
+    result = run_trial(cells, design, settings, args.seed, out_dir is not None)
     if out_dir is not None:
         outputs = dict([
             _write_patients_csv(out_dir / "patients.csv", result.patient_rows, args.utilities),
@@ -276,6 +282,32 @@ def _designs_from_spec(spec: str) -> list[DesignConfig]:
     return list(chosen.values())
 
 
+#: Most ``u_bar`` texts that ``write_sweep_csvs`` keeps per process.
+U_BAR_MEMO_LIMIT = 8192
+
+#: ``format(x, ".17g")`` of each replicate value on a k / max_patients
+#: lattice seen so far in this process, filled as values are written.
+_u_bar_memo: dict[float, str] = {}
+
+
+def _u_bar_texts(values: list[float], patients: int, top: int) -> list[str]:
+    """``format(x, ".17g")`` of each value, from the memo where it has it.
+
+    A miss is formatted, and enters the memo while it has room if it is
+    k / ``patients`` for an integer 1 <= k <= ``top``. Equal floats have
+    equal texts, except 0.0 and -0.0, which compare equal but print
+    apart: k >= 1 keeps both out. NaN is never equal to a lattice value."""
+    texts = list(map(_u_bar_memo.get, values))
+    if not all(texts):  # a miss (every text is non-empty)
+        for i, (text, x) in enumerate(zip(texts, values)):
+            if text is None:
+                texts[i] = text = format(x, ".17g")
+                if 0.0 < x <= top / patients and round(x * patients) / patients == x:
+                    if len(_u_bar_memo) < U_BAR_MEMO_LIMIT:
+                        _u_bar_memo[x] = text
+    return texts
+
+
 def write_sweep_csvs(out_dir: Path, result: SweepResult) -> dict[Path, str]:
     """Write the replicate and aggregate CSVs from the result's arrays: one
     line per (scenario, design, replicate) and per (scenario, design).
@@ -283,11 +315,26 @@ def write_sweep_csvs(out_dir: Path, result: SweepResult) -> dict[Path, str]:
     once per call over the designs (and replicates), into which each
     scenario's (r0,r1,s0,s1) text and values go. Only one scenario's text
     is held at a time, so the memory used does not grow with the number of
-    scenarios. Returns each path with the sha256 of the bytes written to it."""
-    designs = [f"{d.myopic_m},{d.adapt_c:.17g}" for d in result.config.designs]
-    lines = len(designs) * result.config.replicates
-    replicate_lines = "".join(f"%s,{d},{rep},%.17g\n" for d in designs for rep in range(result.config.replicates))
+    scenarios. Returns each path with the sha256 of the bytes written to it.
+
+    Under a table of integer row utilities, a replicate's ``u_bar`` is a
+    whole number of utility units over ``max_patients``: some k /
+    ``max_patients`` with 1 <= k <= ``max_patients`` times the largest row
+    utility, or 0. The ``.17g`` text of each such nonzero value is made
+    once per process and kept in a memo of at most ``U_BAR_MEMO_LIMIT``
+    entries (2,000 for the paper's grid and table, whatever its number of
+    scenarios). The memo is exact: a float's text depends only on its
+    bits, and equal floats have equal bits except 0.0 and -0.0, which never
+    enter it. Every other value (0, off the lattice, NaN, or under a table
+    of non-integer utilities) is formatted as it is written."""
+    config = result.config
+    designs = [f"{d.myopic_m},{d.adapt_c:.17g}" for d in config.designs]
+    lines = len(designs) * config.replicates
+    replicate_lines = "".join(f"%s,{d},{rep},%s\n" for d in designs for rep in range(config.replicates))
     aggregate_lines = "".join(f"%s,{d},%.17g,%.17g\n" for d in designs)
+    rows = config.settings.utilities.rows
+    patients = config.settings.max_patients
+    top = patients * int(max(rows)) if all(float(u).is_integer() for u in rows) else 0
     paths = [out_dir / REPLICATES_CSV, out_dir / AGGREGATE_CSV]
     digests = [hashlib.sha256(), hashlib.sha256()]
     with open(paths[0], "wb") as replicates, open(paths[1], "wb") as aggregate:
@@ -297,11 +344,11 @@ def write_sweep_csvs(out_dir: Path, result: SweepResult) -> dict[Path, str]:
                 f.write(data)
                 digest.update(data)
         write("r0,r1,s0,s1,m,c,replicate,u_bar\n", AGGREGATE_HEADER + "\n")
-        for cell, u_bars, u, se in zip(result.config.cells, result.utility, result.u_bar_bar, result.std_err):
+        for cell, u_bars, u, se in zip(config.cells, result.utility, result.u_bar_bar, result.std_err):
             cell_text = _cell_text(*cell.tolist())
             # Each line's arguments: the cell text, then its values.
             replicate_args, aggregate_args = [cell_text] * (2 * lines), [cell_text] * (3 * len(designs))
-            replicate_args[1::2] = u_bars.ravel().tolist()
+            replicate_args[1::2] = _u_bar_texts(u_bars.ravel().tolist(), patients, top)
             aggregate_args[1::3], aggregate_args[2::3] = u.tolist(), se.tolist()
             write(replicate_lines % tuple(replicate_args), aggregate_lines % tuple(aggregate_args))
     return {path: digest.hexdigest() for path, digest in zip(paths, digests)}

@@ -45,6 +45,7 @@ allocation path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -69,12 +70,31 @@ class Block:
     replicate) order: after adapting analysis k + 1, ``stage1[t, k]`` is
     (P(a1 = 0), P(a1 = 1)) and ``stage2[t, k, a1]`` the stage-two pair for
     arm a1 (pooled: the same pair twice); ``cohorts[t, k]`` holds cohort
-    k + 1's row counts."""
+    k + 1's row counts.
+
+    The block keeps the allocations of its ``adapting`` trials only,
+    trial-last (analyses, 3, 2, adapting): the stage-one pair, then the
+    stage-two pair of each a1. ``stage1`` and ``stage2`` are laid out from
+    them, with 1/2 for every other trial, when they are first read (a sweep
+    never reads them)."""
 
     mean_utility: np.ndarray
-    stage1: np.ndarray
-    stage2: np.ndarray
     cohorts: np.ndarray
+    adapting: np.ndarray
+    allocations: np.ndarray
+
+    def _stage(self, pairs: np.ndarray) -> np.ndarray:
+        out = np.full((len(self.mean_utility), *pairs.shape[:-1]), 0.5)
+        out[self.adapting] = pairs.transpose(-1, *range(pairs.ndim - 1))
+        return out
+
+    @functools.cached_property
+    def stage1(self) -> np.ndarray:
+        return self._stage(self.allocations[:, 0])
+
+    @functools.cached_property
+    def stage2(self) -> np.ndarray:
+        return self._stage(self.allocations[:, 1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,20 +115,34 @@ class TrialResult:
     patient_rows: np.ndarray | None = None
 
 
-#: Equal allocation at both stages: every first cohort, and any c = 0 design.
-_HALF = np.full((2, 2), 0.5)
+# The per-trial arithmetic of a block runs on arrays laid out trial-last,
+# (quantity, trials), so that every numpy call loops over the trials
+# contiguously instead of over pairs. Each element still takes the same
+# operations in the same order, so the results keep their bits.
+
+#: Equal allocation at both stages, trial-last: every first cohort, and any
+#: c = 0 design.
+_HALF1, _HALF2 = np.full((2, 1), 0.5), np.full((2, 2, 1), 0.5)
 
 
-def _cohort_probs(r: np.ndarray, s: np.ndarray, p1: np.ndarray = _HALF[0], p2: np.ndarray = _HALF) -> np.ndarray:
-    """pi (trials, 10) over the terminal rows from each trial's rates ``r``
-    and ``s`` (trials, 2) by a1 and the allocation in force: ``p1[t, a1]``
-    is P(stage-one arm a1) and ``p2[t, a1, a2]`` P(stage-two arm a2 | a1),
+def _outcome_rates(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constants of ``_cohort_probs`` for ``cells`` (trials, 4), made
+    once per block: r and 1 - r (2, trials) by a1, and (1 - s, s)
+    (2, 1, 2, trials) by a1 and outcome."""
+    r, s = np.ascontiguousarray(cells[:, :2].T), cells[:, 2:].T
+    return r, 1.0 - r, np.array([1.0 - s, s]).transpose(1, 0, 2)[:, None]
+
+
+def _cohort_probs(rates, p1: np.ndarray = _HALF1, p2: np.ndarray = _HALF2) -> np.ndarray:
+    """pi (10, trials) over the terminal rows from the trials'
+    ``_outcome_rates`` and the allocation in force: ``p1[a1, t]`` is
+    P(stage-one arm a1) and ``p2[a1, a2, t]`` P(stage-two arm a2 | a1),
     equal at both stages by default."""
-    infected = (p1 * r)[:, :, None] * p2
-    pi = np.empty((len(r), len(TERMINAL_ROWS)))
-    pi[:, :2] = p1 * (1.0 - r)
-    pi[:, 2::2] = (infected * (1.0 - s)[:, :, None]).reshape(-1, 4)
-    pi[:, 3::2] = (infected * s[:, :, None]).reshape(-1, 4)
+    r, uninfected, outcome = rates
+    infected = (p1 * r)[:, None] * p2
+    pi = np.empty((len(TERMINAL_ROWS), r.shape[1]))
+    pi[:2] = p1 * uninfected
+    pi[2:] = (infected[:, :, None] * outcome).reshape(8, -1)
     return pi
 
 
@@ -117,8 +151,7 @@ def fixed_design_value(cell, table: UtilityTable | None = None) -> float:
     under equal allocation at both stages (any c = 0 design): the
     terminal-row probabilities at (1/2, 1/2) dotted with the row utilities."""
     table = table if table is not None else UtilityTable.default()
-    rates = check_cells([cell])
-    return float(_cohort_probs(rates[:, :2], rates[:, 2:])[0] @ table.rows)
+    return float(_cohort_probs(_outcome_rates(check_cells([cell])))[:, 0] @ table.rows)
 
 
 def _stats_map() -> np.ndarray:
@@ -152,12 +185,18 @@ def _pool_map() -> np.ndarray:
 
 _POOL_MAP = _pool_map()
 
+#: The dynamic and the pooled map stacked and transposed (24, 10), so that
+#: one product gives both tables trial-last. ``_STATS_MAP @ _POOL_MAP`` is
+#: 0/1 too: each pooled column adds two columns with disjoint rows.
+_STATS_MAPS = np.concatenate([_STATS_MAP, _STATS_MAP @ _POOL_MAP], axis=1).T.copy()
+
 
 def _sufficient_stats(counts: np.ndarray, myopic_m) -> np.ndarray:
     """The sufficient statistics (trials, 12) from cumulative row counts
-    (trials, 10): one product of the counts with the dynamic map, whose
+    (trials, 10): a product of the counts with the dynamic map, whose
     integer-valued columns hold events1 (2), events2 (4), trials1 (2) and
-    trials2 (4) in that order.
+    trials2 (4) in that order. The table is stored trial-last (its
+    transpose is C-contiguous).
 
     Stage one is indexed by a1. Stage two is flat over the cells (a1, a2)
     at index 2 a1 + a2, whose survived and died rows are counts[:, 2 + 2 j]
@@ -165,11 +204,13 @@ def _sufficient_stats(counts: np.ndarray, myopic_m) -> np.ndarray:
     over the trials) both a1 cells of an a2 hold its counts pooled over a1,
     the sum of its two dynamic cells (``_POOL_MAP``).
     """
-    table = counts @ _STATS_MAP
-    pooled = np.asarray(myopic_m, dtype=bool)
-    if pooled.any():
-        np.copyto(table, table @ _POOL_MAP, where=pooled[..., None])
-    return table
+    both = _STATS_MAPS @ counts.T
+    return np.where(np.asarray(myopic_m, dtype=bool), both[12:], both[:12]).T
+
+
+#: The utility rows weighted by 1 - E[pi] in Q1 by a1, then Q2 by cell: the
+#: uninfected rows, then each cell's survived row.
+_FIRST_TERMS = [0, 1, 2, 4, 6, 8]
 
 
 def _q_values(mean1: np.ndarray, mean2: np.ndarray, utility: np.ndarray, myopic_m) -> np.ndarray:
@@ -192,12 +233,15 @@ def _q_values(mean1: np.ndarray, mean2: np.ndarray, utility: np.ndarray, myopic_
 
     Utility is affine in the event probability, so the posterior expected
     utility depends on the posterior only through its mean: averaging it
-    over posterior draws would give the same number.
+    over posterior draws would give the same number. The result is stored
+    trial-last (its transpose is C-contiguous).
     """
-    q2 = utility[:, 2::2] * (1.0 - mean2) + utility[:, 3::2] * mean2
-    best2 = np.maximum(q2[:, 0::2], q2[:, 1::2])
-    continuation = np.where(np.asarray(myopic_m, dtype=bool)[..., None], 0.0, best2)
-    return np.concatenate([utility[:, :2] * (1.0 - mean1) + continuation * mean1, q2], axis=1)
+    means, u = np.concatenate([mean1.T, mean2.T]), utility.T
+    q = u[_FIRST_TERMS] * (1.0 - means)
+    q[2:] += u[3::2] * means[2:]
+    best2 = np.maximum(q[2::2], q[3::2])
+    q[:2] += np.where(np.asarray(myopic_m, dtype=bool), 0.0, best2) * means[:2]
+    return q.T
 
 
 def allocation_probs(q, c):
@@ -215,16 +259,23 @@ def allocation_probs(q, c):
     scale of Q; only a pair of zero Q-values falls back to equal allocation.
     """
     q, c = np.asarray(q, dtype=np.float64), np.asarray(c, dtype=np.float64)[..., None]
-    with np.errstate(over="ignore"):
-        w = np.power(q, c)
+    if (c == 1.0).all():
+        w = q * c  # x ** 1 and x * 1 are x, to the bit
+    else:
+        with np.errstate(over="ignore"):
+            w = np.power(q, c)
     total = w[..., :1] + w[..., 1:]
-    off = (total < DEGENERATE_TOTAL) | (total == np.inf)
+    low = total < DEGENERATE_TOTAL
+    off = low | (total == np.inf)
     if off.any():
         top = q.max(axis=-1, keepdims=True)
         rescale = off & (top > 0.0)
         w = np.where(rescale, np.power(q / np.where(rescale, top, 1.0), c), w)
         total = w[..., :1] + w[..., 1:]
-    equal = (c == 0.0) | (total < DEGENERATE_TOTAL)
+        low = total < DEGENERATE_TOTAL
+    equal = (c == 0.0) | low
+    if not equal.any():
+        return w / total
     return np.where(equal, 0.5, w / np.where(equal, 1.0, total))
 
 
@@ -243,11 +294,14 @@ def _posterior_means(settings: TrialSettings, table: np.ndarray, myopic: np.ndar
     stage one with the pooled stage two of the myopic ones (fitted on its
     two cells), and one four-cell call, made only if some trial is dynamic,
     takes the rest of stage two."""
-    prior, events, trials = settings.prior_spec, table[:, :6], table[:, 6:]
+    prior = settings.prior_spec
     if settings.engine == "conjugate":
-        means = conjugate_mean(prior, events, trials)
+        means = conjugate_mean(prior, table[:, :6], table[:, 6:])
         return means[:, :2], means[:, 2:]
-    pooled, n = myopic != 0, len(table)
+    # The logistic kernel's sums depend on its inputs' memory layout: give
+    # it C-contiguous counts.
+    table = np.ascontiguousarray(table)
+    events, trials, pooled, n = table[:, :6], table[:, 6:], myopic != 0, len(table)
     two_cell = logistic_mean(
         prior,
         np.concatenate([events[:, :2], events[pooled, 2:4]]),
@@ -267,8 +321,9 @@ def _policy_step(settings: TrialSettings, total: np.ndarray, myopic: np.ndarray,
     allocation (p1 (trials, 2), p2 (trials, 2, 2)), laid out as in
     ``Block``. A trial's result does not depend on the other trials."""
     means = _posterior_means(settings, _sufficient_stats(total, myopic), myopic)
-    # One row of utilities, which broadcasts over the trials.
-    q = _q_values(*means, np.array([settings.utilities.rows]), myopic).reshape(-1, 3, 2)
+    # One row of utilities, which broadcasts over the trials. Q is stored
+    # trial-last; its (trials, 3, 2) view keeps that layout.
+    q = _q_values(*means, np.array([settings.utilities.rows]), myopic).T.reshape(3, 2, -1).transpose(2, 0, 1)
     p = allocation_probs(q, adapt_c[:, None])
     return p[:, 0], p[:, 1:]
 
@@ -327,17 +382,28 @@ def run_block(
     public entry points, ``run_trial`` and ``SweepConfig``, check both.
     """
     cells = np.asarray(cells, dtype=np.float64)
-    per_scenario, num_interims = len(designs) * replicates, settings.num_interims
+    per_scenario, num_interims, rows = len(designs) * replicates, settings.num_interims, len(TERMINAL_ROWS)
     design_rows = np.repeat([(d.myopic_m, d.adapt_c) for d in designs], replicates, axis=0)
     design_rows = np.tile(design_rows, (len(rngs), 1))
     adapting = np.flatnonzero(design_rows[:, 1] != 0.0)
-    myopic, adapt_c = design_rows[adapting].T
-    r, s = cells[adapting // per_scenario, :2], cells[adapting // per_scenario, 2:]
-    n, pi = len(design_rows), np.repeat(_cohort_probs(cells[:, :2], cells[:, 2:]), per_scenario, axis=0)
-    # The allocations of the adapting trials, written into the block once.
-    p1s, p2s = np.empty((len(adapting), num_interims - 1, 2)), np.empty((len(adapting), num_interims - 1, 2, 2))
-    cohorts = np.empty((n, num_interims, len(TERMINAL_ROWS)), dtype=np.int64)
-    total, pvals = np.zeros((n, len(TERMINAL_ROWS))), pi.reshape(len(rngs), per_scenario, -1)
+    myopic, adapt_c = design_rows[adapting, 0] != 0.0, design_rows[adapting, 1]
+    rates = _outcome_rates(cells[adapting // per_scenario])
+    n = len(design_rows)
+    # Each stream's rows of pvals, which start at its scenario's equal
+    # allocation; pi is the same memory, one row per trial.
+    pvals = np.empty((len(rngs), per_scenario, rows))
+    pvals[:] = _cohort_probs(_outcome_rates(cells)).T[:, None]
+    pi = pvals.reshape(n, rows)
+    # The allocations of the adapting trials after each analysis, trial-last:
+    # the stage-one pair, then the stage-two pair of each a1.
+    allocations = np.empty((num_interims - 1, 3, 2, len(adapting)))
+    # Each cohort's row counts, then their running total, in one int64 array
+    # (exact integers): the block's largest allocation, about half its peak
+    # memory, so that the C heap keeps the pages it freed between blocks
+    # instead of returning them and faulting them in again.
+    counts = np.empty((num_interims + 1, n, rows), dtype=np.int64)
+    cohorts, total = counts[:-1], counts[-1]
+    total[:] = 0
     cohort = settings.max_patients // num_interims
     for k in range(num_interims):
         # Where a stream's trials share one row of pvals (its first cohort, a
@@ -349,17 +415,18 @@ def run_block(
             rng.multinomial(cohort, p[0], size=per_scenario) if shared else rng.multinomial(cohort, p)
             for rng, p in zip(rngs, pvals)
         ]
-        total += np.concatenate(draws, out=cohorts[:, k])
+        total += np.concatenate(draws, out=cohorts[k])
+        del draws  # before the analysis, which needs memory of its own
         # Allocation adapts after every analysis but the last, where c != 0.
         if k == num_interims - 1 or not len(adapting):
             continue
-        p1s[:, k], p2s[:, k] = _policy_step(settings, total[adapting], myopic, adapt_c)
-        pi[adapting] = _cohort_probs(r, s, p1s[:, k], p2s[:, k])
+        p1, p2 = _policy_step(settings, total[adapting], myopic, adapt_c)
+        p = allocations[k]
+        p[0], p[1:] = p1.T, p2.transpose(1, 2, 0)
+        pi[adapting] = _cohort_probs(rates, p[0], p[1:]).T
 
-    stage1, stage2 = np.full((n, num_interims - 1, 2), 0.5), np.full((n, num_interims - 1, 2, 2), 0.5)
-    stage1[adapting], stage2[adapting] = p1s, p2s
     mean_utility = _utility_totals(total, settings.utilities.rows, settings.max_patients) / settings.max_patients
-    return Block(mean_utility, stage1, stage2, cohorts)
+    return Block(mean_utility, cohorts.transpose(1, 0, 2), adapting, allocations)
 
 
 def run_trial(
@@ -381,11 +448,19 @@ def run_trial(
     """
     check_seed(seed)
     settings.check_pooling((design,))
+    return _run_checked_trial(check_cells([cell]), design, settings, seed, keep_records)
+
+
+def _run_checked_trial(
+    cells: np.ndarray, design: DesignConfig, settings: TrialSettings, seed: int, keep_records: bool
+) -> TrialResult:
+    """``run_trial`` of the one row of ``cells`` (as ``check_cells`` returns
+    it), unvalidated: the seed and the pooling are taken as checked."""
     # Substreams 0 (cohort counts) and 2 (patient order) of the trial
     # seed, each made only when it is used. Substream 1 is unused; patients
     # stay on 2 so that their bytes match earlier versions' output.
     rng = np.random.Generator(np.random.Philox(_substream(seed, 0)))
-    block = run_block(check_cells([cell]), [rng], (design,), 1, settings)
+    block = run_block(cells, [rng], (design,), 1, settings)
     rows = None
     if keep_records:
         rows = _patient_rows(block.cohorts[0], np.random.Generator(np.random.Philox(_substream(seed, 2))))

@@ -6,14 +6,18 @@ block it runs in, the degree of parallelism or the execution order. Work
 items are blocks of consecutive scenarios, each simulated as one
 ``run_block`` batch under the sweep's one ``TrialSettings``; aggregation is
 a deterministic reduction into index order.
+
+A block holds as many scenarios as fit in ``BLOCK_TRIALS`` trials (at
+least one), but no more than an equal share of the scenarios among the
+requested workers, so that a small grid still gives every worker a block.
+A serial sweep of up to ``BLOCK_TRIALS`` trials is one block, and a
+block's memory is bounded whatever the number of replicates.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,14 +26,20 @@ import numpy as np
 from .core import DesignConfig, TrialSettings, check_cells
 from .simulator import run_block
 
-#: Scenarios per work item. It sets the batch size only: every scenario
-#: draws from its own stream, so results do not depend on it.
-BLOCK_SCENARIOS = 16
+#: Trials per work item, at most (a block holds at least one scenario). It
+#: sets the batch size only: every scenario draws from its own stream, so
+#: results do not depend on it.
+BLOCK_TRIALS = 4096
 
 
 class SweepError(RuntimeError):
     """A block of trials inside a sweep failed, or a worker process died;
     the message names the block's scenario indices where they are known."""
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +48,8 @@ class SweepConfig:
     the trial settings that every trial shares. ``cells`` holds one
     (r0, r1, s0, s1) row per scenario, stored as ``check_cells`` returns
     it. A bad row or base seed, or a table that a myopic design cannot
-    pool, raises here, once, before any trial runs."""
+    pool, or a ``replicates`` or ``parallelism`` that is not an integer
+    count, raises here, once, before any trial runs."""
 
     cells: np.ndarray
     designs: tuple[DesignConfig, ...]
@@ -51,12 +62,12 @@ class SweepConfig:
         object.__setattr__(self, "cells", check_cells(self.cells))
         if not self.designs:
             raise ValueError("designs must be non-empty")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        if not (_is_count(self.replicates) and self.replicates >= 1):
+            raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
         if not (isinstance(self.base_seed, (int, np.integer)) and self.base_seed >= 0):
             raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
-        if self.parallelism is not None and self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        if self.parallelism is not None and not (_is_count(self.parallelism) and self.parallelism >= 1):
+            raise ValueError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
         self.settings.check_pooling(self.designs)
 
 
@@ -85,12 +96,84 @@ def scenario_rng(base_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((base_seed, index))))
 
 
+# The constants of numpy's SeedSequence hash (pool size 4, 32-bit words).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32 = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), 0xFFFFFFFF
+
+
+def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` + 1 values start * mult**k mod 2**32, as a column."""
+    out = [start]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hash(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of ``values`` in turn, with the
+    row's hash constant and the next one (uint32 arithmetic wraps)."""
+    v = (values ^ constants[:-1]) * constants[1:]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = x * _MIX_L - y * _MIX_R
+    return v ^ (v >> 16)
+
+
+def _philox_keys(base_seed: int, indices: np.ndarray) -> np.ndarray:
+    """``SeedSequence((base_seed, i)).generate_state(2, np.uint64)`` (n, 2)
+    for each index i below 2**32: SeedSequence's mixing and output hash,
+    run on every index at once, the index axis last."""
+    base_seed = int(base_seed)
+    words = [base_seed >> shift & _MASK32 for shift in range(0, max(base_seed.bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(words) + 1, 4), len(indices)), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = indices
+    a = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy))
+    pool = _hash(entropy[:4], a[:5])
+    k = 4
+    for src in range(4):  # every pool word into every other one, in order
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], a[k : k + 4]))
+        k += 3
+    for word in entropy[4:]:  # entropy beyond the pool size
+        pool = _mix(pool, _hash(word, a[k : k + 5]))
+        k += 4
+    state = _hash(pool, _hash_constants(_INIT_B, _MULT_B, 4)).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T
+
+
+class _PhiloxKey:
+    """A seed sequence that gives Philox a key hashed in advance. It is
+    registered as numpy's ``ISeedSequence`` where it is first used, so that
+    importing this module does not import ``numpy.random``."""
+
+    def __init__(self, key: np.ndarray) -> None:
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two uint64 words")
+        return self.key
+
+
+def _scenario_rngs(base_seed: int, start: int, count: int) -> list[np.random.Generator]:
+    """``scenario_rng(base_seed, i)`` for the ``count`` indices from
+    ``start``: the same streams, with their keys hashed together."""
+    if start + count > 2**32:
+        return [scenario_rng(base_seed, index) for index in range(start, start + count)]
+    keys = _philox_keys(base_seed, np.arange(start, start + count))
+    np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
+    return [np.random.Generator(np.random.Philox(_PhiloxKey(key))) for key in keys]
+
+
 def _run_block(task: tuple) -> np.ndarray:
     """Utility (scenarios, designs, replicates) of the checked ``cells``,
     sweep indices ``start`` on, run as one batch under the sweep's checked
     designs, replicates, base seed and settings."""
     start, cells, designs, replicates, base_seed, settings = task
-    rngs = [scenario_rng(base_seed, start + offset) for offset in range(len(cells))]
+    rngs = _scenario_rngs(base_seed, start, len(cells))
     try:
         block = run_block(cells, rngs, designs, replicates, settings)
     except Exception as exc:
@@ -105,6 +188,15 @@ def available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """A ``concurrent.futures.ProcessPoolExecutor``, imported when a sweep
+    first runs a pool: ``multiprocessing`` takes about 10 ms to import,
+    which a serial sweep, ``simulate`` and ``report`` need not pay."""
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(max_workers=max_workers)
+
+
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the sweep and aggregate per-cell mean utilities.
 
@@ -112,15 +204,18 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     workers (default: every CPU in the affinity set) and never more than
     there are blocks; the result is identical for any parallelism degree.
     """
-    step = BLOCK_SCENARIOS
-    fields = (config.designs, config.replicates, config.base_seed, config.settings)
-    tasks = [(start, config.cells[start : start + step], *fields) for start in range(0, len(config.cells), step)]
-    # No more workers than blocks: a pool starts every worker it is given.
     requested = config.parallelism if config.parallelism is not None else available_cpus()
+    scenarios, per_scenario = len(config.cells), len(config.designs) * config.replicates
+    step = max(1, min(BLOCK_TRIALS // per_scenario, -(-scenarios // requested)))
+    fields = (config.designs, config.replicates, config.base_seed, config.settings)
+    tasks = [(start, config.cells[start : start + step], *fields) for start in range(0, scenarios, step)]
+    # No more workers than blocks: a pool starts every worker it is given.
     workers = min(requested, len(tasks))
     if workers == 1:
         results = list(map(_run_block, tasks))
     else:
+        from concurrent.futures.process import BrokenProcessPool
+
         executor = ProcessPoolExecutor(max_workers=workers)
         try:
             results = list(executor.map(_run_block, tasks))

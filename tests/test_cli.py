@@ -20,6 +20,7 @@ from smartrar import (
     SweepConfig,
     SweepResult,
     TrialSettings,
+    UtilityTable,
     run_sweep,
 )
 from smartrar.cli import AGGREGATE_HEADER, build_parser, fmt_real, main, write_relative_csv, write_sweep_csvs
@@ -480,11 +481,11 @@ class TestSweep:
 
     def test_mcmc_sweep(self, tmp_path, scenario_file, monkeypatch):
         # 2 scenarios x all designs x 1 replicate under the logistic engine.
-        # One scenario per block, so that two threads run two work items in
-        # a pool.
+        # One scenario per block at any thread count, so that one thread
+        # runs two work items serially and two threads run them in a pool.
         import smartrar.sweep
 
-        monkeypatch.setattr(smartrar.sweep, "BLOCK_SCENARIOS", 1)
+        monkeypatch.setattr(smartrar.sweep, "BLOCK_TRIALS", 1)
         written = {}
         for threads in ("1", "2"):
             out_dir = tmp_path / threads
@@ -526,7 +527,7 @@ class TestSweep:
 
         monkeypatch.setattr(smartrar.sweep, "ProcessPoolExecutor", CrashingPool)
         # one scenario per block, so the two scenarios make two work items
-        monkeypatch.setattr(smartrar.sweep, "BLOCK_SCENARIOS", 1)
+        monkeypatch.setattr(smartrar.sweep, "BLOCK_TRIALS", 1)
         assert run_cli(
             "sweep", "--grid", str(scenario_file), "--replicates", "1", "--threads", "2",
             "--out-dir", str(tmp_path / "sweep"),
@@ -551,13 +552,16 @@ class TestSweep:
                 pass
 
         monkeypatch.setattr(smartrar.sweep, "ProcessPoolExecutor", RecordingPool)
-        common = ("sweep", "--grid", str(scenario_file), "--replicates", "1")
-        # Two scenarios make one block: no pool, one worker.
-        assert run_cli(*common, "--threads", "3", "--out-dir", str(tmp_path / "one")) == 0
+        one_scenario = tmp_path / "one.csv"
+        one_scenario.write_text("r0,r1,s0,s1\n0.5,0.45,0.05,0.95\n")
+        # One scenario makes one block: no pool, one worker.
+        assert run_cli("sweep", "--grid", str(one_scenario), "--replicates", "1", "--threads", "3",
+                       "--out-dir", str(tmp_path / "one")) == 0
         assert sizes == []
         assert "threads = 3\nworkers = 1\n" in (tmp_path / "one" / "manifest.txt").read_text()
-        # One scenario per block makes two blocks: a pool of two.
-        monkeypatch.setattr(smartrar.sweep, "BLOCK_SCENARIOS", 1)
+        common = ("sweep", "--grid", str(scenario_file), "--replicates", "1")
+        # Two scenarios make at most two blocks, one per worker: a pool of
+        # two.
         assert run_cli(*common, "--threads", "64", "--out-dir", str(tmp_path / "two")) == 0
         assert sizes == [2]
         assert "threads = 64\nworkers = 2\n" in (tmp_path / "two" / "manifest.txt").read_text()
@@ -1031,11 +1035,17 @@ def test_full_sweep_script_checks_the_pinned_digests(tmp_path, capsys, monkeypat
         assert ("reports finished" in out) == (not differ)
 
 
-def test_one_sweep_call_checks_its_inputs_once(tmp_path, capsys):
+def test_one_sweep_call_checks_its_inputs_once(tmp_path, capsys, monkeypatch):
     """A ``sweep`` call checks its cells and its pooling once, where its
     ``SweepConfig`` is made; each block it runs takes them as checked."""
+    import smartrar.sweep
+
     grid = every_20th_reduced_scenario(tmp_path)
-    counts = {check_cells.__code__: 0, TrialSettings.check_pooling.__code__: 0}
+    # 20 scenarios x 4 designs x 10 replicates in blocks of 400 trials: two
+    # blocks of 10 scenarios.
+    monkeypatch.setattr(smartrar.sweep, "BLOCK_TRIALS", 400)
+    checks = (check_cells, TrialSettings.check_pooling, smartrar.simulator.run_block)
+    counts = {check.__code__: 0 for check in checks}
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in counts:
@@ -1048,8 +1058,29 @@ def test_one_sweep_call_checks_its_inputs_once(tmp_path, capsys):
     finally:
         sys.setprofile(None)
     assert code == 0
-    # 20 scenarios run as two blocks
-    assert list(counts.values()) == [1, 1]
+    assert list(counts.values()) == [1, 1, 2]
+
+
+def test_one_simulate_call_checks_its_inputs_once(tmp_path, capsys):
+    """A ``simulate`` call checks its cell, its pooling and its seed once,
+    before it makes the output directory; the trial takes them as checked."""
+    from smartrar.simulator import check_seed
+
+    checks = (check_cells, TrialSettings.check_pooling, check_seed, smartrar.simulator.run_block)
+    counts = {check.__code__: 0 for check in checks}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        code = run_cli("simulate", "--r0", "0.5", "--m", "1", "--c", "1", "--seed", "4",
+                       "--out", str(tmp_path / "sim"))
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert list(counts.values()) == [1, 1, 1, 1]
 
 
 def hand_built_result(cells, designs, replicates: int) -> SweepResult:
@@ -1110,6 +1141,49 @@ def test_sweep_csvs_match_the_line_by_line_writer(tmp_path):
         expected = reference_sweep_csvs(result)
         assert [path.read_bytes() for path in paths] == list(expected)
         assert list(paths.values()) == [hashlib.sha256(data).hexdigest() for data in expected]
+
+
+def test_u_bar_memo_keeps_the_line_by_line_bytes(tmp_path, monkeypatch):
+    """The writer's per-process memo of ``u_bar`` texts gives the reference
+    writer's bytes on a first write, which fills it, and on a second, which
+    reads it. It takes only nonzero values k / max_patients with k at most
+    max_patients times the largest row utility, under a table of integer
+    utilities, and never more than its bound."""
+    memo = {}
+    monkeypatch.setattr(smartrar.cli, "_u_bar_memo", memo)
+    triple = UtilityTable((3.0, 3.0) + (1.0, 0.0) * 4)
+    halves = UtilityTable((1.5, 1.0) + (1.0, 0.0) * 4)
+    cases = [
+        # 0 and -0 print apart; 1.5 is off the default table's lattice
+        (TrialSettings(), [0.0, -0.0, 1.0, 1 / 2000, 1999 / 2000, 5e-324, 1.5, -0.0]),
+        (TrialSettings(max_patients=400), [k / 400 for k in (0, 1, 7, 200, 399, 400, 3, 1)]),
+        (TrialSettings(utilities=triple), [k / 2000 for k in (1, 2001, 5999, 6000, 6001, 0, 3, 2)]),
+        (TrialSettings(), np.random.default_rng(3).random(8).tolist()),
+        (TrialSettings(utilities=halves), [k / 2000 for k in (1, 3, 7, 2000, 2999, 3000, 11, 13)]),
+    ]
+    lattice = {k / 2000 for k in range(1, 6001)} | {k / 400 for k in range(1, 401)}
+    for settings, values in cases:
+        utility = np.array(values).reshape(1, 4, 2)
+        config = SweepConfig(cells=[(0.5, 0.45, 0.05, 0.95)], designs=CANONICAL_DESIGNS, replicates=2, settings=settings)
+        result = SweepResult(config, utility, utility.mean(axis=2), utility.std(axis=2, ddof=1), workers=1)
+        for _ in range(2):
+            paths = write_sweep_csvs(tmp_path, result)
+            assert [path.read_bytes() for path in paths] == list(reference_sweep_csvs(result))
+        if settings.utilities is halves:
+            assert 7 / 2000 not in memo
+    assert set(memo) <= lattice
+    assert {1 / 2000, 1999 / 2000, 1.0, 7 / 400, 2001 / 2000, 3.0} <= set(memo)
+    assert not {0.0, 5e-324, 1.5, 6001 / 2000} & set(memo)
+    assert all(text == format(x, ".17g") for x, text in memo.items())
+    assert len(memo) <= smartrar.cli.U_BAR_MEMO_LIMIT
+    # A full memo formats every new value as it is written.
+    memo.clear()
+    monkeypatch.setattr(smartrar.cli, "U_BAR_MEMO_LIMIT", 3)
+    result = hand_built_result([(0.5, 0.45, 0.05, 0.95)], CANONICAL_DESIGNS, 2)
+    result.utility[:] = np.arange(1, 9).reshape(1, 4, 2) / 2000
+    write_sweep_csvs(tmp_path, result)
+    assert [path.read_bytes() for path in write_sweep_csvs(tmp_path, result)] == list(reference_sweep_csvs(result))
+    assert list(memo) == [1 / 2000, 2 / 2000, 3 / 2000]
 
 
 def test_sweep_csvs_hold_one_scenario_at_a_time(tmp_path):

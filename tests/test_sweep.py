@@ -18,10 +18,11 @@ from smartrar import (
     relative_utility,
     run_block,
     run_sweep,
+    scenario_grid,
     scenario_rng,
 )
 from smartrar.cli import fmt_real, main, write_sweep_csvs
-from smartrar.sweep import BLOCK_SCENARIOS
+import smartrar.sweep
 
 SCENARIOS = (
     (0.5, 0.45, 0.05, 0.95),
@@ -43,14 +44,22 @@ def small_config(**overrides) -> SweepConfig:
     return SweepConfig(**defaults)
 
 
+# Scenarios per block in TestSeedContract, whose sweeps run all four
+# designs at 3 replicates.
+BLOCK = 16
+
+
 class TestSeedContract:
     """A scenario's results depend on (base seed, scenario index) only."""
 
     # More scenarios than one block holds, the first one twice.
     BLOCKED = (SCENARIOS[0],) * 2 + tuple(
-        (x, 1.0 - x, 0.1 + 0.8 * x, 0.9 - 0.8 * x)
-        for x in (i / (BLOCK_SCENARIOS + 2) for i in range(1, BLOCK_SCENARIOS + 2))
+        (x, 1.0 - x, 0.1 + 0.8 * x, 0.9 - 0.8 * x) for x in (i / (BLOCK + 2) for i in range(1, BLOCK + 2))
     )
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_sixteen(self, monkeypatch):
+        monkeypatch.setattr(smartrar.sweep, "BLOCK_TRIALS", BLOCK * len(CANONICAL_DESIGNS) * 3)
 
     @pytest.mark.parametrize("engine", ["conjugate", "mcmc"])
     def test_block_composition_invariance(self, engine):
@@ -154,6 +163,114 @@ class TestRunSweep:
         config = small_config(designs=(DesignConfig(myopic_m=0, adapt_c=1.0),))
         result = run_sweep(config)
         assert result.relative == {}
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("replicates", 2.0),
+            pytest.param("replicates", np.float64(2.0), id="replicates-float64"),
+            ("replicates", True),
+            ("replicates", "2"),
+            ("replicates", 0),
+            ("parallelism", 1.5),
+            ("parallelism", True),
+            ("parallelism", "2"),
+            ("parallelism", 0),
+        ],
+    )
+    def test_a_bad_count_raises_before_any_trial_runs(self, monkeypatch, name, value):
+        calls = []
+        monkeypatch.setattr(smartrar.sweep, "run_block", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            run_sweep(small_config(**{name: value}))
+        assert calls == []
+
+    def test_numpy_integer_counts_are_accepted(self):
+        result = run_sweep(small_config(replicates=np.int64(2), parallelism=np.int32(1)))
+        assert np.array_equal(result.utility, run_sweep(small_config(replicates=2)).utility)
+
+
+class InProcessPool:
+    """Stands in for the process pool: runs the blocks in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+    def shutdown(self):
+        pass
+
+
+class TestBlockPlan:
+    """A block holds at least one scenario and at most ``BLOCK_TRIALS``
+    trials, and no more than an equal share of the scenarios per requested
+    worker; none of this changes a result."""
+
+    CELLS = scenario_grid()[::563][:50]
+
+    def block_sizes(self, monkeypatch, **overrides) -> tuple[list[int], object]:
+        sizes, real_run_block = [], smartrar.sweep.run_block
+
+        def counted_run_block(cells, *args):
+            sizes.append(len(cells))
+            return real_run_block(cells, *args)
+
+        monkeypatch.setattr(smartrar.sweep, "run_block", counted_run_block)
+        monkeypatch.setattr(smartrar.sweep, "ProcessPoolExecutor", InProcessPool)
+        return sizes, run_sweep(small_config(**{"cells": self.CELLS, **overrides}))
+
+    def test_a_serial_sweep_under_the_budget_is_one_block(self, monkeypatch):
+        # 50 scenarios x 4 designs x 10 replicates: 2,000 trials
+        sizes, result = self.block_sizes(monkeypatch, replicates=10)
+        assert sizes == [50] and result.workers == 1
+
+    def test_each_requested_worker_gets_a_block(self, monkeypatch):
+        sizes, result = self.block_sizes(monkeypatch, replicates=10, parallelism=2)
+        assert sizes == [25, 25] and result.workers == 2
+        sizes, result = self.block_sizes(monkeypatch, cells=SCENARIOS, parallelism=64)
+        assert sizes == [1, 1, 1] and result.workers == 3
+
+    def test_a_sweep_above_the_budget_splits(self, monkeypatch):
+        # 12 trials a scenario: 33 scenarios fit in 400 trials
+        monkeypatch.setattr(smartrar.sweep, "BLOCK_TRIALS", 400)
+        sizes, _ = self.block_sizes(monkeypatch)
+        assert sizes == [33, 17]
+        # a scenario above the budget is a block of its own
+        monkeypatch.setattr(smartrar.sweep, "BLOCK_TRIALS", 1)
+        sizes, _ = self.block_sizes(monkeypatch, cells=SCENARIOS)
+        assert sizes == [1, 1, 1]
+
+    @pytest.mark.parametrize("engine", ["conjugate", "mcmc"])
+    def test_sweep_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch, engine):
+        # The logistic engine is slower: fewer scenarios at 1 replicate.
+        cells, replicates = (self.CELLS, 10) if engine == "conjugate" else (self.CELLS[:6], 1)
+        settings = TrialSettings(max_patients=400, num_interims=4, engine=engine)
+        written = []
+        for budget in (smartrar.sweep.BLOCK_TRIALS, 1):
+            monkeypatch.setattr(smartrar.sweep, "BLOCK_TRIALS", budget)
+            sizes, result = self.block_sizes(monkeypatch, cells=cells, replicates=replicates, settings=settings)
+            assert len(sizes) == (1 if budget > 1 else len(cells))
+            out_dir = tmp_path / str(budget)
+            out_dir.mkdir()
+            written.append([path.read_bytes() for path in write_sweep_csvs(out_dir, result)])
+        assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("base_seed", [0, 11, 2**31 - 1, 2**32, 2**64 - 1, 2**130 + 7])
+def test_streams_keyed_together_are_scenario_rng(base_seed):
+    # The second range crosses index 2**32, where the keys are hashed one
+    # index at a time.
+    for start, count in [(0, 5), (2**32 - 2, 4)]:
+        rngs = smartrar.sweep._scenario_rngs(base_seed, start, count)
+        assert len(rngs) == count
+        for index, rng in enumerate(rngs, start=start):
+            expected = scenario_rng(base_seed, index)
+            assert rng.bit_generator.state["state"]["key"].tolist() == (
+                expected.bit_generator.state["state"]["key"].tolist()
+            )
+            assert rng.multinomial(100, [0.25] * 4).tolist() == expected.multinomial(100, [0.25] * 4).tolist()
 
 
 class TestRelativeUtility:
