@@ -7,8 +7,8 @@ seconds, trials/s and peak RSS, then the sha256 of both sweep CSVs. At
 base seed 0 with 10 replicates, any thread count, these must equal
 PINNED_DIGESTS (they depend on numpy's multinomial sampler); the script
 exits 1 and names each CSV whose digest differs. Measured on a shared 2-vCPU
-VM, the sweep took 7.7-8.7 s with --threads 1 and 4.5-5.4 s with both
-CPUs; peak RSS of this process 68-72 MB (the sweep's arrays, with each
+VM, the sweep took 7.8-9.2 s with --threads 1 and 5.0-5.7 s with both
+CPUs; peak RSS of this process 67-73 MB (the sweep's arrays, with each
 scenario's CSV lines formatted as they are written).
 
 Outputs land in --out-dir:

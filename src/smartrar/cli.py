@@ -49,7 +49,9 @@ from .simulator import ENGINE_IMPLEMENTATION, TrialResult, check_seed
 
 # cmd_simulate checks its inputs before it makes the output directory, so
 # its trial runs unchecked. The runner keeps the name run_trial here, the
-# patch point where bench/tracing.py times simulate's trial.
+# patch point where bench/tracing.py times simulate's trial, but its
+# signature is not the public run_trial's: it takes the checked cells array
+# (one row), then the design, settings, seed and keep_records, positionally.
 from .simulator import _run_checked_trial as run_trial
 from .sweep import SweepConfig, SweepError, SweepResult, relative_utility, run_sweep
 

@@ -45,7 +45,6 @@ allocation path.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,31 +69,12 @@ class Block:
     replicate) order: after adapting analysis k + 1, ``stage1[t, k]`` is
     (P(a1 = 0), P(a1 = 1)) and ``stage2[t, k, a1]`` the stage-two pair for
     arm a1 (pooled: the same pair twice); ``cohorts[t, k]`` holds cohort
-    k + 1's row counts.
-
-    The block keeps the allocations of its ``adapting`` trials only,
-    trial-last (analyses, 3, 2, adapting): the stage-one pair, then the
-    stage-two pair of each a1. ``stage1`` and ``stage2`` are laid out from
-    them, with 1/2 for every other trial, when they are first read (a sweep
-    never reads them)."""
+    k + 1's row counts."""
 
     mean_utility: np.ndarray
+    stage1: np.ndarray
+    stage2: np.ndarray
     cohorts: np.ndarray
-    adapting: np.ndarray
-    allocations: np.ndarray
-
-    def _stage(self, pairs: np.ndarray) -> np.ndarray:
-        out = np.full((len(self.mean_utility), *pairs.shape[:-1]), 0.5)
-        out[self.adapting] = pairs.transpose(-1, *range(pairs.ndim - 1))
-        return out
-
-    @functools.cached_property
-    def stage1(self) -> np.ndarray:
-        return self._stage(self.allocations[:, 0])
-
-    @functools.cached_property
-    def stage2(self) -> np.ndarray:
-        return self._stage(self.allocations[:, 1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,23 +239,16 @@ def allocation_probs(q, c):
     scale of Q; only a pair of zero Q-values falls back to equal allocation.
     """
     q, c = np.asarray(q, dtype=np.float64), np.asarray(c, dtype=np.float64)[..., None]
-    if (c == 1.0).all():
-        w = q * c  # x ** 1 and x * 1 are x, to the bit
-    else:
-        with np.errstate(over="ignore"):
-            w = np.power(q, c)
+    with np.errstate(over="ignore"):
+        w = np.power(q, c)
     total = w[..., :1] + w[..., 1:]
-    low = total < DEGENERATE_TOTAL
-    off = low | (total == np.inf)
+    off = (total < DEGENERATE_TOTAL) | (total == np.inf)
     if off.any():
         top = q.max(axis=-1, keepdims=True)
         rescale = off & (top > 0.0)
         w = np.where(rescale, np.power(q / np.where(rescale, top, 1.0), c), w)
         total = w[..., :1] + w[..., 1:]
-        low = total < DEGENERATE_TOTAL
-    equal = (c == 0.0) | low
-    if not equal.any():
-        return w / total
+    equal = (c == 0.0) | (total < DEGENERATE_TOTAL)
     return np.where(equal, 0.5, w / np.where(equal, 1.0, total))
 
 
@@ -425,8 +398,11 @@ def run_block(
         p[0], p[1:] = p1.T, p2.transpose(1, 2, 0)
         pi[adapting] = _cohort_probs(rates, p[0], p[1:]).T
 
+    stage1, stage2 = np.full((n, num_interims - 1, 2), 0.5), np.full((n, num_interims - 1, 2, 2), 0.5)
+    stage1[adapting] = allocations[:, 0].transpose(2, 0, 1)
+    stage2[adapting] = allocations[:, 1:].transpose(3, 0, 1, 2)
     mean_utility = _utility_totals(total, settings.utilities.rows, settings.max_patients) / settings.max_patients
-    return Block(mean_utility, cohorts.transpose(1, 0, 2), adapting, allocations)
+    return Block(mean_utility, stage1, stage2, cohorts.transpose(1, 0, 2))
 
 
 def run_trial(

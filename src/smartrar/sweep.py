@@ -9,9 +9,11 @@ a deterministic reduction into index order.
 
 A block holds as many scenarios as fit in ``BLOCK_TRIALS`` trials (at
 least one), but no more than an equal share of the scenarios among the
-requested workers, so that a small grid still gives every worker a block.
-A serial sweep of up to ``BLOCK_TRIALS`` trials is one block, and a
-block's memory is bounded whatever the number of replicates.
+requested workers, so that a small grid still gives each worker a block;
+that share is never cut below ``BLOCK_TRIALS // 8`` trials, so a small
+grid on many CPUs runs as a few blocks rather than one worker process per
+scenario. A serial sweep of up to ``BLOCK_TRIALS`` trials is one block,
+and a block's memory is bounded whatever the number of replicates.
 """
 
 from __future__ import annotations
@@ -96,84 +98,12 @@ def scenario_rng(base_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((base_seed, index))))
 
 
-# The constants of numpy's SeedSequence hash (pool size 4, 32-bit words).
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _MASK32 = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), 0xFFFFFFFF
-
-
-def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
-    """The first ``count`` + 1 values start * mult**k mod 2**32, as a column."""
-    out = [start]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-def _hash(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of each row of ``values`` in turn, with the
-    row's hash constant and the next one (uint32 arithmetic wraps)."""
-    v = (values ^ constants[:-1]) * constants[1:]
-    return v ^ (v >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    v = x * _MIX_L - y * _MIX_R
-    return v ^ (v >> 16)
-
-
-def _philox_keys(base_seed: int, indices: np.ndarray) -> np.ndarray:
-    """``SeedSequence((base_seed, i)).generate_state(2, np.uint64)`` (n, 2)
-    for each index i below 2**32: SeedSequence's mixing and output hash,
-    run on every index at once, the index axis last."""
-    base_seed = int(base_seed)
-    words = [base_seed >> shift & _MASK32 for shift in range(0, max(base_seed.bit_length(), 1), 32)]
-    entropy = np.zeros((max(len(words) + 1, 4), len(indices)), dtype=np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = indices
-    a = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy))
-    pool = _hash(entropy[:4], a[:5])
-    k = 4
-    for src in range(4):  # every pool word into every other one, in order
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hash(pool[src], a[k : k + 4]))
-        k += 3
-    for word in entropy[4:]:  # entropy beyond the pool size
-        pool = _mix(pool, _hash(word, a[k : k + 5]))
-        k += 4
-    state = _hash(pool, _hash_constants(_INIT_B, _MULT_B, 4)).astype(np.uint64)
-    return (state[0::2] | state[1::2] << np.uint64(32)).T
-
-
-class _PhiloxKey:
-    """A seed sequence that gives Philox a key hashed in advance. It is
-    registered as numpy's ``ISeedSequence`` where it is first used, so that
-    importing this module does not import ``numpy.random``."""
-
-    def __init__(self, key: np.ndarray) -> None:
-        self.key = key
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a Philox key is two uint64 words")
-        return self.key
-
-
-def _scenario_rngs(base_seed: int, start: int, count: int) -> list[np.random.Generator]:
-    """``scenario_rng(base_seed, i)`` for the ``count`` indices from
-    ``start``: the same streams, with their keys hashed together."""
-    if start + count > 2**32:
-        return [scenario_rng(base_seed, index) for index in range(start, start + count)]
-    keys = _philox_keys(base_seed, np.arange(start, start + count))
-    np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
-    return [np.random.Generator(np.random.Philox(_PhiloxKey(key))) for key in keys]
-
-
 def _run_block(task: tuple) -> np.ndarray:
     """Utility (scenarios, designs, replicates) of the checked ``cells``,
     sweep indices ``start`` on, run as one batch under the sweep's checked
     designs, replicates, base seed and settings."""
     start, cells, designs, replicates, base_seed, settings = task
-    rngs = _scenario_rngs(base_seed, start, len(cells))
+    rngs = [scenario_rng(base_seed, index) for index in range(start, start + len(cells))]
     try:
         block = run_block(cells, rngs, designs, replicates, settings)
     except Exception as exc:
@@ -206,7 +136,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """
     requested = config.parallelism if config.parallelism is not None else available_cpus()
     scenarios, per_scenario = len(config.cells), len(config.designs) * config.replicates
-    step = max(1, min(BLOCK_TRIALS // per_scenario, -(-scenarios // requested)))
+    # An equal share per worker, but no share under an eighth of the budget:
+    # a small grid on many CPUs keeps a few blocks (and workers) of real work.
+    share = max(-(-scenarios // requested), -(-(BLOCK_TRIALS // 8) // per_scenario))
+    step = max(1, min(BLOCK_TRIALS // per_scenario, share))
     fields = (config.designs, config.replicates, config.base_seed, config.settings)
     tasks = [(start, config.cells[start : start + step], *fields) for start in range(0, scenarios, step)]
     # No more workers than blocks: a pool starts every worker it is given.

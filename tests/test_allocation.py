@@ -56,15 +56,6 @@ def test_array_layout_matches_pairs():
     assert allocation_probs(q, c).tolist() == [[list(p) for p in row] for row in expected]
 
 
-def test_unit_exponent_is_the_power_rule_to_the_bit():
-    # At c = 1 everywhere the weights are Q itself; they must equal Q ** 1,
-    # and broadcast like it, over pairs whose weights need no rescaling.
-    q = np.random.default_rng(5).random((500, 2)) * np.logspace(-5, 300, 500)[:, None]
-    w = np.power(q, 1.0)
-    assert allocation_probs(q, np.ones(500)).tobytes() == (w / (w[:, :1] + w[:, 1:])).tobytes()
-    assert allocation_probs([0.25, 0.75], np.ones(3)).tolist() == [[0.25, 0.75]] * 3
-
-
 def test_stacked_pairs_match_the_per_stage_calls():
     # _policy_step makes one call on each trial's three pairs (stage one, then
     # stage two by a1) where it used to make one call per stage; the rule

@@ -552,16 +552,13 @@ class TestSweep:
                 pass
 
         monkeypatch.setattr(smartrar.sweep, "ProcessPoolExecutor", RecordingPool)
-        one_scenario = tmp_path / "one.csv"
-        one_scenario.write_text("r0,r1,s0,s1\n0.5,0.45,0.05,0.95\n")
-        # One scenario makes one block: no pool, one worker.
-        assert run_cli("sweep", "--grid", str(one_scenario), "--replicates", "1", "--threads", "3",
-                       "--out-dir", str(tmp_path / "one")) == 0
+        common = ("sweep", "--grid", str(scenario_file), "--replicates", "1")
+        # Two scenarios make one block: no pool, one worker.
+        assert run_cli(*common, "--threads", "3", "--out-dir", str(tmp_path / "one")) == 0
         assert sizes == []
         assert "threads = 3\nworkers = 1\n" in (tmp_path / "one" / "manifest.txt").read_text()
-        common = ("sweep", "--grid", str(scenario_file), "--replicates", "1")
-        # Two scenarios make at most two blocks, one per worker: a pool of
-        # two.
+        # One scenario per block makes two blocks: a pool of two.
+        monkeypatch.setattr(smartrar.sweep, "BLOCK_TRIALS", 1)
         assert run_cli(*common, "--threads", "64", "--out-dir", str(tmp_path / "two")) == 0
         assert sizes == [2]
         assert "threads = 64\nworkers = 2\n" in (tmp_path / "two" / "manifest.txt").read_text()

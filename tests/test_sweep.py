@@ -229,8 +229,16 @@ class TestBlockPlan:
     def test_each_requested_worker_gets_a_block(self, monkeypatch):
         sizes, result = self.block_sizes(monkeypatch, replicates=10, parallelism=2)
         assert sizes == [25, 25] and result.workers == 2
-        sizes, result = self.block_sizes(monkeypatch, cells=SCENARIOS, parallelism=64)
-        assert sizes == [1, 1, 1] and result.workers == 3
+
+    @pytest.mark.parametrize("parallelism", [8, 16, 64])
+    def test_a_small_grid_keeps_few_workers_at_many_threads(self, monkeypatch, parallelism):
+        # 40 trials a scenario: a share is never cut below 512 trials (13
+        # scenarios), so 50 scenarios make 4 blocks however many threads.
+        sizes, result = self.block_sizes(monkeypatch, replicates=10, parallelism=parallelism)
+        assert sizes == [13, 13, 13, 11] and result.workers == 4
+        # a grid smaller than that floor is one block, run serially
+        sizes, result = self.block_sizes(monkeypatch, cells=SCENARIOS, parallelism=parallelism)
+        assert sizes == [len(SCENARIOS)] and result.workers == 1
 
     def test_a_sweep_above_the_budget_splits(self, monkeypatch):
         # 12 trials a scenario: 33 scenarios fit in 400 trials
@@ -256,21 +264,6 @@ class TestBlockPlan:
             out_dir.mkdir()
             written.append([path.read_bytes() for path in write_sweep_csvs(out_dir, result)])
         assert written[0] == written[1]
-
-
-@pytest.mark.parametrize("base_seed", [0, 11, 2**31 - 1, 2**32, 2**64 - 1, 2**130 + 7])
-def test_streams_keyed_together_are_scenario_rng(base_seed):
-    # The second range crosses index 2**32, where the keys are hashed one
-    # index at a time.
-    for start, count in [(0, 5), (2**32 - 2, 4)]:
-        rngs = smartrar.sweep._scenario_rngs(base_seed, start, count)
-        assert len(rngs) == count
-        for index, rng in enumerate(rngs, start=start):
-            expected = scenario_rng(base_seed, index)
-            assert rng.bit_generator.state["state"]["key"].tolist() == (
-                expected.bit_generator.state["state"]["key"].tolist()
-            )
-            assert rng.multinomial(100, [0.25] * 4).tolist() == expected.multinomial(100, [0.25] * 4).tolist()
 
 
 class TestRelativeUtility:
